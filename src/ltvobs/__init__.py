@@ -49,10 +49,12 @@ from .lyapunov import (
 from .observer import (
     DetectabilityReport,
     DirectionDetectability,
+    FrameTrack,
     ObserverConfig,
     ObserverState,
     compute_gain,
     detectability_report,
+    frame_track,
     gain_snapshots,
     min_gain_suggestion,
     observer_step,
@@ -82,6 +84,7 @@ __all__ = [
     "DirectionRegularity",
     "Expr",
     "ExprError",
+    "FrameTrack",
     "GeneralCertificate",
     "LtvSystem",
     "MatrixExpr",
@@ -105,6 +108,7 @@ __all__ = [
     "error_system_so_test",
     "estimate_lipschitz",
     "estimate_spectrum",
+    "frame_track",
     "gain_snapshots",
     "general_bibs_certificate",
     "joint_rk4_step",

@@ -20,21 +20,33 @@ Failures raise StepPreconditionError carrying the step label.
 Measurement noise is applied per sample and held across the RK4 stages
 of that step; with noise present the reconstruction's zeroth block
 switches from raw e_y to the differentiator's filtered z_0 estimate.
+
+The gain depends only on C(t) and the observer frame, never on the
+states, so one :func:`ltvobs.observer.frame_track` serves the precondition
+checks and the simulation.  With the stage gains of an RK4 step fixed,
+plant and observer form the linear system dz/dt = M z + b in
+z = [x; x~], with
+
+    M = [[A - F K, 0], [L C - F K, A - L C]],   b = [F u + D w; F u + L eta],
+
+so the step is the affine map z -> Phi z + psi.  The maps are built per
+chunk of steps with stacked matrix products and applied in a tight loop;
+the reconstruction of the stacked error is batched per chunk the same way.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StepPreconditionError
+from .errors import NumericalError, StepPreconditionError
 from .expr import MatrixExpr
 from .hosm import DEFAULT_GAINS, estimate_lipschitz, run_bank
-from .integrators import joint_rk4_step
-from .lyapunov import skew_rule
+from .integrators import CHUNK_STEPS, projected_rk4_stages
 from .observer import (
     ObserverConfig,
-    _gain_basis,
     detectability_report,
+    frame_track,
+    gain_stack,
     min_gain_suggestion,
 )
 from .strong_obs import ErrorStackSampler, build_stack, strong_observability_test
@@ -46,23 +58,24 @@ __all__ = ["CascadeRun", "run_cascade", "run_with_noise", "run_tso"]
 _BANK_ORDER = 2
 
 
-def _vector_signal(value, width, name):
-    """Normalize w/u inputs to a callable t -> (width,) vector."""
+def _grid_signal(value, width, name):
+    """Normalize w/u inputs to a callable times (T,) -> (T, width)."""
     if value is None:
-        zero = np.zeros(width)
-        return lambda t: zero
+        return lambda ts: np.zeros((len(ts), width))
     if isinstance(value, (list, tuple, str)) or isinstance(value, MatrixExpr):
         m = as_matrix_expr([value] if isinstance(value, str) else value)
         if m.rows * m.cols != width:
             raise ValueError(f"{name} must have {width} entries, got {m.shape}")
-        fn = m.bind()
-        return lambda t: fn(t).ravel()
+        fn = m.bind_grid()
+        return lambda ts: fn(ts).reshape(len(ts), width)
     if callable(value):
-        return lambda t: np.atleast_1d(np.asarray(value(t), dtype=float))
+        return lambda ts: np.array(
+            [np.ravel(value(t)) for t in ts], dtype=float
+        ).reshape(len(ts), width)
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr.shape != (width,):
         raise ValueError(f"{name} must have shape ({width},), got {arr.shape}")
-    return lambda t: arr
+    return lambda ts: np.broadcast_to(arr, (len(ts), width))
 
 
 @dataclass
@@ -124,9 +137,9 @@ class CascadeRun:
             raise ValueError("dwell must be non-negative")
 
 
-def _check_preconditions(run, need_stack):
+def _check_preconditions(run, track, need_stack):
     """Enforce the design steps in order; raises StepPreconditionError."""
-    report = detectability_report(run.sys, run.observer)
+    report = detectability_report(run.sys, run.observer, track=track)
     if not report.ok:
         bad = ", ".join(str(d.index + 1) for d in report.failed_directions)
         raise StepPreconditionError(
@@ -143,7 +156,8 @@ def _check_preconditions(run, need_stack):
         return report, None
     step = run.observer.step
     probes = np.linspace(step.t0, step.t0 + step.horizon, 101)
-    stack = build_stack(run.sys, probe_times=probes)
+    # the run needs nu and the verdict only, not the controllability index
+    stack = build_stack(run.sys, probe_times=probes, with_controllability=False)
     verdict = strong_observability_test(stack, probe_times=probes)
     if not verdict.ok:
         raise StepPreconditionError(
@@ -158,78 +172,119 @@ def _check_preconditions(run, need_stack):
     return report, stack
 
 
-def _simulate(run, eta, record_gain, record_eydot):
-    """Joint RK4 integration of plant, observer copy, and frame flow.
+def _matvec(m, v):
+    return (m @ v[..., None])[..., 0]
+
+
+def _rk4_affine(m, b, h):
+    """Fold four RK4 stages of dz/dt = M_s z + b_s into z -> Phi z + psi.
+
+    ``m`` (4, T, d, d) and ``b`` (4, T, d) hold the stage values of T
+    steps; returns Phi (T, d, d) and psi (T, d).
+    """
+    p_prev, c_prev = m[0], b[0]
+    p_sum, c_sum = p_prev.copy(), c_prev.copy()
+    for s, (frac, weight) in enumerate(((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)), 1):
+        p_prev = m[s] + (frac * h) * (m[s] @ p_prev)
+        c_prev = b[s] + (frac * h) * _matvec(m[s], c_prev)
+        p_sum += weight * p_prev
+        c_sum += weight * c_prev
+    phi = (h / 6.0) * p_sum
+    phi += np.eye(m.shape[-1])
+    return phi, (h / 6.0) * c_sum
+
+
+def _simulate(run, track, eta, record_gain, record_eydot):
+    """RK4 integration of plant and observer copy along a frame track.
 
     Returns time grid and per-sample records.  ``eta`` is the (N+1, r)
-    additive measurement noise, held constant within each step.
+    additive measurement noise, held constant within each step.  Each
+    step's stage gains come from the stage frames of the track's step.
     """
     sys, conf = run.sys, run.observer
-    step = conf.step
-    n, r = sys.n, sys.r
-    a_fn = sys.a.bind()
-    c_fn = sys.c.bind()
-    f_fn = sys.f.bind()
-    d_fn = sys.d.bind()
-    cdot_fn = sys.c.derivative().bind() if record_eydot else None
-    w_fn = _vector_signal(run.w, sys.m, "w")
-    u_fn = _vector_signal(run.u, sys.q, "u")
+    n, r, p, h = sys.n, sys.r, conf.p, conf.step.h
+    a_fn, c_fn, f_fn, d_fn = (m.bind_grid() for m in (sys.a, sys.c, sys.f, sys.d))
+    cdot_fn = sys.c.derivative().bind_grid() if record_eydot else None
+    w_fn = _grid_signal(run.w, sys.m, "w")
+    u_fn = _grid_signal(run.u, sys.q, "u")
     fb = run.feedback
-    p = conf.p
 
-    n_steps = step.n_steps
-    t_grid = step.grid()
-    x_rec = np.empty((n_steps + 1, n))
-    xt_rec = np.empty((n_steps + 1, n))
+    n_steps = track.t.size - 1
+    t_grid = track.t
+    z_rec = np.empty((n_steps + 1, 2 * n))
+    z_rec[0, :n] = run.x0
+    z_rec[0, n:] = run.xt0
+    x_rec, xt_rec = z_rec[:, :n], z_rec[:, n:]
     ey_rec = np.empty((n_steps + 1, r))
     l_rec = np.empty((n_steps + 1, n, r)) if record_gain else None
     eyd_rec = np.empty((n_steps + 1, r)) if record_eydot else None
 
-    x = run.x0.copy()
-    xt = run.xt0.copy()
-    q = conf.initial_frame(n)
-    noise = eta[0]
+    def record(lo, hi, times, a_val, c_val, l_val):
+        x, xt = x_rec[lo:hi], xt_rec[lo:hi]
+        ey_rec[lo:hi] = (_matvec(c_val, x) + eta[lo:hi]) - _matvec(c_val, xt)
+        if record_gain:
+            l_rec[lo:hi] = l_val
+        if record_eydot:
+            e = x - xt
+            de = _matvec(a_val - l_val @ c_val, e) + _matvec(d_fn(times), w_fn(times))
+            eyd_rec[lo:hi] = _matvec(cdot_fn(times), e) + _matvec(c_val, de)
 
-    def rhs(t, states):
-        xs, xts, qs = states
-        a_val = a_fn(t)
-        c_val = c_fn(t)
-        w_val = w_fn(t)
-        u_val = u_fn(t)
-        if fb is not None:
-            u_val = u_val - fb @ xs
-        drive = f_fn(t) @ u_val
-        dx = a_val @ xs + drive + d_fn(t) @ w_val
-        qt, _ = _gain_basis(c_val, qs)
-        e_out = (c_val @ xs + noise) - c_val @ xts
-        dxt = a_val @ xts + drive + p * (qs @ (qt.T @ (c_val.T @ e_out)))
-        m = a_val @ qs
-        w_red = qs.T @ m
-        dq = m - qs @ (w_red - skew_rule(w_red))
-        return [dx, dxt, dq]
+    def stages(grid_val, mid_val):
+        """Stage values (4T, ...) at t, t + h/2, t + h/2, t + h."""
+        return np.concatenate([grid_val[:-1], mid_val, mid_val, grid_val[1:]])
 
-    def record(i, t):
-        c_val = c_fn(t)
-        x_rec[i] = x
-        xt_rec[i] = xt
-        ey_rec[i] = (c_val @ x + eta[i]) - c_val @ xt
-        if record_gain or record_eydot:
-            qt, _ = _gain_basis(c_val, q)
-            l_val = p * (q @ (qt.T @ c_val.T))
-            if record_gain:
-                l_rec[i] = l_val
-            if record_eydot:
-                e = x - xt
-                de = (a_fn(t) - l_val @ c_val) @ e + d_fn(t) @ w_fn(t)
-                eyd_rec[i] = cdot_fn(t) @ e + c_val @ de
+    z = z_rec[0].copy()
+    for lo in range(0, n_steps, CHUNK_STEPS):
+        hi = min(lo + CHUNK_STEPS, n_steps)
+        count = hi - lo
+        t_g = t_grid[lo : hi + 1]
+        t_m = t_g[:-1] + 0.5 * h
+        a_g, a_m = a_fn(t_g), a_fn(t_m)
+        a_s = stages(a_g, a_m)
+        c_s = stages(c_fn(t_g), c_fn(t_m))
+        f_s = stages(f_fn(t_g), f_fn(t_m))
+        frames = projected_rk4_stages(track.frames[lo:hi], a_g[:-1], a_m, h)
+        l_s = gain_stack(c_s, frames.reshape((-1,) + frames.shape[2:]), p)
 
-    record(0, t_grid[0])
-    for i in range(n_steps):
-        t = t_grid[i]
-        noise = eta[i]
-        x, xt, q = joint_rk4_step(rhs, t, [x, xt, q], step.h, project=(2,))
-        record(i + 1, t_grid[i + 1])
+        lc = l_s @ c_s
+        fk = f_s @ fb if fb is not None else 0.0
+        m = np.empty((4 * count, 2 * n, 2 * n))
+        m[:, :n, :n] = a_s - fk
+        m[:, :n, n:] = 0.0
+        m[:, n:, :n] = lc - fk
+        m[:, n:, n:] = a_s - lc
+        drive = _matvec(f_s, stages(u_fn(t_g), u_fn(t_m)))
+        d_s = stages(d_fn(t_g), d_fn(t_m))
+        b = np.empty((4 * count, 2 * n))
+        b[:, :n] = drive + _matvec(d_s, stages(w_fn(t_g), w_fn(t_m)))
+        b[:, n:] = drive + _matvec(l_s, np.tile(eta[lo:hi], (4, 1)))
+        phi, psi = _rk4_affine(
+            m.reshape(4, count, 2 * n, 2 * n), b.reshape(4, count, 2 * n), h
+        )
+        for j in range(count):
+            z = phi[j] @ z + psi[j]
+            z_rec[lo + j + 1] = z
+        finite = np.all(np.isfinite(z_rec[lo + 1 : hi + 1]), axis=1)
+        if not finite.all():
+            bad = t_grid[lo + 1 + np.argmin(finite)]
+            raise NumericalError(f"non-finite plant or observer state at t={bad}")
+        record(lo, hi, t_g[:-1], a_g[:-1], c_s[:count], l_s[:count])
+
+    t_end = t_grid[-1:]
+    c_end = c_fn(t_end)
+    l_end = gain_stack(c_end, track.frames[-1:], p)
+    record(n_steps, n_steps + 1, t_end, a_fn(t_end), c_end, l_end)
+    x_rec, xt_rec = x_rec.copy(), xt_rec.copy()
     return t_grid, x_rec, xt_rec, ey_rec, l_rec, eyd_rec
+
+
+def _measurement_noise(run, n_samples):
+    """Seeded (n_samples, r) Gaussian noise; zeros when sigma is 0."""
+    rng = np.random.default_rng(run.noise_seed)
+    eta = np.zeros((n_samples, run.sys.r))
+    if run.sigma > 0.0:
+        eta += rng.normal(0.0, run.sigma, size=eta.shape)
+    return eta
 
 
 def _auto_lipschitz(ey_rec, h, order):
@@ -249,17 +304,14 @@ def run_cascade(run: CascadeRun) -> CascadeRun:
     sys, conf = run.sys, run.observer
     step = conf.step
     n, r = sys.n, sys.r
+    track = frame_track(sys, conf)
     if run.check_preconditions:
-        _check_preconditions(run, need_stack=True)
+        _check_preconditions(run, track, need_stack=True)
 
-    rng = np.random.default_rng(run.noise_seed)
-    eta = np.zeros((step.n_steps + 1, r))
-    if run.sigma > 0.0:
-        eta += rng.normal(0.0, run.sigma, size=eta.shape)
-
+    eta = _measurement_noise(run, step.n_steps + 1)
     oracle = run.oracle_derivatives
     t_grid, x_rec, xt_rec, ey_rec, l_rec, eyd_rec = _simulate(
-        run, eta, record_gain=True, record_eydot=oracle
+        run, track, eta, record_gain=True, record_eydot=oracle
     )
 
     filtered = run.filtered_output_error
@@ -299,9 +351,14 @@ def run_cascade(run: CascadeRun) -> CascadeRun:
 
     sampler = ErrorStackSampler(sys)
     xhat = np.empty_like(xt_rec)
-    for i, t in enumerate(t_grid):
-        e_tilde = sampler.reconstruct(t, l_rec[i], stack[i])
-        xhat[i] = xt_rec[i] + e_tilde
+    min_eig_h = np.inf
+    for lo in range(0, t_grid.size, CHUNK_STEPS):
+        hi = min(lo + CHUNK_STEPS, t_grid.size)
+        e_tilde, eig_h = sampler.reconstruct_stack(
+            t_grid[lo:hi], l_rec[lo:hi], stack[lo:hi]
+        )
+        xhat[lo:hi] = xt_rec[lo:hi] + e_tilde
+        min_eig_h = min(min_eig_h, float(eig_h.min()))
 
     run.t = t_grid
     run.x = x_rec
@@ -330,6 +387,11 @@ def run_cascade(run: CascadeRun) -> CascadeRun:
         "sigma": run.sigma,
         "filtered_output_error": bool(filtered),
         "oracle_derivatives": bool(oracle),
+        "health": {
+            "min_ctcq_sigma": track.min_ctcq_sigma,
+            "max_orth_defect": track.max_orth_defect,
+            "min_eig_h_e": min_eig_h,
+        },
     }
     return run
 
@@ -354,15 +416,12 @@ def run_tso(run: CascadeRun) -> CascadeRun:
     treat both run styles uniformly; e_norm_cascade mirrors e_norm_tso.
     """
     sys, conf = run.sys, run.observer
-    step = conf.step
+    track = frame_track(sys, conf)
     if run.check_preconditions:
-        _check_preconditions(run, need_stack=False)
-    rng = np.random.default_rng(run.noise_seed)
-    eta = np.zeros((step.n_steps + 1, sys.r))
-    if run.sigma > 0.0:
-        eta += rng.normal(0.0, run.sigma, size=eta.shape)
+        _check_preconditions(run, track, need_stack=False)
+    eta = _measurement_noise(run, conf.step.n_steps + 1)
     t_grid, x_rec, xt_rec, ey_rec, _, _ = _simulate(
-        run, eta, record_gain=False, record_eydot=False
+        run, track, eta, record_gain=False, record_eydot=False
     )
     run.t = t_grid
     run.x = x_rec

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -33,7 +32,12 @@ from .errors import ExprError, NumericalError, ScenarioError, StepPreconditionEr
 from .expr import MatrixExpr, parse
 from .integrators import StepConfig
 from .lyapunov import estimate_spectrum, nonstable_dimension, regularity_report
-from .observer import ObserverConfig, detectability_report, min_gain_suggestion
+from .observer import (
+    ObserverConfig,
+    detectability_report,
+    frame_track,
+    min_gain_suggestion,
+)
 from .strong_obs import ReconstructionMap, build_stack, strong_observability_test
 from .system import LtvSystem
 
@@ -382,8 +386,8 @@ def cmd_spectrum(scen, args, outdir):
     return 0
 
 
-def _detect_payload(scen, conf):
-    rep = detectability_report(scen.sys, conf)
+def _detect_payload(scen, conf, track):
+    rep = detectability_report(scen.sys, conf, track=track)
     try:
         p_min = min_gain_suggestion(rep, margin=1.0)
     except StepPreconditionError:
@@ -417,12 +421,18 @@ def cmd_detect(scen, args, outdir):
             p_values = [float(v) for v in args.sweep.split(",") if v.strip()]
         except ValueError as e:
             raise ScenarioError(f"--sweep expects comma-separated numbers: {e}")
-        confs = [
-            ObserverConfig(p=p, k=conf.k, step=step, q0=scen.observer_q0)
+        if not p_values:
+            raise ScenarioError("--sweep needs at least one gain value")
+        # the gain enters only mu_hat = lambda - p rbar: one flow serves all
+        track = frame_track(scen.sys, conf)
+        results = [
+            _detect_payload(
+                scen,
+                ObserverConfig(p=p, k=conf.k, step=step, q0=scen.observer_q0),
+                track,
+            )
             for p in p_values
         ]
-        with ThreadPoolExecutor(max_workers=min(4, len(confs))) as pool:
-            results = list(pool.map(lambda c: _detect_payload(scen, c), confs))
         _write_json(
             os.path.join(outdir, "detect_sweep.json"),
             {"scenario": scen.name, "sweep": [pl for _, pl in results]},
@@ -432,7 +442,7 @@ def cmd_detect(scen, args, outdir):
             print(f"p={_fmt(p)}: ok={str(pl['ok']).lower()} worst_mu_hat={_fmt(worst)}")
         rep, payload = results[0]
     else:
-        rep, payload = _detect_payload(scen, conf)
+        rep, payload = _detect_payload(scen, conf, frame_track(scen.sys, conf))
         verdict = "PASS" if payload["ok"] else "FAIL"
         pm = payload["p_min_margin_1"]
         print(
@@ -643,7 +653,7 @@ def _build_parser():
     p_det.add_argument(
         "--sweep",
         default=None,
-        help="comma-separated gain values to analyze concurrently",
+        help="comma-separated gain values, analyzed on one frame flow",
     )
     p_det.set_defaults(handler=cmd_detect)
 

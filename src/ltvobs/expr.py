@@ -13,7 +13,9 @@ The node set is closed under differentiation, so a system matrix and every
 time derivative the observability recursions ask for live in the same
 representation.  ``MatrixExpr.bind`` compiles a grid to a plain-Python
 evaluator; integration loops call that closure hundreds of thousands of
-times, so it avoids any tree walking.
+times, so it avoids any tree walking.  ``MatrixExpr.bind_grid`` compiles
+the same source against numpy ufuncs and evaluates a whole time grid in one
+call, for the loops that batch over time.
 """
 
 import math
@@ -458,7 +460,7 @@ class MatrixExpr:
     symbolic products/sums/stacks the observability recursions need.
     """
 
-    __slots__ = ("entries", "rows", "cols", "_fn")
+    __slots__ = ("entries", "rows", "cols", "_fn", "_grid_fn")
 
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -475,6 +477,7 @@ class MatrixExpr:
         self.rows = len(entries)
         self.cols = cols
         self._fn = None
+        self._grid_fn = None
 
     # -- constructors -----------------------------------------------------
 
@@ -624,6 +627,45 @@ class MatrixExpr:
                     ) from exc
 
         self._fn = fn
+        return fn
+
+    def bind_grid(self):
+        """Compile to a closure ``times (T,) -> ndarray (T, rows, cols)``.
+
+        The generated source is the one :meth:`bind` uses, run once on the
+        whole time array with numpy ufuncs.  A non-finite value raises
+        :class:`NumericalError` naming the first offending time and entry.
+        """
+        if self._grid_fn is not None:
+            return self._grid_fn
+        base = np.zeros(self.shape)
+        lines = ["def _f(t, out):"]
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                if isinstance(e, Num):
+                    base[i, j] = e.value
+                else:
+                    lines.append(f"    out[:, {i}, {j}] = {_pysrc(e)}")
+        lines.append("    return out")
+        ns = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
+        exec("\n".join(lines), ns)  # controlled codegen from our own AST
+        raw = ns["_f"]
+
+        def fn(times, _raw=raw, _base=base):
+            times = np.asarray(times, dtype=float)
+            out = np.repeat(_base[None], times.shape[0], axis=0)
+            with np.errstate(all="ignore"):
+                _raw(times, out)
+            bad = ~np.isfinite(out)
+            if bad.any():
+                k, i, j = np.argwhere(bad)[0]
+                raise NumericalError(
+                    f"entry ({i},{j}) evaluated non-finite at t={times[k]}: "
+                    f"{self.entries[i][j]}"
+                )
+            return out
+
+        self._grid_fn = fn
         return fn
 
     def evaluate(self, t):

@@ -8,7 +8,9 @@ with the skew term S evaluated inside every RK4 stage from that stage's
 frame, then snaps the result back onto the Stiefel manifold with one
 modified Gram-Schmidt pass.  Projecting once per step (not per stage)
 keeps the stage combination a genuine 4th-order rule while holding the
-orthonormality defect at round-off.
+orthonormality defect at round-off.  ``projected_rk4_stages`` rebuilds the
+unprojected stage frames of many such steps at once from their start
+frames, for the callers that need the frame inside every stage.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,18 @@ import numpy as np
 from .errors import NumericalError
 from .linalg import mgs_qr
 
-__all__ = ["StepConfig", "rk4_step", "projected_rk4_step", "joint_rk4_step"]
+__all__ = [
+    "StepConfig",
+    "rk4_step",
+    "projected_rk4_step",
+    "projected_rk4_stages",
+    "joint_rk4_step",
+]
+
+# steps per batch in the chunked grid loops: long enough to amortize the
+# per-call overhead of numpy, short enough that no per-stage array spans
+# the horizon
+CHUNK_STEPS = 128
 
 
 @dataclass(frozen=True)
@@ -113,6 +126,31 @@ def projected_rk4_step(a, t, q, h, s_rule, a_stages=None):
     if not (np.all(np.isfinite(qn)) and np.all(d > 1e-8)):
         raise NumericalError(f"frame rank collapse at t={t}: pivots {d}")
     return qn
+
+
+def _frame_rhs_stack(a, q):
+    """Frame-flow derivative for stacks ``a (T, n, n)``, ``q (T, n, k)``."""
+    m = a @ q
+    w = np.swapaxes(q, 1, 2) @ m
+    lower = np.tril(w, -1)
+    return m - q @ (w - (lower - np.swapaxes(lower, 1, 2)))
+
+
+def projected_rk4_stages(q, a1, a2, h):
+    """Stage frames of :func:`projected_rk4_step` for a stack of steps.
+
+    ``q`` (T, n, k) holds the start frames, ``a1`` and ``a2`` (T, n, n)
+    the system matrix at each step's start and midpoint; the skew rule is
+    the one of :func:`ltvobs.lyapunov.skew_rule`.  Returns (4, T, n, k):
+    the frames at which the four RK4 stages evaluate their derivative,
+    ``q``, ``q + h/2 k1``, ``q + h/2 k2`` and ``q + h k3``.
+    """
+    out = np.empty((4,) + q.shape)
+    out[0] = q
+    out[1] = q + (0.5 * h) * _frame_rhs_stack(a1, q)
+    out[2] = q + (0.5 * h) * _frame_rhs_stack(a2, out[1])
+    out[3] = q + h * _frame_rhs_stack(a2, out[2])
+    return out
 
 
 def joint_rk4_step(rhs, t, states, h, project=()):

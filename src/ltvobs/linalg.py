@@ -4,8 +4,10 @@ The QR factorization here is a hand-written modified Gram-Schmidt: the
 frame integrators re-orthonormalize with it every step and rely on two
 conventions that library QR routines do not guarantee, a nonnegative
 diagonal of R and a deterministic completion rule for (numerically)
-dependent columns.  Rank decisions and pseudoinverses go through numpy's
-SVD with one shared tolerance policy.
+dependent columns.  ``mgs_qr_stack`` runs the same elimination on a stack
+of matrices at once and hands every matrix with a dependent column back to
+``mgs_qr``, so both conventions hold for the stack too.  Rank decisions and
+pseudoinverses go through numpy's SVD with one shared tolerance policy.
 """
 
 import numpy as np
@@ -14,9 +16,11 @@ from .errors import NumericalError
 
 __all__ = [
     "mgs_qr",
+    "mgs_qr_stack",
     "numerical_rank",
     "pinv",
     "orthogonal_projector_complement",
+    "projector_complement_stack",
 ]
 
 _EPS = np.finfo(float).eps
@@ -81,6 +85,43 @@ def mgs_qr(x, rank_tol=None):
     return q, r
 
 
+def mgs_qr_stack(x):
+    """:func:`mgs_qr` of every matrix in a stack ``(T, n, m)``.
+
+    Returns ``(q, r)`` of shapes ``(T, n, m)`` and ``(T, m, m)``.  Each
+    projection and norm is the same strided BLAS dot product that
+    :func:`mgs_qr` takes, so a matrix whose pivots all clear the default
+    tolerance gets bit-for-bit the factors :func:`mgs_qr` would return.
+    A matrix with any pivot at or below it is refactored by :func:`mgs_qr`
+    itself, which zeroes that pivot and completes the frame.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 3:
+        raise ValueError("mgs_qr_stack expects a 3-d array")
+    count, n, m = x.shape
+    if n < m:
+        raise ValueError(f"need n >= m, got shape {x.shape[1:]}")
+    col_norms = np.sqrt((x * x).sum(axis=1))
+    rank_tol = max(n, m) * _EPS * (col_norms.max(axis=1) if m else 0.0)
+
+    q = np.empty((count, n, m))
+    r = np.zeros((count, m, m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(m):
+            v = x[:, :, j].copy()
+            for i in range(j):
+                qi = q[:, :, i]
+                r[:, i, j] = (qi[:, None, :] @ v[:, :, None])[:, 0, 0]
+                v -= r[:, i, j, None] * qi
+            pivot = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+            r[:, j, j] = pivot
+            q[:, :, j] = v / pivot[:, None]
+    pivots = np.diagonal(r, axis1=1, axis2=2)
+    for idx in np.flatnonzero(np.any(pivots <= rank_tol[:, None], axis=1)):
+        q[idx], r[idx] = mgs_qr(x[idx])
+    return q, r
+
+
 def _completion_column(accepted, n):
     """First canonical basis vector that survives orthogonalization."""
     for l in range(n):
@@ -112,17 +153,22 @@ def numerical_rank(x, tol=None):
 
 
 def pinv(x, tol=None):
-    """Moore-Penrose pseudoinverse with the shared rank tolerance."""
+    """Moore-Penrose pseudoinverse with the shared rank tolerance.
+
+    A stack ``(..., rows, cols)`` is inverted matrix by matrix, each with
+    its own default tolerance.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     try:
         u, s, vt = np.linalg.svd(x, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
     if tol is None:
-        tol = max(x.shape) * _EPS * (s[0] if s.size else 0.0)
+        top = s[..., :1] if s.shape[-1] else np.zeros(s.shape[:-1] + (1,))
+        tol = max(x.shape[-2:]) * _EPS * top
     recip = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
     inv = np.where(s > tol, recip, 0.0)
-    return (vt.T * inv) @ u.T
+    return (np.swapaxes(vt, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
 def orthogonal_projector_complement(j, tol=None):
@@ -134,3 +180,14 @@ def orthogonal_projector_complement(j, tol=None):
     j = np.atleast_2d(np.asarray(j, dtype=float))
     k = np.eye(j.shape[0]) - j @ pinv(j, tol=tol)
     return 0.5 * (k + k.T)
+
+
+def projector_complement_stack(j):
+    """:func:`orthogonal_projector_complement` of every matrix in a stack.
+
+    ``j`` has shape ``(T, rows, cols)``; returns the ``(T, rows, rows)``
+    symmetrized projectors ``I - J J^+``.
+    """
+    j = np.asarray(j, dtype=float)
+    k = np.eye(j.shape[1]) - j @ pinv(j)
+    return 0.5 * (k + np.swapaxes(k, 1, 2))

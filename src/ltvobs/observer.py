@@ -10,6 +10,12 @@ QR factorization of C^T C Q.  The running average of diag(Rt) along the
 flow decides, direction by direction, whether the output actually sees
 the frame column (directional detectability), and the predicted error
 exponent of direction j is lambda_j - p * rbar_j.
+
+Since the gain depends only on C(t) and the frame, never on the estimate,
+the frame flow runs once per configuration: :func:`frame_track` steps it
+over the grid and keeps the grid frames with their diagnostics, and the
+detectability report, the gain snapshots and the pipeline runs in
+:mod:`ltvobs.cascade` all read that one track.
 """
 
 from dataclasses import dataclass, field
@@ -17,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepPreconditionError
-from .integrators import StepConfig, joint_rk4_step, projected_rk4_step
-from .linalg import mgs_qr
+from .integrators import CHUNK_STEPS, StepConfig, joint_rk4_step, projected_rk4_step
+from .linalg import mgs_qr, mgs_qr_stack
 from .lyapunov import default_frame, skew_rule
 from .system import LtvSystem
 
@@ -27,6 +33,9 @@ __all__ = [
     "ObserverState",
     "compute_gain",
     "observer_step",
+    "FrameTrack",
+    "frame_track",
+    "gain_stack",
     "DirectionDetectability",
     "DetectabilityReport",
     "detectability_report",
@@ -94,6 +103,25 @@ def _gain_basis(c_val, q):
     if np.any(rdiag == 0.0):
         qt = qt * (rdiag > 0.0)
     return qt, rdiag
+
+
+def _gain_basis_stack(c_val, q):
+    """:func:`_gain_basis` for stacks ``c_val (T, r, n)``, ``q (T, n, k)``.
+
+    Returns Qt (T, n, k), diag(Rt) (T, k) and C^T C Q (T, n, k).
+    :func:`mgs_qr_stack` refactors every matrix with a dependent column by
+    :func:`mgs_qr`, whose zero pivots then zero the matching Qt column.
+    """
+    ctcq = np.swapaxes(c_val, 1, 2) @ (c_val @ q)
+    qt, rt = mgs_qr_stack(ctcq)
+    rdiag = np.diagonal(rt, axis1=1, axis2=2).copy()
+    return qt * (rdiag > 0.0)[:, None, :], rdiag, ctcq
+
+
+def gain_stack(c_val, q, p):
+    """Gains L = p Q Qt^T C^T (T, n, r) for stacks of C and frames."""
+    qt, _, _ = _gain_basis_stack(c_val, q)
+    return p * (q @ (np.swapaxes(qt, 1, 2) @ np.swapaxes(c_val, 1, 2)))
 
 
 def compute_gain(a_val, c_val, q, p):
@@ -187,61 +215,115 @@ class DetectabilityReport:
         return [d for d in self.directions if d.nonstable and not d.detectable]
 
 
-def detectability_report(sys: LtvSystem, conf: ObserverConfig, sample_stride=None):
-    """Run the frame flow and average diag(Rt) and diag(B) per direction.
+@dataclass
+class FrameTrack:
+    """The reduced frame flow on the step grid, with its diagnostics.
+
+    ``frames[i]`` is the frame at ``t[i]``; ``b_diag[i]`` and ``r_diag[i]``
+    are diag(Q^T A Q) and diag(Rt) of C^T C Q there.  ``min_ctcq_sigma``
+    is the smallest singular value of C^T C Q on the grid (a near-zero dip
+    flags possible gain non-smoothness) and ``max_orth_defect`` the worst
+    ``||Q^T Q - I||_F``.
+    """
+
+    t: np.ndarray = field(repr=False)
+    frames: np.ndarray = field(repr=False)
+    b_diag: np.ndarray = field(repr=False)
+    r_diag: np.ndarray = field(repr=False)
+    min_ctcq_sigma: float
+    max_orth_defect: float
+
+
+def frame_track(sys: LtvSystem, conf: ObserverConfig, n_steps=None):
+    """Step the frame over the first ``n_steps`` grid steps (default all).
+
+    Each step is one :func:`projected_rk4_step` with A(t), A(t + h/2) and
+    A(t + h) taken from a grid evaluation of the chunk; the diagnostics
+    are computed per chunk on the stacked grid frames.
+    """
+    a_grid, c_grid = sys.a.bind_grid(), sys.c.bind_grid()
+    cfg = conf.step
+    n, k = sys.n, conf.k
+    h = cfg.h
+    n_steps = cfg.n_steps if n_steps is None else n_steps
+    t = cfg.t0 + h * np.arange(n_steps + 1)
+    frames = np.empty((n_steps + 1, n, k))
+    b_diag = np.empty((n_steps + 1, k))
+    r_diag = np.empty((n_steps + 1, k))
+    sigma = np.empty(n_steps + 1)
+    defect = np.empty(n_steps + 1)
+    eye_k = np.eye(k)
+
+    def diagnose(lo, hi, a_val):
+        q = frames[lo:hi]
+        b_diag[lo:hi] = np.einsum("tij,tij->tj", q, a_val @ q)
+        _, r_diag[lo:hi], ctcq = _gain_basis_stack(c_grid(t[lo:hi]), q)
+        sigma[lo:hi] = np.linalg.svd(ctcq, compute_uv=False)[:, -1]
+        gram = np.swapaxes(q, 1, 2) @ q - eye_k
+        defect[lo:hi] = np.sqrt((gram * gram).sum(axis=(1, 2)))
+
+    q = frames[0] = conf.initial_frame(n)
+    diagnose(0, 1, a_grid(t[:1]))
+    for lo in range(0, n_steps, CHUNK_STEPS):
+        hi = min(lo + CHUNK_STEPS, n_steps)
+        a_val = a_grid(t[lo : hi + 1])
+        a_mid = a_grid(t[lo:hi] + 0.5 * h)
+        for j in range(hi - lo):
+            q = projected_rk4_step(
+                None, t[lo + j], q, h, skew_rule,
+                a_stages=(a_val[j], a_mid[j], a_val[j + 1]),
+            )
+            frames[lo + j + 1] = q
+        diagnose(lo + 1, hi + 1, a_val[1:])
+    return FrameTrack(
+        t=t,
+        frames=frames,
+        b_diag=b_diag,
+        r_diag=r_diag,
+        min_ctcq_sigma=float(sigma.min()),
+        max_orth_defect=float(defect.max()),
+    )
+
+
+def _trapezoid_running(values, h):
+    """Running trapezoid integrals of a grid series, summed step by step."""
+    steps = (0.5 * h) * (values[:-1] + values[1:])
+    start = np.zeros((1,) + values.shape[1:])
+    return np.cumsum(np.concatenate([start, steps]), axis=0)
+
+
+def detectability_report(
+    sys: LtvSystem, conf: ObserverConfig, sample_stride=None, track=None
+):
+    """Average diag(Rt) and diag(B) per direction along the frame flow.
 
     Exponent averages come from the same pass, so the non-stable
     classification and the detectability verdict refer to one frame
-    trajectory.
+    trajectory.  ``track`` is the :func:`frame_track` of ``conf``'s frame
+    and grid; the gain scalar enters only the predicted exponents, so one
+    track serves every ``p``.  It is computed here when not given.
     """
-    a_fn, c_fn = sys.a.bind(), sys.c.bind()
+    if track is None:
+        track = frame_track(sys, conf)
     cfg = conf.step
-    n = sys.n
-    k = conf.k
-    q = conf.initial_frame(n)
     h = cfg.h
     n_steps = cfg.n_steps
+    if track.t.size != n_steps + 1:
+        raise ValueError(f"frame track has {track.t.size - 1} steps, the grid {n_steps}")
     stride = sample_stride or max(1, n_steps // 4000)
+    b_int = _trapezoid_running(track.b_diag, h)
+    rd_int = _trapezoid_running(track.r_diag, h)
 
-    def diagnostics(t, q):
-        a_val = a_fn(t)
-        c_val = c_fn(t)
-        b_diag = np.einsum("ij,ij->j", q, a_val @ q)
-        ctcq = c_val.T @ (c_val @ q)
-        _, rt = mgs_qr(ctcq)
-        rdiag = np.diag(rt).copy()
-        sigma_min = np.linalg.svd(ctcq, compute_uv=False)[-1]
-        return a_val, b_diag, rdiag, sigma_min
+    rec = np.arange(stride, n_steps + 1, stride)
+    if rec.size == 0 or rec[-1] != n_steps:
+        rec = np.append(rec, n_steps)
+    elapsed = (cfg.t0 + rec * h) - cfg.t0
 
-    a_cur, b_cur, rd_cur, sig = diagnostics(cfg.t0, q)
-    min_sigma = sig
-    b_int = np.zeros(k)
-    rd_int = np.zeros(k)
-    hist_t, hist_lam, hist_rbar = [], [], []
-
-    for i in range(n_steps):
-        t = cfg.time(i)
-        a_mid = a_fn(t + 0.5 * h)
-        a_next = a_fn(cfg.time(i + 1))
-        q = projected_rk4_step(None, t, q, h, skew_rule, a_stages=(a_cur, a_mid, a_next))
-        _, b_next, rd_next, sig = diagnostics(cfg.time(i + 1), q)
-        a_cur = a_next
-        b_int += (0.5 * h) * (b_cur + b_next)
-        rd_int += (0.5 * h) * (rd_cur + rd_next)
-        b_cur, rd_cur = b_next, rd_next
-        if sig < min_sigma:
-            min_sigma = sig
-        if (i + 1) % stride == 0 or i == n_steps - 1:
-            elapsed = cfg.time(i + 1) - cfg.t0
-            hist_t.append(cfg.time(i + 1))
-            hist_lam.append(b_int / elapsed)
-            hist_rbar.append(rd_int / elapsed)
-
-    lam = b_int / cfg.horizon
-    rbar = rd_int / cfg.horizon
+    lam = b_int[-1] / cfg.horizon
+    rbar = rd_int[-1] / cfg.horizon
     directions = []
     ok = True
-    for j in range(k):
+    for j in range(conf.k):
         nonstable = lam[j] >= -conf.zero_band
         detectable = rbar[j] > conf.detect_tol
         if nonstable and not detectable:
@@ -262,11 +344,11 @@ def detectability_report(sys: LtvSystem, conf: ObserverConfig, sample_stride=Non
         p=conf.p,
         detect_tol=conf.detect_tol,
         zero_band=conf.zero_band,
-        min_ctcq_sigma=float(min_sigma),
-        q_final=q,
-        history_t=np.asarray(hist_t),
-        history_lambda=np.asarray(hist_lam),
-        history_rbar=np.asarray(hist_rbar),
+        min_ctcq_sigma=track.min_ctcq_sigma,
+        q_final=track.frames[-1],
+        history_t=track.t[rec],
+        history_lambda=b_int[rec] / elapsed[:, None],
+        history_rbar=rd_int[rec] / elapsed[:, None],
         config=cfg,
     )
 
@@ -302,33 +384,16 @@ def gain_snapshots(sys: LtvSystem, conf: ObserverConfig, times):
     pairs each requested time with the gain computed from the live frame.
     """
     cfg = conf.step
-    a_fn, c_fn = sys.a.bind(), sys.c.bind()
-    h = cfg.h
+    c_fn = sys.c.bind()
     wanted = {}
     for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        i = int(round((t - cfg.t0) / h))
+        i = int(round((t - cfg.t0) / cfg.h))
         if not 0 <= i <= cfg.n_steps or abs(cfg.time(i) - t) > 1e-9:
             raise ValueError(f"snapshot time {t} is off the step grid")
         wanted.setdefault(i, t)
 
-    q = conf.initial_frame(sys.n)
-    out = []
-
-    def snap(i):
-        if i in wanted:
-            t = cfg.time(i)
-            l, _ = compute_gain(a_fn(t), c_fn(t), q, conf.p)
-            out.append((t, l, q.copy()))
-
-    a_cur = a_fn(cfg.t0)
-    snap(0)
-    last = max(wanted) if wanted else 0
-    for i in range(last):
-        t = cfg.time(i)
-        a_mid = a_fn(t + 0.5 * h)
-        a_next = a_fn(cfg.time(i + 1))
-        q = projected_rk4_step(None, t, q, h, skew_rule, a_stages=(a_cur, a_mid, a_next))
-        a_cur = a_next
-        snap(i + 1)
-    out.sort(key=lambda item: item[0])
-    return out
+    track = frame_track(sys, conf, n_steps=max(wanted) if wanted else 0)
+    index = np.array(sorted(wanted), dtype=int)
+    frames = track.frames[index]
+    gains = gain_stack(sys.c.bind_grid()(track.t[index]), frames, conf.p)
+    return [(cfg.time(i), l, q) for i, l, q in zip(index.tolist(), gains, frames)]

@@ -30,7 +30,11 @@ import numpy as np
 
 from .errors import NumericalError, StepPreconditionError
 from .expr import MatrixExpr
-from .linalg import numerical_rank, orthogonal_projector_complement
+from .linalg import (
+    numerical_rank,
+    orthogonal_projector_complement,
+    projector_complement_stack,
+)
 from .system import LtvSystem
 
 __all__ = [
@@ -42,6 +46,7 @@ __all__ = [
     "build_reconstruction",
     "reconstruct",
     "ErrorStackSampler",
+    "solve_normal_stack",
     "error_system_so_test",
     "error_stack_fd",
 ]
@@ -351,6 +356,33 @@ def _solve_normal(kr, kyhat, t):
     return np.linalg.solve(chol.T, z)
 
 
+def solve_normal_stack(kr, kyhat, times):
+    """Batched :func:`_solve_normal` over a stack of samples.
+
+    ``kr`` (T, rows, n) and ``kyhat`` (T, rows) are the projected stack
+    maps and stacked outputs at ``times`` (T,).  Returns the solutions
+    (T, n) and the smallest eigenvalue of each normal matrix (T,).  A
+    normal matrix that is not positive definite raises
+    :class:`NumericalError` naming the first such time.
+    """
+    kr_t = np.swapaxes(kr, 1, 2)
+    h = kr_t @ kr
+    try:
+        chol = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError as exc:
+        for i, h_i in enumerate(h):
+            try:
+                np.linalg.cholesky(h_i)
+            except np.linalg.LinAlgError:
+                raise NumericalError(
+                    f"normal matrix not positive definite at t={float(times[i])}"
+                ) from exc
+        raise NumericalError(f"batched Cholesky failed: {exc}") from exc
+    z = np.linalg.solve(chol, kr_t @ kyhat[..., None])
+    x = np.linalg.solve(np.swapaxes(chol, 1, 2), z)[..., 0]
+    return x, np.linalg.eigvalsh(h)[:, 0]
+
+
 def build_reconstruction(stack: ObservabilityStack, probe_times=None):
     """Reconstruction map for a strongly observable stack (see class docs)."""
     return ReconstructionMap(stack, probe_times)
@@ -375,6 +407,9 @@ class ErrorStackSampler:
         self._c = sys.c.bind()
         self._cdot = sys.c.derivative().bind()
         self._d = sys.d.bind()
+        self._grid = tuple(
+            m.bind_grid() for m in (sys.a, sys.c, sys.c.derivative(), sys.d)
+        )
 
     def matrices(self, t, l_val):
         """(R, J) of the error system at time t for gain value ``l_val``."""
@@ -388,6 +423,23 @@ class ErrorStackSampler:
         r_e, j_e = self.matrices(t, l_val)
         k_val = orthogonal_projector_complement(j_e)
         return _solve_normal(k_val @ r_e, k_val @ np.asarray(yhat, dtype=float), t)
+
+    def matrices_stack(self, times, l_vals):
+        """:meth:`matrices` at every time of ``times`` (T,), gains (T, n, r)."""
+        a_fn, c_fn, cdot_fn, d_fn = self._grid
+        c_val = c_fn(times)
+        c1 = c_val @ (a_fn(times) - l_vals @ c_val) + cdot_fn(times)
+        r_e = np.concatenate([c_val, c1], axis=1)
+        cd = c_val @ d_fn(times)
+        j_e = np.concatenate([np.zeros_like(cd), cd], axis=1)
+        return r_e, j_e
+
+    def reconstruct_stack(self, times, l_vals, yhat):
+        """Batched :meth:`reconstruct`; also returns each sample's min eig H_e."""
+        r_e, j_e = self.matrices_stack(times, l_vals)
+        k_val = projector_complement_stack(j_e)
+        k_yhat = (k_val @ yhat[..., None])[..., 0]
+        return solve_normal_stack(k_val @ r_e, k_yhat, times)
 
 
 def error_system_so_test(sys: LtvSystem, gain_samples):

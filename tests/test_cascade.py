@@ -64,6 +64,17 @@ def test_cascade_reconstruction_after_settling(toy2):
     assert np.allclose(run.summary["sup_state_error_after_t_f"], casc_tail)
 
 
+def test_summary_health_block(toy2):
+    health = run_cascade(make_run(toy2)).summary["health"]
+    assert set(health) == {"min_ctcq_sigma", "max_orth_defect", "min_eig_h_e"}
+    assert all(np.isfinite(v) and v >= 0.0 for v in health.values())
+    # C sees the unstable state directly: C^T C Q and H_e stay well away
+    # from singular, and the frame stays orthonormal to round-off
+    assert health["min_ctcq_sigma"] > 0.5
+    assert health["min_eig_h_e"] > 0.0
+    assert health["max_orth_defect"] < 1e-12
+
+
 def test_oracle_derivatives_reconstruct_exactly(toy2):
     run = run_cascade(make_run(toy2, oracle_derivatives=True))
     assert run.settled_time == run.t[0]

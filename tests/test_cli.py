@@ -128,10 +128,22 @@ def test_detect_outputs(tmp_path, capsys):
     assert d["mu_hat"] == pytest.approx(d["lambda_hat"] - 8.0 * d["r_bar"], abs=1e-12)
 
 
-def test_detect_sweep(tmp_path, capsys):
+def test_detect_sweep(tmp_path, capsys, monkeypatch):
+    import ltvobs.observer as observer
+
+    steps = []
+    step_fn = observer.projected_rk4_step
+
+    def counted(*args, **kwargs):
+        steps.append(args[1])
+        return step_fn(*args, **kwargs)
+
+    monkeypatch.setattr(observer, "projected_rk4_step", counted)
     scen = write_scenario(tmp_path, TOY)
     out = str(tmp_path / "out")
     assert main(["detect", "--scenario", scen, "--out", out, "--sweep", "1,3,10"]) == 0
+    # p enters only mu_hat, so three gains cost one frame flow over the grid
+    assert len(steps) == 6000
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("p=")]
     assert len(lines) == 3
     payload = json.loads((tmp_path / "out" / "detect_sweep.json").read_text())
@@ -178,6 +190,8 @@ def test_reconstruct_outputs(tmp_path, capsys):
     summary = json.loads((tmp_path / "out" / "reconstruct.json").read_text())
     assert summary["settled_time"] is not None
     assert summary["t_f"] == pytest.approx(summary["settled_time"] + 0.5)
+    health = {"min_ctcq_sigma", "max_orth_defect", "min_eig_h_e"}
+    assert set(summary["health"]) == health
 
 
 def test_reconstruct_undetectable_exits_3(tmp_path, capsys):
@@ -186,6 +200,19 @@ def test_reconstruct_undetectable_exits_3(tmp_path, capsys):
     doc["c"] = [["0", "1"]]
     assert main(["reconstruct", "--scenario", write_scenario(tmp_path, doc)]) == 3
     assert "step ii" in capsys.readouterr().err
+
+
+def test_singular_error_stack_exits_4(tmp_path, capsys):
+    # A12 = t - 0.005 vanishes on the grid sample t = 0.005 but at no
+    # precondition probe, so the error stack [C; C (A - L C)] loses rank
+    # at that one sample and the batched normal solve must name it
+    doc = copy.deepcopy(TOY)
+    doc["a"] = [["0.3", "t - 0.005"], ["0", "-2"]]
+    doc["step"]["t_end"] = 1.0
+    scen = write_scenario(tmp_path, doc)
+    out = str(tmp_path / "out")
+    assert main(["reconstruct", "--scenario", scen, "--out", out]) == 4
+    assert "not positive definite at t=0.005" in capsys.readouterr().err
 
 
 def test_bibs_open_and_closed_loop(tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ltvobs.errors import ExprError
+from ltvobs.errors import ExprError, NumericalError
 from ltvobs.expr import MatrixExpr, Num, differentiate, eval_matrix, parse
 
 SAMPLES = [
@@ -116,6 +116,23 @@ def test_matrix_bind_matches_eval():
     fn = m.bind()
     for t in np.linspace(0.0, 5.0, 11):
         assert np.allclose(fn(t), eval_matrix(m, t), atol=1e-15)
+
+
+def test_matrix_grid_matches_bind():
+    m = MatrixExpr.from_strings([["exp(-t)", "t"], ["2*t", "cos(t) / sqrt(1 + t)"]])
+    times = np.linspace(0.0, 5.0, 11)
+    grid = m.bind_grid()(times)
+    assert grid.shape == (11, 2, 2)
+    fn = m.bind()
+    for t, val in zip(times, grid):
+        # numpy's vectorized exp may differ from math.exp in the last bit
+        assert np.allclose(val, fn(t), rtol=4e-16, atol=0.0)
+
+
+def test_matrix_grid_rejects_non_finite():
+    m = MatrixExpr.from_strings([["1", "1 / (t - 2)"]])
+    with pytest.raises(NumericalError, match=r"entry \(0,1\).*t=2\.0"):
+        m.bind_grid()(np.array([0.0, 1.0, 2.0, 3.0]))
 
 
 def test_matrix_constant_and_identity():

@@ -5,9 +5,11 @@ import pytest
 
 from ltvobs.linalg import (
     mgs_qr,
+    mgs_qr_stack,
     numerical_rank,
     orthogonal_projector_complement,
     pinv,
+    projector_complement_stack,
 )
 
 
@@ -50,6 +52,19 @@ def test_mgs_random_properties(rng):
         assert np.allclose(q @ r, x, atol=1e-10 * max(1.0, np.abs(x).max()))
         assert np.allclose(np.tril(r, -1), 0.0, atol=0.0)
         assert np.all(np.diag(r) >= 0.0)
+
+
+def test_mgs_stack_is_mgs_per_matrix(rng):
+    # the stacked elimination takes the same dot products, and matrices
+    # with a dependent column go through mgs_qr: factors match bit for bit
+    for n, m in ((8, 2), (2, 1), (5, 5)):
+        x = rng.standard_normal((200, n, m))
+        x[3] = 0.0
+        x[7, :, -1] = 2.0 * x[7, :, 0] if m > 1 else 0.0
+        q, r = mgs_qr_stack(x)
+        for i in range(x.shape[0]):
+            q_i, r_i = mgs_qr(x[i])
+            assert np.array_equal(q[i], q_i) and np.array_equal(r[i], r_i)
 
 
 def test_numerical_rank_examples():
@@ -110,3 +125,12 @@ def test_projector_complement_properties(rng):
         assert np.allclose(k.T, k, atol=1e-12)
         # projector rank complements the column space dimension
         assert int(round(np.trace(k))) == n - numerical_rank(j)
+
+
+def test_projector_stack_matches_single(rng):
+    j = rng.standard_normal((20, 4, 2))
+    j[5] = 0.0
+    j[9, :, 1] = j[9, :, 0]
+    k = projector_complement_stack(j)
+    for i in range(j.shape[0]):
+        assert np.allclose(k[i], orthogonal_projector_complement(j[i]), atol=1e-14)

@@ -17,6 +17,7 @@ from ltvobs.strong_obs import (
     error_stack_fd,
     error_system_so_test,
     reconstruct,
+    solve_normal_stack,
     strong_observability_test,
 )
 from ltvobs.system import LtvSystem
@@ -222,3 +223,27 @@ def test_error_stack_fd_agrees_with_sampler(toy2):
         assert np.allclose(j_fd, j_s, atol=1e-6)
     with pytest.raises(ValueError):
         error_stack_fd(toy2, lambda t: l_const, nu=1)
+
+
+def test_batched_normal_solve_names_singular_sample():
+    kr = np.stack([np.eye(2), [[1.0, 0.0], [0.0, 0.0]], 2.0 * np.eye(2)])
+    ky = np.ones((3, 2))
+    times = np.array([0.0, 0.25, 0.5])
+    with pytest.raises(NumericalError, match=r"not positive definite at t=0\.25"):
+        solve_normal_stack(kr, ky, times)
+    keep = [0, 2]
+    x, eig = solve_normal_stack(kr[keep], ky[keep], times[keep])
+    assert np.allclose(x, [[1.0, 1.0], [0.5, 0.5]])
+    assert np.allclose(eig, [1.0, 4.0])
+
+
+def test_batched_reconstruction_matches_per_sample(toy2, rng):
+    sampler = ErrorStackSampler(toy2)
+    times = np.linspace(0.0, 3.0, 7)
+    gains = rng.standard_normal((7, 2, 1))
+    yhat = rng.standard_normal((7, 2))
+    batched, eig = sampler.reconstruct_stack(times, gains, yhat)
+    for i, t in enumerate(times):
+        single = sampler.reconstruct(t, gains[i], yhat[i])
+        assert np.allclose(batched[i], single, rtol=1e-12, atol=1e-14)
+    assert np.all(eig > 0.0)
