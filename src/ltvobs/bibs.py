@@ -25,10 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expr, MatrixExpr, parse
-from .integrators import StepConfig, joint_rk4_step, projected_rk4_step
-from .lyapunov import skew_rule
-from .observer import ObserverConfig, _gain_basis
+from .expr import Expr, parse
+from .integrators import (
+    StepConfig,
+    frame_flow,
+    projected_rk4_stages,
+    skew_rule,
+    system_stages,
+)
+from .observer import ObserverConfig, frame_track, gain_stack
 from .system import LtvSystem, as_matrix_expr
 
 __all__ = [
@@ -66,9 +71,29 @@ class TriangularForm:
         return self.b[:, i, i]
 
 
-def _record_grid(cfg, sample_stride):
-    stride = sample_stride or max(1, cfg.n_steps // 4000)
-    return stride
+def _triangular_flow(stages, n, cfg, sample_stride):
+    """Full-width frame flow from the identity, recording B and the frame.
+
+    B = Qf^T M Qf - S(Qf^T M Qf) with M the recorded grid matrix of
+    ``stages`` (see :func:`ltvobs.integrators.frame_flow`); it is taken at
+    the first and last grid points and every ``sample_stride``-th one.
+    """
+    n_steps = cfg.n_steps
+    stride = sample_stride or max(1, n_steps // 4000)
+    ts, bs, qs = [], [], []
+    for lo, hi, grid, frames in frame_flow(stages, np.eye(n), cfg):
+        index = np.arange(lo, hi + 1)
+        keep = (index % stride == 0) | (index == n_steps)
+        if lo > 0:
+            keep[0] = False  # recorded as the previous chunk's last point
+        q = frames[keep]
+        w = q.mT @ grid[keep] @ q
+        ts.append(cfg.t0 + cfg.h * index[keep])
+        bs.append(w - skew_rule(w))
+        qs.append(q)
+    return TriangularForm(
+        t=np.concatenate(ts), b=np.concatenate(bs), frames=np.concatenate(qs), config=cfg
+    )
 
 
 def triangularize(a, cfg: StepConfig, sample_stride=None):
@@ -78,92 +103,39 @@ def triangularize(a, cfg: StepConfig, sample_stride=None):
     B = Qf^T A Qf - S and the frame at a decimated set of step
     boundaries; the strict lower triangle of B vanishes by construction.
     """
-    a_fn = a.bind() if isinstance(a, MatrixExpr) else a
-    a0 = np.asarray(a_fn(cfg.t0))
-    n = a0.shape[0]
-    if a0.shape != (n, n):
-        raise ValueError(f"system matrix must be square, got {a0.shape}")
-    q = np.eye(n)
-    h = cfg.h
-    stride = _record_grid(cfg, sample_stride)
-
-    def b_of(a_val, q):
-        w = q.T @ (a_val @ q)
-        return w - skew_rule(w)
-
-    ts = [cfg.t0]
-    bs = [b_of(a0, q)]
-    qs = [q.copy()]
-    a_cur = a0
-    for i in range(cfg.n_steps):
-        t = cfg.time(i)
-        a_mid = a_fn(t + 0.5 * h)
-        a_next = a_fn(cfg.time(i + 1))
-        q = projected_rk4_step(None, t, q, h, skew_rule, a_stages=(a_cur, a_mid, a_next))
-        a_cur = a_next
-        if (i + 1) % stride == 0 or i == cfg.n_steps - 1:
-            ts.append(cfg.time(i + 1))
-            bs.append(b_of(a_cur, q))
-            qs.append(q.copy())
-    return TriangularForm(
-        t=np.asarray(ts), b=np.asarray(bs), frames=np.asarray(qs), config=cfg
-    )
+    n, stages = system_stages(a, cfg)
+    return _triangular_flow(stages, n, cfg, sample_stride)
 
 
 def triangularize_error_system(sys: LtvSystem, conf: ObserverConfig, sample_stride=None):
     """Triangular form of the observer error dynamics A(t) - L(t) C(t).
 
-    The gain has no closed form, so the reduced observer frame (width k)
-    and the full triangularizing frame (width n) advance together; every
-    RK4 stage recomputes the gain from its own reduced frame, keeping the
-    two flows consistent to the order of the integrator.
+    The gain has no closed form: it follows the reduced observer frame,
+    so the full triangularizing frame is driven by M = A - L C with the
+    gain of each RK4 stage taken from the observer's frame in that stage.
+    The observer frame comes from :func:`ltvobs.observer.frame_track`;
+    its stage frames are rebuilt per chunk, so M differs in all four
+    stages.  The recorded B uses the gain of the grid frame.
     """
-    a_fn, c_fn = sys.a.bind(), sys.c.bind()
-    cfg = conf.step
-    n = sys.n
-    p = conf.p
-    h = cfg.h
-    q_obs = conf.initial_frame(n)
-    qq = np.eye(n)
-    stride = _record_grid(cfg, sample_stride)
+    track = frame_track(sys, conf)
+    a_grid, c_grid = sys.a.bind_grid(), sys.c.bind_grid()
+    h, p, n = conf.step.h, conf.p, sys.n
 
-    def a_err_times(t, q_obs, target):
-        """(A - L C) @ target with the gain taken from q_obs."""
-        a_val = a_fn(t)
-        c_val = c_fn(t)
-        qt, _ = _gain_basis(c_val, q_obs)
-        lc_target = p * (q_obs @ (qt.T @ (c_val.T @ (c_val @ target))))
-        return a_val @ target - lc_target, a_val
+    def stages(lo, hi):
+        t_g = track.t[lo : hi + 1]
+        t_m = t_g[:-1] + 0.5 * h
+        a_g, a_m = a_grid(t_g), a_grid(t_m)
+        c_g, c_m = c_grid(t_g), c_grid(t_m)
+        frames = projected_rk4_stages(track.frames[lo:hi], a_g[:-1], a_m, h)
+        a_s = np.concatenate([a_g[:-1], a_m, a_m, a_g[1:]])
+        c_s = np.concatenate([c_g[:-1], c_m, c_m, c_g[1:]])
+        l_s = gain_stack(c_s, frames.reshape((-1,) + frames.shape[2:]), p)
+        m_s = (a_s - l_s @ c_s).reshape((4, hi - lo, n, n))
+        l_end = gain_stack(c_g[-1:], track.frames[hi : hi + 1], p)
+        grid = np.concatenate([m_s[0], a_g[-1:] - l_end @ c_g[-1:]])
+        return grid, tuple(m_s)
 
-    def rhs(t, states):
-        q_o, q_f = states
-        m_err, a_val = a_err_times(t, q_o, q_f)
-        w_err = q_f.T @ m_err
-        dq_f = m_err - q_f @ (w_err - skew_rule(w_err))
-        m_obs = a_val @ q_o
-        w_obs = q_o.T @ m_obs
-        dq_o = m_obs - q_o @ (w_obs - skew_rule(w_obs))
-        return [dq_o, dq_f]
-
-    def b_of(t, q_o, q_f):
-        m_err, _ = a_err_times(t, q_o, q_f)
-        w = q_f.T @ m_err
-        return w - skew_rule(w)
-
-    ts = [cfg.t0]
-    bs = [b_of(cfg.t0, q_obs, qq)]
-    qs = [qq.copy()]
-    for i in range(cfg.n_steps):
-        t = cfg.time(i)
-        q_obs, qq = joint_rk4_step(rhs, t, [q_obs, qq], h, project=(0, 1))
-        if (i + 1) % stride == 0 or i == cfg.n_steps - 1:
-            t_next = cfg.time(i + 1)
-            ts.append(t_next)
-            bs.append(b_of(t_next, q_obs, qq))
-            qs.append(qq.copy())
-    return TriangularForm(
-        t=np.asarray(ts), b=np.asarray(bs), frames=np.asarray(qs), config=cfg
-    )
+    return _triangular_flow(stages, n, conf.step, sample_stride)
 
 
 @dataclass

@@ -50,11 +50,16 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
+    """Header through ``csv.writer``, then every row as ``%.17g`` fields.
+
+    ``"%.17g" % v`` spells a value as ``format(float(v), ".17g")`` does and
+    never needs quoting, so one row format per row gives the bytes
+    ``csv.writer`` would write, ``\r\n`` line ends included.
+    """
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        csv.writer(fh).writerow(header)
+        fh.writelines(row_fmt % tuple(row) for row in rows)
 
 
 def _write_json(path, payload):
@@ -499,18 +504,17 @@ def cmd_check_so(scen, args, outdir):
 
 def _series_csv(path, run, include_xhat):
     n = run.x.shape[1]
-    stride = 1
     header = ["t"] + [f"x_{i + 1}" for i in range(n)]
-    cols = [run.t[::stride], *(run.x[::stride, i] for i in range(n))]
+    cols = [run.t, *(run.x[:, i] for i in range(n))]
     if include_xhat:
         header += [f"xhat_{i + 1}" for i in range(n)]
-        cols += [run.xhat[::stride, i] for i in range(n)]
+        cols += [run.xhat[:, i] for i in range(n)]
     else:
         header += [f"xt_{i + 1}" for i in range(n)]
-        cols += [run.xt[::stride, i] for i in range(n)]
+        cols += [run.xt[:, i] for i in range(n)]
     header += ["e_norm_tso", "e_norm_cascade"]
-    cols += [run.e_norm_tso[::stride], run.e_norm_cascade[::stride]]
-    _write_csv(path, header, zip(*cols))
+    cols += [run.e_norm_tso, run.e_norm_cascade]
+    _write_csv(path, header, np.column_stack(cols).tolist())
     return header
 
 

@@ -1,4 +1,4 @@
-"""Fixed-step integrators: classic RK4 and the projected frame step.
+"""Fixed-step integrators: classic RK4 and the projected frame flow.
 
 The frame step advances an orthonormal n-by-k matrix along
 
@@ -6,25 +6,38 @@ The frame step advances an orthonormal n-by-k matrix along
 
 with the skew term S evaluated inside every RK4 stage from that stage's
 frame, then snaps the result back onto the Stiefel manifold with one
-modified Gram-Schmidt pass.  Projecting once per step (not per stage)
+Cholesky-QR retraction.  Projecting once per step (not per stage)
 keeps the stage combination a genuine 4th-order rule while holding the
 orthonormality defect at round-off.  ``projected_rk4_stages`` rebuilds the
 unprojected stage frames of many such steps at once from their start
 frames, for the callers that need the frame inside every stage.
+
+Every QR flow in the package runs through :func:`frame_flow`: per chunk of
+``CHUNK_STEPS`` steps it takes the stage matrices as one stack from a stage
+source, steps the frame, and hands the chunk's grid frames back so the
+caller records its diagnostics with batched numpy.  :func:`system_stages`
+is the source of the flow under a system matrix A(t); a caller whose
+stage matrices differ (the closed-loop error matrix, whose gain follows
+the observer frame inside each stage) supplies its own.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import mgs_qr
+from .expr import MatrixExpr
+from .linalg import cholesky_qr, mgs_qr
 
 __all__ = [
     "StepConfig",
     "rk4_step",
+    "skew_rule",
     "projected_rk4_step",
     "projected_rk4_stages",
+    "system_stages",
+    "frame_flow",
     "joint_rk4_step",
 ]
 
@@ -84,6 +97,25 @@ def rk4_step(f, t, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@functools.lru_cache(maxsize=32)
+def _strict_lower_mask(k):
+    mask = np.tri(k, k, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def skew_rule(w):
+    """Skew stabilizer of the frame flow.
+
+    Copies the strict lower triangle of ``W = Q^T A Q`` and mirrors it
+    with opposite sign; the diagonal is zero.  ``w`` may be a stack
+    ``(..., k, k)``.  The mask is cached per size; ``np.where`` with it
+    gives bit for bit ``np.tril(w, -1)``.
+    """
+    lower = np.where(_strict_lower_mask(w.shape[-1]), w, 0.0)
+    return lower - lower.mT
+
+
 def projected_rk4_step(a, t, q, h, s_rule, a_stages=None):
     """Advance an orthonormal frame one step and re-orthonormalize.
 
@@ -97,9 +129,11 @@ def projected_rk4_step(a, t, q, h, s_rule, a_stages=None):
         Orthonormal frame.
     s_rule : callable
         Maps ``W = Q^T A Q`` to the skew stabilizer ``S``.
-    a_stages : tuple, optional
-        Precomputed ``(A(t), A(t+h/2), A(t+h))`` so callers stepping
-        several coupled states can share evaluations.
+    a_stages : sequence, optional
+        Precomputed ``(A(t), A(t+h/2), A(t+h))``, or four matrices
+        ``(A1, A2, A3, A4)`` for the four RK4 stages when the matrix of the
+        second and third stage differ, as in the closed-loop error flow
+        whose gain follows another frame's stages.
 
     Returns
     -------
@@ -108,8 +142,12 @@ def projected_rk4_step(a, t, q, h, s_rule, a_stages=None):
     """
     if a_stages is None:
         a1, a2, a4 = a(t), a(t + 0.5 * h), a(t + h)
+        a3 = a2
+    elif len(a_stages) == 4:
+        a1, a2, a3, a4 = a_stages
     else:
         a1, a2, a4 = a_stages
+        a3 = a2
 
     def rhs(aa, qq):
         m = aa @ qq
@@ -118,12 +156,12 @@ def projected_rk4_step(a, t, q, h, s_rule, a_stages=None):
 
     k1 = rhs(a1, q)
     k2 = rhs(a2, q + (0.5 * h) * k1)
-    k3 = rhs(a2, q + (0.5 * h) * k2)
+    k3 = rhs(a3, q + (0.5 * h) * k2)
     k4 = rhs(a4, q + h * k3)
     qn = q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    qn, r = mgs_qr(qn)
-    d = np.diag(r)
-    if not (np.all(np.isfinite(qn)) and np.all(d > 1e-8)):
+    qn, r = cholesky_qr(qn)
+    d = r.diagonal()
+    if not (np.isfinite(qn).all() and (d > 1e-8).all()):
         raise NumericalError(f"frame rank collapse at t={t}: pivots {d}")
     return qn
 
@@ -131,9 +169,8 @@ def projected_rk4_step(a, t, q, h, s_rule, a_stages=None):
 def _frame_rhs_stack(a, q):
     """Frame-flow derivative for stacks ``a (T, n, n)``, ``q (T, n, k)``."""
     m = a @ q
-    w = np.swapaxes(q, 1, 2) @ m
-    lower = np.tril(w, -1)
-    return m - q @ (w - (lower - np.swapaxes(lower, 1, 2)))
+    w = q.mT @ m
+    return m - q @ (w - skew_rule(w))
 
 
 def projected_rk4_stages(q, a1, a2, h):
@@ -141,7 +178,7 @@ def projected_rk4_stages(q, a1, a2, h):
 
     ``q`` (T, n, k) holds the start frames, ``a1`` and ``a2`` (T, n, n)
     the system matrix at each step's start and midpoint; the skew rule is
-    the one of :func:`ltvobs.lyapunov.skew_rule`.  Returns (4, T, n, k):
+    :func:`skew_rule`.  Returns (4, T, n, k):
     the frames at which the four RK4 stages evaluate their derivative,
     ``q``, ``q + h/2 k1``, ``q + h/2 k2`` and ``q + h k3``.
     """
@@ -151,6 +188,78 @@ def projected_rk4_stages(q, a1, a2, h):
     out[2] = q + (0.5 * h) * _frame_rhs_stack(a2, out[1])
     out[3] = q + h * _frame_rhs_stack(a2, out[2])
     return out
+
+
+def system_stages(a, cfg):
+    """Stage source of the frame flow under a system matrix ``A(t)``.
+
+    ``a`` is a :class:`MatrixExpr`, evaluated per chunk by its grid
+    evaluator, or a callable ``t -> (n, n)``, called once at ``t0`` and
+    then at ``t + h/2`` and ``t + h`` of every step, in step order.
+    Returns ``(n, stages)``; ``stages(lo, hi)`` gives, for grid steps
+    ``lo .. hi - 1``, the matrices at grid points ``lo .. hi`` (T + 1, n, n)
+    and the stage stacks ``(A(t), A(t + h/2), A(t + h))`` of
+    :func:`frame_flow`.  A callable source must be asked for consecutive
+    chunks from step 0 on.
+    """
+    h = cfg.h
+    if isinstance(a, MatrixExpr):
+        if a.rows != a.cols:
+            raise ValueError(f"system matrix must be square, got {a.shape}")
+        a_grid = a.bind_grid()
+
+        def stages(lo, hi):
+            t = cfg.t0 + h * np.arange(lo, hi + 1)
+            grid = a_grid(t)
+            return grid, (grid[:-1], a_grid(t[:-1] + 0.5 * h), grid[1:])
+
+        return a.rows, stages
+
+    a0 = np.asarray(a(cfg.t0), dtype=float)
+    n = a0.shape[0]
+    if a0.shape != (n, n):
+        raise ValueError(f"system matrix must be square, got {a0.shape}")
+    last = [a0]
+
+    def stages(lo, hi):
+        grid = np.empty((hi - lo + 1, n, n))
+        mid = np.empty((hi - lo, n, n))
+        grid[0] = last[0]
+        for j in range(hi - lo):
+            t = cfg.time(lo + j)
+            mid[j] = a(t + 0.5 * h)
+            grid[j + 1] = a(cfg.time(lo + j + 1))
+        last[0] = grid[-1]
+        return grid, (grid[:-1], mid, grid[1:])
+
+    return n, stages
+
+
+def frame_flow(stages, q, cfg, n_steps=None):
+    """Step the frame ``q`` over the grid of ``cfg``, one chunk at a time.
+
+    ``stages(lo, hi)`` returns the matrices at grid points ``lo .. hi``
+    (T + 1, n, n), which the caller records with, and the stage stacks of
+    steps ``lo .. hi - 1``: three ``(A(t), A(t + h/2), A(t + h))`` or four,
+    one per RK4 stage, each (T, n, n).  Each step is one
+    :func:`projected_rk4_step` with :func:`skew_rule`.  Yields
+    ``(lo, hi, grid, frames)`` per chunk of at most ``CHUNK_STEPS`` steps,
+    ``frames`` (T + 1, n, k) holding the frames at grid points ``lo .. hi``.
+    Runs the first ``n_steps`` steps (default all).
+    """
+    n_steps = cfg.n_steps if n_steps is None else n_steps
+    h = cfg.h
+    for lo in range(0, n_steps, CHUNK_STEPS):
+        hi = min(lo + CHUNK_STEPS, n_steps)
+        grid, stacks = stages(lo, hi)
+        frames = np.empty((hi - lo + 1,) + q.shape)
+        frames[0] = q
+        for j in range(hi - lo):
+            q = projected_rk4_step(
+                None, cfg.time(lo + j), q, h, skew_rule, [s[j] for s in stacks]
+            )
+            frames[j + 1] = q
+        yield lo, hi, grid, frames
 
 
 def joint_rk4_step(rhs, t, states, h, project=()):

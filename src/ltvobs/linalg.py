@@ -6,9 +6,14 @@ conventions that library QR routines do not guarantee, a nonnegative
 diagonal of R and a deterministic completion rule for (numerically)
 dependent columns.  ``mgs_qr_stack`` runs the same elimination on a stack
 of matrices at once and hands every matrix with a dependent column back to
-``mgs_qr``, so both conventions hold for the stack too.  Rank decisions and
+``mgs_qr``, so both conventions hold for the stack too.  ``cholesky_qr`` is
+the cheap retraction of a frame that is orthonormal up to one integration
+step: a Cholesky factor of the Gram matrix, with ``mgs_qr`` taking over
+whenever that factor is not safe to use.  Rank decisions and
 pseudoinverses go through numpy's SVD with one shared tolerance policy.
 """
+
+import math
 
 import numpy as np
 
@@ -17,6 +22,7 @@ from .errors import NumericalError
 __all__ = [
     "mgs_qr",
     "mgs_qr_stack",
+    "cholesky_qr",
     "numerical_rank",
     "pinv",
     "orthogonal_projector_complement",
@@ -120,6 +126,39 @@ def mgs_qr_stack(x):
     for idx in np.flatnonzero(np.any(pivots <= rank_tol[:, None], axis=1)):
         q[idx], r[idx] = mgs_qr(x[idx])
     return q, r
+
+
+def cholesky_qr(x):
+    """QR of an n-by-m matrix (n >= m) by a Cholesky factor of ``X^T X``.
+
+    ``R`` is the transposed Cholesky factor of the Gram matrix and
+    ``Q = X R^{-1}``, so ``diag(R) > 0``.  The Gram matrix squares the
+    condition number of ``X``, which costs nothing on a frame one step away
+    from orthonormal and is why ill-conditioned matrices belong to
+    :func:`mgs_qr`.  The matrix is handed to :func:`mgs_qr` itself, with its
+    zero pivots and completion columns, when it is not finite, when the
+    factorization fails, or when a pivot is at or below ``mgs_qr``'s default
+    tolerance ``max(n, m) * eps * max column norm``.
+
+    Returns ``(q, r)`` of shapes ``(n, m)`` and ``(m, m)``.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("cholesky_qr expects a 2-d array")
+    n, m = x.shape
+    if n < m:
+        raise ValueError(f"need n >= m, got shape {x.shape}")
+    gram = x.T @ x
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return mgs_qr(x)
+    # a non-finite column makes the tolerance inf or nan and fails the test
+    rank_tol = max(n, m) * _EPS * math.sqrt(gram.diagonal().max())
+    if not (rank_tol < math.inf and (lower.diagonal() > rank_tol).all()):
+        return mgs_qr(x)
+    r = lower.T
+    return x @ np.linalg.inv(r), r
 
 
 def _completion_column(accepted, n):

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import MatrixExpr
-from .integrators import StepConfig, projected_rk4_step
+from .integrators import StepConfig, frame_flow, skew_rule, system_stages
+from .linalg import mgs_qr
 
 __all__ = [
     "skew_rule",
@@ -28,25 +28,11 @@ __all__ = [
 ]
 
 
-def skew_rule(w):
-    """Skew stabilizer of the frame flow.
-
-    Copies the strict lower triangle of ``W = Q^T A Q`` and mirrors it
-    with opposite sign; the diagonal is zero.
-    """
-    lower = np.tril(w, -1)
-    return lower - lower.T
-
-
 def default_frame(n, k):
     """Default starting frame: the first k columns of the identity."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return np.eye(n, k)
-
-
-def _matrix_fn(a):
-    return a.bind() if isinstance(a, MatrixExpr) else a
 
 
 @dataclass
@@ -102,19 +88,13 @@ def estimate_spectrum(a, k, cfg, q0=None, sample_stride=None):
     -------
     SpectrumEstimate
     """
-    a_fn = _matrix_fn(a)
-    a0 = np.asarray(a_fn(cfg.t0))
-    n = a0.shape[0]
-    if a0.shape != (n, n):
-        raise ValueError(f"system matrix must be square, got {a0.shape}")
+    n, stages = system_stages(a, cfg)
     if q0 is None:
         q = default_frame(n, k)
     else:
         q0 = np.asarray(q0, dtype=float)
         if q0.shape != (n, k):
             raise ValueError(f"q0 must have shape ({n}, {k}), got {q0.shape}")
-        from .linalg import mgs_qr
-
         q, r0 = mgs_qr(q0)
         if np.any(np.diag(r0) <= 0.0):
             raise ValueError("q0 columns are linearly dependent")
@@ -123,32 +103,25 @@ def estimate_spectrum(a, k, cfg, q0=None, sample_stride=None):
     n_steps = cfg.n_steps
     stride = sample_stride or max(1, n_steps // 4000)
 
-    a_cur = a0
-    b_cur = np.einsum("ij,ij->j", q, a_cur @ q)
     integrals = np.zeros(k)
     eye_k = np.eye(k)
     max_defect = 0.0
     hist_t, hist_lam, hist_b = [], [], []
 
-    for i in range(n_steps):
-        t = cfg.time(i)
-        a_mid = a_fn(t + 0.5 * h)
-        a_next = a_fn(cfg.time(i + 1))
-        q = projected_rk4_step(
-            None, t, q, h, skew_rule, a_stages=(a_cur, a_mid, a_next)
-        )
-        a_cur = a_next
-        b_next = np.einsum("ij,ij->j", q, a_cur @ q)
-        integrals += (0.5 * h) * (b_cur + b_next)
-        b_cur = b_next
-        if (i + 1) % stride == 0 or i == n_steps - 1:
-            defect = np.linalg.norm(q.T @ q - eye_k)
-            if defect > max_defect:
-                max_defect = defect
-            elapsed = cfg.time(i + 1) - cfg.t0
-            hist_t.append(cfg.time(i + 1))
-            hist_lam.append(integrals / elapsed)
-            hist_b.append(b_cur.copy())
+    for lo, hi, grid, frames in frame_flow(stages, q, cfg):
+        b = np.einsum("tij,tij->tj", frames, grid @ frames)
+        steps = (0.5 * h) * (b[:-1] + b[1:])
+        running = np.cumsum(np.concatenate([integrals[None], steps]), axis=0)[1:]
+        integrals = running[-1]
+        gram = frames[1:].mT @ frames[1:] - eye_k
+        max_defect = max(max_defect, float(np.sqrt((gram * gram).sum(axis=(1, 2))).max()))
+        index = np.arange(lo + 1, hi + 1)
+        keep = (index % stride == 0) | (index == n_steps)
+        t_keep = cfg.t0 + h * index[keep]
+        hist_t.append(t_keep)
+        hist_lam.append(running[keep] / (t_keep - cfg.t0)[:, None])
+        hist_b.append(b[1:][keep])
+    q = frames[-1]
 
     by_direction = integrals / cfg.horizon
     return SpectrumEstimate(
@@ -156,9 +129,9 @@ def estimate_spectrum(a, k, cfg, q0=None, sample_stride=None):
         exponents_by_direction=by_direction,
         integrals=integrals.copy(),
         q_final=q,
-        history_t=np.asarray(hist_t),
-        history_lambda=np.asarray(hist_lam),
-        history_b=np.asarray(hist_b),
+        history_t=np.concatenate(hist_t),
+        history_lambda=np.concatenate(hist_lam),
+        history_b=np.concatenate(hist_b),
         max_orth_defect=max_defect,
         config=cfg,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepPreconditionError
-from .integrators import CHUNK_STEPS, StepConfig, joint_rk4_step, projected_rk4_step
+from .integrators import StepConfig, frame_flow, joint_rk4_step, system_stages
 from .linalg import mgs_qr, mgs_qr_stack
 from .lyapunov import default_frame, skew_rule
 from .system import LtvSystem
@@ -237,16 +237,15 @@ class FrameTrack:
 def frame_track(sys: LtvSystem, conf: ObserverConfig, n_steps=None):
     """Step the frame over the first ``n_steps`` grid steps (default all).
 
-    Each step is one :func:`projected_rk4_step` with A(t), A(t + h/2) and
-    A(t + h) taken from a grid evaluation of the chunk; the diagnostics
+    The frame runs through :func:`ltvobs.integrators.frame_flow` with the
+    stage matrices from a grid evaluation of each chunk; the diagnostics
     are computed per chunk on the stacked grid frames.
     """
-    a_grid, c_grid = sys.a.bind_grid(), sys.c.bind_grid()
+    c_grid = sys.c.bind_grid()
     cfg = conf.step
     n, k = sys.n, conf.k
-    h = cfg.h
     n_steps = cfg.n_steps if n_steps is None else n_steps
-    t = cfg.t0 + h * np.arange(n_steps + 1)
+    t = cfg.t0 + cfg.h * np.arange(n_steps + 1)
     frames = np.empty((n_steps + 1, n, k))
     b_diag = np.empty((n_steps + 1, k))
     r_diag = np.empty((n_steps + 1, k))
@@ -259,22 +258,15 @@ def frame_track(sys: LtvSystem, conf: ObserverConfig, n_steps=None):
         b_diag[lo:hi] = np.einsum("tij,tij->tj", q, a_val @ q)
         _, r_diag[lo:hi], ctcq = _gain_basis_stack(c_grid(t[lo:hi]), q)
         sigma[lo:hi] = np.linalg.svd(ctcq, compute_uv=False)[:, -1]
-        gram = np.swapaxes(q, 1, 2) @ q - eye_k
+        gram = q.mT @ q - eye_k
         defect[lo:hi] = np.sqrt((gram * gram).sum(axis=(1, 2)))
 
-    q = frames[0] = conf.initial_frame(n)
-    diagnose(0, 1, a_grid(t[:1]))
-    for lo in range(0, n_steps, CHUNK_STEPS):
-        hi = min(lo + CHUNK_STEPS, n_steps)
-        a_val = a_grid(t[lo : hi + 1])
-        a_mid = a_grid(t[lo:hi] + 0.5 * h)
-        for j in range(hi - lo):
-            q = projected_rk4_step(
-                None, t[lo + j], q, h, skew_rule,
-                a_stages=(a_val[j], a_mid[j], a_val[j + 1]),
-            )
-            frames[lo + j + 1] = q
-        diagnose(lo + 1, hi + 1, a_val[1:])
+    _, stages = system_stages(sys.a, cfg)
+    frames[0] = conf.initial_frame(n)
+    diagnose(0, 1, sys.a.bind_grid()(t[:1]))
+    for lo, hi, grid, chunk in frame_flow(stages, frames[0], cfg, n_steps):
+        frames[lo + 1 : hi + 1] = chunk[1:]
+        diagnose(lo + 1, hi + 1, grid[1:])
     return FrameTrack(
         t=t,
         frames=frames,

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from ltvobs.cli import _resolve_scenario, load_scenario, main
+from ltvobs.cli import _resolve_scenario, _write_csv, load_scenario, main
 from ltvobs.errors import ScenarioError
 
 TOY = {
@@ -129,16 +129,17 @@ def test_detect_outputs(tmp_path, capsys):
 
 
 def test_detect_sweep(tmp_path, capsys, monkeypatch):
-    import ltvobs.observer as observer
+    import ltvobs.integrators as integrators
 
     steps = []
-    step_fn = observer.projected_rk4_step
+    step_fn = integrators.projected_rk4_step
 
     def counted(*args, **kwargs):
         steps.append(args[1])
         return step_fn(*args, **kwargs)
 
-    monkeypatch.setattr(observer, "projected_rk4_step", counted)
+    # every frame flow steps through integrators.frame_flow
+    monkeypatch.setattr(integrators, "projected_rk4_step", counted)
     scen = write_scenario(tmp_path, TOY)
     out = str(tmp_path / "out")
     assert main(["detect", "--scenario", scen, "--out", out, "--sweep", "1,3,10"]) == 0
@@ -238,6 +239,27 @@ def test_csv_outputs_are_deterministic(tmp_path, capsys):
     a = (tmp_path / "r1" / "spectrum.csv").read_bytes()
     b = (tmp_path / "r2" / "spectrum.csv").read_bytes()
     assert a == b
+
+
+def test_csv_writer_bytes_match_csv_module(tmp_path):
+    import csv
+
+    header = ["t", "x_1", "x_2", "x_3"]
+    rows = [
+        [0, 1, -2, 10**20],
+        [float("inf"), float("-inf"), float("nan"), -0.0],
+        [1e-300, -1e-300, 5e-324, 1.7976931348623157e308],
+        [0.1, 1.0 / 3.0, np.float64(2.5), np.pi],
+    ]
+    _write_csv(tmp_path / "fast.csv", header, rows)
+    with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([format(float(v), ".17g") for v in row])
+    data = (tmp_path / "fast.csv").read_bytes()
+    assert data == (tmp_path / "ref.csv").read_bytes()
+    assert data.count(b"\r\n") == len(rows) + 1
 
 
 def test_bundled_scenario_resolves(capsys, tmp_path):

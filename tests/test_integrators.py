@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from ltvobs.integrators import StepConfig, joint_rk4_step, projected_rk4_step, rk4_step
-from ltvobs.lyapunov import skew_rule
+from ltvobs.errors import NumericalError
+from ltvobs.integrators import (
+    StepConfig,
+    joint_rk4_step,
+    projected_rk4_step,
+    rk4_step,
+    skew_rule,
+)
 
 
 def test_step_config_grid():
@@ -71,6 +77,40 @@ def test_projected_step_stationary_for_triangular_full_frame():
     for i in range(50):
         q = projected_rk4_step(lambda t: a, i * 0.1, q, 0.1, skew_rule)
     assert np.allclose(q, np.eye(2), atol=1e-14)
+
+
+def test_projected_step_takes_four_stage_matrices():
+    rng = np.random.default_rng(11)
+    a1, a2, a4 = rng.standard_normal((3, 4, 4))
+    q, _ = np.linalg.qr(rng.standard_normal((4, 2)))
+    three = projected_rk4_step(None, 0.0, q, 0.01, skew_rule, (a1, a2, a4))
+    four = projected_rk4_step(None, 0.0, q, 0.01, skew_rule, (a1, a2, a2, a4))
+    assert np.array_equal(three, four)
+    # a different third-stage matrix moves the step
+    other = projected_rk4_step(None, 0.0, q, 0.01, skew_rule, (a1, a2, a1, a4))
+    assert np.max(np.abs(other - three)) > 1e-6
+
+
+def test_projected_step_reports_collapse_with_step_time():
+    # with A = 0 the frame does not move, so dependent columns stay dependent
+    zero = np.zeros((3, 3))
+    q = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(NumericalError, match=r"rank collapse at t=0\.25"):
+        projected_rk4_step(lambda t: zero, 0.25, q, 0.01, skew_rule)
+    q = np.eye(3, 2)
+    q[2, 1] = np.nan
+    with pytest.raises(NumericalError, match=r"at t=1\.5"):
+        projected_rk4_step(lambda t: zero, 1.5, q, 0.01, skew_rule)
+
+
+def test_skew_rule_is_tril_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 3, 8):
+        w = rng.standard_normal((k, k))
+        lower = np.tril(w, -1)
+        assert np.array_equal(skew_rule(w), lower - lower.T)
+    stack = rng.standard_normal((6, 3, 3))
+    assert np.array_equal(skew_rule(stack), np.stack([skew_rule(w) for w in stack]))
 
 
 def test_joint_step_matches_stacked_rk4():
