@@ -18,19 +18,23 @@ from .bibs import (
     triangularize,
     triangularize_error_system,
 )
-from .cascade import CascadeRun, run_cascade, run_tso, run_with_noise
+from .cascade import CascadeResult, CascadeRun, run_cascade, run_tso
 from .errors import ExprError, NumericalError, ScenarioError, StepPreconditionError
 from .expr import Expr, MatrixExpr, parse
 from .hosm import (
     DEFAULT_GAINS,
     BankRun,
     DifferentiatorConfig,
-    DifferentiatorState,
     estimate_lipschitz,
-    levant_step,
     run_bank,
 )
-from .integrators import StepConfig, joint_rk4_step, projected_rk4_step, rk4_step
+from .integrators import (
+    StepConfig,
+    joint_rk4_step,
+    projected_rk4_step,
+    rk4_step,
+    skew_rule,
+)
 from .linalg import (
     mgs_qr,
     numerical_rank,
@@ -44,29 +48,23 @@ from .lyapunov import (
     estimate_spectrum,
     nonstable_dimension,
     regularity_report,
-    skew_rule,
 )
 from .observer import (
     DetectabilityReport,
     DirectionDetectability,
     FrameTrack,
     ObserverConfig,
-    ObserverState,
-    compute_gain,
     detectability_report,
     frame_track,
     gain_snapshots,
     min_gain_suggestion,
-    observer_step,
 )
 from .strong_obs import (
     ObservabilityStack,
     ReconstructionMap,
     SoVerdict,
-    build_reconstruction,
     build_stack,
     error_system_so_test,
-    reconstruct,
     strong_observability_test,
 )
 from .system import LtvSystem
@@ -75,11 +73,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BankRun",
+    "CascadeResult",
     "CascadeRun",
     "DEFAULT_GAINS",
     "DetectabilityReport",
     "DifferentiatorConfig",
-    "DifferentiatorState",
     "DirectionDetectability",
     "DirectionRegularity",
     "Expr",
@@ -91,7 +89,6 @@ __all__ = [
     "NumericalError",
     "ObservabilityStack",
     "ObserverConfig",
-    "ObserverState",
     "ReconstructionMap",
     "RegularityReport",
     "ScalarCertificate",
@@ -101,9 +98,7 @@ __all__ = [
     "StepConfig",
     "StepPreconditionError",
     "TriangularForm",
-    "build_reconstruction",
     "build_stack",
-    "compute_gain",
     "detectability_report",
     "error_system_so_test",
     "estimate_lipschitz",
@@ -112,23 +107,19 @@ __all__ = [
     "gain_snapshots",
     "general_bibs_certificate",
     "joint_rk4_step",
-    "levant_step",
     "mgs_qr",
     "min_gain_suggestion",
     "nonstable_dimension",
     "numerical_rank",
-    "observer_step",
     "orthogonal_projector_complement",
     "parse",
     "pinv",
     "projected_rk4_step",
-    "reconstruct",
     "regularity_report",
     "rk4_step",
     "run_bank",
     "run_cascade",
     "run_tso",
-    "run_with_noise",
     "scalar_bibs_certificate",
     "skew_rule",
     "strong_observability_test",

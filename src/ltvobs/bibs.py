@@ -29,6 +29,7 @@ from .expr import Expr, parse
 from .integrators import (
     StepConfig,
     frame_flow,
+    history_stride,
     projected_rk4_stages,
     skew_rule,
     system_stages,
@@ -71,15 +72,16 @@ class TriangularForm:
         return self.b[:, i, i]
 
 
-def _triangular_flow(stages, n, cfg, sample_stride):
+def _triangular_flow(stages, n, cfg):
     """Full-width frame flow from the identity, recording B and the frame.
 
     B = Qf^T M Qf - S(Qf^T M Qf) with M the recorded grid matrix of
     ``stages`` (see :func:`ltvobs.integrators.frame_flow`); it is taken at
-    the first and last grid points and every ``sample_stride``-th one.
+    the first and last grid points and every
+    :func:`~ltvobs.integrators.history_stride`-th one.
     """
     n_steps = cfg.n_steps
-    stride = sample_stride or max(1, n_steps // 4000)
+    stride = history_stride(n_steps)
     ts, bs, qs = [], [], []
     for lo, hi, grid, frames in frame_flow(stages, np.eye(n), cfg):
         index = np.arange(lo, hi + 1)
@@ -96,7 +98,7 @@ def _triangular_flow(stages, n, cfg, sample_stride):
     )
 
 
-def triangularize(a, cfg: StepConfig, sample_stride=None):
+def triangularize(a, cfg: StepConfig):
     """Triangularize ``dx/dt = A(t) x`` along the full-width frame flow.
 
     ``a`` may be a MatrixExpr or a callable ``t -> (n, n)``.  Records
@@ -104,10 +106,10 @@ def triangularize(a, cfg: StepConfig, sample_stride=None):
     boundaries; the strict lower triangle of B vanishes by construction.
     """
     n, stages = system_stages(a, cfg)
-    return _triangular_flow(stages, n, cfg, sample_stride)
+    return _triangular_flow(stages, n, cfg)
 
 
-def triangularize_error_system(sys: LtvSystem, conf: ObserverConfig, sample_stride=None):
+def triangularize_error_system(sys: LtvSystem, conf: ObserverConfig):
     """Triangular form of the observer error dynamics A(t) - L(t) C(t).
 
     The gain has no closed form: it follows the reduced observer frame,
@@ -135,7 +137,7 @@ def triangularize_error_system(sys: LtvSystem, conf: ObserverConfig, sample_stri
         grid = np.concatenate([m_s[0], a_g[-1:] - l_end @ c_g[-1:]])
         return grid, tuple(m_s)
 
-    return _triangular_flow(stages, n, conf.step, sample_stride)
+    return _triangular_flow(stages, n, conf.step)
 
 
 @dataclass

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NumericalError, StepPreconditionError
 from .expr import MatrixExpr
-from .hosm import DEFAULT_GAINS, estimate_lipschitz, run_bank
+from .hosm import DEFAULT_GAINS, BankRun, estimate_lipschitz, run_bank
 from .integrators import CHUNK_STEPS, projected_rk4_stages
 from .observer import (
     ObserverConfig,
@@ -52,7 +52,7 @@ from .observer import (
 from .strong_obs import ErrorStackSampler, build_stack, strong_observability_test
 from .system import LtvSystem, as_matrix_expr
 
-__all__ = ["CascadeRun", "run_cascade", "run_with_noise", "run_tso"]
+__all__ = ["CascadeRun", "CascadeResult", "run_cascade", "run_tso"]
 
 # one above the index: z_1 is then not the bank's top (O(h)) level
 _BANK_ORDER = 2
@@ -78,14 +78,17 @@ def _grid_signal(value, width, name):
     return lambda ts: np.broadcast_to(arr, (len(ts), width))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CascadeRun:
-    """Inputs and recorded outputs of one pipeline run.
+    """Inputs of one pipeline run, never changed by a run.
 
-    Outputs are filled by :func:`run_cascade` / :func:`run_tso`; all
-    series share the time grid ``t``.  ``lipschitz`` bounds the third
-    derivative of e_y; it may be a scalar, a per-channel sequence, or
-    None for the finite-difference auto estimate over the warmup window.
+    :func:`run_cascade` and :func:`run_tso` read it and return a new
+    :class:`CascadeResult`.  ``lipschitz`` bounds the third derivative of
+    e_y; it may be a scalar, a per-channel sequence, or None for the
+    finite-difference auto estimate over the warmup window.  With
+    ``sigma > 0`` the output is corrupted by seeded Gaussian noise and the
+    reconstruction reads the differentiator's filtered z_0 in place of raw
+    e_y.  A variant is ``dataclasses.replace(run, sigma=..., noise_seed=...)``.
     """
 
     sys: LtvSystem
@@ -101,40 +104,55 @@ class CascadeRun:
     dwell: float = 0.5
     sigma: float = 0.0
     noise_seed: int = 0
-    filtered_output_error: bool | None = None
     oracle_derivatives: bool = False
     check_preconditions: bool = True
 
-    # outputs
-    t: np.ndarray | None = field(default=None, repr=False)
-    x: np.ndarray | None = field(default=None, repr=False)
-    xt: np.ndarray | None = field(default=None, repr=False)
-    xhat: np.ndarray | None = field(default=None, repr=False)
-    e_y: np.ndarray | None = field(default=None, repr=False)
-    stack: np.ndarray | None = field(default=None, repr=False)
-    e_norm_tso: np.ndarray | None = field(default=None, repr=False)
-    e_norm_cascade: np.ndarray | None = field(default=None, repr=False)
-    bank: object = field(default=None, repr=False)
-    settled_time: float | None = None
-    t_f: float | None = None
-    sup_state_error: np.ndarray | None = None
-    summary: dict | None = None
-
     def __post_init__(self):
         n = self.sys.n
-        self.x0 = np.asarray(self.x0, dtype=float).reshape(n)
-        self.xt0 = np.asarray(self.xt0, dtype=float).reshape(n)
+        # frozen: the normalized arrays are set past the dataclass guard
+        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(n))
+        object.__setattr__(self, "xt0", np.asarray(self.xt0, dtype=float).reshape(n))
         if self.feedback is not None:
             fb = np.asarray(self.feedback, dtype=float)
             if fb.shape != (self.sys.q, n):
                 raise ValueError(
                     f"feedback must be {self.sys.q}x{n}, got {fb.shape}"
                 )
-            self.feedback = fb
+            object.__setattr__(self, "feedback", fb)
         if self.sigma < 0.0 or not np.isfinite(self.sigma):
             raise ValueError("noise level must be finite and non-negative")
         if self.dwell < 0.0:
             raise ValueError("dwell must be non-negative")
+        # a residual never drops below a threshold <= 0, so the run could
+        # not settle
+        if not (self.threshold > 0.0 and np.isfinite(self.threshold)):
+            raise ValueError(
+                f"settle threshold must be finite and positive, got {self.threshold}"
+            )
+
+
+@dataclass
+class CascadeResult:
+    """Recorded outputs of one pipeline run; all series share the grid ``t``.
+
+    ``stack`` holds the stacked output-error derivatives the
+    reconstruction read and ``bank`` the differentiator bank; both are
+    None for an observer-only run, and ``bank`` also in oracle mode.
+    """
+
+    t: np.ndarray = field(repr=False)
+    x: np.ndarray = field(repr=False)
+    xt: np.ndarray = field(repr=False)
+    xhat: np.ndarray = field(repr=False)
+    e_y: np.ndarray = field(repr=False)
+    e_norm_tso: np.ndarray = field(repr=False)
+    e_norm_cascade: np.ndarray = field(repr=False)
+    settled_time: float | None
+    t_f: float | None
+    sup_state_error: np.ndarray
+    summary: dict
+    stack: np.ndarray | None = field(default=None, repr=False)
+    bank: BankRun | None = field(default=None, repr=False)
 
 
 def _check_preconditions(run, track, need_stack):
@@ -156,8 +174,7 @@ def _check_preconditions(run, track, need_stack):
         return report, None
     step = run.observer.step
     probes = np.linspace(step.t0, step.t0 + step.horizon, 101)
-    # the run needs nu and the verdict only, not the controllability index
-    stack = build_stack(run.sys, probe_times=probes, with_controllability=False)
+    stack = build_stack(run.sys, probe_times=probes)
     verdict = strong_observability_test(stack, probe_times=probes)
     if not verdict.ok:
         raise StepPreconditionError(
@@ -294,8 +311,8 @@ def _auto_lipschitz(ey_rec, h, order):
     return estimate_lipschitz(ey_rec[:warm], h, nu)
 
 
-def run_cascade(run: CascadeRun) -> CascadeRun:
-    """Execute the full pipeline and fill the run's output fields.
+def run_cascade(run: CascadeRun) -> CascadeResult:
+    """Execute the full pipeline and return its recorded outputs.
 
     The corrected estimate satisfies xhat = x~ + e~ sample by sample,
     where e~ is the least-squares reconstruction of the estimation
@@ -314,15 +331,11 @@ def run_cascade(run: CascadeRun) -> CascadeRun:
         run, track, eta, record_gain=True, record_eydot=oracle
     )
 
-    filtered = run.filtered_output_error
-    if filtered is None:
-        filtered = run.sigma > 0.0
-
+    filtered = run.sigma > 0.0
     if oracle:
         stack = np.hstack([ey_rec, eyd_rec])
-        run.bank = None
-        run.settled_time = step.t0
-        run.t_f = step.t0
+        bank = None
+        settled_time = t_f = step.t0
     else:
         l_est = run.lipschitz
         if l_est is None:
@@ -330,7 +343,7 @@ def run_cascade(run: CascadeRun) -> CascadeRun:
         # the settle detector cannot resolve residuals below the noise
         # floor, so with noise present the threshold is floored at 5 sigma
         threshold = max(run.threshold, 5.0 * run.sigma)
-        run.bank = run_bank(
+        bank = run_bank(
             ey_rec,
             nu=_BANK_ORDER + 1,
             l_est=l_est,
@@ -339,15 +352,14 @@ def run_cascade(run: CascadeRun) -> CascadeRun:
             dwell=run.dwell,
             gains=run.gains,
         )
-        z0 = run.bank.stack[:, :r]
-        z1 = run.bank.stack[:, r : 2 * r]
+        z0 = bank.stack[:, :r]
+        z1 = bank.stack[:, r : 2 * r]
         stack = np.hstack([z0 if filtered else ey_rec, z1])
-        if run.bank.settled_index is None:
-            run.settled_time = None
-            run.t_f = None
+        if bank.settled_index is None:
+            settled_time = t_f = None
         else:
-            run.settled_time = t_grid[run.bank.settled_index]
-            run.t_f = run.settled_time + run.dwell
+            settled_time = t_grid[bank.settled_index]
+            t_f = settled_time + run.dwell
 
     sampler = ErrorStackSampler(sys)
     xhat = np.empty_like(xt_rec)
@@ -360,30 +372,22 @@ def run_cascade(run: CascadeRun) -> CascadeRun:
         xhat[lo:hi] = xt_rec[lo:hi] + e_tilde
         min_eig_h = min(min_eig_h, float(eig_h.min()))
 
-    run.t = t_grid
-    run.x = x_rec
-    run.xt = xt_rec
-    run.xhat = xhat
-    run.e_y = ey_rec
-    run.stack = stack
-    run.e_norm_tso = np.linalg.norm(x_rec - xt_rec, axis=1)
-    run.e_norm_cascade = np.linalg.norm(x_rec - xhat, axis=1)
-    tail = None if run.t_f is None else t_grid >= run.t_f - 1e-12
+    e_norm_tso = np.linalg.norm(x_rec - xt_rec, axis=1)
+    e_norm_cascade = np.linalg.norm(x_rec - xhat, axis=1)
+    tail = None if t_f is None else t_grid >= t_f - 1e-12
     if tail is not None and tail.any():
-        run.sup_state_error = np.max(np.abs(x_rec - xhat)[tail], axis=0)
+        sup_state_error = np.max(np.abs(x_rec - xhat)[tail], axis=0)
     else:
-        run.sup_state_error = np.full(n, np.inf)
-    run.summary = {
-        "settled_time": run.settled_time,
-        "t_f": run.t_f,
+        sup_state_error = np.full(n, np.inf)
+    summary = {
+        "settled_time": settled_time,
+        "t_f": t_f,
         "sup_state_error_after_t_f": (
-            None
-            if run.t_f is None
-            else [float(v) for v in run.sup_state_error]
+            None if t_f is None else [float(v) for v in sup_state_error]
         ),
-        "sup_e_norm_tso": float(np.max(run.e_norm_tso)),
-        "final_e_norm_tso": float(run.e_norm_tso[-1]),
-        "final_e_norm_cascade": float(run.e_norm_cascade[-1]),
+        "sup_e_norm_tso": float(np.max(e_norm_tso)),
+        "final_e_norm_tso": float(e_norm_tso[-1]),
+        "final_e_norm_cascade": float(e_norm_cascade[-1]),
         "sigma": run.sigma,
         "filtered_output_error": bool(filtered),
         "oracle_derivatives": bool(oracle),
@@ -393,23 +397,24 @@ def run_cascade(run: CascadeRun) -> CascadeRun:
             "min_eig_h_e": min_eig_h,
         },
     }
-    return run
+    return CascadeResult(
+        t=t_grid,
+        x=x_rec,
+        xt=xt_rec,
+        xhat=xhat,
+        e_y=ey_rec,
+        e_norm_tso=e_norm_tso,
+        e_norm_cascade=e_norm_cascade,
+        settled_time=settled_time,
+        t_f=t_f,
+        sup_state_error=sup_state_error,
+        summary=summary,
+        stack=stack,
+        bank=bank,
+    )
 
 
-def run_with_noise(run: CascadeRun, sigma: float, seed=None) -> CascadeRun:
-    """Run the pipeline with per-sample Gaussian measurement noise.
-
-    With sigma = 0 the result is bit-identical to :func:`run_cascade`
-    on the same run.  Noise is drawn once from a seeded generator and
-    held constant across the stages of each integration step.
-    """
-    run.sigma = float(sigma)
-    if seed is not None:
-        run.noise_seed = int(seed)
-    return run_cascade(run)
-
-
-def run_tso(run: CascadeRun) -> CascadeRun:
+def run_tso(run: CascadeRun) -> CascadeResult:
     """Observer-only run: no differentiator bank, no correction.
 
     xhat is set equal to the observer state so downstream consumers can
@@ -423,20 +428,21 @@ def run_tso(run: CascadeRun) -> CascadeRun:
     t_grid, x_rec, xt_rec, ey_rec, _, _ = _simulate(
         run, track, eta, record_gain=False, record_eydot=False
     )
-    run.t = t_grid
-    run.x = x_rec
-    run.xt = xt_rec
-    run.xhat = xt_rec
-    run.e_y = ey_rec
-    run.e_norm_tso = np.linalg.norm(x_rec - xt_rec, axis=1)
-    run.e_norm_cascade = run.e_norm_tso
-    run.settled_time = None
-    run.t_f = None
-    run.sup_state_error = np.max(np.abs(x_rec - xt_rec), axis=0)
-    run.summary = {
-        "sup_e_norm_tso": float(np.max(run.e_norm_tso)),
-        "final_e_norm_tso": float(run.e_norm_tso[-1]),
-        "sigma": run.sigma,
-    }
-    return run
-
+    e_norm_tso = np.linalg.norm(x_rec - xt_rec, axis=1)
+    return CascadeResult(
+        t=t_grid,
+        x=x_rec,
+        xt=xt_rec,
+        xhat=xt_rec,
+        e_y=ey_rec,
+        e_norm_tso=e_norm_tso,
+        e_norm_cascade=e_norm_tso,
+        settled_time=None,
+        t_f=None,
+        sup_state_error=np.max(np.abs(x_rec - xt_rec), axis=0),
+        summary={
+            "sup_e_norm_tso": float(np.max(e_norm_tso)),
+            "final_e_norm_tso": float(e_norm_tso[-1]),
+            "sigma": run.sigma,
+        },
+    )

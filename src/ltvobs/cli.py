@@ -30,6 +30,7 @@ from . import bibs as bibs_mod
 from .cascade import CascadeRun, run_cascade, run_tso
 from .errors import ExprError, NumericalError, ScenarioError, StepPreconditionError
 from .expr import MatrixExpr, parse
+from .hosm import DEFAULT_GAINS
 from .integrators import StepConfig
 from .lyapunov import estimate_spectrum, nonstable_dimension, regularity_report
 from .observer import (
@@ -240,7 +241,7 @@ def load_scenario(path) -> Scenario:
             )
     threshold = float(diff.get("settled_threshold", 1e-4))
     dwell = float(diff.get("dwell", 0.5))
-    gains = tuple(float(g) for g in diff.get("gains", (1.1, 1.5, 2.0, 3.0, 5.0, 8.0)))
+    gains = tuple(float(g) for g in diff.get("gains", DEFAULT_GAINS))
 
     stp = _require(doc, "step", dict)
     try:
@@ -492,7 +493,6 @@ def cmd_check_so(scen, args, outdir):
         "rank_s_max": int(verdict.rank_s.max()),
         "rank_s_star_min": int(verdict.rank_s_star.min()),
         "rank_s_star_max": int(verdict.rank_s_star.max()),
-        "mu": None if stack.mu is None else int(stack.mu),
     }
     if verdict.ok:
         rmap = ReconstructionMap(stack, probe_times=probes)

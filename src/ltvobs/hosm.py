@@ -29,8 +29,6 @@ from .errors import NumericalError
 __all__ = [
     "DEFAULT_GAINS",
     "DifferentiatorConfig",
-    "DifferentiatorState",
-    "levant_step",
     "estimate_lipschitz",
     "BankRun",
     "run_bank",
@@ -68,17 +66,6 @@ class DifferentiatorConfig:
             raise ValueError("gains must be positive")
 
 
-@dataclass
-class DifferentiatorState:
-    """Internal estimates z_0..z_r (signal, first derivative, ...)."""
-
-    z: np.ndarray
-
-    @classmethod
-    def zero(cls, order):
-        return cls(z=np.zeros(order + 1))
-
-
 def _step_z(z, f, order, lipschitz, gains, h):
     """One properly discretized step; z is a plain list of floats.
 
@@ -108,16 +95,6 @@ def _step_z(z, f, order, lipschitz, gains, h):
 
 def _sign(x):
     return 1.0 if x > 0.0 else (-1.0 if x < 0.0 else 0.0)
-
-
-def levant_step(st: DifferentiatorState, f, conf: DifferentiatorConfig, h):
-    """Advance the differentiator by one sample of the input signal."""
-    if not h > 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
-    z = _step_z(list(st.z), float(f), conf.order, conf.lipschitz, conf.gains, h)
-    if not all(np.isfinite(z)):
-        raise NumericalError(f"differentiator state diverged: {z}")
-    return DifferentiatorState(z=np.asarray(z))
 
 
 def estimate_lipschitz(f, h, nu, warmup=None):

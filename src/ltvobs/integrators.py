@@ -47,6 +47,11 @@ __all__ = [
 CHUNK_STEPS = 128
 
 
+def history_stride(n_steps):
+    """Grid steps between recorded history samples: a few thousand per run."""
+    return max(1, n_steps // 4000)
+
+
 @dataclass(frozen=True)
 class StepConfig:
     """Uniform time grid: step ``h`` over ``[t0, t_end]``."""
@@ -116,21 +121,24 @@ def skew_rule(w):
     return lower - lower.mT
 
 
-def projected_rk4_step(a, t, q, h, s_rule, a_stages=None):
+def _frame_rhs_stack(a, q):
+    """Frame-flow derivative for ``a (..., n, n)`` and ``q (..., n, k)``."""
+    m = a @ q
+    w = q.mT @ m
+    return m - q @ (w - skew_rule(w))
+
+
+def projected_rk4_step(t, q, h, a_stages):
     """Advance an orthonormal frame one step and re-orthonormalize.
 
     Parameters
     ----------
-    a : callable
-        ``t -> ndarray (n, n)`` system matrix.
     t, h : float
-        Step start and size.
+        Step start and size; ``t`` only names the step in errors.
     q : ndarray, shape (n, k)
         Orthonormal frame.
-    s_rule : callable
-        Maps ``W = Q^T A Q`` to the skew stabilizer ``S``.
-    a_stages : sequence, optional
-        Precomputed ``(A(t), A(t+h/2), A(t+h))``, or four matrices
+    a_stages : sequence
+        The system matrix ``(A(t), A(t+h/2), A(t+h))``, or four matrices
         ``(A1, A2, A3, A4)`` for the four RK4 stages when the matrix of the
         second and third stage differ, as in the closed-loop error flow
         whose gain follows another frame's stages.
@@ -140,37 +148,21 @@ def projected_rk4_step(a, t, q, h, s_rule, a_stages=None):
     ndarray, shape (n, k)
         The projected frame; ``||Q^T Q - I||_F`` stays at round-off.
     """
-    if a_stages is None:
-        a1, a2, a4 = a(t), a(t + 0.5 * h), a(t + h)
-        a3 = a2
-    elif len(a_stages) == 4:
+    if len(a_stages) == 4:
         a1, a2, a3, a4 = a_stages
     else:
         a1, a2, a4 = a_stages
         a3 = a2
-
-    def rhs(aa, qq):
-        m = aa @ qq
-        w = qq.T @ m
-        return m - qq @ (w - s_rule(w))
-
-    k1 = rhs(a1, q)
-    k2 = rhs(a2, q + (0.5 * h) * k1)
-    k3 = rhs(a3, q + (0.5 * h) * k2)
-    k4 = rhs(a4, q + h * k3)
+    k1 = _frame_rhs_stack(a1, q)
+    k2 = _frame_rhs_stack(a2, q + (0.5 * h) * k1)
+    k3 = _frame_rhs_stack(a3, q + (0.5 * h) * k2)
+    k4 = _frame_rhs_stack(a4, q + h * k3)
     qn = q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     qn, r = cholesky_qr(qn)
     d = r.diagonal()
     if not (np.isfinite(qn).all() and (d > 1e-8).all()):
         raise NumericalError(f"frame rank collapse at t={t}: pivots {d}")
     return qn
-
-
-def _frame_rhs_stack(a, q):
-    """Frame-flow derivative for stacks ``a (T, n, n)``, ``q (T, n, k)``."""
-    m = a @ q
-    w = q.mT @ m
-    return m - q @ (w - skew_rule(w))
 
 
 def projected_rk4_stages(q, a1, a2, h):
@@ -242,7 +234,7 @@ def frame_flow(stages, q, cfg, n_steps=None):
     (T + 1, n, n), which the caller records with, and the stage stacks of
     steps ``lo .. hi - 1``: three ``(A(t), A(t + h/2), A(t + h))`` or four,
     one per RK4 stage, each (T, n, n).  Each step is one
-    :func:`projected_rk4_step` with :func:`skew_rule`.  Yields
+    :func:`projected_rk4_step`.  Yields
     ``(lo, hi, grid, frames)`` per chunk of at most ``CHUNK_STEPS`` steps,
     ``frames`` (T + 1, n, k) holding the frames at grid points ``lo .. hi``.
     Runs the first ``n_steps`` steps (default all).
@@ -255,9 +247,7 @@ def frame_flow(stages, q, cfg, n_steps=None):
         frames = np.empty((hi - lo + 1,) + q.shape)
         frames[0] = q
         for j in range(hi - lo):
-            q = projected_rk4_step(
-                None, cfg.time(lo + j), q, h, skew_rule, [s[j] for s in stacks]
-            )
+            q = projected_rk4_step(cfg.time(lo + j), q, h, [s[j] for s in stacks])
             frames[j + 1] = q
         yield lo, hi, grid, frames
 

@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrators import StepConfig, frame_flow, skew_rule, system_stages
+from .integrators import StepConfig, frame_flow, history_stride, system_stages
 from .linalg import mgs_qr
 
 __all__ = [
-    "skew_rule",
     "default_frame",
     "SpectrumEstimate",
     "estimate_spectrum",
@@ -65,7 +64,7 @@ class SpectrumEstimate:
         return self.exponents.shape[0]
 
 
-def estimate_spectrum(a, k, cfg, q0=None, sample_stride=None):
+def estimate_spectrum(a, k, cfg, q0=None):
     """Approximate the k leading Lyapunov exponents of ``dx/dt = A(t) x``.
 
     Parameters
@@ -80,9 +79,6 @@ def estimate_spectrum(a, k, cfg, q0=None, sample_stride=None):
     q0 : ndarray, optional
         Starting frame; defaults to the first k identity columns.  A
         non-orthonormal frame is orthonormalized first.
-    sample_stride : int, optional
-        Record histories every this many steps (default targets a few
-        thousand samples).
 
     Returns
     -------
@@ -101,7 +97,7 @@ def estimate_spectrum(a, k, cfg, q0=None, sample_stride=None):
 
     h = cfg.h
     n_steps = cfg.n_steps
-    stride = sample_stride or max(1, n_steps // 4000)
+    stride = history_stride(n_steps)
 
     integrals = np.zeros(k)
     eye_k = np.eye(k)

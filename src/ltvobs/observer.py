@@ -1,4 +1,4 @@
-"""Tangent-space observer: gain, coupled stepping, detectability diagnostics.
+"""Tangent-space observer: gain, frame track, detectability diagnostics.
 
 The observer
 
@@ -23,16 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepPreconditionError
-from .integrators import StepConfig, frame_flow, joint_rk4_step, system_stages
+from .integrators import StepConfig, frame_flow, history_stride, system_stages
 from .linalg import mgs_qr, mgs_qr_stack
-from .lyapunov import default_frame, skew_rule
+from .lyapunov import default_frame
 from .system import LtvSystem
 
 __all__ = [
     "ObserverConfig",
-    "ObserverState",
-    "compute_gain",
-    "observer_step",
     "FrameTrack",
     "frame_track",
     "gain_stack",
@@ -81,22 +78,15 @@ class ObserverConfig:
         return q
 
 
-@dataclass
-class ObserverState:
-    """Estimate, reduced frame, and current time of one observer run."""
-
-    x: np.ndarray
-    q: np.ndarray
-    t: float
-
-
 def _gain_basis(c_val, q):
     """Qt with degenerate columns zeroed, plus diag(Rt) >= 0.
 
     Columns of C^T C Q that are numerically dependent get Rt_jj = 0 from
     the QR routine; their completion columns must not leak into the gain,
     so they are zeroed here and the matching frame direction is left
-    uncorrected.
+    uncorrected.  The package computes gains through the stacked
+    :func:`_gain_basis_stack`; this single-matrix form is the reference
+    the tests compare it against.
     """
     qt, rt = mgs_qr(c_val.T @ (c_val @ q))
     rdiag = np.diag(rt).copy()
@@ -122,57 +112,6 @@ def gain_stack(c_val, q, p):
     """Gains L = p Q Qt^T C^T (T, n, r) for stacks of C and frames."""
     qt, _, _ = _gain_basis_stack(c_val, q)
     return p * (q @ (np.swapaxes(qt, 1, 2) @ np.swapaxes(c_val, 1, 2)))
-
-
-def compute_gain(a_val, c_val, q, p):
-    """Observer gain L = p Q Qt^T C^T and the Rt diagonal.
-
-    ``a_val`` is accepted so callers can hand over the full stage
-    evaluation, but the gain depends only on C and the frame.
-    """
-    qt, rdiag = _gain_basis(np.asarray(c_val, dtype=float), q)
-    l = p * q @ (qt.T @ c_val.T)
-    return l, rdiag
-
-
-def _as_signal(v, width):
-    """Normalize a signal argument to a callable t -> (width,) vector."""
-    if v is None:
-        zero = np.zeros(width)
-        return lambda t: zero
-    if callable(v):
-        return lambda t: np.atleast_1d(np.asarray(v(t), dtype=float))
-    value = np.atleast_1d(np.asarray(v, dtype=float))
-    return lambda t: value
-
-
-def observer_step(sys: LtvSystem, st: ObserverState, u, y, conf: ObserverConfig):
-    """Advance estimate and frame by one step of size ``conf.step.h``.
-
-    ``u`` and ``y`` may be constants (held over the step) or callables of
-    time; the gain is recomputed inside every RK4 stage from that stage's
-    frame, and the frame is re-orthonormalized after the step.
-    """
-    a_fn, c_fn, f_fn = sys.a.bind(), sys.c.bind(), sys.f.bind()
-    u_fn = _as_signal(u, sys.q)
-    y_fn = _as_signal(y, sys.r)
-    p = conf.p
-    h = conf.step.h
-
-    def rhs(t, states):
-        x, q = states
-        a_val = a_fn(t)
-        c_val = c_fn(t)
-        qt, _ = _gain_basis(c_val, q)
-        corr = p * (q @ (qt.T @ (c_val.T @ (y_fn(t) - c_val @ x))))
-        dx = a_val @ x + f_fn(t) @ u_fn(t) + corr
-        m = a_val @ q
-        w = q.T @ m
-        dq = m - q @ (w - skew_rule(w))
-        return [dx, dq]
-
-    x_new, q_new = joint_rk4_step(rhs, st.t, [st.x, st.q], h, project=(1,))
-    return ObserverState(x=x_new, q=q_new, t=st.t + h)
 
 
 @dataclass
@@ -284,9 +223,7 @@ def _trapezoid_running(values, h):
     return np.cumsum(np.concatenate([start, steps]), axis=0)
 
 
-def detectability_report(
-    sys: LtvSystem, conf: ObserverConfig, sample_stride=None, track=None
-):
+def detectability_report(sys: LtvSystem, conf: ObserverConfig, track=None):
     """Average diag(Rt) and diag(B) per direction along the frame flow.
 
     Exponent averages come from the same pass, so the non-stable
@@ -302,7 +239,7 @@ def detectability_report(
     n_steps = cfg.n_steps
     if track.t.size != n_steps + 1:
         raise ValueError(f"frame track has {track.t.size - 1} steps, the grid {n_steps}")
-    stride = sample_stride or max(1, n_steps // 4000)
+    stride = history_stride(n_steps)
     b_int = _trapezoid_running(track.b_diag, h)
     rd_int = _trapezoid_running(track.r_diag, h)
 

@@ -22,9 +22,7 @@ unknown-input image with K = I - J J^+ and solving the normal equations
 H x = (K R)^T K yhat.
 """
 
-import warnings
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
@@ -43,12 +41,9 @@ __all__ = [
     "SoVerdict",
     "strong_observability_test",
     "ReconstructionMap",
-    "build_reconstruction",
-    "reconstruct",
     "ErrorStackSampler",
     "solve_normal_stack",
     "error_system_so_test",
-    "error_stack_fd",
 ]
 
 DEFAULT_PROBES = np.linspace(0.0, 10.0, 101)
@@ -61,18 +56,12 @@ def _probe_array(probe_times):
     return probes
 
 
-def _stack_rows(blocks):
-    return MatrixExpr.vstack(blocks)
-
-
 @dataclass
 class ObservabilityStack:
     """Symbolic observability stack of one system.
 
     ``c_list`` holds C_0..C_nu; ``d_table[(a, b)]`` the unknown-input
-    coefficient of w^(b) in y^(a).  The controllability index ``mu`` and
-    the rank ``qc_rank`` of its plateau are carried for the constant-rank
-    report only; nothing downstream consumes them.
+    coefficient of w^(b) in y^(a).
     """
 
     nu: int
@@ -85,8 +74,6 @@ class ObservabilityStack:
     m: int
     r: int
     probe_times: np.ndarray = field(repr=False)
-    mu: int | None = None
-    qc_rank: int | None = None
 
 
 def _rank_profile(matrix_expr, probes):
@@ -116,66 +103,7 @@ def _plateau_index(make_depth_expr, probes, depth_max, what):
     )
 
 
-def _jet_evaluators(m_expr, order):
-    """Bound evaluators of a matrix expression and its derivatives 0..order."""
-    fns = []
-    cur = m_expr
-    for _ in range(order + 1):
-        fns.append(cur.bind())
-        cur = cur.derivative()
-    return fns
-
-
-def _controllability_index(sys, probes, depth_max):
-    """Plateau depth mu and rank of [P_0 .. P_{mu-1}] on the probe grid.
-
-    P_{i+1} = A P_i + dP_i/dt is evaluated per probe through Taylor
-    jets: the jet of P_{i+1} follows from the jets of A and P_i by the
-    Leibniz rule, with every A and D derivative taken symbolically.
-    Values are exact; only the product expressions are never
-    materialized (their node count grows exponentially in the depth).
-    """
-    depth_top = depth_max + 1
-    a_jets = _jet_evaluators(sys.a, depth_top)
-    d_jets = _jet_evaluators(sys.d, depth_top)
-
-    def p_values_at(t):
-        a_vals = [fn(t) for fn in a_jets]
-        jet = [fn(t) for fn in d_jets]
-        values = [jet[0]]
-        for i in range(depth_top):
-            top = len(jet) - 2
-            jet = [
-                sum(comb(j, s) * (a_vals[s] @ jet[j - s]) for s in range(j + 1))
-                + jet[j + 1]
-                for j in range(top + 1)
-            ]
-            values.append(jet[0])
-        return values
-
-    per_probe = [p_values_at(t) for t in probes]
-    ranks_prev = None
-    for k in range(1, depth_top + 1):
-        ranks = np.asarray(
-            [numerical_rank(np.hstack(vals[:k])) for vals in per_probe]
-        )
-        if not np.all(ranks == ranks[0]):
-            raise StepPreconditionError(
-                "iv",
-                f"rank of the depth-{k} controllability stack varies across "
-                f"probe times (min {ranks.min()}, max {ranks.max()})",
-            )
-        if ranks_prev is not None and ranks[0] == ranks_prev:
-            return k - 1, int(ranks[0])
-        ranks_prev = int(ranks[0])
-    raise StepPreconditionError(
-        "iv",
-        f"no constant-rank plateau of the controllability stack within "
-        f"depth {depth_max}",
-    )
-
-
-def build_stack(sys: LtvSystem, nu_max=None, probe_times=None, with_controllability=True):
+def build_stack(sys: LtvSystem, nu_max=None, probe_times=None):
     """Build the derivative stack and determine the observability index.
 
     ``nu_max`` bounds the plateau search (default 2n; time-varying
@@ -193,7 +121,7 @@ def build_stack(sys: LtvSystem, nu_max=None, probe_times=None, with_controllabil
         while len(c_list) < k:
             prev = c_list[-1]
             c_list.append(prev @ sys.a + prev.derivative())
-        return _stack_rows(c_list[:k])
+        return MatrixExpr.vstack(c_list[:k])
 
     nu, q0_rank, r_nu = _plateau_index(depth_obs, probes, nu_max, "observability")
     depth_obs(nu + 1)  # ensure C_0..C_nu all exist
@@ -217,13 +145,6 @@ def build_stack(sys: LtvSystem, nu_max=None, probe_times=None, with_controllabil
     else:
         j_nu = None
 
-    mu = qc_rank = None
-    if with_controllability:
-        try:
-            mu, qc_rank = _controllability_index(sys, probes, nu_max)
-        except StepPreconditionError:
-            mu = qc_rank = None  # reported as absent; nothing downstream consumes it
-
     return ObservabilityStack(
         nu=nu,
         q0_rank=q0_rank,
@@ -235,8 +156,6 @@ def build_stack(sys: LtvSystem, nu_max=None, probe_times=None, with_controllabil
         m=m,
         r=r,
         probe_times=probes,
-        mu=mu,
-        qc_rank=qc_rank,
     )
 
 
@@ -383,22 +302,13 @@ def solve_normal_stack(kr, kyhat, times):
     return x, np.linalg.eigvalsh(h)[:, 0]
 
 
-def build_reconstruction(stack: ObservabilityStack, probe_times=None):
-    """Reconstruction map for a strongly observable stack (see class docs)."""
-    return ReconstructionMap(stack, probe_times)
-
-
-def reconstruct(rmap: ReconstructionMap, t, yhat):
-    """Recover the state from stacked output derivatives at time t."""
-    return rmap.reconstruct(t, yhat)
-
-
 class ErrorStackSampler:
     """Depth-2 stack of the error system (A - L C, D, C) with sampled gain.
 
     The gain appears only inside C_1 = C (A - L C) + dC/dt, so one gain
     value per evaluation time suffices and no gain derivative is needed.
-    Deeper stacks would differentiate L; see :func:`error_stack_fd`.
+    Deeper stacks would differentiate L, which has no symbolic form; the
+    cascade therefore refuses an observability index other than 2.
     """
 
     def __init__(self, sys: LtvSystem):
@@ -463,56 +373,3 @@ def error_system_so_test(sys: LtvSystem, gain_samples):
         rank_s_star=rank_star,
         n=sys.n,
     )
-
-
-def error_stack_fd(sys: LtvSystem, l_fun, nu, fd_step=1e-5):
-    """Stack evaluator for (A - L C, D, C) at depth nu > 2 via finite differences.
-
-    The gain has no symbolic form, so the recursions differentiate the
-    sampled maps numerically; the noise this injects into rank decisions
-    grows with depth, hence the warning.  Returns ``t -> (R, J)``.
-    """
-    if nu < 2:
-        raise ValueError("finite-difference stack needs nu >= 2")
-    warnings.warn(
-        "building an error-system stack deeper than 2 uses finite-difference "
-        "derivatives of the gain; rank margins may be noisy",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    a_fn, c_fn, d_fn = sys.a.bind(), sys.c.bind(), sys.d.bind()
-    r, m = sys.r, sys.m
-
-    def a_err(t):
-        return a_fn(t) - l_fun(t) @ c_fn(t)
-
-    def fd(g, t):
-        return (g(t + fd_step) - g(t - fd_step)) / (2.0 * fd_step)
-
-    c_funs = [c_fn]
-    for _ in range(nu - 1):
-        prev = c_funs[-1]
-        c_funs.append(lambda t, p=prev: p(t) @ a_err(t) + fd(p, t))
-
-    d_funs = {(1, 0): lambda t: c_fn(t) @ d_fn(t)}
-    for a in range(1, nu - 1):
-        d_funs[(a + 1, 0)] = lambda t, a=a: c_funs[a](t) @ d_fn(t) + fd(d_funs[(a, 0)], t)
-        for b in range(1, a):
-            d_funs[(a + 1, b)] = lambda t, a=a, b=b: d_funs[(a, b - 1)](t) + fd(
-                d_funs[(a, b)], t
-            )
-        d_funs[(a + 1, a)] = d_funs[(a, a - 1)]
-
-    def stack_at(t):
-        r_val = np.vstack([c_funs[a](t) for a in range(nu)])
-        blocks = []
-        for a in range(nu):
-            row = [
-                d_funs[(a, b)](t) if b < a else np.zeros((r, m))
-                for b in range(nu - 1)
-            ]
-            blocks.append(np.hstack(row) if row else np.zeros((r, 0)))
-        j_val = np.vstack(blocks)
-        return r_val, j_val
-
-    return stack_at

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ltvobs.cascade import CascadeRun, run_cascade, run_tso, run_with_noise
+from ltvobs.cascade import CascadeRun, run_cascade, run_tso
 from ltvobs.cli import _resolve_scenario, main
 from ltvobs.integrators import StepConfig
 from ltvobs.linalg import numerical_rank
@@ -98,8 +98,7 @@ def cascade_50(bench):
 
 @pytest.fixture(scope="module")
 def cascade_50_noisy(bench):
-    run = _bench_run(bench, 50.0)
-    return run_with_noise(run, sigma=1e-3, seed=bench.seed)
+    return run_cascade(_bench_run(bench, 50.0, sigma=1e-3, noise_seed=bench.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +219,7 @@ def test_06_strong_observability_verdicts(tmp_path_factory, capsys):
             d=[[d_col[0]], [d_col[1]]],
             c=[[1.0, 0.0]],
         )
-        stack = build_stack(sys, with_controllability=False)
+        stack = build_stack(sys)
         got = strong_observability_test(stack).ok
         nu_brute, so_brute = _lti_so_oracle(
             np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -242,7 +241,7 @@ def test_07_error_system_equivalence(bench):
     snaps = gain_snapshots(bench.sys, conf, probes)
     err_verdict = error_system_so_test(bench.sys, snaps)
     plant_verdict = strong_observability_test(
-        build_stack(bench.sys, with_controllability=False), probe_times=probes
+        build_stack(bench.sys), probe_times=probes
     )
     plant_pointwise = plant_verdict.rank_s == plant_verdict.rank_s_star
     err_pointwise = err_verdict.rank_s == err_verdict.rank_s_star

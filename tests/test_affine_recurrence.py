@@ -13,8 +13,12 @@ import pytest
 from ltvobs.cascade import CascadeRun, _simulate, run_cascade
 from ltvobs.cli import _resolve_scenario
 from ltvobs.hosm import run_bank
-from ltvobs.integrators import StepConfig, joint_rk4_step, projected_rk4_stages
-from ltvobs.lyapunov import skew_rule
+from ltvobs.integrators import (
+    StepConfig,
+    joint_rk4_step,
+    projected_rk4_stages,
+    skew_rule,
+)
 from ltvobs.observer import ObserverConfig, _gain_basis, frame_track
 from ltvobs.strong_obs import ErrorStackSampler
 from ltvobs.system import as_matrix_expr
@@ -146,8 +150,9 @@ def _bench_run(oracle):
 
 
 def _check_against_reference(make):
-    ref = reference_cascade(make())
-    run = run_cascade(make())
+    spec = make()
+    ref = reference_cascade(spec)
+    run = run_cascade(spec)
     assert _rel(run.x, ref["x"]) <= 1e-10
     assert _rel(run.xt, ref["xt"]) <= 1e-10
     assert _rel(run.e_y, ref["e_y"]) <= 1e-10
@@ -155,13 +160,13 @@ def _check_against_reference(make):
     if ref["sup"] is not None:
         # with exact derivatives the reconstruction is exact, so its tail
         # errors are round-off and agree only to an absolute floor
-        floor = 1e-9 if run.oracle_derivatives else 0.0
+        floor = 1e-9 if spec.oracle_derivatives else 0.0
         assert np.allclose(run.sup_state_error, ref["sup"], rtol=1e-6, atol=floor)
 
     # the grid gains the batched path records for the reconstruction
-    sys, conf = run.sys, run.observer
+    sys, conf = spec.sys, spec.observer
     track = frame_track(sys, conf)
-    gains = _simulate(run, track, _noise(run), True, False)[4]
+    gains = _simulate(spec, track, _noise(spec), True, False)[4]
     assert _rel(gains, ref["gains"]) <= 1e-10
 
     # stage frames rebuilt in batch from the one frame track

@@ -1,9 +1,12 @@
 """End-to-end cascade: observer + differentiator bank + error reconstruction."""
 
+import copy
+from dataclasses import FrozenInstanceError, fields, replace
+
 import numpy as np
 import pytest
 
-from ltvobs.cascade import CascadeRun, run_cascade, run_tso, run_with_noise
+from ltvobs.cascade import CascadeRun, run_cascade, run_tso
 from ltvobs.errors import StepPreconditionError
 from ltvobs.integrators import StepConfig
 from ltvobs.observer import ObserverConfig
@@ -27,9 +30,36 @@ def test_run_is_deterministic(toy2):
     assert a.settled_time == b.settled_time
 
 
-def test_zero_noise_path_identical_to_noisy_entry_point(toy2):
-    a = run_cascade(make_run(toy2))
-    b = run_with_noise(make_run(toy2), sigma=0.0)
+def _spec_fields(spec):
+    """Every field of a spec; arrays and lists copied, the rest by reference."""
+    values = (getattr(spec, f.name) for f in fields(spec))
+    return [copy.deepcopy(v) if isinstance(v, (np.ndarray, list)) else v for v in values]
+
+
+def _same_fields(a, b):
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray)
+        else x == y if isinstance(x, list)
+        else x is y
+        for x, y in zip(a, b, strict=True)
+    )
+
+
+@pytest.mark.parametrize("runner", [run_cascade, run_tso])
+def test_run_leaves_spec_unchanged(toy2, runner):
+    spec = make_run(toy2, t_end=2.0, sigma=1e-3, feedback=[[0.0, 3.0]])
+    before = _spec_fields(spec)
+    result = runner(spec)
+    assert _same_fields(_spec_fields(spec), before)
+    assert result.t is not None
+    with pytest.raises(FrozenInstanceError):
+        spec.sigma = 0.5
+
+
+def test_zero_sigma_replace_is_bit_identical(toy2):
+    spec = make_run(toy2)
+    a = run_cascade(spec)
+    b = run_cascade(replace(spec, sigma=0.0))
     assert np.array_equal(a.xhat, b.xhat)
     assert np.array_equal(a.e_y, b.e_y)
 
@@ -54,7 +84,7 @@ def test_feedback_keeps_error_invariant(toy2):
 def test_cascade_reconstruction_after_settling(toy2):
     run = run_cascade(make_run(toy2))
     assert run.settled_time is not None
-    assert run.t_f == pytest.approx(run.settled_time + run.dwell)
+    assert run.t_f == pytest.approx(run.settled_time + run.bank.dwell)
     tail = run.t >= run.t_f
     tso_tail = np.max(np.abs(run.x[tail] - run.xt[tail]), axis=0)
     casc_tail = run.sup_state_error
@@ -84,7 +114,7 @@ def test_oracle_derivatives_reconstruct_exactly(toy2):
 
 
 def test_noisy_run_settles_and_stays_bounded(toy2):
-    run = run_with_noise(make_run(toy2, t_end=8.0), sigma=1e-3, seed=0)
+    run = run_cascade(make_run(toy2, t_end=8.0, sigma=1e-3, noise_seed=0))
     assert run.settled_time is not None
     assert np.all(np.isfinite(run.sup_state_error))
     assert run.sup_state_error[0] <= 0.05
@@ -94,9 +124,10 @@ def test_noisy_run_settles_and_stays_bounded(toy2):
 
 
 def test_noise_seed_reproducible(toy2):
-    a = run_with_noise(make_run(toy2), sigma=1e-3, seed=7)
-    b = run_with_noise(make_run(toy2), sigma=1e-3, seed=7)
-    c = run_with_noise(make_run(toy2), sigma=1e-3, seed=8)
+    spec = make_run(toy2, sigma=1e-3, noise_seed=7)
+    a = run_cascade(spec)
+    b = run_cascade(replace(spec))
+    c = run_cascade(replace(spec, noise_seed=8))
     assert np.array_equal(a.xhat, b.xhat)
     assert not np.array_equal(a.e_y, c.e_y)
 
@@ -182,3 +213,6 @@ def test_input_validation(toy2):
         make_run(toy2, dwell=-0.1)
     with pytest.raises(ValueError):
         make_run(toy2, x0=[1.0, 2.0, 3.0])
+    for threshold in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="settle threshold"):
+            make_run(toy2, threshold=threshold)

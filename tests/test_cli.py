@@ -135,7 +135,7 @@ def test_detect_sweep(tmp_path, capsys, monkeypatch):
     step_fn = integrators.projected_rk4_step
 
     def counted(*args, **kwargs):
-        steps.append(args[1])
+        steps.append(args[0])
         return step_fn(*args, **kwargs)
 
     # every frame flow steps through integrators.frame_flow
@@ -161,6 +161,7 @@ def test_check_so_output(tmp_path, capsys):
     assert capsys.readouterr().out == "nu=2, strongly_observable=true\n"
     payload = json.loads((tmp_path / "out" / "check_so.json").read_text())
     assert payload["nu"] == 2
+    assert "mu" not in payload
     # H = R^T R is constant here; its small eigenvalue has a closed form
     assert payload["min_eig_h"] == pytest.approx(0.7416437737576499, rel=1e-9)
 
@@ -201,6 +202,17 @@ def test_reconstruct_undetectable_exits_3(tmp_path, capsys):
     doc["c"] = [["0", "1"]]
     assert main(["reconstruct", "--scenario", write_scenario(tmp_path, doc)]) == 3
     assert "step ii" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", [0, -1.0])
+def test_non_positive_settle_threshold_exits_2(tmp_path, capsys, threshold):
+    # no residual falls below a threshold <= 0: the run could never settle
+    doc = copy.deepcopy(TOY)
+    doc["differentiator"]["settled_threshold"] = threshold
+    scen = write_scenario(tmp_path, doc)
+    out = str(tmp_path / "out")
+    assert main(["reconstruct", "--scenario", scen, "--out", out]) == 2
+    assert "settle threshold must be finite and positive" in capsys.readouterr().err
 
 
 def test_singular_error_stack_exits_4(tmp_path, capsys):

@@ -64,7 +64,7 @@ def test_projected_step_keeps_frame_orthonormal():
     a = np.array([[0.0, -1.0], [1.0, 0.0]])
     q = np.array([[1.0], [0.0]])
     for i in range(100):
-        q = projected_rk4_step(lambda t: a, i * 0.01, q, 0.01, skew_rule)
+        q = projected_rk4_step(i * 0.01, q, 0.01, (a, a, a))
         assert abs(q[:, 0] @ q[:, 0] - 1.0) < 1e-12
     # for the rotation field the width-1 frame follows the rotation itself
     assert np.allclose(q[:, 0], [math.cos(1.0), math.sin(1.0)], atol=1e-8)
@@ -75,7 +75,7 @@ def test_projected_step_stationary_for_triangular_full_frame():
     a = np.array([[1.0, 3.0], [0.0, -2.0]])
     q = np.eye(2)
     for i in range(50):
-        q = projected_rk4_step(lambda t: a, i * 0.1, q, 0.1, skew_rule)
+        q = projected_rk4_step(i * 0.1, q, 0.1, (a, a, a))
     assert np.allclose(q, np.eye(2), atol=1e-14)
 
 
@@ -83,11 +83,11 @@ def test_projected_step_takes_four_stage_matrices():
     rng = np.random.default_rng(11)
     a1, a2, a4 = rng.standard_normal((3, 4, 4))
     q, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-    three = projected_rk4_step(None, 0.0, q, 0.01, skew_rule, (a1, a2, a4))
-    four = projected_rk4_step(None, 0.0, q, 0.01, skew_rule, (a1, a2, a2, a4))
+    three = projected_rk4_step(0.0, q, 0.01, (a1, a2, a4))
+    four = projected_rk4_step(0.0, q, 0.01, (a1, a2, a2, a4))
     assert np.array_equal(three, four)
     # a different third-stage matrix moves the step
-    other = projected_rk4_step(None, 0.0, q, 0.01, skew_rule, (a1, a2, a1, a4))
+    other = projected_rk4_step(0.0, q, 0.01, (a1, a2, a1, a4))
     assert np.max(np.abs(other - three)) > 1e-6
 
 
@@ -96,11 +96,11 @@ def test_projected_step_reports_collapse_with_step_time():
     zero = np.zeros((3, 3))
     q = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(NumericalError, match=r"rank collapse at t=0\.25"):
-        projected_rk4_step(lambda t: zero, 0.25, q, 0.01, skew_rule)
+        projected_rk4_step(0.25, q, 0.01, (zero, zero, zero))
     q = np.eye(3, 2)
     q[2, 1] = np.nan
     with pytest.raises(NumericalError, match=r"at t=1\.5"):
-        projected_rk4_step(lambda t: zero, 1.5, q, 0.01, skew_rule)
+        projected_rk4_step(1.5, q, 0.01, (zero, zero, zero))
 
 
 def test_skew_rule_is_tril_bit_for_bit():

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from ltvobs.expr import MatrixExpr
-from ltvobs.integrators import StepConfig
+from ltvobs.integrators import StepConfig, skew_rule
 from ltvobs.lyapunov import (
     default_frame,
     estimate_spectrum,
     nonstable_dimension,
     regularity_report,
-    skew_rule,
 )
 
 

@@ -1,29 +1,32 @@
-"""Directional gain computation, observer stepping, detectability report."""
+"""Directional gain computation, observer convergence, detectability report."""
 
 import numpy as np
 import pytest
 
+from ltvobs.cascade import CascadeRun, run_tso
 from ltvobs.errors import StepPreconditionError
 from ltvobs.integrators import StepConfig
 from ltvobs.observer import (
     DetectabilityReport,
     DirectionDetectability,
     ObserverConfig,
-    ObserverState,
-    compute_gain,
     detectability_report,
     gain_snapshots,
+    gain_stack,
     min_gain_suggestion,
-    observer_step,
 )
 from ltvobs.system import LtvSystem
 
 
+def _gain(c, q, p):
+    """One gain through the stacked path: L = p Q Qt^T C^T."""
+    return gain_stack(np.asarray(c)[None], np.asarray(q)[None], p)[0]
+
+
 def test_gain_full_measurement_single_direction():
     # C = I, frame = e1: the gain corrects only the first state
-    l, rdiag = compute_gain(np.zeros((2, 2)), np.eye(2), np.eye(2, 1), 3.0)
+    l = _gain(np.eye(2), np.eye(2, 1), 3.0)
     assert np.allclose(l, [[3.0, 0.0], [0.0, 0.0]])
-    assert rdiag[0] == pytest.approx(1.0)
 
 
 def test_gain_invisible_direction_is_zeroed():
@@ -32,9 +35,7 @@ def test_gain_invisible_direction_is_zeroed():
     # completion direction
     c = np.array([[1.0, 0.0]])
     q = np.array([[0.0], [1.0]])
-    l, rdiag = compute_gain(np.zeros((2, 2)), c, q, 30.0)
-    assert np.allclose(l, 0.0)
-    assert rdiag[0] == 0.0
+    assert np.allclose(_gain(c, q, 30.0), 0.0)
 
 
 def test_gain_rows_stay_in_frame_span(rng):
@@ -47,23 +48,16 @@ def test_gain_rows_stay_in_frame_span(rng):
         c = rng.standard_normal((r, n))
         q_full, _ = np.linalg.qr(rng.standard_normal((n, n)))
         q, q_perp = q_full[:, :k], q_full[:, k:]
-        l, _ = compute_gain(np.zeros((n, n)), c, q, 2.0)
+        l = _gain(c, q, 2.0)
         assert np.max(np.abs(q_perp.T @ l)) < 1e-12
 
 
 def test_observer_converges_scalar_unstable_plant():
     # dx/dt = 0.5 x, y = x, p = 30: error decays at 0.5 - 30
     sys = LtvSystem(a=[[0.5]], f=[[0.0]], d=[[0.0]], c=[[1.0]])
-    cfg = StepConfig(h=1e-3, t0=0.0, t_end=0.5)
-    conf = ObserverConfig(p=30.0, k=1, step=cfg)
-    x = np.array([1.0])
-    st = ObserverState(x=np.array([0.0]), q=np.eye(1), t=0.0)
-    for i in range(cfg.n_steps):
-        t = cfg.time(i)
-        # plant solution is exact; feed the sampled output as a callable
-        y = lambda s: np.array([np.exp(0.5 * s)])
-        st = observer_step(sys, st, None, y, conf)
-    err = abs(np.exp(0.5 * 0.5) - st.x[0])
+    conf = ObserverConfig(p=30.0, k=1, step=StepConfig(h=1e-3, t0=0.0, t_end=0.5))
+    run = run_tso(CascadeRun(sys=sys, observer=conf, x0=[1.0], xt0=[0.0]))
+    err = abs(np.exp(0.5 * 0.5) - run.xt[-1, 0])
     assert err < 4e-7  # e^{-14.75} plus discretization
 
 

@@ -12,11 +12,8 @@ from ltvobs.strong_obs import (
     ErrorStackSampler,
     ObservabilityStack,
     ReconstructionMap,
-    build_reconstruction,
     build_stack,
-    error_stack_fd,
     error_system_so_test,
-    reconstruct,
     solve_normal_stack,
     strong_observability_test,
 )
@@ -66,9 +63,9 @@ def test_double_integrator_load_channel_is_so():
     verdict = strong_observability_test(stack)
     assert verdict.ok
     assert np.all(verdict.rank_s == 2) and np.all(verdict.rank_s_star == 2)
-    rmap = build_reconstruction(stack)
+    rmap = ReconstructionMap(stack)
     assert rmap.min_eig_h == pytest.approx(1.0)
-    assert np.allclose(reconstruct(rmap, 0.3, [1.5, -2.0]), [1.5, -2.0])
+    assert np.allclose(rmap.reconstruct(0.3, [1.5, -2.0]), [1.5, -2.0])
 
 
 def test_double_integrator_output_channel_not_so():
@@ -94,7 +91,7 @@ def test_stack_matches_lti_markov_parameters(rng):
         c = rng.standard_normal((1, n))
         d = rng.standard_normal((n, 1))
         sys = LtvSystem(a=a, f=np.zeros((n, 1)), d=d, c=c)
-        stack = build_stack(sys, with_controllability=False)
+        stack = build_stack(sys)
         for (al, be), entry in stack.d_table.items():
             want = c @ np.linalg.matrix_power(a, al - 1 - be) @ d
             assert np.allclose(entry.bind()(0.0), want, atol=1e-10), (al, be)
@@ -113,7 +110,7 @@ def test_verdicts_match_brute_force_oracle(rng):
         c = rng.standard_normal((r, n))
         d = rng.standard_normal((n, 1))
         sys = LtvSystem(a=a, f=np.zeros((n, 1)), d=d, c=c)
-        stack = build_stack(sys, with_controllability=False)
+        stack = build_stack(sys)
         nu_want, so_want = lti_so_oracle(a, c, d)
         assert stack.nu == nu_want
         got = strong_observability_test(stack).ok
@@ -131,12 +128,12 @@ def test_time_varying_stack_row():
         d=[[0.0], [1.0]],
         c=[[1.0, 0.0]],
     )
-    stack = build_stack(sys, with_controllability=False)
+    stack = build_stack(sys)
     assert stack.nu == 2
     c1 = stack.c_list[1].bind()
     for t in (0.0, 1.0, 2.5):
         assert np.allclose(c1(t), [[0.0, 1.0 + 0.5 * np.sin(t)]], atol=1e-12)
-    rmap = build_reconstruction(stack)
+    rmap = ReconstructionMap(stack)
     r_fn = stack.r_nu.bind()
     rng = np.random.default_rng(2)
     for t in (0.1, 4.0, 8.0):
@@ -157,18 +154,8 @@ def test_rank_profile_must_be_constant():
     assert "rank" in str(info.value)
 
 
-def test_controllability_index(toy2):
-    stack = build_stack(toy2)
-    # P_1 = D = e2, P_2 adds A D = (1, -2): full rank at depth 2
-    assert stack.mu == 2
-    assert stack.qc_rank == 2
-    bare = build_stack(toy2, with_controllability=False)
-    assert bare.mu is None and bare.qc_rank is None
-
-
 def test_reconstruction_is_linear(toy2):
-    stack = build_stack(toy2, with_controllability=False)
-    rmap = build_reconstruction(stack)
+    rmap = ReconstructionMap(build_stack(toy2))
     rng = np.random.default_rng(8)
     y1, y2 = rng.standard_normal(2), rng.standard_normal(2)
     a, b = 1.7, -0.3
@@ -182,7 +169,7 @@ def test_reconstruction_is_linear(toy2):
 
 
 def test_error_stack_sampler_matches_symbolic_at_zero_gain(toy2):
-    stack = build_stack(toy2, with_controllability=False)
+    stack = build_stack(toy2)
     sampler = ErrorStackSampler(toy2)
     r_fn, j_fn = stack.r_nu.bind(), stack.j_nu.bind()
     for t in (0.0, 1.0, 3.7):
@@ -207,22 +194,8 @@ def test_error_system_so_matches_plant_system(toy2):
     verdict = error_system_so_test(toy2, snaps)
     assert verdict.ok
     assert verdict.nu == 2
-    plant = strong_observability_test(build_stack(toy2, with_controllability=False))
+    plant = strong_observability_test(build_stack(toy2))
     assert verdict.ok == plant.ok
-
-
-def test_error_stack_fd_agrees_with_sampler(toy2):
-    l_const = np.array([[2.0], [0.5]])
-    with pytest.warns(RuntimeWarning):
-        stack_at = error_stack_fd(toy2, lambda t: l_const, nu=2)
-    sampler = ErrorStackSampler(toy2)
-    for t in (0.5, 1.5):
-        r_fd, j_fd = stack_at(t)
-        r_s, j_s = sampler.matrices(t, l_const)
-        assert np.allclose(r_fd, r_s, atol=1e-6)
-        assert np.allclose(j_fd, j_s, atol=1e-6)
-    with pytest.raises(ValueError):
-        error_stack_fd(toy2, lambda t: l_const, nu=1)
 
 
 def test_batched_normal_solve_names_singular_sample():
