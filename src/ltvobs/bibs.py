@@ -25,17 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expr, parse
-from .integrators import (
-    StepConfig,
-    frame_flow,
-    history_stride,
-    projected_rk4_stages,
-    skew_rule,
-    system_stages,
-)
-from .observer import ObserverConfig, frame_track, gain_stack
-from .system import LtvSystem, as_matrix_expr
+from .integrators import StepConfig, frame_flow, history_stride, skew_rule, system_stages
+from .observer import ObserverConfig, frame_track, gain_stack, stage_gains
+from .system import LtvSystem, as_sampler
 
 __all__ = [
     "TriangularForm",
@@ -120,21 +112,14 @@ def triangularize_error_system(sys: LtvSystem, conf: ObserverConfig):
     stages.  The recorded B uses the gain of the grid frame.
     """
     track = frame_track(sys, conf)
-    a_grid, c_grid = sys.a.bind_grid(), sys.c.bind_grid()
-    h, p, n = conf.step.h, conf.p, sys.n
+    n = sys.n
 
     def stages(lo, hi):
-        t_g = track.t[lo : hi + 1]
-        t_m = t_g[:-1] + 0.5 * h
-        a_g, a_m = a_grid(t_g), a_grid(t_m)
-        c_g, c_m = c_grid(t_g), c_grid(t_m)
-        frames = projected_rk4_stages(track.frames[lo:hi], a_g[:-1], a_m, h)
-        a_s = np.concatenate([a_g[:-1], a_m, a_m, a_g[1:]])
-        c_s = np.concatenate([c_g[:-1], c_m, c_m, c_g[1:]])
-        l_s = gain_stack(c_s, frames.reshape((-1,) + frames.shape[2:]), p)
+        a_s, c_s, l_s = stage_gains(sys, conf, track, lo, hi)
         m_s = (a_s - l_s @ c_s).reshape((4, hi - lo, n, n))
-        l_end = gain_stack(c_g[-1:], track.frames[hi : hi + 1], p)
-        grid = np.concatenate([m_s[0], a_g[-1:] - l_end @ c_g[-1:]])
+        # the last stage sits on grid point hi, where A and C close the grid
+        l_end = gain_stack(c_s[-1:], track.frames[hi : hi + 1], conf.p)
+        grid = np.concatenate([m_s[0], a_s[-1:] - l_end @ c_s[-1:]])
         return grid, tuple(m_s)
 
     return _triangular_flow(stages, n, conf.step)
@@ -166,6 +151,8 @@ class ScalarCertificate:
 
 
 def _certify_series(t, vals, epsilon, strong_tol):
+    if not (epsilon > 0.0 and np.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     span = t[-1] - t[0]
     lam = np.trapezoid(vals, t) / span
     pos = np.maximum(vals + epsilon, 0.0)
@@ -189,22 +176,12 @@ def _certify_series(t, vals, epsilon, strong_tol):
 def scalar_bibs_certificate(a, epsilon, cfg: StepConfig, strong_tol=0.05):
     """Certify boundedness of the scalar system dz/dt = a(t) z + f(t).
 
-    ``a`` may be an expression string, Expr, callable, or number; it is
+    ``a`` is one entry in any form :func:`ltvobs.system.as_sampler` takes:
+    an expression string, Expr, number or callable ``t -> float``.  It is
     sampled on the grid of ``cfg``.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if isinstance(a, str):
-        a = parse(a)
-    if isinstance(a, Expr):
-        fn = a.evaluate
-    elif callable(a):
-        fn = a
-    else:
-        value = float(a)
-        fn = lambda t: value
     t = cfg.grid()
-    vals = np.asarray([float(fn(ti)) for ti in t])
+    vals = as_sampler(a, ())(t)
     if not np.all(np.isfinite(vals)):
         raise ValueError("diagonal series contains non-finite samples")
     return _certify_series(t, vals, epsilon, strong_tol)
@@ -252,8 +229,7 @@ def general_bibs_certificate(
     n = tri.n
     t = tri.t
     if d is not None:
-        d_fn = as_matrix_expr(d).bind()
-        qtd = np.stack([tri.frames[s].T @ d_fn(t[s]) for s in range(t.shape[0])])
+        qtd = tri.frames.mT @ as_sampler(d)(t)
         phi = w_bound * np.max(np.abs(qtd).sum(axis=2), axis=0)
     else:
         phi = np.zeros(n)

@@ -39,43 +39,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, StepPreconditionError
-from .expr import MatrixExpr
 from .hosm import DEFAULT_GAINS, BankRun, estimate_lipschitz, run_bank
-from .integrators import CHUNK_STEPS, projected_rk4_stages
+from .integrators import CHUNK_STEPS
 from .observer import (
     ObserverConfig,
     detectability_report,
     frame_track,
     gain_stack,
     min_gain_suggestion,
+    stage_gains,
 )
 from .strong_obs import ErrorStackSampler, build_stack, strong_observability_test
-from .system import LtvSystem, as_matrix_expr
+from .system import LtvSystem, as_sampler
 
 __all__ = ["CascadeRun", "CascadeResult", "run_cascade", "run_tso"]
 
 # one above the index: z_1 is then not the bank's top (O(h)) level
 _BANK_ORDER = 2
-
-
-def _grid_signal(value, width, name):
-    """Normalize w/u inputs to a callable times (T,) -> (T, width)."""
-    if value is None:
-        return lambda ts: np.zeros((len(ts), width))
-    if isinstance(value, (list, tuple, str)) or isinstance(value, MatrixExpr):
-        m = as_matrix_expr([value] if isinstance(value, str) else value)
-        if m.rows * m.cols != width:
-            raise ValueError(f"{name} must have {width} entries, got {m.shape}")
-        fn = m.bind_grid()
-        return lambda ts: fn(ts).reshape(len(ts), width)
-    if callable(value):
-        return lambda ts: np.array(
-            [np.ravel(value(t)) for t in ts], dtype=float
-        ).reshape(len(ts), width)
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.shape != (width,):
-        raise ValueError(f"{name} must have shape ({width},), got {arr.shape}")
-    return lambda ts: np.broadcast_to(arr, (len(ts), width))
 
 
 @dataclass(frozen=True)
@@ -220,10 +200,10 @@ def _simulate(run, track, eta, record_gain, record_eydot):
     """
     sys, conf = run.sys, run.observer
     n, r, p, h = sys.n, sys.r, conf.p, conf.step.h
-    a_fn, c_fn, f_fn, d_fn = (m.bind_grid() for m in (sys.a, sys.c, sys.f, sys.d))
-    cdot_fn = sys.c.derivative().bind_grid() if record_eydot else None
-    w_fn = _grid_signal(run.w, sys.m, "w")
-    u_fn = _grid_signal(run.u, sys.q, "u")
+    a_fn, c_fn, f_fn, d_fn = (m.bind() for m in (sys.a, sys.c, sys.f, sys.d))
+    cdot_fn = sys.c.derivative().bind() if record_eydot else None
+    w_fn = as_sampler(run.w, (sys.m,))
+    u_fn = as_sampler(run.u, (sys.q,))
     fb = run.feedback
 
     n_steps = track.t.size - 1
@@ -256,12 +236,8 @@ def _simulate(run, track, eta, record_gain, record_eydot):
         count = hi - lo
         t_g = t_grid[lo : hi + 1]
         t_m = t_g[:-1] + 0.5 * h
-        a_g, a_m = a_fn(t_g), a_fn(t_m)
-        a_s = stages(a_g, a_m)
-        c_s = stages(c_fn(t_g), c_fn(t_m))
+        a_s, c_s, l_s = stage_gains(sys, conf, track, lo, hi)
         f_s = stages(f_fn(t_g), f_fn(t_m))
-        frames = projected_rk4_stages(track.frames[lo:hi], a_g[:-1], a_m, h)
-        l_s = gain_stack(c_s, frames.reshape((-1,) + frames.shape[2:]), p)
 
         lc = l_s @ c_s
         fk = f_s @ fb if fb is not None else 0.0
@@ -285,7 +261,7 @@ def _simulate(run, track, eta, record_gain, record_eydot):
         if not finite.all():
             bad = t_grid[lo + 1 + np.argmin(finite)]
             raise NumericalError(f"non-finite plant or observer state at t={bad}")
-        record(lo, hi, t_g[:-1], a_g[:-1], c_s[:count], l_s[:count])
+        record(lo, hi, t_g[:-1], a_s[:count], c_s[:count], l_s[:count])
 
     t_end = t_grid[-1:]
     c_end = c_fn(t_end)

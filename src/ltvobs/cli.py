@@ -208,7 +208,7 @@ def load_scenario(path) -> Scenario:
         fb_expr = _parse_grid(doc["feedback"], "feedback", q, n)
         if not fb_expr.is_constant:
             raise ScenarioError("feedback must be a constant matrix")
-        feedback = fb_expr(0.0)
+        feedback = fb_expr.bind()([0.0])[0]
 
     obs = _require(doc, "observer", dict)
     k = int(_require(obs, "k", int, "observer"))

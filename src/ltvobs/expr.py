@@ -11,11 +11,11 @@ grammar
 
 The node set is closed under differentiation, so a system matrix and every
 time derivative the observability recursions ask for live in the same
-representation.  ``MatrixExpr.bind`` compiles a grid to a plain-Python
-evaluator; integration loops call that closure hundreds of thousands of
-times, so it avoids any tree walking.  ``MatrixExpr.bind_grid`` compiles
-the same source against numpy ufuncs and evaluates a whole time grid in one
-call, for the loops that batch over time.
+representation.  ``MatrixExpr.bind`` compiles a grid once to numpy source
+that evaluates it on a whole array of times per call; every loop in the
+package batches over time, so no code path walks the tree per sample.
+``Expr.evaluate`` is the tree-walking reference the compiled source is
+checked against.
 """
 
 import math
@@ -34,7 +34,6 @@ __all__ = [
     "parse",
     "differentiate",
     "MatrixExpr",
-    "eval_matrix",
 ]
 
 _FUNCTIONS = ("sin", "cos", "exp", "sqrt")
@@ -52,9 +51,6 @@ class Expr:
     def derivative(self):
         """Symbolic time derivative, as another :class:`Expr`."""
         raise NotImplementedError
-
-    def __call__(self, t):
-        return self.evaluate(t)
 
     # Precedence levels for printing: 1 additive, 2 multiplicative, 3 unary.
     _prec = 4
@@ -421,9 +417,12 @@ class _Parser:
 def parse(text):
     """Parse expression text into an :class:`Expr`.
 
+    An :class:`Expr` is returned as is and a number becomes a :class:`Num`.
     Raises :class:`ExprError` (with ``position`` set) on malformed input or
     identifiers outside the grammar.
     """
+    if isinstance(text, Expr):
+        return text
     if not isinstance(text, str):
         return Num(text)
     return _Parser(text).parse()
@@ -456,11 +455,11 @@ def _pysrc(e):
 class MatrixExpr:
     """Matrix whose entries are scalar expressions of time.
 
-    Supports pointwise evaluation, entrywise differentiation, and the
+    Supports evaluation on time arrays, entrywise differentiation, and the
     symbolic products/sums/stacks the observability recursions need.
     """
 
-    __slots__ = ("entries", "rows", "cols", "_fn", "_grid_fn")
+    __slots__ = ("entries", "rows", "cols", "_fn")
 
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -477,13 +476,12 @@ class MatrixExpr:
         self.rows = len(entries)
         self.cols = cols
         self._fn = None
-        self._grid_fn = None
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_strings(cls, grid):
-        """Build from a grid of expression strings (or bare numbers)."""
+        """Build from a grid of expression strings (or bare numbers or Exprs)."""
         return cls([[parse(cell) for cell in row] for row in grid])
 
     @classmethod
@@ -590,54 +588,15 @@ class MatrixExpr:
     # -- evaluation ---------------------------------------------------------
 
     def bind(self):
-        """Compile to a closure ``t -> ndarray`` (fresh array per call)."""
-        if self._fn is not None:
-            return self._fn
-        base = np.zeros(self.shape)
-        slots = []
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                if isinstance(e, Num):
-                    base[i, j] = e.value
-                else:
-                    slots.append((i, j, e))
-        if not slots:
-            def fn(t, _base=base):
-                return _base.copy()
-        else:
-            lines = ["def _f(t, _base):", "    out = _base.copy()"]
-            for i, j, e in slots:
-                lines.append(f"    out[{i},{j}] = {_pysrc(e)}")
-            lines.append("    return out")
-            ns = {
-                "sin": math.sin,
-                "cos": math.cos,
-                "exp": math.exp,
-                "sqrt": math.sqrt,
-            }
-            exec("\n".join(lines), ns)  # controlled codegen from our own AST
-            raw = ns["_f"]
-
-            def fn(t, _raw=raw, _base=base):
-                try:
-                    return _raw(t, _base)
-                except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                    raise NumericalError(
-                        f"matrix expression evaluation failed at t={t}: {exc}"
-                    ) from exc
-
-        self._fn = fn
-        return fn
-
-    def bind_grid(self):
         """Compile to a closure ``times (T,) -> ndarray (T, rows, cols)``.
 
-        The generated source is the one :meth:`bind` uses, run once on the
-        whole time array with numpy ufuncs.  A non-finite value raises
+        Each non-constant entry becomes one line of generated source that
+        evaluates it on the whole time array with numpy ufuncs; the closure
+        is built once per matrix.  A non-finite value raises
         :class:`NumericalError` naming the first offending time and entry.
         """
-        if self._grid_fn is not None:
-            return self._grid_fn
+        if self._fn is not None:
+            return self._fn
         base = np.zeros(self.shape)
         lines = ["def _f(t, out):"]
         for i, row in enumerate(self.entries):
@@ -665,15 +624,8 @@ class MatrixExpr:
                 )
             return out
 
-        self._grid_fn = fn
+        self._fn = fn
         return fn
-
-    def evaluate(self, t):
-        """Evaluate at scalar time ``t``."""
-        return self.bind()(t)
-
-    def __call__(self, t):
-        return self.bind()(t)
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.entries) + "]"
@@ -681,16 +633,3 @@ class MatrixExpr:
     def __repr__(self):
         return f"MatrixExpr({self.rows}x{self.cols})"
 
-
-def eval_matrix(m, t):
-    """Evaluate a MatrixExpr at ``t`` and verify every entry is finite.
-
-    Raises :class:`NumericalError` naming the first offending entry.
-    """
-    out = m.evaluate(t)
-    if not np.all(np.isfinite(out)):
-        i, j = np.argwhere(~np.isfinite(out))[0]
-        raise NumericalError(
-            f"entry ({i},{j}) evaluated non-finite at t={t}: {m.entries[i][j]}"
-        )
-    return out

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .expr import MatrixExpr
 from .linalg import cholesky_qr, mgs_qr
+from .system import as_sampler
 
 __all__ = [
     "StepConfig",
@@ -185,46 +185,26 @@ def projected_rk4_stages(q, a1, a2, h):
 def system_stages(a, cfg):
     """Stage source of the frame flow under a system matrix ``A(t)``.
 
-    ``a`` is a :class:`MatrixExpr`, evaluated per chunk by its grid
-    evaluator, or a callable ``t -> (n, n)``, called once at ``t0`` and
-    then at ``t + h/2`` and ``t + h`` of every step, in step order.
+    ``a`` is a :class:`~ltvobs.expr.MatrixExpr` or anything else
+    :func:`~ltvobs.system.as_sampler` takes, such as a callable
+    ``t -> (n, n)``; it is evaluated per chunk on the chunk's time arrays.
     Returns ``(n, stages)``; ``stages(lo, hi)`` gives, for grid steps
     ``lo .. hi - 1``, the matrices at grid points ``lo .. hi`` (T + 1, n, n)
     and the stage stacks ``(A(t), A(t + h/2), A(t + h))`` of
-    :func:`frame_flow`.  A callable source must be asked for consecutive
-    chunks from step 0 on.
+    :func:`frame_flow`.
     """
     h = cfg.h
-    if isinstance(a, MatrixExpr):
-        if a.rows != a.cols:
-            raise ValueError(f"system matrix must be square, got {a.shape}")
-        a_grid = a.bind_grid()
-
-        def stages(lo, hi):
-            t = cfg.t0 + h * np.arange(lo, hi + 1)
-            grid = a_grid(t)
-            return grid, (grid[:-1], a_grid(t[:-1] + 0.5 * h), grid[1:])
-
-        return a.rows, stages
-
-    a0 = np.asarray(a(cfg.t0), dtype=float)
-    n = a0.shape[0]
-    if a0.shape != (n, n):
-        raise ValueError(f"system matrix must be square, got {a0.shape}")
-    last = [a0]
+    a_fn = as_sampler(a)
+    shape = a_fn(np.array([cfg.t0])).shape[1:]
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"system matrix must be square, got {shape}")
 
     def stages(lo, hi):
-        grid = np.empty((hi - lo + 1, n, n))
-        mid = np.empty((hi - lo, n, n))
-        grid[0] = last[0]
-        for j in range(hi - lo):
-            t = cfg.time(lo + j)
-            mid[j] = a(t + 0.5 * h)
-            grid[j + 1] = a(cfg.time(lo + j + 1))
-        last[0] = grid[-1]
-        return grid, (grid[:-1], mid, grid[1:])
+        t = cfg.t0 + h * np.arange(lo, hi + 1)
+        grid = a_fn(t)
+        return grid, (grid[:-1], a_fn(t[:-1] + 0.5 * h), grid[1:])
 
-    return n, stages
+    return shape[0], stages
 
 
 def frame_flow(stages, q, cfg, n_steps=None):

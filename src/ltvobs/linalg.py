@@ -10,7 +10,8 @@ of matrices at once and hands every matrix with a dependent column back to
 the cheap retraction of a frame that is orthonormal up to one integration
 step: a Cholesky factor of the Gram matrix, with ``mgs_qr`` taking over
 whenever that factor is not safe to use.  Rank decisions and
-pseudoinverses go through numpy's SVD with one shared tolerance policy.
+pseudoinverses go through numpy's SVD with one shared tolerance policy,
+on single matrices or on stacks of them.
 """
 
 import math
@@ -180,15 +181,19 @@ def numerical_rank(x, tol=None):
     """Rank of ``x`` by counting singular values above ``tol``.
 
     ``tol`` defaults to ``max(rows, cols) * eps * sigma_max``; the zero
-    matrix has rank 0 under this policy.
+    matrix has rank 0 under this policy.  A stack ``(..., rows, cols)``
+    gets an int array of ranks from one stacked SVD, each matrix with its
+    own default tolerance; a single matrix gets an int.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.size == 0:
-        return 0
-    s = np.linalg.svd(x, compute_uv=False)
-    if tol is None:
-        tol = max(x.shape) * _EPS * (s[0] if s.size else 0.0)
-    return int(np.count_nonzero(s > tol))
+        ranks = np.zeros(x.shape[:-2], dtype=int)
+    else:
+        s = np.linalg.svd(x, compute_uv=False)
+        if tol is None:
+            tol = max(x.shape[-2:]) * _EPS * s[..., :1]
+        ranks = np.count_nonzero(s > tol, axis=-1)
+    return int(ranks) if x.ndim == 2 else ranks
 
 
 def pinv(x, tol=None):

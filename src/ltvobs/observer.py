@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepPreconditionError
-from .integrators import StepConfig, frame_flow, history_stride, system_stages
+from .integrators import (
+    StepConfig,
+    frame_flow,
+    history_stride,
+    projected_rk4_stages,
+    system_stages,
+)
 from .linalg import mgs_qr, mgs_qr_stack
 from .lyapunov import default_frame
 from .system import LtvSystem
@@ -33,6 +39,7 @@ __all__ = [
     "FrameTrack",
     "frame_track",
     "gain_stack",
+    "stage_gains",
     "DirectionDetectability",
     "DetectabilityReport",
     "detectability_report",
@@ -180,7 +187,7 @@ def frame_track(sys: LtvSystem, conf: ObserverConfig, n_steps=None):
     stage matrices from a grid evaluation of each chunk; the diagnostics
     are computed per chunk on the stacked grid frames.
     """
-    c_grid = sys.c.bind_grid()
+    c_grid = sys.c.bind()
     cfg = conf.step
     n, k = sys.n, conf.k
     n_steps = cfg.n_steps if n_steps is None else n_steps
@@ -202,7 +209,7 @@ def frame_track(sys: LtvSystem, conf: ObserverConfig, n_steps=None):
 
     _, stages = system_stages(sys.a, cfg)
     frames[0] = conf.initial_frame(n)
-    diagnose(0, 1, sys.a.bind_grid()(t[:1]))
+    diagnose(0, 1, sys.a.bind()(t[:1]))
     for lo, hi, grid, chunk in frame_flow(stages, frames[0], cfg, n_steps):
         frames[lo + 1 : hi + 1] = chunk[1:]
         diagnose(lo + 1, hi + 1, grid[1:])
@@ -214,6 +221,28 @@ def frame_track(sys: LtvSystem, conf: ObserverConfig, n_steps=None):
         min_ctcq_sigma=float(sigma.min()),
         max_orth_defect=float(defect.max()),
     )
+
+
+def stage_gains(sys: LtvSystem, conf: ObserverConfig, track, lo, hi):
+    """A, C and the gain L in the RK4 stages of grid steps ``lo .. hi - 1``.
+
+    The gain of each stage follows the observer frame inside that stage,
+    rebuilt from the track's grid frame by
+    :func:`ltvobs.integrators.projected_rk4_stages`.  Returns A (4T, n, n),
+    C (4T, r, n) and L (4T, n, r), stage-major: the T steps at t, then at
+    t + h/2 twice, then at t + h.
+    """
+    h = conf.step.h
+    t_g = track.t[lo : hi + 1]
+    t_m = t_g[:-1] + 0.5 * h
+    a_fn, c_fn = sys.a.bind(), sys.c.bind()
+    a_g, a_m = a_fn(t_g), a_fn(t_m)
+    c_g, c_m = c_fn(t_g), c_fn(t_m)
+    frames = projected_rk4_stages(track.frames[lo:hi], a_g[:-1], a_m, h)
+    a_s = np.concatenate([a_g[:-1], a_m, a_m, a_g[1:]])
+    c_s = np.concatenate([c_g[:-1], c_m, c_m, c_g[1:]])
+    l_s = gain_stack(c_s, frames.reshape((-1,) + frames.shape[2:]), conf.p)
+    return a_s, c_s, l_s
 
 
 def _trapezoid_running(values, h):
@@ -313,16 +342,15 @@ def gain_snapshots(sys: LtvSystem, conf: ObserverConfig, times):
     pairs each requested time with the gain computed from the live frame.
     """
     cfg = conf.step
-    c_fn = sys.c.bind()
-    wanted = {}
-    for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        i = int(round((t - cfg.t0) / cfg.h))
-        if not 0 <= i <= cfg.n_steps or abs(cfg.time(i) - t) > 1e-9:
-            raise ValueError(f"snapshot time {t} is off the step grid")
-        wanted.setdefault(i, t)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    index = np.rint((times - cfg.t0) / cfg.h).astype(int)
+    off = (index < 0) | (index > cfg.n_steps)
+    off |= np.abs(cfg.t0 + index * cfg.h - times) > 1e-9
+    if off.any():
+        raise ValueError(f"snapshot time {times[np.argmax(off)]} is off the step grid")
+    index = np.unique(index)
 
-    track = frame_track(sys, conf, n_steps=max(wanted) if wanted else 0)
-    index = np.array(sorted(wanted), dtype=int)
+    track = frame_track(sys, conf, n_steps=int(index.max(initial=0)))
     frames = track.frames[index]
-    gains = gain_stack(sys.c.bind_grid()(track.t[index]), frames, conf.p)
-    return [(cfg.time(i), l, q) for i, l, q in zip(index.tolist(), gains, frames)]
+    gains = gain_stack(sys.c.bind()(track.t[index]), frames, conf.p)
+    return list(zip((cfg.t0 + index * cfg.h).tolist(), gains, frames))

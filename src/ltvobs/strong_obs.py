@@ -76,18 +76,13 @@ class ObservabilityStack:
     probe_times: np.ndarray = field(repr=False)
 
 
-def _rank_profile(matrix_expr, probes):
-    fn = matrix_expr.bind()
-    return np.asarray([numerical_rank(fn(t)) for t in probes])
-
-
 def _plateau_index(make_depth_expr, probes, depth_max, what):
     """Smallest k with probe-constant rank(k) == rank(k+1); via callback."""
     ranks_prev = None
     expr_prev = None
     for k in range(1, depth_max + 2):
         expr_k = make_depth_expr(k)
-        ranks = _rank_profile(expr_k, probes)
+        ranks = numerical_rank(expr_k.bind()(probes))
         if not np.all(ranks == ranks[0]):
             raise StepPreconditionError(
                 "iv",
@@ -159,15 +154,6 @@ def build_stack(sys: LtvSystem, nu_max=None, probe_times=None):
     )
 
 
-def _so_ranks(r_val, j_val, n):
-    """Ranks of S = [R J] and S* = [[I 0],[R J]] for one probe."""
-    s = np.hstack([r_val, j_val])
-    rows, cols_j = r_val.shape[0], j_val.shape[1]
-    top = np.hstack([np.eye(n), np.zeros((n, cols_j))])
-    s_star = np.vstack([top, s])
-    return numerical_rank(s), numerical_rank(s_star)
-
-
 @dataclass
 class SoVerdict:
     """Grid-certified strong-observability verdict."""
@@ -180,11 +166,33 @@ class SoVerdict:
     n: int
 
 
-def _j_evaluator(stack):
+def _so_verdict(r_val, j_val, nu, times):
+    """Ranks of S = [R J] and S* = [[I 0],[R J]] at every sample time.
+
+    ``r_val`` (T, rows, n) and ``j_val`` (T, rows, cols) are the stacked
+    maps at ``times`` (T,); each rank is one stacked SVD.
+    """
+    s = np.concatenate([r_val, j_val], axis=2)
+    n = r_val.shape[2]
+    top = np.zeros((times.size, n, s.shape[2]))
+    top[:, :, :n] = np.eye(n)
+    rank_s = numerical_rank(s)
+    rank_star = numerical_rank(np.concatenate([top, s], axis=1))
+    return SoVerdict(
+        ok=bool(np.all(rank_s == rank_star)),
+        nu=nu,
+        probe_times=times,
+        rank_s=rank_s,
+        rank_s_star=rank_star,
+        n=n,
+    )
+
+
+def _j_values(stack, times):
+    """J_nu at ``times`` (T, r nu, m (nu - 1)); no columns when nu < 2."""
     if stack.j_nu is None:
-        empty = np.zeros((stack.r * stack.nu, 0))
-        return lambda t: empty
-    return stack.j_nu.bind()
+        return np.zeros((times.size, stack.r * stack.nu, 0))
+    return stack.j_nu.bind()(times)
 
 
 def strong_observability_test(stack: ObservabilityStack, probe_times=None):
@@ -194,20 +202,8 @@ def strong_observability_test(stack: ObservabilityStack, probe_times=None):
     directions: the stacked map still determines x uniquely.
     """
     probes = _probe_array(stack.probe_times if probe_times is None else probe_times)
-    r_fn = stack.r_nu.bind()
-    j_fn = _j_evaluator(stack)
-    rank_s = np.empty(probes.size, dtype=int)
-    rank_star = np.empty(probes.size, dtype=int)
-    for i, t in enumerate(probes):
-        rank_s[i], rank_star[i] = _so_ranks(r_fn(t), j_fn(t), stack.n)
-    return SoVerdict(
-        ok=bool(np.all(rank_s == rank_star)),
-        nu=stack.nu,
-        probe_times=probes,
-        rank_s=rank_s,
-        rank_s_star=rank_star,
-        n=stack.n,
-    )
+    r_val = stack.r_nu.bind()(probes)
+    return _so_verdict(r_val, _j_values(stack, probes), stack.nu, probes)
 
 
 class ReconstructionMap:
@@ -225,15 +221,10 @@ class ReconstructionMap:
                 "iv", "system is not strongly observable; reconstruction undefined"
             )
         self.stack = stack
-        self.n = stack.n
-        self.nu = stack.nu
-        self._r_fn = stack.r_nu.bind()
-        self._j_fn = _j_evaluator(stack)
         probes = verdict.probe_times
-        eigs = np.empty(probes.size)
-        for i, t in enumerate(probes):
-            h = self.h_at(t)
-            eigs[i] = np.linalg.eigvalsh(h)[0]
+        k_val = projector_complement_stack(_j_values(stack, probes))
+        kr = k_val @ stack.r_nu.bind()(probes)
+        eigs = np.linalg.eigvalsh(kr.mT @ kr)[:, 0]
         self.probe_times = probes
         self.min_eig_h = float(eigs.min())
         self.h_eig_history = eigs
@@ -244,23 +235,14 @@ class ReconstructionMap:
                 f"over the probe grid (marginal strong observability)"
             )
 
-    def k_at(self, t):
-        return orthogonal_projector_complement(self._j_fn(t))
-
-    def kr_at(self, t):
-        return self.k_at(t) @ self._r_fn(t)
-
-    def h_at(self, t):
-        kr = self.kr_at(t)
-        return kr.T @ kr
-
     def reconstruct(self, t, yhat):
         yhat = np.asarray(yhat, dtype=float)
-        expected = self.stack.r * self.nu
+        expected = self.stack.r * self.stack.nu
         if yhat.shape != (expected,):
             raise ValueError(f"yhat must have shape ({expected},), got {yhat.shape}")
-        k_val = self.k_at(t)
-        kr = k_val @ self._r_fn(t)
+        times = np.array([t], dtype=float)
+        k_val = orthogonal_projector_complement(_j_values(self.stack, times)[0])
+        kr = k_val @ self.stack.r_nu.bind()(times)[0]
         return _solve_normal(kr, k_val @ yhat, t)
 
 
@@ -280,26 +262,22 @@ def solve_normal_stack(kr, kyhat, times):
 
     ``kr`` (T, rows, n) and ``kyhat`` (T, rows) are the projected stack
     maps and stacked outputs at ``times`` (T,).  Returns the solutions
-    (T, n) and the smallest eigenvalue of each normal matrix (T,).  A
-    normal matrix that is not positive definite raises
-    :class:`NumericalError` naming the first such time.
+    (T, n) and the smallest eigenvalue of each normal matrix (T,).  When
+    a normal matrix is not positive definite, :class:`NumericalError` names
+    the time of the smallest eigenvalue.
     """
     kr_t = np.swapaxes(kr, 1, 2)
     h = kr_t @ kr
+    eig = np.linalg.eigvalsh(h)[:, 0]
     try:
         chol = np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
-        for i, h_i in enumerate(h):
-            try:
-                np.linalg.cholesky(h_i)
-            except np.linalg.LinAlgError:
-                raise NumericalError(
-                    f"normal matrix not positive definite at t={float(times[i])}"
-                ) from exc
-        raise NumericalError(f"batched Cholesky failed: {exc}") from exc
+        raise NumericalError(
+            f"normal matrix not positive definite at t={float(times[np.argmin(eig)])}"
+        ) from exc
     z = np.linalg.solve(chol, kr_t @ kyhat[..., None])
     x = np.linalg.solve(np.swapaxes(chol, 1, 2), z)[..., 0]
-    return x, np.linalg.eigvalsh(h)[:, 0]
+    return x, eig
 
 
 class ErrorStackSampler:
@@ -313,21 +291,13 @@ class ErrorStackSampler:
 
     def __init__(self, sys: LtvSystem):
         self.sys = sys
-        self._a = sys.a.bind()
-        self._c = sys.c.bind()
-        self._cdot = sys.c.derivative().bind()
-        self._d = sys.d.bind()
-        self._grid = tuple(
-            m.bind_grid() for m in (sys.a, sys.c, sys.c.derivative(), sys.d)
-        )
+        self._fns = tuple(m.bind() for m in (sys.a, sys.c, sys.c.derivative(), sys.d))
 
     def matrices(self, t, l_val):
         """(R, J) of the error system at time t for gain value ``l_val``."""
-        a_val, c_val = self._a(t), self._c(t)
-        c1 = c_val @ (a_val - l_val @ c_val) + self._cdot(t)
-        r_e = np.vstack([c_val, c1])
-        j_e = np.vstack([np.zeros((self.sys.r, self.sys.m)), c_val @ self._d(t)])
-        return r_e, j_e
+        l_vals = np.asarray(l_val, dtype=float)[None]
+        r_e, j_e = self.matrices_stack(np.array([t], dtype=float), l_vals)
+        return r_e[0], j_e[0]
 
     def reconstruct(self, t, l_val, yhat):
         r_e, j_e = self.matrices(t, l_val)
@@ -336,7 +306,7 @@ class ErrorStackSampler:
 
     def matrices_stack(self, times, l_vals):
         """:meth:`matrices` at every time of ``times`` (T,), gains (T, n, r)."""
-        a_fn, c_fn, cdot_fn, d_fn = self._grid
+        a_fn, c_fn, cdot_fn, d_fn = self._fns
         c_val = c_fn(times)
         c1 = c_val @ (a_fn(times) - l_vals @ c_val) + cdot_fn(times)
         r_e = np.concatenate([c_val, c1], axis=1)
@@ -358,18 +328,7 @@ def error_system_so_test(sys: LtvSystem, gain_samples):
     ``gain_samples`` pairs times with gain matrices, e.g. from
     :func:`ltvobs.observer.gain_snapshots`.  Depth is fixed at 2.
     """
-    sampler = ErrorStackSampler(sys)
-    times = np.asarray([t for t, *_ in gain_samples])
-    rank_s = np.empty(times.size, dtype=int)
-    rank_star = np.empty(times.size, dtype=int)
-    for i, (t, l_val, *_rest) in enumerate(gain_samples):
-        r_e, j_e = sampler.matrices(t, l_val)
-        rank_s[i], rank_star[i] = _so_ranks(r_e, j_e, sys.n)
-    return SoVerdict(
-        ok=bool(np.all(rank_s == rank_star)),
-        nu=2,
-        probe_times=times,
-        rank_s=rank_s,
-        rank_s_star=rank_star,
-        n=sys.n,
-    )
+    times, gains, *_ = zip(*gain_samples)
+    times, gains = np.asarray(times, dtype=float), np.asarray(gains, dtype=float)
+    r_e, j_e = ErrorStackSampler(sys).matrices_stack(times, gains)
+    return _so_verdict(r_e, j_e, 2, times)

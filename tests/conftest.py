@@ -44,6 +44,16 @@ def double_integrator(d_col):
     )
 
 
+def rk4_stage_times(t_grid, h):
+    """Stage times of one RK4 step from each grid point but the last.
+
+    Flattened in the order an RK4 step visits them: t, t + h/2, t + h/2,
+    t + h, so a sequential reference can read its stage matrices from one
+    array evaluation by counting its stage calls.
+    """
+    return (t_grid[:-1, None] + np.array([0.0, 0.5 * h, 0.5 * h, h])).ravel()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260825)

@@ -4,8 +4,11 @@ The reference is the per-step integration the cascade used before it
 stepped plant and observer as an affine recurrence: one joint RK4 step of
 (x, x~, Q) per grid step through the public ``joint_rk4_step``, the gain
 recomputed inside every stage from that stage's frame, and one
-reconstruction solve per sample.
+reconstruction solve per sample.  Its matrices are evaluated once, on the
+arrays of grid and stage times, and read in stage order.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -19,17 +22,12 @@ from ltvobs.integrators import (
     projected_rk4_stages,
     skew_rule,
 )
+from ltvobs.linalg import orthogonal_projector_complement
 from ltvobs.observer import ObserverConfig, _gain_basis, frame_track
-from ltvobs.strong_obs import ErrorStackSampler
-from ltvobs.system import as_matrix_expr
+from ltvobs.strong_obs import ErrorStackSampler, _solve_normal
+from ltvobs.system import as_sampler
 
-
-def _signal(value, width):
-    if value is None:
-        zero = np.zeros(width)
-        return lambda t: zero
-    bound = as_matrix_expr(value).bind()
-    return lambda t: bound(t).ravel()
+from conftest import rk4_stage_times
 
 
 def reference_simulate(run, eta, record_eydot):
@@ -37,13 +35,22 @@ def reference_simulate(run, eta, record_eydot):
     sys, conf = run.sys, run.observer
     step = conf.step
     n, r = sys.n, sys.r
-    a_fn, c_fn, f_fn, d_fn = (m.bind() for m in (sys.a, sys.c, sys.f, sys.d))
-    cdot_fn = sys.c.derivative().bind()
-    w_fn, u_fn = _signal(run.w, sys.m), _signal(run.u, sys.q)
     fb, p = run.feedback, conf.p
 
     t_grid = step.grid()
     size = t_grid.size
+    t_stage = rk4_stage_times(t_grid, step.h)
+
+    def sample(value, shape=None):
+        fn = as_sampler(value, shape)
+        return fn(t_stage), fn(t_grid)
+
+    (a_st, a_gr), (c_st, c_gr), (f_st, _), (d_st, d_gr) = (
+        sample(m) for m in (sys.a, sys.c, sys.f, sys.d)
+    )
+    (w_st, w_gr), (u_st, _) = sample(run.w, (sys.m,)), sample(run.u, (sys.q,))
+    cdot_gr = sys.c.derivative().bind()(t_grid)
+    stage = itertools.count()
     x_rec, xt_rec = np.empty((size, n)), np.empty((size, n))
     ey_rec, eyd_rec = np.empty((size, r)), np.empty((size, r))
     l_rec = np.empty((size, n, r))
@@ -54,12 +61,13 @@ def reference_simulate(run, eta, record_eydot):
     def rhs(t, states):
         xs, xts, qs = states
         stage_frames.append(qs.copy())
-        a_val, c_val = a_fn(t), c_fn(t)
-        u_val = u_fn(t)
+        i = next(stage)
+        a_val, c_val = a_st[i], c_st[i]
+        u_val = u_st[i]
         if fb is not None:
             u_val = u_val - fb @ xs
-        drive = f_fn(t) @ u_val
-        dx = a_val @ xs + drive + d_fn(t) @ w_fn(t)
+        drive = f_st[i] @ u_val
+        dx = a_val @ xs + drive + d_st[i] @ w_st[i]
         qt, _ = _gain_basis(c_val, qs)
         e_out = (c_val @ xs + noise) - c_val @ xts
         dxt = a_val @ xts + drive + p * (qs @ (qt.T @ (c_val.T @ e_out)))
@@ -67,22 +75,22 @@ def reference_simulate(run, eta, record_eydot):
         w_red = qs.T @ m
         return [dx, dxt, m - qs @ (w_red - skew_rule(w_red))]
 
-    def record(i, t):
-        c_val = c_fn(t)
+    def record(i):
+        c_val = c_gr[i]
         x_rec[i], xt_rec[i] = x, xt
         ey_rec[i] = (c_val @ x + eta[i]) - c_val @ xt
         qt, _ = _gain_basis(c_val, q)
         l_rec[i] = p * (q @ (qt.T @ c_val.T))
         if record_eydot:
             e = x - xt
-            de = (a_fn(t) - l_rec[i] @ c_val) @ e + d_fn(t) @ w_fn(t)
-            eyd_rec[i] = cdot_fn(t) @ e + c_val @ de
+            de = (a_gr[i] - l_rec[i] @ c_val) @ e + d_gr[i] @ w_gr[i]
+            eyd_rec[i] = cdot_gr[i] @ e + c_val @ de
 
-    record(0, t_grid[0])
+    record(0)
     for i in range(size - 1):
         noise = eta[i]
         x, xt, q = joint_rk4_step(rhs, t_grid[i], [x, xt, q], step.h, project=(2,))
-        record(i + 1, t_grid[i + 1])
+        record(i + 1)
     frames = np.asarray(stage_frames).reshape(size - 1, 4, n, conf.k)
     return t_grid, x_rec, xt_rec, ey_rec, l_rec, eyd_rec, frames
 
@@ -113,10 +121,14 @@ def reference_cascade(run):
         z0, z1 = bank.stack[:, :r], bank.stack[:, r : 2 * r]
         stack = np.hstack([z0 if run.sigma > 0.0 else ey, z1])
         t_f = None if bank.settled_index is None else t[bank.settled_index] + run.dwell
-    sampler = ErrorStackSampler(run.sys)
-    xhat = xt + np.array(
-        [sampler.reconstruct(ti, li, si) for ti, li, si in zip(t, l_rec, stack)]
-    )
+    # the error stack maps of every sample at once, then the steps of
+    # ErrorStackSampler.reconstruct, one projector and normal solve per sample
+    r_e, j_e = ErrorStackSampler(run.sys).matrices_stack(t, l_rec)
+    e_tilde = []
+    for ti, r_i, j_i, y_i in zip(t, r_e, j_e, stack):
+        k_i = orthogonal_projector_complement(j_i)
+        e_tilde.append(_solve_normal(k_i @ r_i, k_i @ y_i, ti))
+    xhat = xt + np.array(e_tilde)
     sup = None
     if t_f is not None:
         sup = np.max(np.abs(x - xhat)[t >= t_f - 1e-12], axis=0)
@@ -171,7 +183,7 @@ def _check_against_reference(make):
 
     # stage frames rebuilt in batch from the one frame track
     h = conf.step.h
-    a_grid = sys.a.bind_grid()
+    a_grid = sys.a.bind()
     stages = projected_rk4_stages(
         track.frames[:-1], a_grid(track.t[:-1]), a_grid(track.t[:-1] + 0.5 * h), h
     )

@@ -77,8 +77,13 @@ def test_scalar_certificate_decaying_diagonal():
 
 
 def test_scalar_certificate_rejects_bad_epsilon():
-    with pytest.raises(ValueError):
-        scalar_bibs_certificate(-1.0, epsilon=0.0, cfg=StepConfig(h=0.01, t0=0.0, t_end=1.0))
+    cfg = StepConfig(h=0.01, t0=0.0, t_end=1.0)
+    tri = triangularize(lambda t: -np.eye(2), cfg)
+    for epsilon in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            scalar_bibs_certificate(-1.0, epsilon=epsilon, cfg=cfg)
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            general_bibs_certificate(tri, epsilon)
 
 
 def test_general_certificate_diagonal_system():

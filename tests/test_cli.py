@@ -215,6 +215,16 @@ def test_non_positive_settle_threshold_exits_2(tmp_path, capsys, threshold):
     assert "settle threshold must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
+def test_bad_bibs_epsilon_exits_2(tmp_path, capsys, epsilon):
+    # a margin of 0 divides by zero in the input gain, and an infinite one
+    # makes every transition bound infinite
+    scen = write_scenario(tmp_path, TOY)
+    argv = ["bibs", "--scenario", scen, "--out", str(tmp_path), "--horizon", "0.1"]
+    assert main(argv + [f"--epsilon={epsilon}"]) == 2
+    assert "epsilon must be finite and positive" in capsys.readouterr().err
+
+
 def test_singular_error_stack_exits_4(tmp_path, capsys):
     # A12 = t - 0.005 vanishes on the grid sample t = 0.005 but at no
     # precondition probe, so the error stack [C; C (A - L C)] loses rank

@@ -1,4 +1,8 @@
-"""Expression grammar, symbolic differentiation, and matrix grids."""
+"""Expression grammar, symbolic differentiation, and matrix grids.
+
+The compiled evaluator ``MatrixExpr.bind`` is checked against the
+tree-walking ``Expr.evaluate``, entry by entry.
+"""
 
 import math
 
@@ -6,7 +10,8 @@ import numpy as np
 import pytest
 
 from ltvobs.errors import ExprError, NumericalError
-from ltvobs.expr import MatrixExpr, Num, differentiate, eval_matrix, parse
+from ltvobs.expr import MatrixExpr, Num, differentiate, parse
+from ltvobs.system import LtvSystem, as_matrix_expr, as_sampler
 
 SAMPLES = [
     "0.23*sin(0.5*t)",
@@ -21,27 +26,27 @@ SAMPLES = [
 
 
 def test_parse_examples():
-    assert parse("0.23*sin(0.5*t)")(math.pi) == pytest.approx(0.23)
-    assert parse("2 + 3*4")(0.0) == 14.0
-    assert parse("(2 + 3)*4")(0.0) == 20.0
-    assert parse("2 - 3 - 4")(0.0) == -5.0
-    assert parse("12/4/3")(0.0) == 1.0
-    assert parse("-t")(2.0) == -2.0
-    assert parse("pi")(0.0) == pytest.approx(math.pi)
-    assert parse("1e-3*t")(2000.0) == pytest.approx(2.0)
-    assert parse("exp(0)")(5.0) == 1.0
+    assert parse("0.23*sin(0.5*t)").evaluate(math.pi) == pytest.approx(0.23)
+    assert parse("2 + 3*4").evaluate(0.0) == 14.0
+    assert parse("(2 + 3)*4").evaluate(0.0) == 20.0
+    assert parse("2 - 3 - 4").evaluate(0.0) == -5.0
+    assert parse("12/4/3").evaluate(0.0) == 1.0
+    assert parse("-t").evaluate(2.0) == -2.0
+    assert parse("pi").evaluate(0.0) == pytest.approx(math.pi)
+    assert parse("1e-3*t").evaluate(2000.0) == pytest.approx(2.0)
+    assert parse("exp(0)").evaluate(5.0) == 1.0
 
 
 def test_parse_number_passthrough():
     e = parse(7)
     assert isinstance(e, Num)
-    assert e(123.0) == 7.0
+    assert e.evaluate(123.0) == 7.0
 
 
 def test_vectorized_evaluation():
     e = parse("sin(t) + 2")
     t = np.array([0.0, math.pi / 2.0])
-    assert np.allclose(e(t), [2.0, 3.0])
+    assert np.allclose(e.evaluate(t), [2.0, 3.0])
 
 
 def test_parse_error_positions():
@@ -71,16 +76,17 @@ def test_print_parse_round_trip():
     for text in SAMPLES:
         e = parse(text)
         again = parse(str(e))
-        assert np.allclose(e(ts), again(ts), rtol=0.0, atol=1e-12), text
+        want = e.evaluate(ts)
+        assert np.allclose(again.evaluate(ts), want, rtol=0.0, atol=1e-12), text
 
 
 def test_derivative_examples():
     d = differentiate("0.23*sin(0.5*t)")
     ts = np.linspace(0.0, 10.0, 50)
-    assert np.allclose(d(ts), 0.23 * 0.5 * np.cos(0.5 * ts), atol=1e-12)
-    assert differentiate("t*t")(3.0) == pytest.approx(6.0)
-    assert differentiate("7")(1.0) == 0.0
-    assert differentiate("sqrt(t)")(4.0) == pytest.approx(0.25)
+    assert np.allclose(d.evaluate(ts), 0.23 * 0.5 * np.cos(0.5 * ts), atol=1e-12)
+    assert differentiate("t*t").evaluate(3.0) == pytest.approx(6.0)
+    assert differentiate("7").evaluate(1.0) == 0.0
+    assert differentiate("sqrt(t)").evaluate(4.0) == pytest.approx(0.25)
 
 
 def test_derivative_matches_finite_differences():
@@ -91,8 +97,8 @@ def test_derivative_matches_finite_differences():
     for text in SAMPLES:
         e = parse(text)
         d = differentiate(text)
-        fd = (e(ts + fd_h) - e(ts - fd_h)) / (2.0 * fd_h)
-        got = d(ts)
+        fd = (e.evaluate(ts + fd_h) - e.evaluate(ts - fd_h)) / (2.0 * fd_h)
+        got = d.evaluate(ts)
         assert np.all(np.abs(got - fd) <= 1e-5 * (1.0 + np.abs(fd))), text
 
 
@@ -100,47 +106,62 @@ def test_second_derivatives_are_closed():
     # differentiating twice stays inside the node set and evaluates
     for text in SAMPLES:
         dd = differentiate(differentiate(text))
-        assert np.isfinite(dd(1.2345))
+        assert np.isfinite(dd.evaluate(1.2345))
+
+
+def _walk(m, times):
+    """Reference values (T, rows, cols) of ``m`` by walking each entry's tree."""
+    out = np.empty((len(times),) + m.shape)
+    for i, row in enumerate(m.entries):
+        for j, e in enumerate(row):
+            out[:, i, j] = e.evaluate(times)
+    return out
 
 
 def test_matrix_from_strings_and_eval():
     m = MatrixExpr.from_strings([["sin(t)", "1"], ["0", "t*t"]])
     assert m.shape == (2, 2)
     assert not m.is_constant
-    val = eval_matrix(m, 2.0)
-    assert np.allclose(val, [[math.sin(2.0), 1.0], [0.0, 4.0]])
+    val = m.bind()([2.0])
+    assert val.shape == (1, 2, 2)
+    assert np.allclose(val[0], [[math.sin(2.0), 1.0], [0.0, 4.0]])
 
 
 def test_matrix_bind_matches_eval():
-    m = MatrixExpr.from_strings([["exp(-t)", "t"], ["2*t", "cos(t)"]])
-    fn = m.bind()
-    for t in np.linspace(0.0, 5.0, 11):
-        assert np.allclose(fn(t), eval_matrix(m, t), atol=1e-15)
+    m = MatrixExpr.from_strings(
+        [["exp(-t)", "t", "-t*exp(-t)"], ["2*t", "cos(t) / sqrt(1 + t)", "12/4/3"]]
+    )
+    times = np.linspace(0.0, 5.0, 11)
+    grid = m.bind()(times)
+    assert grid.shape == (11, 2, 3)
+    # the generated source and the tree apply the same ufuncs in the same order
+    assert np.array_equal(grid, _walk(m, times))
+    assert m.bind() is m.bind()
 
 
 def test_matrix_grid_matches_bind():
+    # one call on the whole grid against one call per time
     m = MatrixExpr.from_strings([["exp(-t)", "t"], ["2*t", "cos(t) / sqrt(1 + t)"]])
     times = np.linspace(0.0, 5.0, 11)
-    grid = m.bind_grid()(times)
-    assert grid.shape == (11, 2, 2)
-    fn = m.bind()
+    grid = m.bind()(times)
     for t, val in zip(times, grid):
-        # numpy's vectorized exp may differ from math.exp in the last bit
-        assert np.allclose(val, fn(t), rtol=4e-16, atol=0.0)
+        # a ufunc on many elements may round the last bit unlike one on one
+        assert np.allclose(val, m.bind()([t])[0], rtol=4e-16, atol=0.0)
 
 
 def test_matrix_grid_rejects_non_finite():
     m = MatrixExpr.from_strings([["1", "1 / (t - 2)"]])
     with pytest.raises(NumericalError, match=r"entry \(0,1\).*t=2\.0"):
-        m.bind_grid()(np.array([0.0, 1.0, 2.0, 3.0]))
+        m.bind()(np.array([0.0, 1.0, 2.0, 3.0]))
 
 
 def test_matrix_constant_and_identity():
     c = MatrixExpr.constant([[1.0, 2.0], [3.0, 4.0]])
     assert c.is_constant
-    assert np.allclose(eval_matrix(c, 9.9), [[1.0, 2.0], [3.0, 4.0]])
-    assert np.allclose(eval_matrix(MatrixExpr.identity(3), 0.0), np.eye(3))
-    assert np.allclose(eval_matrix(MatrixExpr.zeros(2, 3), 1.0), np.zeros((2, 3)))
+    assert np.array_equal(c.bind()([9.9, 0.0]), [[[1.0, 2.0], [3.0, 4.0]]] * 2)
+    assert np.array_equal(MatrixExpr.identity(3).bind()([0.0])[0], np.eye(3))
+    assert np.array_equal(MatrixExpr.zeros(2, 3).bind()([1.0])[0], np.zeros((2, 3)))
+    assert MatrixExpr.zeros(2, 3).bind()([]).shape == (0, 2, 3)
 
 
 def test_matrix_shape_validation():
@@ -154,13 +175,12 @@ def test_matrix_product_rule():
     # (M N)' = M' N + M N', checked by values
     m = MatrixExpr.from_strings([["sin(t)", "t"], ["1", "exp(-t)"]])
     n = MatrixExpr.from_strings([["t*t", "0"], ["cos(t)", "2"]])
-    prod = m @ n
-    lhs = prod.derivative()
-    for t in np.linspace(0.1, 4.0, 9):
-        want = eval_matrix(m.derivative(), t) @ eval_matrix(n, t) + eval_matrix(
-            m, t
-        ) @ eval_matrix(n.derivative(), t)
-        assert np.allclose(eval_matrix(lhs, t), want, atol=1e-12)
+    lhs = (m @ n).derivative().bind()
+    ts = np.linspace(0.1, 4.0, 9)
+    want = (
+        m.derivative().bind()(ts) @ n.bind()(ts) + m.bind()(ts) @ n.derivative().bind()(ts)
+    )
+    assert np.allclose(lhs(ts), want, atol=1e-12)
 
 
 def test_matrix_transpose_and_mismatch():
@@ -168,3 +188,29 @@ def test_matrix_transpose_and_mismatch():
     assert m.transpose().shape == (3, 1)
     with pytest.raises(ValueError):
         m @ m
+
+
+def test_bare_string_is_one_entry():
+    m = as_matrix_expr("sin(t)")
+    assert m.shape == (1, 1)
+    assert np.array_equal(m.bind()([0.5])[0, 0], [math.sin(0.5)])
+    assert as_matrix_expr(parse("t")).shape == (1, 1)
+    sys = LtvSystem(a="-1", f=[[1.0]], d=[[1.0]], c="2*t")
+    assert (sys.n, sys.r, sys.m, sys.q) == (1, 1, 1, 1)
+    assert np.array_equal(sys.c.bind()([3.0]), [[[6.0]]])
+
+
+def test_sampler_takes_every_coefficient_form():
+    times = np.array([0.0, 1.0, 2.0])
+    want = np.stack([np.sin(times), 2.0 * times], axis=1)
+    # a column of expressions, its MatrixExpr, and a callable agree
+    for value in (["sin(t)", "2*t"], as_matrix_expr(["sin(t)", "2*t"])):
+        assert np.array_equal(as_sampler(value, (2,))(times), want)
+    fn = as_sampler(lambda t: [[math.sin(t)], [2.0 * t]], (2,))
+    assert np.allclose(fn(times), want, rtol=1e-15, atol=0.0)
+    assert as_sampler(lambda t: np.eye(2) * t)(times).shape == (3, 2, 2)
+    assert np.array_equal(as_sampler(None, (2,))(times), np.zeros((3, 2)))
+    assert np.array_equal(as_sampler([1.0, 2.0], (2,))(times), [[1.0, 2.0]] * 3)
+    assert np.array_equal(as_sampler(-1.5, ())(times), [-1.5] * 3)
+    with pytest.raises(ValueError, match="must have 3 entries"):
+        as_sampler(["t", "1"], (3,))

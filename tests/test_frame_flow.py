@@ -3,11 +3,13 @@
 The references are the per-step loops the flows ran before they shared
 :func:`ltvobs.integrators.frame_flow`: a projected RK4 step that
 re-orthonormalizes by modified Gram-Schmidt with ``np.tril`` as the skew
-rule, one matrix evaluation per stage through ``bind``, and, for the
-closed-loop triangularization, one ``joint_rk4_step`` of the observer
-frame and the full frame per grid step with the gain recomputed inside
-every stage.
+rule, and, for the closed-loop triangularization, one ``joint_rk4_step``
+of the observer frame and the full frame per grid step with the gain
+recomputed inside every stage.  Their matrices are evaluated once, on the
+arrays of grid and stage times.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from ltvobs.integrators import StepConfig, joint_rk4_step
 from ltvobs.linalg import mgs_qr
 from ltvobs.lyapunov import default_frame, estimate_spectrum
 from ltvobs.observer import ObserverConfig, _gain_basis, frame_track
+from conftest import rk4_stage_times
 from test_cli import TOY, write_scenario
 
 
@@ -46,24 +49,20 @@ def mgs_step(a1, a2, a4, t, q, h):
     return qn
 
 
-def sequential_flow(a_fn, q, cfg):
-    """Grid frames and grid matrices of the flow, one step per call."""
-    h = cfg.h
-    a_cur = a_fn(cfg.t0)
-    frames, mats = [q], [a_cur]
+def sequential_flow(a, q, cfg):
+    """Grid frames and grid matrices of the flow of ``a``, one step per call."""
+    h, t = cfg.h, cfg.grid()
+    mats, mids = a.bind()(t), a.bind()(t[:-1] + 0.5 * h)
+    frames = [q]
     for i in range(cfg.n_steps):
-        t = cfg.time(i)
-        a_next = a_fn(cfg.time(i + 1))
-        q = mgs_step(a_cur, a_fn(t + 0.5 * h), a_next, t, q, h)
-        a_cur = a_next
+        q = mgs_step(mats[i], mids[i], mats[i + 1], t[i], q, h)
         frames.append(q)
-        mats.append(a_cur)
-    return np.asarray(frames), np.asarray(mats)
+    return np.asarray(frames), mats
 
 
-def reference_spectrum(a_fn, q, cfg):
+def reference_spectrum(a, q, cfg):
     """Step-by-step trapezoid integrals of diag(Q^T A Q)."""
-    frames, mats = sequential_flow(a_fn, q, cfg)
+    frames, mats = sequential_flow(a, q, cfg)
     b = np.einsum("tij,tij->tj", frames, mats @ frames)
     integrals = np.zeros(q.shape[1])
     for i in range(cfg.n_steps):
@@ -71,36 +70,40 @@ def reference_spectrum(a_fn, q, cfg):
     return integrals, b, frames
 
 
-def reference_triangularize(a_fn, n, cfg):
-    frames, mats = sequential_flow(a_fn, np.eye(n), cfg)
+def reference_triangularize(a, n, cfg):
+    frames, mats = sequential_flow(a, np.eye(n), cfg)
     w = frames.transpose(0, 2, 1) @ mats @ frames
     return w - np.stack([_skew(x) for x in w]), frames
 
 
 def reference_error_triangularize(sys, conf):
     """Observer frame and full frame stepped jointly, gain per stage."""
-    a_fn, c_fn = sys.a.bind(), sys.c.bind()
     cfg, p = conf.step, conf.p
+    t_grid = cfg.grid()
+    t_stage = rk4_stage_times(t_grid, cfg.h)
+    a_st, c_st = sys.a.bind()(t_stage), sys.c.bind()(t_stage)
+    a_gr, c_gr = sys.a.bind()(t_grid), sys.c.bind()(t_grid)
+    stage = itertools.count()
 
-    def a_err(t, q_obs):
-        a_val, c_val = a_fn(t), c_fn(t)
+    def a_err(a_val, c_val, q_obs):
         qt, _ = _gain_basis(c_val, q_obs)
-        return a_val - p * (q_obs @ (qt.T @ c_val.T)) @ c_val, a_val
+        return a_val - p * (q_obs @ (qt.T @ c_val.T)) @ c_val
 
     def rhs(t, states):
         q_o, q_f = states
-        m_err, a_val = a_err(t, q_o)
-        return [_frame_rhs(a_val, q_o), _frame_rhs(m_err, q_f)]
+        i = next(stage)
+        m_err = a_err(a_st[i], c_st[i], q_o)
+        return [_frame_rhs(a_st[i], q_o), _frame_rhs(m_err, q_f)]
 
-    def b_of(t, q_o, q_f):
-        w = q_f.T @ a_err(t, q_o)[0] @ q_f
+    def b_of(i, q_o, q_f):
+        w = q_f.T @ a_err(a_gr[i], c_gr[i], q_o) @ q_f
         return w - _skew(w)
 
     q_obs, qq = conf.initial_frame(sys.n), np.eye(sys.n)
-    bs, qs = [b_of(cfg.t0, q_obs, qq)], [qq]
+    bs, qs = [b_of(0, q_obs, qq)], [qq]
     for i in range(cfg.n_steps):
-        q_obs, qq = joint_rk4_step(rhs, cfg.time(i), [q_obs, qq], cfg.h, project=(0, 1))
-        bs.append(b_of(cfg.time(i + 1), q_obs, qq))
+        q_obs, qq = joint_rk4_step(rhs, t_grid[i], [q_obs, qq], cfg.h, project=(0, 1))
+        bs.append(b_of(i + 1, q_obs, qq))
         qs.append(qq)
     return np.asarray(bs), np.asarray(qs)
 
@@ -125,9 +128,7 @@ def test_spectrum_matches_sequential(scenarios, name):
     scen, cfg = scenarios[name]
     k = min(3, scen.sys.n)
     est = estimate_spectrum(scen.sys.a, k, cfg)
-    integrals, b, frames = reference_spectrum(
-        scen.sys.a.bind(), default_frame(scen.sys.n, k), cfg
-    )
+    integrals, b, frames = reference_spectrum(scen.sys.a, default_frame(scen.sys.n, k), cfg)
     assert _rel(est.integrals, integrals) <= 1e-10
     assert _rel(est.history_b, b[1:]) <= 1e-10
     assert _rel(est.q_final, frames[-1]) <= 1e-10
@@ -138,7 +139,7 @@ def test_spectrum_matches_sequential(scenarios, name):
 def test_open_loop_triangularize_matches_sequential(scenarios, name):
     scen, cfg = scenarios[name]
     tri = triangularize(scen.sys.a, cfg)
-    b, frames = reference_triangularize(scen.sys.a.bind(), scen.sys.n, cfg)
+    b, frames = reference_triangularize(scen.sys.a, scen.sys.n, cfg)
     assert np.array_equal(tri.t, cfg.grid())
     assert _rel(tri.b, b) <= 1e-10
     assert _rel(tri.frames, frames) <= 1e-10
@@ -149,9 +150,9 @@ def test_k2_track_matches_sequential(scenarios, name):
     scen, cfg = scenarios[name]
     conf = ObserverConfig(p=scen.observer_p, k=2, step=cfg)
     track = frame_track(scen.sys, conf)
-    frames, mats = sequential_flow(scen.sys.a.bind(), conf.initial_frame(scen.sys.n), cfg)
-    c_fn = scen.sys.c.bind()
-    r_diag = np.array([_gain_basis(c_fn(t), q)[1] for t, q in zip(track.t, frames)])
+    frames, mats = sequential_flow(scen.sys.a, conf.initial_frame(scen.sys.n), cfg)
+    c_val = scen.sys.c.bind()(track.t)
+    r_diag = np.array([_gain_basis(c, q)[1] for c, q in zip(c_val, frames)])
     assert _rel(track.frames, frames) <= 1e-10
     assert _rel(track.b_diag, np.einsum("tij,tij->tj", frames, mats @ frames)) <= 1e-10
     assert _rel(track.r_diag, r_diag) <= 1e-10
@@ -190,8 +191,8 @@ def test_closed_loop_long_horizon_integrals_and_trace():
     assert np.all(np.abs(integrals - ref_integrals) <= 1e-5 * np.abs(ref_integrals))
 
     track = frame_track(scen.sys, conf)
-    a_fn, c_fn = scen.sys.a.bind(), scen.sys.c.bind()
-    for t, q, b_t in zip(track.t, track.frames, tri.b):
-        qt, _ = _gain_basis(c_fn(t), q)
-        m = a_fn(t) - conf.p * (q @ (qt.T @ c_fn(t).T)) @ c_fn(t)
+    a_val, c_val = scen.sys.a.bind()(track.t), scen.sys.c.bind()(track.t)
+    for a, c, q, b_t in zip(a_val, c_val, track.frames, tri.b):
+        qt, _ = _gain_basis(c, q)
+        m = a - conf.p * (q @ (qt.T @ c.T)) @ c
         assert abs(np.trace(b_t) - np.trace(m)) <= 1e-10 * max(1.0, abs(np.trace(m)))

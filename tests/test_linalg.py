@@ -116,6 +116,22 @@ def test_numerical_rank_examples():
     assert numerical_rank(np.diag([1.0, 0.5]), tol=0.6) == 1
 
 
+def test_numerical_rank_stack_matches_single(rng):
+    # one stacked SVD, each matrix with its own default tolerance
+    x = rng.standard_normal((12, 5, 3))
+    x[2, :, 2] = x[2, :, 0] - x[2, :, 1]  # rank 2
+    x[4] = 0.0
+    x[7] *= 1e-12  # scaled down: the relative tolerance keeps rank 3
+    x[9] = np.outer(rng.standard_normal(5), rng.standard_normal(3))  # rank 1
+    ranks = numerical_rank(x)
+    assert ranks.shape == (12,)
+    assert [int(v) for v in ranks] == [numerical_rank(m) for m in x]
+    assert (ranks[2], ranks[4], ranks[7], ranks[9]) == (2, 0, 3, 1)
+    assert np.array_equal(numerical_rank(x.reshape(3, 4, 5, 3)), ranks.reshape(3, 4))
+    assert np.array_equal(numerical_rank(np.zeros((6, 4, 0))), np.zeros(6, dtype=int))
+    assert numerical_rank(np.zeros((0, 4, 2))).shape == (0,)
+
+
 def test_pinv_examples():
     assert np.allclose(pinv(np.array([[2.0, 0.0], [0.0, 0.0]])), [[0.5, 0.0], [0.0, 0.0]])
     assert np.allclose(pinv(np.eye(3)), np.eye(3))

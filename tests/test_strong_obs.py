@@ -6,7 +6,8 @@ import pytest
 from ltvobs.errors import NumericalError, StepPreconditionError
 from ltvobs.expr import MatrixExpr
 from ltvobs.integrators import StepConfig
-from ltvobs.linalg import numerical_rank
+from ltvobs.cli import _resolve_scenario
+from ltvobs.linalg import numerical_rank, orthogonal_projector_complement
 from ltvobs.observer import ObserverConfig, gain_snapshots
 from ltvobs.strong_obs import (
     ErrorStackSampler,
@@ -57,9 +58,8 @@ def test_double_integrator_load_channel_is_so():
     stack = build_stack(sys)
     assert stack.nu == 2
     assert stack.q0_rank == 2
-    t = 0.7
-    assert np.allclose(stack.r_nu.bind()(t), np.eye(2))
-    assert np.allclose(stack.j_nu.bind()(t), np.zeros((2, 1)))
+    assert np.allclose(stack.r_nu.bind()([0.7]), np.eye(2))
+    assert np.allclose(stack.j_nu.bind()([0.7]), np.zeros((2, 1)))
     verdict = strong_observability_test(stack)
     assert verdict.ok
     assert np.all(verdict.rank_s == 2) and np.all(verdict.rank_s_star == 2)
@@ -68,13 +68,39 @@ def test_double_integrator_load_channel_is_so():
     assert np.allclose(rmap.reconstruct(0.3, [1.5, -2.0]), [1.5, -2.0])
 
 
+@pytest.mark.parametrize("name", ["load_channel", "full_output", "bench8"])
+def test_h_eig_history_matches_per_probe(name):
+    # the stacked projector and eigvalsh against one projector and one
+    # eigvalsh per probe; with both outputs measured nu = 1 and J is empty
+    systems = {
+        "load_channel": lambda: double_integrator([0.0, 1.0]),
+        "full_output": lambda: LtvSystem(
+            a=[[0.0, 1.0], [0.0, 0.0]], f=[[0.0], [1.0]], d=[[0.0], [1.0]], c=np.eye(2)
+        ),
+        "bench8": lambda: _resolve_scenario("bench8").sys,
+    }
+    stack = build_stack(systems[name]())
+    assert (stack.j_nu is None) == (name == "full_output")
+    rmap = ReconstructionMap(stack)
+    r_val = stack.r_nu.bind()(rmap.probe_times)
+    if stack.j_nu is None:
+        j_val = np.zeros((rmap.probe_times.size, r_val.shape[1], 0))
+    else:
+        j_val = stack.j_nu.bind()(rmap.probe_times)
+    want = []
+    for r_i, j_i in zip(r_val, j_val):
+        kr = orthogonal_projector_complement(j_i) @ r_i
+        want.append(np.linalg.eigvalsh(kr.T @ kr)[0])
+    assert np.array_equal(rmap.h_eig_history, want)
+
+
 def test_double_integrator_output_channel_not_so():
     # the unknown input feeds the measured state directly: its effect is
     # indistinguishable from a state contribution at every depth
     sys = double_integrator([1.0, 0.0])
     stack = build_stack(sys)
     assert stack.nu == 2
-    assert np.allclose(stack.j_nu.bind()(0.0), [[0.0], [1.0]])
+    assert np.allclose(stack.j_nu.bind()([0.0]), [[0.0], [1.0]])
     verdict = strong_observability_test(stack)
     assert not verdict.ok
     with pytest.raises(StepPreconditionError) as info:
@@ -94,11 +120,11 @@ def test_stack_matches_lti_markov_parameters(rng):
         stack = build_stack(sys)
         for (al, be), entry in stack.d_table.items():
             want = c @ np.linalg.matrix_power(a, al - 1 - be) @ d
-            assert np.allclose(entry.bind()(0.0), want, atol=1e-10), (al, be)
+            assert np.allclose(entry.bind()([0.0]), want, atol=1e-10), (al, be)
         r_want, j_want = lti_stack_oracle(a, c, d, stack.nu)
-        assert np.allclose(stack.r_nu.bind()(3.3), r_want, atol=1e-9)
+        assert np.allclose(stack.r_nu.bind()([3.3]), r_want, atol=1e-9)
         if stack.j_nu is not None:
-            assert np.allclose(stack.j_nu.bind()(3.3), j_want, atol=1e-9)
+            assert np.allclose(stack.j_nu.bind()([3.3]), j_want, atol=1e-9)
 
 
 def test_verdicts_match_brute_force_oracle(rng):
@@ -130,15 +156,16 @@ def test_time_varying_stack_row():
     )
     stack = build_stack(sys)
     assert stack.nu == 2
-    c1 = stack.c_list[1].bind()
-    for t in (0.0, 1.0, 2.5):
-        assert np.allclose(c1(t), [[0.0, 1.0 + 0.5 * np.sin(t)]], atol=1e-12)
+    ts = np.array([0.0, 1.0, 2.5])
+    c1 = stack.c_list[1].bind()(ts)
+    assert np.allclose(c1[:, 0, 0], 0.0)
+    assert np.allclose(c1[:, 0, 1], 1.0 + 0.5 * np.sin(ts), atol=1e-12)
     rmap = ReconstructionMap(stack)
-    r_fn = stack.r_nu.bind()
+    ts = np.array([0.1, 4.0, 8.0])
     rng = np.random.default_rng(2)
-    for t in (0.1, 4.0, 8.0):
+    for t, r_val in zip(ts, stack.r_nu.bind()(ts)):
         x = rng.standard_normal(2)
-        assert np.allclose(rmap.reconstruct(t, r_fn(t) @ x), x, atol=1e-9)
+        assert np.allclose(rmap.reconstruct(t, r_val @ x), x, atol=1e-9)
 
 
 def test_rank_profile_must_be_constant():
@@ -171,11 +198,11 @@ def test_reconstruction_is_linear(toy2):
 def test_error_stack_sampler_matches_symbolic_at_zero_gain(toy2):
     stack = build_stack(toy2)
     sampler = ErrorStackSampler(toy2)
-    r_fn, j_fn = stack.r_nu.bind(), stack.j_nu.bind()
-    for t in (0.0, 1.0, 3.7):
+    ts = np.array([0.0, 1.0, 3.7])
+    for t, r_val, j_val in zip(ts, stack.r_nu.bind()(ts), stack.j_nu.bind()(ts)):
         r_e, j_e = sampler.matrices(t, np.zeros((2, 1)))
-        assert np.allclose(r_e, r_fn(t), atol=1e-12)
-        assert np.allclose(j_e, j_fn(t), atol=1e-12)
+        assert np.allclose(r_e, r_val, atol=1e-12)
+        assert np.allclose(j_e, j_val, atol=1e-12)
 
 
 def test_error_stack_sampler_reconstructs_error(toy2):
