@@ -34,6 +34,7 @@ __all__ = [
     "triangularize",
     "triangularize_error_system",
     "ScalarCertificate",
+    "check_epsilon",
     "scalar_bibs_certificate",
     "ComponentCertificate",
     "GeneralCertificate",
@@ -75,7 +76,7 @@ def _triangular_flow(stages, n, cfg):
     n_steps = cfg.n_steps
     stride = history_stride(n_steps)
     ts, bs, qs = [], [], []
-    for lo, hi, grid, frames in frame_flow(stages, np.eye(n), cfg):
+    for lo, hi, grid, frames, _ in frame_flow(stages, np.eye(n), cfg):
         index = np.arange(lo, hi + 1)
         keep = (index % stride == 0) | (index == n_steps)
         if lo > 0:
@@ -150,9 +151,15 @@ class ScalarCertificate:
         return self.bound_factor * (abs(z0_abs) + f_bar * self.input_gain)
 
 
-def _certify_series(t, vals, epsilon, strong_tol):
+def check_epsilon(epsilon):
+    """Return the certificate margin, or raise ValueError unless finite and > 0."""
     if not (epsilon > 0.0 and np.isfinite(epsilon)):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    return epsilon
+
+
+def _certify_series(t, vals, epsilon, strong_tol):
+    check_epsilon(epsilon)
     span = t[-1] - t[0]
     lam = np.trapezoid(vals, t) / span
     pos = np.maximum(vals + epsilon, 0.0)

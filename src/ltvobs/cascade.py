@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NumericalError, StepPreconditionError
 from .hosm import DEFAULT_GAINS, BankRun, estimate_lipschitz, run_bank
-from .integrators import CHUNK_STEPS
+from .integrators import CHUNK_STEPS, rk4_propagators
 from .observer import (
     ObserverConfig,
     detectability_report,
@@ -173,24 +173,6 @@ def _matvec(m, v):
     return (m @ v[..., None])[..., 0]
 
 
-def _rk4_affine(m, b, h):
-    """Fold four RK4 stages of dz/dt = M_s z + b_s into z -> Phi z + psi.
-
-    ``m`` (4, T, d, d) and ``b`` (4, T, d) hold the stage values of T
-    steps; returns Phi (T, d, d) and psi (T, d).
-    """
-    p_prev, c_prev = m[0], b[0]
-    p_sum, c_sum = p_prev.copy(), c_prev.copy()
-    for s, (frac, weight) in enumerate(((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)), 1):
-        p_prev = m[s] + (frac * h) * (m[s] @ p_prev)
-        c_prev = b[s] + (frac * h) * _matvec(m[s], c_prev)
-        p_sum += weight * p_prev
-        c_sum += weight * c_prev
-    phi = (h / 6.0) * p_sum
-    phi += np.eye(m.shape[-1])
-    return phi, (h / 6.0) * c_sum
-
-
 def _simulate(run, track, eta, record_gain, record_eydot):
     """RK4 integration of plant and observer copy along a frame track.
 
@@ -251,8 +233,8 @@ def _simulate(run, track, eta, record_gain, record_eydot):
         b = np.empty((4 * count, 2 * n))
         b[:, :n] = drive + _matvec(d_s, stages(w_fn(t_g), w_fn(t_m)))
         b[:, n:] = drive + _matvec(l_s, np.tile(eta[lo:hi], (4, 1)))
-        phi, psi = _rk4_affine(
-            m.reshape(4, count, 2 * n, 2 * n), b.reshape(4, count, 2 * n), h
+        phi, psi = rk4_propagators(
+            m.reshape(4, count, 2 * n, 2 * n), h, b.reshape(4, count, 2 * n)
         )
         for j in range(count):
             z = phi[j] @ z + psi[j]

@@ -380,6 +380,9 @@ def cmd_spectrum(scen, args, outdir):
         "exponents_by_direction": [float(v) for v in est.exponents_by_direction],
         "nonstable_dimension": int(nonstable_dimension(est)),
         "max_orth_defect": float(est.max_orth_defect),
+        "log_r_gap": float(
+            np.max(np.abs(est.exponents_log_r - est.exponents_by_direction))
+        ),
         "forward_regular": bool(reg.forward_regular),
         "strong_regular": bool(reg.strong_regular),
     }
@@ -560,6 +563,7 @@ def cmd_reconstruct(scen, args, outdir):
 
 
 def cmd_bibs(scen, args, outdir):
+    epsilon = bibs_mod.check_epsilon(float(args.epsilon))
     step = _run_step_config(scen, args)
     if args.closed_loop:
         conf = _observer_config(scen, args, step)
@@ -572,7 +576,7 @@ def cmd_bibs(scen, args, outdir):
         subject = "system matrix"
     cert = bibs_mod.general_bibs_certificate(
         tri,
-        epsilon=float(args.epsilon),
+        epsilon=epsilon,
         d=scen.sys.d,
         w_bound=scen.sys.w_bound,
         x0=x0,

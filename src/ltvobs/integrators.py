@@ -1,24 +1,27 @@
-"""Fixed-step integrators: classic RK4 and the projected frame flow.
+"""Fixed-step integrators: classic RK4 and the QR frame flow.
 
-The frame step advances an orthonormal n-by-k matrix along
+The frame flow follows an orthonormal n-by-k matrix along
 
-    dQ/dt = (I - Q Q^T) A(t) Q + Q S(Q^T A Q)
+    dQ/dt = (I - Q Q^T) A(t) Q + Q S(Q^T A Q),
 
-with the skew term S evaluated inside every RK4 stage from that stage's
-frame, then snaps the result back onto the Stiefel manifold with one
-Cholesky-QR retraction.  Projecting once per step (not per stage)
-keeps the stage combination a genuine 4th-order rule while holding the
-orthonormality defect at round-off.  ``projected_rk4_stages`` rebuilds the
-unprojected stage frames of many such steps at once from their start
-frames, for the callers that need the frame inside every stage.
+whose solution is exactly the Q factor of ``Phi(t, t0) Q0`` with
+``Phi`` the transition matrix of ``dx/dt = A x``.  :func:`frame_flow`
+therefore runs the discrete QR method (Dieci, Russell & Van Vleck, SIAM
+J. Numer. Anal. 1997): per chunk of ``CHUNK_STEPS`` steps it folds every
+step's RK4 stages into a propagator ``Phi_i`` with stacked products
+(:func:`rk4_propagators`), applies ``X <- Phi_i X`` in a tight loop and
+re-orthonormalizes the recorded block with one batched Householder QR.
+The diagonal of each step's R factor gives the log growth of every
+direction, a second exponent estimate next to the diag(Q^T A Q) average.
 
-Every QR flow in the package runs through :func:`frame_flow`: per chunk of
-``CHUNK_STEPS`` steps it takes the stage matrices as one stack from a stage
-source, steps the frame, and hands the chunk's grid frames back so the
-caller records its diagnostics with batched numpy.  :func:`system_stages`
-is the source of the flow under a system matrix A(t); a caller whose
-stage matrices differ (the closed-loop error matrix, whose gain follows
-the observer frame inside each stage) supplies its own.
+:func:`projected_rk4_step` is the continuous form of the same flow, one
+projected RK4 step at a time; ``projected_rk4_stages`` rebuilds its
+unprojected stage frames for many steps at once from their start frames,
+for the callers that need the frame inside every RK4 stage.
+:func:`system_stages` is the stage source of the flow under a system
+matrix A(t); a caller whose stage matrices differ (the closed-loop error
+matrix, whose gain follows the observer frame inside each stage) supplies
+its own.
 """
 
 import functools
@@ -36,6 +39,7 @@ __all__ = [
     "skew_rule",
     "projected_rk4_step",
     "projected_rk4_stages",
+    "rk4_propagators",
     "system_stages",
     "frame_flow",
     "joint_rk4_step",
@@ -207,29 +211,97 @@ def system_stages(a, cfg):
     return shape[0], stages
 
 
+def rk4_propagators(m, h, b=None):
+    """Fold the RK4 stages of ``dz/dt = M_s z + b_s`` into per-step maps.
+
+    ``m`` holds the stage matrices of T steps: three stacks
+    ``(M(t), M(t + h/2), M(t + h))``, or four, one per RK4 stage, each
+    (T, d, d).  Returns ``Phi`` (T, d, d), one RK4 step of ``dz/dt = M z``
+    applied to the identity.  With the stage drives ``b`` (4, T, d) it
+    returns ``(Phi, psi)``, psi (T, d), so that each step is the affine
+    map ``z -> Phi z + psi``.
+    """
+    if len(m) == 3:
+        m = (m[0], m[1], m[1], m[2])
+    p_prev = m[0]
+    p_sum = p_prev.copy()
+    if b is not None:
+        c_prev = b[0]
+        c_sum = c_prev.copy()
+    for s, (frac, weight) in enumerate(((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)), 1):
+        p_prev = m[s] + (frac * h) * (m[s] @ p_prev)
+        p_sum += weight * p_prev
+        if b is not None:
+            c_prev = b[s] + (frac * h) * (m[s] @ c_prev[..., None])[..., 0]
+            c_sum += weight * c_prev
+    phi = (h / 6.0) * p_sum
+    phi += np.eye(m[0].shape[-1])
+    if b is None:
+        return phi
+    return phi, (h / 6.0) * c_sum
+
+
 def frame_flow(stages, q, cfg, n_steps=None):
-    """Step the frame ``q`` over the grid of ``cfg``, one chunk at a time.
+    """Step the frame ``q`` over the grid of ``cfg`` by the discrete QR method.
 
     ``stages(lo, hi)`` returns the matrices at grid points ``lo .. hi``
     (T + 1, n, n), which the caller records with, and the stage stacks of
     steps ``lo .. hi - 1``: three ``(A(t), A(t + h/2), A(t + h))`` or four,
-    one per RK4 stage, each (T, n, n).  Each step is one
-    :func:`projected_rk4_step`.  Yields
-    ``(lo, hi, grid, frames)`` per chunk of at most ``CHUNK_STEPS`` steps,
-    ``frames`` (T + 1, n, k) holding the frames at grid points ``lo .. hi``.
-    Runs the first ``n_steps`` steps (default all).
+    one per RK4 stage, each (T, n, n).  Per chunk of at most
+    ``CHUNK_STEPS`` steps the stages fold into propagators ``Phi_i``
+    (:func:`rk4_propagators`) and ``X <- Phi_i X`` runs from the last
+    frame.  Every block of ``b`` steps is re-orthonormalized by one batched
+    QR, ``X_j = Q_j R_j`` with diag R >= 0, and the next block starts from
+    its last Q.  ``b = floor(1 / (h max ||M||_1))`` over the chunk's stage
+    matrices, between 1 and T, bounds the norm of every product of a
+    block's propagators and of its inverse by about e, so cond(X) stays
+    below about e^2.
+
+    Yields ``(lo, hi, grid, frames, log_r)`` per chunk: ``frames``
+    (T + 1, n, k) holds the frames at grid points ``lo .. hi`` and
+    ``log_r`` (T, k) each step's ``log diag R_i`` in
+    ``Q_{i+1} R_i = Phi_i Q_i``.  Runs the first ``n_steps`` steps
+    (default all).  Raises :class:`NumericalError` naming the step time
+    when a block turns non-finite, or when a pivot ``|r_jj|`` is at or
+    below 1e-8 times the largest column norm of its matrix.
     """
     n_steps = cfg.n_steps if n_steps is None else n_steps
     h = cfg.h
     for lo in range(0, n_steps, CHUNK_STEPS):
         hi = min(lo + CHUNK_STEPS, n_steps)
+        count = hi - lo
         grid, stacks = stages(lo, hi)
-        frames = np.empty((hi - lo + 1,) + q.shape)
+        phi = rk4_propagators(stacks, h)
+        growth = h * max(float(np.abs(s).sum(axis=-2).max()) for s in stacks)
+        # a non-finite growth keeps the whole chunk; the block check names it
+        block = max(1, int(1.0 / growth)) if growth * count > 1.0 else count
+        frames = np.empty((count + 1,) + q.shape)
+        log_r = np.empty((count, q.shape[1]))
         frames[0] = q
-        for j in range(hi - lo):
-            q = projected_rk4_step(cfg.time(lo + j), q, h, [s[j] for s in stacks])
-            frames[j + 1] = q
-        yield lo, hi, grid, frames
+        for start in range(0, count, block):
+            stop = min(start + block, count)
+            for j in range(start, stop):
+                np.matmul(phi[j], frames[j], out=frames[j + 1])
+            x = frames[start + 1 : stop + 1]
+            finite = np.isfinite(x).all(axis=(1, 2))
+            if not finite.all():
+                bad = lo + start + int(np.argmin(finite))
+                raise NumericalError(f"non-finite frame flow at t={cfg.time(bad)}")
+            qx, r = np.linalg.qr(x)
+            d = np.diagonal(r, axis1=1, axis2=2)
+            pivots = np.abs(d)
+            scale = np.sqrt((x * x).sum(axis=1)).max(axis=1)
+            collapse = (pivots <= 1e-8 * scale[:, None]).any(axis=1)
+            if collapse.any():
+                j = int(np.argmax(collapse))
+                raise NumericalError(
+                    f"frame rank collapse at t={cfg.time(lo + start + j)}: "
+                    f"pivots {pivots[j]}"
+                )
+            np.multiply(qx, np.where(d < 0.0, -1.0, 1.0)[:, None, :], out=x)
+            log_r[start:stop] = np.diff(np.log(pivots), axis=0, prepend=0.0)
+        q = frames[-1]
+        yield lo, hi, grid, frames, log_r
 
 
 def joint_rk4_step(rhs, t, states, h, project=()):

@@ -1,12 +1,14 @@
-"""Lyapunov-spectrum approximation by a continuous QR flow.
+"""Lyapunov-spectrum approximation by the QR flow.
 
-An orthonormal n-by-k frame follows the projected flow from
+An orthonormal n-by-k frame follows the QR flow of
 :mod:`ltvobs.integrators`; the time averages of the diagonal entries
 ``B_ii = Q_i^T A Q_i`` converge to the k leading Lyapunov exponents for
-almost every starting frame.  Regularity of the underlying system is
-judged from the same diagonal series: forward regularity from the spread
-of the running averages over the tail of the horizon, and the stronger
-integral condition from the tail mass of the epsilon-shifted diagonal.
+almost every starting frame.  The summed log diagonals of the flow's R
+factors estimate the same exponents by a second route.  Regularity of the
+underlying system is judged from the diagonal series: forward regularity
+from the spread of the running averages over the tail of the horizon, and
+the stronger integral condition from the tail mass of the epsilon-shifted
+diagonal.
 """
 
 from dataclasses import dataclass, field
@@ -40,11 +42,15 @@ class SpectrumEstimate:
 
     ``exponents`` is sorted non-increasing; ``exponents_by_direction``
     keeps the frame-column order used by the histories and by the
-    detectability pairing.
+    detectability pairing.  ``exponents_log_r`` are the same directions'
+    exponents from the summed ``log diag R`` of the flow's QR steps; they
+    differ from the diag(Q^T A Q) averages only by the integration error,
+    so their gap checks the propagators.
     """
 
     exponents: np.ndarray
     exponents_by_direction: np.ndarray
+    exponents_log_r: np.ndarray
     integrals: np.ndarray
     q_final: np.ndarray
     history_t: np.ndarray
@@ -100,11 +106,13 @@ def estimate_spectrum(a, k, cfg, q0=None):
     stride = history_stride(n_steps)
 
     integrals = np.zeros(k)
+    log_growth = np.zeros(k)
     eye_k = np.eye(k)
     max_defect = 0.0
     hist_t, hist_lam, hist_b = [], [], []
 
-    for lo, hi, grid, frames in frame_flow(stages, q, cfg):
+    for lo, hi, grid, frames, log_r in frame_flow(stages, q, cfg):
+        log_growth += log_r.sum(axis=0)
         b = np.einsum("tij,tij->tj", frames, grid @ frames)
         steps = (0.5 * h) * (b[:-1] + b[1:])
         running = np.cumsum(np.concatenate([integrals[None], steps]), axis=0)[1:]
@@ -123,6 +131,7 @@ def estimate_spectrum(a, k, cfg, q0=None):
     return SpectrumEstimate(
         exponents=np.sort(by_direction)[::-1],
         exponents_by_direction=by_direction,
+        exponents_log_r=log_growth / cfg.horizon,
         integrals=integrals.copy(),
         q_final=q,
         history_t=np.concatenate(hist_t),

@@ -210,7 +210,7 @@ def frame_track(sys: LtvSystem, conf: ObserverConfig, n_steps=None):
     _, stages = system_stages(sys.a, cfg)
     frames[0] = conf.initial_frame(n)
     diagnose(0, 1, sys.a.bind()(t[:1]))
-    for lo, hi, grid, chunk in frame_flow(stages, frames[0], cfg, n_steps):
+    for lo, hi, grid, chunk, _ in frame_flow(stages, frames[0], cfg, n_steps):
         frames[lo + 1 : hi + 1] = chunk[1:]
         diagnose(lo + 1, hi + 1, grid[1:])
     return FrameTrack(

@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+from ltvobs.errors import NumericalError
+from ltvobs.linalg import mgs_qr
 from ltvobs.system import LtvSystem
 
 
@@ -52,6 +54,28 @@ def rk4_stage_times(t_grid, h):
     array evaluation by counting its stage calls.
     """
     return (t_grid[:-1, None] + np.array([0.0, 0.5 * h, 0.5 * h, h])).ravel()
+
+
+def rk4_propagator(m1, m2, m3, m4, h):
+    """One RK4 step of dx/dt = M x from the identity, stage by stage."""
+    eye = np.eye(m1.shape[0])
+    k1 = m1
+    k2 = m2 @ (eye + (0.5 * h) * k1)
+    k3 = m3 @ (eye + (0.5 * h) * k2)
+    k4 = m4 @ (eye + h * k3)
+    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def discrete_qr_step(phi, q, t):
+    """One step of the discrete QR method, Q_next R = Phi Q, by Gram-Schmidt.
+
+    Returns the next frame and log diag R.
+    """
+    qn, r = mgs_qr(phi @ q)
+    d = np.diag(r)
+    if not (np.all(np.isfinite(qn)) and np.all(d > 1e-8)):
+        raise NumericalError(f"frame rank collapse at t={t}: pivots {d}")
+    return qn, np.log(d)
 
 
 @pytest.fixture

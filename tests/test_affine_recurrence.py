@@ -4,8 +4,11 @@ The reference is the per-step integration the cascade used before it
 stepped plant and observer as an affine recurrence: one joint RK4 step of
 (x, x~, Q) per grid step through the public ``joint_rk4_step``, the gain
 recomputed inside every stage from that stage's frame, and one
-reconstruction solve per sample.  Its matrices are evaluated once, on the
-arrays of grid and stage times, and read in stage order.
+reconstruction solve per sample.  The grid frame then takes the per-step
+discrete QR step ``Q <- mgs_qr(Phi_i Q)`` of the frame flow, so the stage
+frames start from the frames the package's flow produces.  Its matrices
+are evaluated once, on the arrays of grid and stage times, and read in
+stage order.
 """
 
 import itertools
@@ -27,11 +30,15 @@ from ltvobs.observer import ObserverConfig, _gain_basis, frame_track
 from ltvobs.strong_obs import ErrorStackSampler, _solve_normal
 from ltvobs.system import as_sampler
 
-from conftest import rk4_stage_times
+from conftest import discrete_qr_step, rk4_propagator, rk4_stage_times
 
 
 def reference_simulate(run, eta, record_eydot):
-    """Sequential joint RK4 of plant, observer and frame; records stage frames."""
+    """Sequential joint RK4 of plant and observer; records stage frames.
+
+    The frame rides in the joint step for its stage frames, and its grid
+    frame comes from the discrete QR step under A's stage matrices.
+    """
     sys, conf = run.sys, run.observer
     step = conf.step
     n, r = sys.n, sys.r
@@ -89,7 +96,9 @@ def reference_simulate(run, eta, record_eydot):
     record(0)
     for i in range(size - 1):
         noise = eta[i]
-        x, xt, q = joint_rk4_step(rhs, t_grid[i], [x, xt, q], step.h, project=(2,))
+        x, xt, _ = joint_rk4_step(rhs, t_grid[i], [x, xt, q], step.h)
+        phi = rk4_propagator(*a_st[4 * i : 4 * i + 4], step.h)
+        q, _ = discrete_qr_step(phi, q, t_grid[i])
         record(i + 1)
     frames = np.asarray(stage_frames).reshape(size - 1, 4, n, conf.k)
     return t_grid, x_rec, xt_rec, ey_rec, l_rec, eyd_rec, frames

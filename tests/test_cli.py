@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from ltvobs import bibs, integrators, lyapunov, observer
 from ltvobs.cli import _resolve_scenario, _write_csv, load_scenario, main
 from ltvobs.errors import ScenarioError
 
@@ -128,23 +129,29 @@ def test_detect_outputs(tmp_path, capsys):
     assert d["mu_hat"] == pytest.approx(d["lambda_hat"] - 8.0 * d["r_bar"], abs=1e-12)
 
 
-def test_detect_sweep(tmp_path, capsys, monkeypatch):
-    import ltvobs.integrators as integrators
-
-    steps = []
-    step_fn = integrators.projected_rk4_step
+def count_flows(monkeypatch):
+    """Record the steps of every frame flow the package runs, one entry a flow."""
+    flows = []
+    flow_fn = integrators.frame_flow
 
     def counted(*args, **kwargs):
-        steps.append(args[0])
-        return step_fn(*args, **kwargs)
+        flows.append(0)
+        for chunk in flow_fn(*args, **kwargs):
+            flows[-1] += chunk[1] - chunk[0]
+            yield chunk
 
-    # every frame flow steps through integrators.frame_flow
-    monkeypatch.setattr(integrators, "projected_rk4_step", counted)
+    for module in (bibs, lyapunov, observer):
+        monkeypatch.setattr(module, "frame_flow", counted)
+    return flows
+
+
+def test_detect_sweep(tmp_path, capsys, monkeypatch):
+    flows = count_flows(monkeypatch)
     scen = write_scenario(tmp_path, TOY)
     out = str(tmp_path / "out")
     assert main(["detect", "--scenario", scen, "--out", out, "--sweep", "1,3,10"]) == 0
     # p enters only mu_hat, so three gains cost one frame flow over the grid
-    assert len(steps) == 6000
+    assert flows == [6000]
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("p=")]
     assert len(lines) == 3
     payload = json.loads((tmp_path / "out" / "detect_sweep.json").read_text())
@@ -216,13 +223,15 @@ def test_non_positive_settle_threshold_exits_2(tmp_path, capsys, threshold):
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
-def test_bad_bibs_epsilon_exits_2(tmp_path, capsys, epsilon):
+def test_bad_bibs_epsilon_exits_2(tmp_path, capsys, monkeypatch, epsilon):
     # a margin of 0 divides by zero in the input gain, and an infinite one
-    # makes every transition bound infinite
+    # makes every transition bound infinite; it is refused before any flow
+    flows = count_flows(monkeypatch)
     scen = write_scenario(tmp_path, TOY)
     argv = ["bibs", "--scenario", scen, "--out", str(tmp_path), "--horizon", "0.1"]
     assert main(argv + [f"--epsilon={epsilon}"]) == 2
     assert "epsilon must be finite and positive" in capsys.readouterr().err
+    assert flows == []
 
 
 def test_singular_error_stack_exits_4(tmp_path, capsys):

@@ -1,15 +1,16 @@
 """The chunked frame-flow loop against sequential reference loops.
 
-The references are the per-step loops the flows ran before they shared
-:func:`ltvobs.integrators.frame_flow`: a projected RK4 step that
-re-orthonormalizes by modified Gram-Schmidt with ``np.tril`` as the skew
-rule, and, for the closed-loop triangularization, one ``joint_rk4_step``
-of the observer frame and the full frame per grid step with the gain
-recomputed inside every stage.  Their matrices are evaluated once, on the
-arrays of grid and stage times.
+Two kinds of reference step the frame one grid step per call.  The
+continuous one is the projected RK4 step the flows ran before the discrete
+QR method: RK4 on the frame ODE, re-orthonormalized by modified
+Gram-Schmidt, with ``np.tril`` as the skew rule.  The discrete one is the
+discrete QR method itself, one step at a time: ``Q <- mgs_qr(Phi_i Q)``
+with ``Phi_i`` folded stage by stage.  The open-loop flows agree with
+both to round-off level; the closed-loop triangularization, whose frame
+separates two diagonals with an e-folding time of about 40 steps, is
+compared with the discrete one.  Every reference evaluates its matrices
+once, on the arrays of grid and stage times.
 """
-
-import itertools
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ import pytest
 from ltvobs.bibs import triangularize, triangularize_error_system
 from ltvobs.cli import _resolve_scenario, load_scenario
 from ltvobs.errors import NumericalError
-from ltvobs.integrators import StepConfig, joint_rk4_step
+from ltvobs.integrators import CHUNK_STEPS, StepConfig, frame_flow, system_stages
 from ltvobs.linalg import mgs_qr
 from ltvobs.lyapunov import default_frame, estimate_spectrum
 from ltvobs.observer import ObserverConfig, _gain_basis, frame_track
-from conftest import rk4_stage_times
+from ltvobs.system import as_matrix_expr
+from conftest import discrete_qr_step, rk4_propagator, rk4_stage_times
 from test_cli import TOY, write_scenario
 
 
@@ -76,24 +78,36 @@ def reference_triangularize(a, n, cfg):
     return w - np.stack([_skew(x) for x in w]), frames
 
 
+def discrete_flow(a, q, cfg):
+    """Grid frames and log diag R of the discrete QR method, one step per call."""
+    h, t = cfg.h, cfg.grid()
+    mats, mids = a.bind()(t), a.bind()(t[:-1] + 0.5 * h)
+    frames, log_r = [q], []
+    for i in range(cfg.n_steps):
+        phi = rk4_propagator(mats[i], mids[i], mids[i], mats[i + 1], h)
+        q, lr = discrete_qr_step(phi, q, t[i])
+        frames.append(q)
+        log_r.append(lr)
+    return np.asarray(frames), np.asarray(log_r)
+
+
 def reference_error_triangularize(sys, conf):
-    """Observer frame and full frame stepped jointly, gain per stage."""
-    cfg, p = conf.step, conf.p
+    """Observer frame and full frame by per-step discrete QR, gain per stage.
+
+    The observer frame's stage frames are those of the continuous RK4
+    step from its grid frame; the gain of each stage follows them, and the
+    full frame steps by the propagator folded from the four stage matrices
+    A - L C.
+    """
+    cfg, p, h = conf.step, conf.p, conf.step.h
     t_grid = cfg.grid()
-    t_stage = rk4_stage_times(t_grid, cfg.h)
+    t_stage = rk4_stage_times(t_grid, h)
     a_st, c_st = sys.a.bind()(t_stage), sys.c.bind()(t_stage)
     a_gr, c_gr = sys.a.bind()(t_grid), sys.c.bind()(t_grid)
-    stage = itertools.count()
 
     def a_err(a_val, c_val, q_obs):
         qt, _ = _gain_basis(c_val, q_obs)
         return a_val - p * (q_obs @ (qt.T @ c_val.T)) @ c_val
-
-    def rhs(t, states):
-        q_o, q_f = states
-        i = next(stage)
-        m_err = a_err(a_st[i], c_st[i], q_o)
-        return [_frame_rhs(a_st[i], q_o), _frame_rhs(m_err, q_f)]
 
     def b_of(i, q_o, q_f):
         w = q_f.T @ a_err(a_gr[i], c_gr[i], q_o) @ q_f
@@ -102,7 +116,14 @@ def reference_error_triangularize(sys, conf):
     q_obs, qq = conf.initial_frame(sys.n), np.eye(sys.n)
     bs, qs = [b_of(0, q_obs, qq)], [qq]
     for i in range(cfg.n_steps):
-        q_obs, qq = joint_rk4_step(rhs, t_grid[i], [q_obs, qq], cfg.h, project=(0, 1))
+        a_s, c_s = a_st[4 * i : 4 * i + 4], c_st[4 * i : 4 * i + 4]
+        k1 = _frame_rhs(a_s[0], q_obs)
+        s2 = q_obs + (0.5 * h) * k1
+        s3 = q_obs + (0.5 * h) * _frame_rhs(a_s[1], s2)
+        s4 = q_obs + h * _frame_rhs(a_s[2], s3)
+        m_s = [a_err(a, c, q) for a, c, q in zip(a_s, c_s, (q_obs, s2, s3, s4))]
+        qq, _ = discrete_qr_step(rk4_propagator(*m_s, h), qq, t_grid[i])
+        q_obs, _ = discrete_qr_step(rk4_propagator(*a_s, h), q_obs, t_grid[i])
         bs.append(b_of(i + 1, q_obs, qq))
         qs.append(qq)
     return np.asarray(bs), np.asarray(qs)
@@ -176,11 +197,10 @@ def test_closed_loop_matches_sequential_on_short_horizon():
 def test_closed_loop_long_horizon_integrals_and_trace():
     # from its identity start the closed-loop frame amplifies round-off
     # (e-folding about 0.04 s, the gap between its -31 and -4.4
-    # diagonals) until about 1.5 s, so over 3 s the frames of the two
-    # paths part by up to 4e-6.  The sequential reference itself, with
-    # only (Q W - Q S) regrouped in its rhs, moves its diagonal integrals
-    # by up to 1.2e-6 relative; the bound leaves room above that floor.
-    # The trace identity tr B = tr(A - L C) holds to round-off throughout.
+    # diagonals) until about 1.5 s, so over 3 s the frames of the blocked
+    # and the per-step QR part, and their diagonal integrals differ by
+    # about 5e-7 relative; the bound leaves room above that floor.  The
+    # trace identity tr B = tr(A - L C) holds to round-off throughout.
     scen, conf = _bench8_conf(3.0)
     tri = triangularize_error_system(scen.sys, conf)
     b, _ = reference_error_triangularize(scen.sys, conf)
@@ -196,3 +216,74 @@ def test_closed_loop_long_horizon_integrals_and_trace():
         qt, _ = _gain_basis(c, q)
         m = a - conf.p * (q @ (qt.T @ c.T)) @ c
         assert abs(np.trace(b_t) - np.trace(m)) <= 1e-10 * max(1.0, abs(np.trace(m)))
+
+
+def _spread4():
+    """Constant non-triangular 3x3 A with exponents 2, 0.5 and -2."""
+    v = np.array([[1.0, 0.4, -0.3], [0.2, 1.0, 0.5], [-0.4, 0.3, 1.0]])
+    return as_matrix_expr((v @ np.diag([2.0, 0.5, -2.0]) @ np.linalg.inv(v)).tolist())
+
+
+@pytest.mark.parametrize("name", ["spread4", "bench8"])
+def test_blocked_driver_matches_per_step_discrete_qr(name):
+    # the block rule re-anchors the spread-4 flow at h = 0.05 every few
+    # steps of each chunk, while bench8 at h = 1e-3 keeps whole chunks
+    if name == "spread4":
+        a, cfg, q = _spread4(), StepConfig(h=0.05, t0=0.0, t_end=100.0), np.eye(3)
+    else:
+        scen = _resolve_scenario("bench8")
+        a, cfg = scen.sys.a, StepConfig(h=scen.step.h, t0=0.0, t_end=3.0)
+        q = default_frame(scen.sys.n, 3)
+    stage_mats = a.bind()(rk4_stage_times(cfg.grid(), cfg.h))
+    growth = cfg.h * np.abs(stage_mats).sum(axis=1).max()
+    assert growth * CHUNK_STEPS > 1.0 if name == "spread4" else growth * CHUNK_STEPS <= 1.0
+    _, stages = system_stages(a, cfg)
+    chunks = list(frame_flow(stages, q, cfg))
+    frames = np.concatenate([q[None]] + [c[3][1:] for c in chunks])
+    log_r = np.concatenate([c[4] for c in chunks])
+    ref_frames, ref_log_r = discrete_flow(a, q, cfg)
+    assert _rel(frames, ref_frames) <= 1e-10
+    assert _rel(log_r, ref_log_r) <= 1e-10
+    gram = frames.mT @ frames - np.eye(q.shape[1])
+    assert np.sqrt((gram * gram).sum(axis=(1, 2))).max() <= 1e-14
+
+
+def test_frame_flow_names_time_of_non_finite_stage():
+    # A turns non-finite past t = 1.26, so the first stage matrix it
+    # spoils is the midpoint of the step from t = 1.25
+    def a(t):
+        return np.full((2, 2), np.nan) if t > 1.26 else np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    cfg = StepConfig(h=0.125, t0=0.0, t_end=2.0)
+    _, stages = system_stages(a, cfg)
+    with pytest.raises(NumericalError, match=r"non-finite frame flow at t=1\.25$"):
+        list(frame_flow(stages, np.eye(2, 1), cfg))
+
+
+def test_frame_flow_reports_rank_collapse_with_step_time():
+    # with A = 0 the frame does not move, so dependent columns stay dependent
+    cfg = StepConfig(h=0.125, t0=0.25, t_end=1.0)
+    _, stages = system_stages(lambda t: np.zeros((3, 3)), cfg)
+    q = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(NumericalError, match=r"rank collapse at t=0\.25:"):
+        list(frame_flow(stages, q, cfg))
+
+
+@pytest.mark.parametrize("name", ["bench8", "gate1"])
+def test_log_r_exponents_agree_with_diagonal_averages(scenarios, name):
+    # Sum log diag R / T and the averaged diag(Q^T A Q) estimate the same
+    # exponents; they part only by the integration error of each route
+    if name == "bench8":
+        scen, cfg = scenarios["bench8"]
+        ests = [estimate_spectrum(scen.sys.a, 3, cfg)]
+    else:
+        # systems drawn as in acceptance gate 1
+        rng = np.random.default_rng(7)
+        cfg = StepConfig(h=0.05, t0=0.0, t_end=100.0)
+        ests = []
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            a = np.triu(rng.uniform(-2.0, 2.0, (n, n)))
+            ests.append(estimate_spectrum(lambda t, a=a: a, k=n, cfg=cfg))
+    for est in ests:
+        assert np.max(np.abs(est.exponents_log_r - est.exponents_by_direction)) <= 1e-5

@@ -1,4 +1,4 @@
-"""Fixed-step RK4, the projected frame step, and joint stepping."""
+"""Fixed-step RK4, the RK4 propagators, the projected frame step, joint stepping."""
 
 import math
 
@@ -10,6 +10,7 @@ from ltvobs.integrators import (
     StepConfig,
     joint_rk4_step,
     projected_rk4_step,
+    rk4_propagators,
     rk4_step,
     skew_rule,
 )
@@ -58,6 +59,42 @@ def test_rk4_time_dependent_rhs():
     for i in range(10):
         x = rk4_step(lambda t, x: np.array([2.0 * t]), i * 0.1, x, 0.1)
     assert x[0] == pytest.approx(1.0, abs=1e-14)
+
+
+def _rk4_affine(m, b, h):
+    """The stage fold the cascade ran before it shared :func:`rk4_propagators`."""
+    p_prev, c_prev = m[0], b[0]
+    p_sum, c_sum = p_prev.copy(), c_prev.copy()
+    for s, (frac, weight) in enumerate(((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)), 1):
+        p_prev = m[s] + (frac * h) * (m[s] @ p_prev)
+        c_prev = b[s] + (frac * h) * (m[s] @ c_prev[..., None])[..., 0]
+        p_sum += weight * p_prev
+        c_sum += weight * c_prev
+    phi = (h / 6.0) * p_sum
+    phi += np.eye(m.shape[-1])
+    return phi, (h / 6.0) * c_sum
+
+
+def test_rk4_propagators_affine_fold_is_bit_identical(rng):
+    m = rng.standard_normal((4, 7, 5, 5))
+    b = rng.standard_normal((4, 7, 5))
+    phi, psi = rk4_propagators(m, 0.01, b)
+    ref_phi, ref_psi = _rk4_affine(m, b, 0.01)
+    assert np.array_equal(phi, ref_phi)
+    assert np.array_equal(psi, ref_psi)
+
+
+def test_rk4_propagators_are_rk4_of_the_identity(rng):
+    h = 0.05
+    m = rng.standard_normal((4, 6, 3, 3))
+    for stacks in ((m[0], m[1], m[3]), tuple(m)):
+        phi = rk4_propagators(stacks, h)
+        if len(stacks) == 3:
+            stacks = (stacks[0], stacks[1], stacks[1], stacks[2])
+        for i, ref_stages in enumerate(zip(*stacks)):
+            calls = iter(ref_stages)
+            ref = rk4_step(lambda t, x: next(calls) @ x, 0.0, np.eye(3), h)
+            assert np.allclose(phi[i], ref, rtol=0.0, atol=1e-14)
 
 
 def test_projected_step_keeps_frame_orthonormal():
