@@ -24,7 +24,6 @@ from .expr import Expr, MatrixExpr, parse
 from .hosm import (
     DEFAULT_GAINS,
     BankRun,
-    DifferentiatorConfig,
     estimate_lipschitz,
     run_bank,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "CascadeRun",
     "DEFAULT_GAINS",
     "DetectabilityReport",
-    "DifferentiatorConfig",
     "DirectionDetectability",
     "DirectionRegularity",
     "Expr",

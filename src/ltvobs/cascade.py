@@ -39,7 +39,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, StepPreconditionError
-from .hosm import DEFAULT_GAINS, BankRun, estimate_lipschitz, run_bank
+from .hosm import (
+    DEFAULT_GAINS,
+    BankRun,
+    check_bank_settings,
+    estimate_lipschitz,
+    run_bank,
+)
 from .integrators import CHUNK_STEPS, rk4_propagators
 from .observer import (
     ObserverConfig,
@@ -65,7 +71,9 @@ class CascadeRun:
     :func:`run_cascade` and :func:`run_tso` read it and return a new
     :class:`CascadeResult`.  ``lipschitz`` bounds the third derivative of
     e_y; it may be a scalar, a per-channel sequence, or None for the
-    finite-difference auto estimate over the warmup window.  With
+    finite-difference auto estimate over the warmup window.  A given bound
+    is checked here with the gains, and the noise seed too, before any
+    flow runs.  With
     ``sigma > 0`` the output is corrupted by seeded Gaussian noise and the
     reconstruction reads the differentiator's filtered z_0 in place of raw
     e_y.  A variant is ``dataclasses.replace(run, sigma=..., noise_seed=...)``.
@@ -101,6 +109,12 @@ class CascadeRun:
             object.__setattr__(self, "feedback", fb)
         if self.sigma < 0.0 or not np.isfinite(self.sigma):
             raise ValueError("noise level must be finite and non-negative")
+        if not (isinstance(self.noise_seed, (int, np.integer)) and self.noise_seed >= 0):
+            raise ValueError(
+                f"noise seed must be a non-negative integer, got {self.noise_seed!r}"
+            )
+        if self.lipschitz is not None:
+            check_bank_settings(_BANK_ORDER, self.lipschitz, self.gains, self.sys.r)
         if self.dwell < 0.0:
             raise ValueError("dwell must be non-negative")
         # a residual never drops below a threshold <= 0, so the run could

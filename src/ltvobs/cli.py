@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -432,16 +432,11 @@ def cmd_detect(scen, args, outdir):
             raise ScenarioError(f"--sweep expects comma-separated numbers: {e}")
         if not p_values:
             raise ScenarioError("--sweep needs at least one gain value")
-        # the gain enters only mu_hat = lambda - p rbar: one flow serves all
+        # every gain is checked before the flow; the gain enters only
+        # mu_hat = lambda - p rbar, so one flow serves all
+        confs = [replace(conf, p=p) for p in p_values]
         track = frame_track(scen.sys, conf)
-        results = [
-            _detect_payload(
-                scen,
-                ObserverConfig(p=p, k=conf.k, step=step, q0=scen.observer_q0),
-                track,
-            )
-            for p in p_values
-        ]
+        results = [_detect_payload(scen, c, track) for c in confs]
         _write_json(
             os.path.join(outdir, "detect_sweep.json"),
             {"scenario": scen.name, "sweep": [pl for _, pl in results]},

@@ -18,8 +18,13 @@ of Levant (IJC 2003); plain Euler loses part of it for r >= 2 (an
 order on z_1 at r = 2).  Order 1 has no Taylor terms and is plain
 Euler.  The gain table lam_0..lam_5 covers orders up to 5; higher
 orders are rejected rather than guessed.
+
+The channels of a bank are independent, so :func:`run_bank` steps them
+together as one (order + 1, channels) array and derives the stack, the
+residuals and the settle index from the recorded states afterwards.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +33,7 @@ from .errors import NumericalError
 
 __all__ = [
     "DEFAULT_GAINS",
-    "DifferentiatorConfig",
+    "check_bank_settings",
     "estimate_lipschitz",
     "BankRun",
     "run_bank",
@@ -37,64 +42,69 @@ __all__ = [
 DEFAULT_GAINS = (1.1, 1.5, 2.0, 3.0, 5.0, 8.0)
 
 
-@dataclass(frozen=True)
-class DifferentiatorConfig:
-    """Differentiation order, Lipschitz bound, and injection gains.
+def check_bank_settings(order, lipschitz, gains, channels):
+    """Validate the settings of an order-``order`` bank over ``channels``.
 
-    ``gains[i]`` multiplies the level at distance i from the top: the
-    highest derivative uses ``gains[0]``, the signal level ``gains[r]``.
+    ``lipschitz`` is one finite positive bound, or one per channel;
+    ``gains[i]`` multiplies the level at distance i from the top, so the
+    highest derivative uses ``gains[0]`` and the signal level
+    ``gains[order]``, and all of them must be finite and positive.
+    Returns the per-channel bounds; raises ValueError.
     """
+    top = len(DEFAULT_GAINS) - 1
+    if not 1 <= order <= top:
+        raise ValueError(
+            f"order must be in 1..{top} (no established gains beyond {top}), "
+            f"got {order}"
+        )
+    bound = np.asarray(lipschitz, dtype=float)
+    if bound.ndim > 1 or bound.size not in (1, channels):
+        raise ValueError(
+            f"Lipschitz bound must be a scalar or one value per channel "
+            f"({channels}), got shape {bound.shape}"
+        )
+    if not (np.all(bound > 0.0) and np.all(np.isfinite(bound))):
+        raise ValueError(f"Lipschitz bound must be finite and positive, got {lipschitz}")
+    gain = np.asarray(gains, dtype=float)
+    if gain.ndim != 1 or gain.size < order + 1:
+        raise ValueError(f"need {order + 1} gains for order {order}, got {gain.size}")
+    if not (np.all(gain > 0.0) and np.all(np.isfinite(gain))):
+        raise ValueError(f"gains must be finite and positive, got {tuple(gains)}")
+    return np.broadcast_to(bound.reshape(-1), (channels,)).copy()
 
-    order: int
-    lipschitz: float
-    gains: tuple = DEFAULT_GAINS
 
-    def __post_init__(self):
-        if not 0 <= self.order <= 5:
-            raise ValueError(
-                f"order must be in 0..5 (no established gains beyond 5), "
-                f"got {self.order}"
-            )
-        if not (self.lipschitz > 0.0 and np.isfinite(self.lipschitz)):
-            raise ValueError(f"Lipschitz bound must be positive, got {self.lipschitz}")
-        if len(self.gains) < self.order + 1:
-            raise ValueError(
-                f"need {self.order + 1} gains for order {self.order}, "
-                f"got {len(self.gains)}"
-            )
-        if any(not g > 0.0 for g in self.gains):
-            raise ValueError("gains must be positive")
+def _step_coefficients(order, lipschitz, gains, h):
+    """The constants of :func:`_step_z` for per-channel bounds ``lipschitz``."""
+    # distance of each level to the top
+    depth = order - np.arange(order + 1)
+    neg_rates = -(
+        np.asarray(gains, dtype=float)[depth, None]
+        * lipschitz ** (1.0 / (depth[:, None] + 1.0))
+    )
+    powers = [d / (d + 1.0) for d in depth[:-1].tolist()]
+    taylor = np.zeros((order + 1, order + 1))
+    for l in range(2, order + 1):
+        taylor += np.eye(order + 1, k=l) * (h**l / math.factorial(l))
+    return neg_rates, powers, taylor
 
 
-def _step_z(z, f, order, lipschitz, gains, h):
-    """One properly discretized step; z is a plain list of floats.
+def _step_z(z, f, neg_rates, powers, taylor, h):
+    """One properly discretized step of every channel at once.
 
-    z_i <- z_i + h v_i + sum_{l=2}^{r-i} h^l / l! z_{i+l}.  The Taylor
-    terms restore the accuracy |z_i - f^(i)| = O(h^{r+1-i}) that a plain
-    Euler step loses for r >= 2; order 1 has none and is plain Euler.
+    ``z`` (order + 1, channels) holds the levels and ``f`` (channels,) the
+    sample.  ``neg_rates[i]`` is -gains[r-i] L^{1/(r-i+1)} per channel,
+    ``powers[i]`` the exponent (r-i)/(r-i+1) of the levels below the top,
+    and ``taylor`` the matrix of the Taylor terms h^l / l! at (i, i + l),
+    l >= 2: z_i <- z_i + h v_i + sum_l h^l / l! z_{i+l}.  The levels run in
+    order because each one injects against the one below it.
     """
+    v = np.empty_like(z)
     v_prev = f
-    v = [0.0] * (order + 1)
-    for i in range(order):
+    for i, power in enumerate(powers):
         e = z[i] - v_prev
-        denom = order - i + 1.0
-        rate = gains[order - i] * lipschitz ** (1.0 / denom)
-        v_prev = -rate * abs(e) ** ((order - i) / denom) * _sign(e) + z[i + 1]
-        v[i] = v_prev
-    v[order] = -gains[0] * lipschitz * _sign(z[order] - v_prev)
-    out = [zi + h * vi for zi, vi in zip(z, v)]
-    for i in range(order - 1):
-        coef = h
-        taylor = 0.0
-        for l in range(2, order - i + 1):
-            coef *= h / l
-            taylor += coef * z[i + l]
-        out[i] += taylor
-    return out
-
-
-def _sign(x):
-    return 1.0 if x > 0.0 else (-1.0 if x < 0.0 else 0.0)
+        v_prev = v[i] = neg_rates[i] * np.copysign(np.abs(e) ** power, e) + z[i + 1]
+    v[-1] = neg_rates[-1] * np.sign(z[-1] - v_prev)
+    return z + h * v + taylor @ z
 
 
 def estimate_lipschitz(f, h, nu, warmup=None):
@@ -142,55 +152,38 @@ def run_bank(e_y, nu, l_est, h, threshold=1e-4, dwell=0.5, gains=DEFAULT_GAINS):
     reconstruction map reads.  ``l_est`` bounds the nu-th derivative.
     Initial states are zero, so a zero input series yields a zero stack
     with the settled flag raised as soon as the dwell window elapses.
+    All channels step together as one (nu, channels) array.
     """
     e_y = np.asarray(e_y, dtype=float)
     if e_y.ndim == 1:
         e_y = e_y[:, None]
     n_samples, channels = e_y.shape
-    if nu < 2:
-        raise ValueError(f"need nu >= 2 (order nu - 1 >= 1), got nu={nu}")
     order = nu - 1
-    l_arr = np.broadcast_to(np.asarray(l_est, dtype=float), (channels,)).copy()
-    confs = [
-        DifferentiatorConfig(order=order, lipschitz=float(l_arr[ch]), gains=tuple(gains))
-        for ch in range(channels)
-    ]
+    l_arr = check_bank_settings(order, l_est, gains, channels)
     dwell_steps = max(1, int(round(dwell / h)))
 
-    states = [[0.0] * (order + 1) for _ in range(channels)]
-    stack = np.empty((n_samples, nu * channels))
-    residuals = np.empty((n_samples, channels))
-    settled_index = None
-    streak = 0
-    for s in range(n_samples):
-        quiet = True
-        for ch, z in enumerate(states):
-            f = e_y[s, ch]
-            residual = abs(z[0] - f)
-            residuals[s, ch] = residual
-            quiet = quiet and residual < threshold
-            for lev in range(nu):
-                stack[s, lev * channels + ch] = z[lev]
-        if quiet:
-            streak += 1
-            if settled_index is None and streak >= dwell_steps:
-                settled_index = s
-        else:
-            streak = 0
-        if s + 1 < n_samples:
-            for ch in range(channels):
-                conf = confs[ch]
-                states[ch] = _step_z(
-                    states[ch], e_y[s, ch], order, conf.lipschitz, conf.gains, h
-                )
-                if not all(np.isfinite(states[ch])):
-                    raise NumericalError(
-                        f"differentiator channel {ch} diverged at sample {s}"
-                    )
+    neg_rates, powers, taylor = _step_coefficients(order, l_arr, gains, h)
+
+    # history[s] is the state before sample s is read
+    history = np.zeros((n_samples, nu, channels))
+    z = np.zeros((nu, channels))
+    # a diverging channel turns inf or nan and is reported after the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(n_samples - 1):
+            z = history[s + 1] = _step_z(z, e_y[s], neg_rates, powers, taylor, h)
+    finite = np.isfinite(history[1:]).all(axis=1)
+    if not finite.all():
+        s, ch = np.argwhere(~finite)[0]
+        raise NumericalError(f"differentiator channel {ch} diverged at sample {s}")
+
+    residuals = np.abs(history[:, 0] - e_y)
+    # quiet[k]: quiet samples among the first k; a settle ends dwell_steps in a row
+    quiet = np.concatenate([[0], np.cumsum(np.all(residuals < threshold, axis=1))])
+    ends = np.flatnonzero(quiet[dwell_steps:] - quiet[:-dwell_steps] == dwell_steps)
     return BankRun(
-        stack=stack,
+        stack=history.reshape(n_samples, nu * channels),
         residuals=residuals,
-        settled_index=settled_index,
+        settled_index=int(ends[0]) + dwell_steps - 1 if ends.size else None,
         h=h,
         nu=nu,
         channels=channels,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import cholesky_qr, mgs_qr
+from .linalg import mgs_qr
 from .system import as_sampler
 
 __all__ = [
@@ -162,7 +162,7 @@ def projected_rk4_step(t, q, h, a_stages):
     k3 = _frame_rhs_stack(a3, q + (0.5 * h) * k2)
     k4 = _frame_rhs_stack(a4, q + h * k3)
     qn = q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    qn, r = cholesky_qr(qn)
+    qn, r = mgs_qr(qn)
     d = r.diagonal()
     if not (np.isfinite(qn).all() and (d > 1e-8).all()):
         raise NumericalError(f"frame rank collapse at t={t}: pivots {d}")

@@ -20,6 +20,7 @@ from .linalg import mgs_qr
 
 __all__ = [
     "default_frame",
+    "start_frame",
     "SpectrumEstimate",
     "estimate_spectrum",
     "nonstable_dimension",
@@ -34,6 +35,22 @@ def default_frame(n, k):
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return np.eye(n, k)
+
+
+def start_frame(n, k, q0=None):
+    """Starting frame of a width-k flow: ``q0`` orthonormalized, or the default.
+
+    ``q0`` must be n-by-k with independent columns.
+    """
+    if q0 is None:
+        return default_frame(n, k)
+    q0 = np.asarray(q0, dtype=float)
+    if q0.shape != (n, k):
+        raise ValueError(f"q0 must have shape ({n}, {k}), got {q0.shape}")
+    q, r = mgs_qr(q0)
+    if np.any(np.diag(r) <= 0.0):
+        raise ValueError("q0 columns are linearly dependent")
+    return q
 
 
 @dataclass
@@ -91,15 +108,7 @@ def estimate_spectrum(a, k, cfg, q0=None):
     SpectrumEstimate
     """
     n, stages = system_stages(a, cfg)
-    if q0 is None:
-        q = default_frame(n, k)
-    else:
-        q0 = np.asarray(q0, dtype=float)
-        if q0.shape != (n, k):
-            raise ValueError(f"q0 must have shape ({n}, {k}), got {q0.shape}")
-        q, r0 = mgs_qr(q0)
-        if np.any(np.diag(r0) <= 0.0):
-            raise ValueError("q0 columns are linearly dependent")
+    q = start_frame(n, k, q0)
 
     h = cfg.h
     n_steps = cfg.n_steps

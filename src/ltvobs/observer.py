@@ -31,7 +31,7 @@ from .integrators import (
     system_stages,
 )
 from .linalg import mgs_qr, mgs_qr_stack
-from .lyapunov import default_frame
+from .lyapunov import start_frame
 from .system import LtvSystem
 
 __all__ = [
@@ -74,15 +74,7 @@ class ObserverConfig:
     def initial_frame(self, n):
         if self.k > n:
             raise ValueError(f"k={self.k} exceeds state dimension {n}")
-        if self.q0 is None:
-            return default_frame(n, self.k)
-        q0 = np.asarray(self.q0, dtype=float)
-        if q0.shape != (n, self.k):
-            raise ValueError(f"q0 must have shape ({n}, {self.k}), got {q0.shape}")
-        q, r = mgs_qr(q0)
-        if np.any(np.diag(r) <= 0.0):
-            raise ValueError("q0 columns are linearly dependent")
-        return q
+        return start_frame(n, self.k, self.q0)
 
 
 def _gain_basis(c_val, q):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ltvobs.errors import NumericalError
+from ltvobs.hosm import DEFAULT_GAINS
 from ltvobs.linalg import mgs_qr
 from ltvobs.system import LtvSystem
 
@@ -81,3 +82,69 @@ def discrete_qr_step(phi, q, t):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260825)
+
+
+def reference_step_z(z, f, order, lipschitz, gains, h):
+    """One properly discretized differentiator step on a list of floats.
+
+    The scalar form of ``hosm._step_z``, one channel at a time:
+    z_i <- z_i + h v_i + sum_{l=2}^{r-i} h^l / l! z_{i+l}.
+    """
+
+    def sign(x):
+        return 1.0 if x > 0.0 else (-1.0 if x < 0.0 else 0.0)
+
+    v_prev = f
+    v = [0.0] * (order + 1)
+    for i in range(order):
+        e = z[i] - v_prev
+        denom = order - i + 1.0
+        rate = gains[order - i] * lipschitz ** (1.0 / denom)
+        v_prev = -rate * abs(e) ** ((order - i) / denom) * sign(e) + z[i + 1]
+        v[i] = v_prev
+    v[order] = -gains[0] * lipschitz * sign(z[order] - v_prev)
+    out = [zi + h * vi for zi, vi in zip(z, v)]
+    for i in range(order - 1):
+        coef = h
+        taylor = 0.0
+        for l in range(2, order - i + 1):
+            coef *= h / l
+            taylor += coef * z[i + l]
+        out[i] += taylor
+    return out
+
+
+def reference_bank(e_y, nu, l_est, h, threshold=1e-4, dwell=0.5, gains=DEFAULT_GAINS):
+    """Sample-by-sample, channel-by-channel bank: (stack, residuals, settled_index).
+
+    The sequential reference of ``hosm.run_bank``, with the same
+    derivative-major stack and settle rule.
+    """
+    e_y = np.asarray(e_y, dtype=float)
+    if e_y.ndim == 1:
+        e_y = e_y[:, None]
+    n_samples, channels = e_y.shape
+    order = nu - 1
+    l_arr = np.broadcast_to(np.asarray(l_est, dtype=float), (channels,))
+    dwell_steps = max(1, int(round(dwell / h)))
+    states = [[0.0] * nu for _ in range(channels)]
+    stack = np.empty((n_samples, nu * channels))
+    residuals = np.empty((n_samples, channels))
+    settled_index = None
+    streak = 0
+    for s in range(n_samples):
+        quiet = True
+        for ch, z in enumerate(states):
+            residuals[s, ch] = abs(z[0] - e_y[s, ch])
+            quiet = quiet and residuals[s, ch] < threshold
+            for lev in range(nu):
+                stack[s, lev * channels + ch] = z[lev]
+        streak = streak + 1 if quiet else 0
+        if settled_index is None and streak >= dwell_steps:
+            settled_index = s
+        if s + 1 < n_samples:
+            states = [
+                reference_step_z(z, e_y[s, ch], order, float(l_arr[ch]), gains, h)
+                for ch, z in enumerate(states)
+            ]
+    return stack, residuals, settled_index

@@ -216,3 +216,21 @@ def test_input_validation(toy2):
     for threshold in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="settle threshold"):
             make_run(toy2, threshold=threshold)
+    # the bank's settings are checked with the spec, not after the flows;
+    # toy2 has one output channel
+    for lipschitz in (0.0, -1.0, float("nan"), float("inf"), [8.0, 0.0]):
+        with pytest.raises(ValueError, match="Lipschitz bound"):
+            make_run(toy2, lipschitz=lipschitz)
+    with pytest.raises(ValueError, match="one value per channel"):
+        make_run(toy2, lipschitz=[8.0, 8.0])
+    with pytest.raises(ValueError, match="need 3 gains"):
+        make_run(toy2, gains=(1.1, 1.5))
+    for gains in ((1.1, 0.0, 2.0), (1.1, 1.5, float("inf"))):
+        with pytest.raises(ValueError, match="gains must be finite and positive"):
+            make_run(toy2, gains=gains)
+    for seed in (-1, 1.5, None):
+        with pytest.raises(ValueError, match="noise seed"):
+            make_run(toy2, noise_seed=seed)
+    # the auto bound is estimated later; the spec itself is valid
+    assert make_run(toy2, lipschitz=None).lipschitz is None
+    assert make_run(toy2, lipschitz=[8.0], noise_seed=np.int64(3)).noise_seed == 3

@@ -161,6 +161,17 @@ def test_detect_sweep(tmp_path, capsys, monkeypatch):
     assert worst[0] >= worst[1] >= worst[2]
 
 
+@pytest.mark.parametrize("sweep", ["30,-1", "0,30", "30,nan", "inf"])
+def test_bad_sweep_gain_exits_2(tmp_path, capsys, monkeypatch, sweep):
+    # every gain of the sweep is checked before the one shared flow runs
+    flows = count_flows(monkeypatch)
+    scen = write_scenario(tmp_path, TOY)
+    argv = ["detect", "--scenario", scen, "--out", str(tmp_path), f"--sweep={sweep}"]
+    assert main(argv) == 2
+    assert "gain p must be positive" in capsys.readouterr().err
+    assert flows == []
+
+
 def test_check_so_output(tmp_path, capsys):
     scen = write_scenario(tmp_path, TOY)
     out = str(tmp_path / "out")
@@ -220,6 +231,30 @@ def test_non_positive_settle_threshold_exits_2(tmp_path, capsys, threshold):
     out = str(tmp_path / "out")
     assert main(["reconstruct", "--scenario", scen, "--out", out]) == 2
     assert "settle threshold must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, extra, message",
+    [
+        ({"lipschitz3": 0}, [], "Lipschitz bound must be finite and positive"),
+        ({"lipschitz3": [-1.0]}, [], "Lipschitz bound must be finite and positive"),
+        ({"gains": [1.1, 1.5]}, [], "need 3 gains"),
+        ({"gains": [1.1, 1.5, -2.0]}, [], "gains must be finite and positive"),
+        ({}, ["--seed=-1"], "noise seed must be a non-negative integer"),
+    ],
+)
+def test_bad_differentiator_or_noise_setting_exits_2(
+    tmp_path, capsys, monkeypatch, edit, extra, message
+):
+    # the bank's settings and the noise seed are refused with the run spec,
+    # before the frame track, the preconditions and the simulation
+    flows = count_flows(monkeypatch)
+    doc = copy.deepcopy(TOY)
+    doc["differentiator"].update(edit)
+    scen = write_scenario(tmp_path, doc)
+    assert main(["reconstruct", "--scenario", scen, "--out", str(tmp_path)] + extra) == 2
+    assert message in capsys.readouterr().err
+    assert flows == []
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])

@@ -1,46 +1,114 @@
 """Sliding-mode differentiator: exactness, homogeneity, bank mechanics."""
 
+import argparse
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import reference_bank
+from ltvobs.cascade import run_tso
+from ltvobs.cli import _make_run, _resolve_scenario
 from ltvobs.errors import NumericalError
 from ltvobs.hosm import (
     DEFAULT_GAINS,
-    DifferentiatorConfig,
+    _step_coefficients,
     _step_z,
+    check_bank_settings,
     estimate_lipschitz,
     run_bank,
 )
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DifferentiatorConfig(order=6, lipschitz=1.0)
-    with pytest.raises(ValueError):
-        DifferentiatorConfig(order=-1, lipschitz=1.0)
-    with pytest.raises(ValueError):
-        DifferentiatorConfig(order=1, lipschitz=0.0)
-    with pytest.raises(ValueError):
-        DifferentiatorConfig(order=3, lipschitz=1.0, gains=(1.1, 1.5))
-    with pytest.raises(ValueError):
-        DifferentiatorConfig(order=1, lipschitz=1.0, gains=(1.1, -1.5))
-    assert DifferentiatorConfig(order=5, lipschitz=2.0).gains == DEFAULT_GAINS
+    for order in (0, 6):
+        with pytest.raises(ValueError, match="order must be in 1..5"):
+            check_bank_settings(order, 1.0, DEFAULT_GAINS, 1)
+    for bound in (0.0, -1.0, np.nan, np.inf, [1.0, 0.0]):
+        with pytest.raises(ValueError, match="Lipschitz bound must be finite"):
+            check_bank_settings(1, bound, DEFAULT_GAINS, 2)
+    with pytest.raises(ValueError, match="one value per channel"):
+        check_bank_settings(1, [1.0, 2.0, 3.0], DEFAULT_GAINS, 2)
+    with pytest.raises(ValueError, match="need 4 gains"):
+        check_bank_settings(3, 1.0, (1.1, 1.5), 1)
+    for gains in ((1.1, -1.5), (1.1, np.inf), (1.1, np.nan, 2.0)):
+        with pytest.raises(ValueError, match="gains must be finite and positive"):
+            check_bank_settings(1, 1.0, gains, 1)
+    assert np.array_equal(check_bank_settings(5, 2.0, DEFAULT_GAINS, 3), [2.0, 2.0, 2.0])
+    assert np.array_equal(check_bank_settings(2, [1.0, 3.0], DEFAULT_GAINS, 2), [1.0, 3.0])
+
+
+def _step(z, f, order, lipschitz, h):
+    """:func:`_step_z` on a (order + 1, channels) state with one shared bound."""
+    z = np.asarray(z, dtype=float)
+    bounds = np.full(z.shape[1], lipschitz)
+    coefficients = _step_coefficients(order, bounds, DEFAULT_GAINS, h)
+    return _step_z(z, np.asarray(f, dtype=float), *coefficients, h)
 
 
 def test_exact_tracking_is_an_equilibrium():
     # state already matching a constant signal stays put: every sign(0)
-    # injection vanishes
-    z = [4.2, 0.0]
-    assert _step_z(z, 4.2, 1, 1.0, DEFAULT_GAINS, 1e-3) == z
+    # injection vanishes, channel by channel
+    z = np.array([[4.2, -1.5], [0.0, 0.0]])
+    assert np.array_equal(_step(z, [4.2, -1.5], 1, 1.0, 1e-3), z)
 
 
 def test_proper_step_keeps_quadratic_tracking():
     # z = (f, f', f'') of f = t^2 at t = 1: the Taylor term h^2/2 z_2
     # carries z_0 onto f(1 + h) exactly, where plain Euler falls h^2 short
     h = 1e-3
-    z = _step_z([1.0, 2.0, 2.0], 1.0, 2, 1.0, DEFAULT_GAINS, h)
+    z = _step([[1.0], [2.0], [2.0]], [1.0], 2, 1.0, h)
     expected = np.array([(1.0 + h) ** 2, 2.0 * (1.0 + h), 2.0])
-    assert np.allclose(z, expected, rtol=0.0, atol=1e-14)
+    assert np.allclose(z[:, 0], expected, rtol=0.0, atol=1e-14)
+
+
+def _bench8_output_error(sigma):
+    """bench8's output error e_y over 8 s, with the bank settings of its run."""
+    args = argparse.Namespace(horizon=8.0, k=None, p=None, sigma=sigma, seed=42)
+    run = replace(_make_run(_resolve_scenario("bench8"), args), check_preconditions=False)
+    # the cascade floors the settle threshold at the noise level
+    threshold = max(run.threshold, 5.0 * sigma)
+    e_y = run_tso(run).e_y
+    return e_y, dict(nu=3, l_est=run.lipschitz, h=run.observer.step.h, threshold=threshold)
+
+
+def _polynomial(coeffs, lipschitz, h):
+    """Gate 11's sampled polynomial over 10 s, differentiated to its degree."""
+    t = np.arange(0.0, 10.0 + h / 2, h)
+    return np.polyval(coeffs, t), dict(nu=len(coeffs), l_est=lipschitz, h=h)
+
+
+def _three_channels():
+    """Three channels of different curvature, each with its own bound."""
+    h = 1e-3
+    t = np.arange(0.0, 6.0 + h / 2, h)
+    f = np.column_stack([np.sin(t), 0.5 * t**2 + np.cos(3.0 * t), 4.0 * np.exp(-t)])
+    return f, dict(nu=3, l_est=[1.1, 30.0, 4.4], h=h)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _bench8_output_error(0.0),
+        lambda: _bench8_output_error(1e-3),
+        lambda: _polynomial([2.0, 1.0], 1.0, 2e-3),
+        lambda: _polynomial([2.0, 1.0], 1.0, 1e-3),
+        lambda: _polynomial([1.5, 2.0, 1.0], 5.0, 2e-3),
+        lambda: _polynomial([1.5, 2.0, 1.0], 5.0, 1e-3),
+        _three_channels,
+    ],
+    ids=["bench8", "bench8-noisy", "r1-2ms", "r1-1ms", "r2-2ms", "r2-1ms", "three-channels"],
+)
+def test_bank_matches_sequential_reference(case):
+    # the array bank against the channel-by-channel list stepper: same
+    # settle index, and stacks apart only by the ulps of numpy's power
+    signal, settings = case()
+    bank = run_bank(signal, **settings)
+    stack, residuals, settled_index = reference_bank(signal, **settings)
+    assert settled_index is not None
+    assert bank.settled_index == settled_index
+    assert np.max(np.abs(bank.stack - stack)) <= 1e-10
+    assert np.max(np.abs(bank.residuals - residuals)) <= 1e-10
 
 
 def test_sin_first_derivative_after_settling():

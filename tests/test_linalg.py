@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ltvobs.linalg import (
-    cholesky_qr,
     mgs_qr,
     mgs_qr_stack,
     numerical_rank,
@@ -66,44 +65,6 @@ def test_mgs_stack_is_mgs_per_matrix(rng):
         for i in range(x.shape[0]):
             q_i, r_i = mgs_qr(x[i])
             assert np.array_equal(q[i], q_i) and np.array_equal(r[i], r_i)
-
-
-@pytest.mark.parametrize("shape", [(8, 2), (8, 3), (8, 8), (6, 6), (2, 2)])
-def test_cholesky_qr_matches_mgs_near_orthonormal(rng, shape):
-    # the frames a projected step retracts: orthonormal up to one step
-    for _ in range(20):
-        q0, _ = mgs_qr(rng.standard_normal(shape))
-        x = q0 + 1e-3 * rng.standard_normal(shape)
-        q, r = cholesky_qr(x)
-        q_m, r_m = mgs_qr(x)
-        assert np.max(np.abs(q - q_m)) <= 1e-14
-        assert np.max(np.abs(r - r_m)) <= 1e-14
-        assert np.all(np.diag(r) > 0.0)
-        assert np.array_equal(np.tril(r, -1), np.zeros_like(r))
-
-
-def test_cholesky_qr_hands_rank_deficient_input_to_mgs():
-    # the dependent column gets mgs_qr's zero pivot and completion column
-    for x in (
-        np.array([[1.0, 2.0], [2.0, 4.0]]),
-        np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-        np.zeros((3, 2)),
-    ):
-        q, r = cholesky_qr(x)
-        q_m, r_m = mgs_qr(x)
-        assert np.array_equal(q, q_m) and np.array_equal(r, r_m)
-        assert r[-1, -1] == 0.0
-
-
-def test_cholesky_qr_hands_non_finite_input_to_mgs():
-    for bad in (np.nan, np.inf):
-        x = np.eye(3, 2)
-        x[1, 1] = bad
-        with np.errstate(invalid="ignore"):  # inf * 0 inside the elimination
-            q, r = cholesky_qr(x)
-            q_m, r_m = mgs_qr(x)
-        assert np.array_equal(q, q_m, equal_nan=True)
-        assert np.array_equal(r, r_m, equal_nan=True)
 
 
 def test_numerical_rank_examples():
