@@ -71,12 +71,12 @@ class CascadeRun:
     :func:`run_cascade` and :func:`run_tso` read it and return a new
     :class:`CascadeResult`.  ``lipschitz`` bounds the third derivative of
     e_y; it may be a scalar, a per-channel sequence, or None for the
-    finite-difference auto estimate over the warmup window.  A given bound
-    is checked here with the gains, and the noise seed too, before any
-    flow runs.  With
-    ``sigma > 0`` the output is corrupted by seeded Gaussian noise and the
-    reconstruction reads the differentiator's filtered z_0 in place of raw
-    e_y.  A variant is ``dataclasses.replace(run, sigma=..., noise_seed=...)``.
+    finite-difference auto estimate over the warmup window.  Every setting,
+    the observer's starting frame included, is checked here before any
+    flow runs.  With ``sigma > 0`` the output is corrupted by seeded
+    Gaussian noise and the reconstruction reads the differentiator's
+    filtered z_0 in place of raw e_y.  A variant is
+    ``dataclasses.replace(run, sigma=..., noise_seed=...)``.
     """
 
     sys: LtvSystem
@@ -97,6 +97,7 @@ class CascadeRun:
 
     def __post_init__(self):
         n = self.sys.n
+        self.observer.initial_frame(n)
         # frozen: the normalized arrays are set past the dataclass guard
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(n))
         object.__setattr__(self, "xt0", np.asarray(self.xt0, dtype=float).reshape(n))
@@ -109,12 +110,12 @@ class CascadeRun:
             object.__setattr__(self, "feedback", fb)
         if self.sigma < 0.0 or not np.isfinite(self.sigma):
             raise ValueError("noise level must be finite and non-negative")
-        if not (isinstance(self.noise_seed, (int, np.integer)) and self.noise_seed >= 0):
-            raise ValueError(
-                f"noise seed must be a non-negative integer, got {self.noise_seed!r}"
-            )
-        if self.lipschitz is not None:
-            check_bank_settings(_BANK_ORDER, self.lipschitz, self.gains, self.sys.r)
+        seed = self.noise_seed
+        # JSON true is an int to Python, but no seed
+        integral = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+        if not (integral and seed >= 0):
+            raise ValueError(f"noise seed must be a non-negative integer, got {seed!r}")
+        check_bank_settings(_BANK_ORDER, self.lipschitz, self.gains, self.sys.r)
         if self.dwell < 0.0:
             raise ValueError("dwell must be non-negative")
         # a residual never drops below a threshold <= 0, so the run could

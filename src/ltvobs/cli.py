@@ -93,27 +93,12 @@ def _write_plot(path, csv_name, title, ycols, ylabel, logy=False):
 # scenario loading
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Validated run description: system, signals, and tool configs."""
+    """A loaded scenario file: its name and the run spec it describes."""
 
     name: str
-    sys: LtvSystem
-    u: list
-    w: list
-    x0: np.ndarray
-    xt0: np.ndarray
-    feedback: np.ndarray | None
-    observer_k: int
-    observer_p: float
-    observer_q0: np.ndarray | None
-    lipschitz: object
-    settled_threshold: float
-    dwell: float
-    gains: tuple
-    step: StepConfig
-    sigma: float
-    seed: int
+    run: CascadeRun
 
 
 def _parse_grid(raw, name, rows, cols):
@@ -156,23 +141,59 @@ def _require(doc, key, kind, where="scenario"):
     if key not in doc:
         raise ScenarioError(f"{where} is missing required key '{key}'")
     val = doc[key]
-    if kind is not None and not isinstance(val, kind):
+    # bool is an int to Python, but JSON true is no integer
+    if kind is not None and (isinstance(val, bool) or not isinstance(val, kind)):
         raise ScenarioError(f"{where} key '{key}' has the wrong type")
     return val
 
 
-def _float_vector(raw, name, length):
+def _section(doc, key):
+    """The optional object ``key`` of the scenario; {} when absent or null."""
+    sec = doc.get(key)
+    if sec is not None and not isinstance(sec, dict):
+        raise ScenarioError(f"scenario key '{key}' must be an object")
+    return sec or {}
+
+
+def _number(raw, name):
+    """A JSON number as a float; anything else is a ScenarioError naming ``name``."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ScenarioError(f"{name}: {json.dumps(raw)} is not a number")
+    return float(raw)
+
+
+def _numbers(raw, name):
+    """A JSON number as a float, or nested lists of them as a float array."""
+    if not isinstance(raw, list):
+        return _number(raw, name)
+    items = [_numbers(v, name) for v in raw]
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise ScenarioError(f"{name} must be a numeric vector: {e}") from e
-    if arr.shape != (length,):
-        raise ScenarioError(f"{name} must have {length} entries, got {arr.shape}")
+        return np.array(items, dtype=float)
+    except ValueError as e:
+        raise ScenarioError(f"{name} has rows of unequal length") from e
+
+
+def _float_vector(raw, name, length):
+    arr = _numbers(raw, name)
+    if np.shape(arr) != (length,):
+        raise ScenarioError(f"{name} must have {length} entries, got {np.shape(arr)}")
     return arr
 
 
+def _spec(section, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError a ScenarioError naming ``section``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as e:
+        raise ScenarioError(f"{section}: {e}") from e
+
+
 def load_scenario(path) -> Scenario:
-    """Load and fully validate a scenario JSON file."""
+    """Load a scenario JSON file as one run spec.
+
+    This checks the schema; the spec types check the values, and their
+    errors are reported with the file's section.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -184,24 +205,17 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError("scenario document must be a JSON object")
 
     dims = _require(doc, "dimensions", dict)
-    n = int(_require(dims, "n", int, "dimensions"))
-    q = int(_require(dims, "q", int, "dimensions"))
-    m = int(_require(dims, "m", int, "dimensions"))
-    r = int(_require(dims, "r", int, "dimensions"))
+    n, q, m, r = (_require(dims, key, int, "dimensions") for key in "nqmr")
     if min(n, q, m, r) < 1:
         raise ScenarioError("dimensions must be positive")
 
-    a = _parse_grid(_require(doc, "a", list), "A", n, n)
-    f = _parse_grid(_require(doc, "f", list), "F", n, q)
-    d = _parse_grid(_require(doc, "d", list), "D", n, m)
-    c = _parse_grid(_require(doc, "c", list), "C", r, n)
-    w_bound = float(doc.get("w_bound", 0.0))
-    system = LtvSystem(a=a, f=f, d=d, c=c, w_bound=w_bound)
-
-    u = _parse_vector_exprs(doc.get("u"), "u", q)
-    w = _parse_vector_exprs(doc.get("w"), "w", m)
-    x0 = _float_vector(_require(doc, "x0", list), "x0", n)
-    xt0 = _float_vector(_require(doc, "xt0", list), "xt0", n)
+    system = LtvSystem(
+        a=_parse_grid(_require(doc, "a", list), "A", n, n),
+        f=_parse_grid(_require(doc, "f", list), "F", n, q),
+        d=_parse_grid(_require(doc, "d", list), "D", n, m),
+        c=_parse_grid(_require(doc, "c", list), "C", r, n),
+        w_bound=_number(doc.get("w_bound", 0.0), "w_bound"),
+    )
 
     feedback = None
     if doc.get("feedback") is not None:
@@ -210,18 +224,40 @@ def load_scenario(path) -> Scenario:
             raise ScenarioError("feedback must be a constant matrix")
         feedback = fb_expr.bind()([0.0])[0]
 
-    obs = _require(doc, "observer", dict)
-    k = int(_require(obs, "k", int, "observer"))
-    p = float(_require(obs, "p", (int, float), "observer"))
-    if not 1 <= k <= n:
-        raise ScenarioError(f"observer.k must be in 1..{n}, got {k}")
-    q0 = None
-    if obs.get("q0") is not None:
-        q0 = np.asarray(obs["q0"], dtype=float)
-        if q0.shape != (n, k):
-            raise ScenarioError(f"observer.q0 must be {n}x{k}, got {q0.shape}")
+    stp = _require(doc, "step", dict)
+    step = _spec(
+        "step",
+        StepConfig,
+        h=_number(_require(stp, "h", None, "step"), "step.h"),
+        t0=_number(stp.get("t0", 0.0), "step.t0"),
+        t_end=_number(_require(stp, "t_end", None, "step"), "step.t_end"),
+    )
 
-    diff = doc.get("differentiator", {})
+    obs = _require(doc, "observer", dict)
+    q0 = obs.get("q0")
+    observer = _spec(
+        "observer",
+        ObserverConfig,
+        p=_number(_require(obs, "p", None, "observer"), "observer.p"),
+        k=_require(obs, "k", int, "observer"),
+        step=step,
+        q0=None if q0 is None else _numbers(q0, "observer.q0"),
+    )
+    # the spec is built one section at a time, so that an error names its
+    # section; the differentiator and noise settings start at the defaults
+    run = _spec(
+        "observer",
+        CascadeRun,
+        sys=system,
+        observer=observer,
+        x0=_float_vector(_require(doc, "x0", None), "x0", n),
+        xt0=_float_vector(_require(doc, "xt0", None), "xt0", n),
+        w=_parse_vector_exprs(doc.get("w"), "w", m),
+        u=_parse_vector_exprs(doc.get("u"), "u", q),
+        feedback=feedback,
+    )
+
+    diff = _section(doc, "differentiator")
     if "lipschitz" in diff:
         # the key once bounded |d2 e_y/dt2|; reading it as the order-2
         # bank's bound would silently mix up derivatives
@@ -231,53 +267,31 @@ def load_scenario(path) -> Scenario:
             "differentiator.lipschitz3"
         )
     lip = diff.get("lipschitz3")
-    if lip is not None:
-        lip = np.asarray(lip, dtype=float)
-        if lip.ndim == 0:
-            lip = float(lip)
-        elif lip.shape != (r,):
-            raise ScenarioError(
-                f"differentiator.lipschitz3 must be scalar or {r}-vector"
-            )
-    threshold = float(diff.get("settled_threshold", 1e-4))
-    dwell = float(diff.get("dwell", 0.5))
-    gains = tuple(float(g) for g in diff.get("gains", DEFAULT_GAINS))
-
-    stp = _require(doc, "step", dict)
-    try:
-        step = StepConfig(
-            h=float(_require(stp, "h", (int, float), "step")),
-            t0=float(stp.get("t0", 0.0)),
-            t_end=float(_require(stp, "t_end", (int, float), "step")),
-        )
-    except ValueError as e:
-        raise ScenarioError(f"step: {e}") from e
-
-    noise = doc.get("noise", {})
-    sigma = float(noise.get("sigma", 0.0))
-    seed = int(noise.get("seed", 0))
-    if sigma < 0:
-        raise ScenarioError("noise.sigma must be non-negative")
-
-    return Scenario(
-        name=str(doc.get("name", os.path.basename(str(path)))),
-        sys=system,
-        u=u,
-        w=w,
-        x0=x0,
-        xt0=xt0,
-        feedback=feedback,
-        observer_k=k,
-        observer_p=p,
-        observer_q0=q0,
-        lipschitz=lip,
-        settled_threshold=threshold,
-        dwell=dwell,
-        gains=gains,
-        step=step,
-        sigma=sigma,
-        seed=seed,
+    gains = diff.get("gains", list(DEFAULT_GAINS))
+    if not isinstance(gains, list):
+        raise ScenarioError("differentiator.gains must be a list of numbers")
+    run = _spec(
+        "differentiator",
+        replace,
+        run,
+        lipschitz=None if lip is None else _numbers(lip, "differentiator.lipschitz3"),
+        gains=tuple(
+            _number(g, f"differentiator.gains[{i + 1}]") for i, g in enumerate(gains)
+        ),
+        threshold=_number(
+            diff.get("settled_threshold", 1e-4), "differentiator.settled_threshold"
+        ),
+        dwell=_number(diff.get("dwell", 0.5), "differentiator.dwell"),
     )
+    noise = _section(doc, "noise")
+    run = _spec(
+        "noise",
+        replace,
+        run,
+        sigma=_number(noise.get("sigma", 0.0), "noise.sigma"),
+        noise_seed=noise.get("seed", 0),
+    )
+    return Scenario(name=str(doc.get("name", os.path.basename(str(path)))), run=run)
 
 
 def bundled_scenario_names():
@@ -306,45 +320,30 @@ def _resolve_scenario(ref):
 # shared run assembly
 
 
-def _run_step_config(scen, args):
-    step = scen.step
-    horizon = getattr(args, "horizon", None)
-    if horizon is None:
-        return step
-    return StepConfig(h=step.h, t0=step.t0, t_end=step.t0 + float(horizon))
+def _run_spec(scen, args, reads_q0=True):
+    """``scen.run`` with the command-line overrides applied.
 
-
-def _observer_config(scen, args, step):
-    k = getattr(args, "k", None)
-    p = getattr(args, "p", None)
-    return ObserverConfig(
-        p=float(p) if p is not None else scen.observer_p,
-        k=int(k) if k is not None else scen.observer_k,
+    Without ``reads_q0`` (a flow from the default frame) the file's q0 is
+    dropped, so ``--k`` may pick any width.
+    """
+    given = {flag: value for flag, value in vars(args).items() if value is not None}
+    run, conf = scen.run, scen.run.observer
+    step = conf.step
+    if "horizon" in given:
+        step = replace(step, t_end=step.t0 + given["horizon"])
+    observer = replace(
+        conf,
         step=step,
-        q0=scen.observer_q0,
+        k=given.get("k", conf.k),
+        p=given.get("p", conf.p),
+        q0=conf.q0 if reads_q0 else None,
     )
-
-
-def _make_run(scen, args, oracle=False):
-    step = _run_step_config(scen, args)
-    conf = _observer_config(scen, args, step)
-    sigma = getattr(args, "sigma", None)
-    seed = getattr(args, "seed", None)
-    return CascadeRun(
-        sys=scen.sys,
-        observer=conf,
-        x0=scen.x0,
-        xt0=scen.xt0,
-        w=scen.w,
-        u=scen.u,
-        feedback=scen.feedback,
-        lipschitz=scen.lipschitz,
-        gains=scen.gains,
-        threshold=scen.settled_threshold,
-        dwell=scen.dwell,
-        sigma=float(sigma) if sigma is not None else scen.sigma,
-        noise_seed=int(seed) if seed is not None else scen.seed,
-        oracle_derivatives=oracle,
+    return replace(
+        run,
+        observer=observer,
+        sigma=given.get("sigma", run.sigma),
+        noise_seed=given.get("seed", run.noise_seed),
+        oracle_derivatives=given.get("oracle_derivatives", False),
     )
 
 
@@ -353,9 +352,9 @@ def _make_run(scen, args, oracle=False):
 
 
 def cmd_spectrum(scen, args, outdir):
-    step = _run_step_config(scen, args)
-    k = int(args.k) if args.k is not None else scen.observer_k
-    est = estimate_spectrum(scen.sys.a, k, step)
+    run = _run_spec(scen, args, reads_q0=False)
+    k, step = run.observer.k, run.observer.step
+    est = estimate_spectrum(run.sys.a, k, step)
     reg = regularity_report(est.history_t, est.history_b)
 
     header = ["t"] + [f"lambda_{j + 1}" for j in range(k)]
@@ -396,7 +395,7 @@ def cmd_spectrum(scen, args, outdir):
 
 
 def _detect_payload(scen, conf, track):
-    rep = detectability_report(scen.sys, conf, track=track)
+    rep = detectability_report(scen.run.sys, conf, track=track)
     try:
         p_min = min_gain_suggestion(rep, margin=1.0)
     except StepPreconditionError:
@@ -423,8 +422,7 @@ def _detect_payload(scen, conf, track):
 
 
 def cmd_detect(scen, args, outdir):
-    step = _run_step_config(scen, args)
-    conf = _observer_config(scen, args, step)
+    conf = _run_spec(scen, args).observer
     if args.sweep:
         try:
             p_values = [float(v) for v in args.sweep.split(",") if v.strip()]
@@ -435,7 +433,7 @@ def cmd_detect(scen, args, outdir):
         # every gain is checked before the flow; the gain enters only
         # mu_hat = lambda - p rbar, so one flow serves all
         confs = [replace(conf, p=p) for p in p_values]
-        track = frame_track(scen.sys, conf)
+        track = frame_track(scen.run.sys, conf)
         results = [_detect_payload(scen, c, track) for c in confs]
         _write_json(
             os.path.join(outdir, "detect_sweep.json"),
@@ -446,7 +444,7 @@ def cmd_detect(scen, args, outdir):
             print(f"p={_fmt(p)}: ok={str(pl['ok']).lower()} worst_mu_hat={_fmt(worst)}")
         rep, payload = results[0]
     else:
-        rep, payload = _detect_payload(scen, conf, frame_track(scen.sys, conf))
+        rep, payload = _detect_payload(scen, conf, frame_track(scen.run.sys, conf))
         verdict = "PASS" if payload["ok"] else "FAIL"
         pm = payload["p_min_margin_1"]
         print(
@@ -478,9 +476,9 @@ def cmd_detect(scen, args, outdir):
 
 
 def cmd_check_so(scen, args, outdir):
-    step = _run_step_config(scen, args)
+    step = _run_spec(scen, args).observer.step
     probes = np.linspace(step.t0, step.t0 + step.horizon, 101)
-    stack = build_stack(scen.sys, probe_times=probes)
+    stack = build_stack(scen.run.sys, probe_times=probes)
     verdict = strong_observability_test(stack, probe_times=probes)
     payload = {
         "scenario": scen.name,
@@ -517,7 +515,7 @@ def _series_csv(path, run, include_xhat):
 
 
 def cmd_observe(scen, args, outdir):
-    run = run_tso(_make_run(scen, args))
+    run = run_tso(_run_spec(scen, args))
     _series_csv(os.path.join(outdir, "observe.csv"), run, include_xhat=False)
     _write_plot(
         os.path.join(outdir, "observe.gp"),
@@ -536,7 +534,7 @@ def cmd_observe(scen, args, outdir):
 
 
 def cmd_reconstruct(scen, args, outdir):
-    run = run_cascade(_make_run(scen, args, oracle=bool(args.oracle_derivatives)))
+    run = run_cascade(_run_spec(scen, args))
     n = run.x.shape[1]
     _series_csv(os.path.join(outdir, "reconstruct.csv"), run, include_xhat=True)
     _write_plot(
@@ -559,22 +557,18 @@ def cmd_reconstruct(scen, args, outdir):
 
 def cmd_bibs(scen, args, outdir):
     epsilon = bibs_mod.check_epsilon(float(args.epsilon))
-    step = _run_step_config(scen, args)
+    # the open loop starts from the identity frame and never reads q0
+    run = _run_spec(scen, args, reads_q0=args.closed_loop)
     if args.closed_loop:
-        conf = _observer_config(scen, args, step)
-        tri = bibs_mod.triangularize_error_system(scen.sys, conf)
-        x0 = scen.x0 - scen.xt0
+        tri = bibs_mod.triangularize_error_system(run.sys, run.observer)
+        x0 = run.x0 - run.xt0
         subject = "closed-loop error matrix"
     else:
-        tri = bibs_mod.triangularize(scen.sys.a, step)
-        x0 = scen.x0
+        tri = bibs_mod.triangularize(run.sys.a, run.observer.step)
+        x0 = run.x0
         subject = "system matrix"
     cert = bibs_mod.general_bibs_certificate(
-        tri,
-        epsilon=epsilon,
-        d=scen.sys.d,
-        w_bound=scen.sys.w_bound,
-        x0=x0,
+        tri, epsilon=epsilon, d=run.sys.d, w_bound=run.sys.w_bound, x0=x0
     )
     header = ["component", "lambda_hat", "epsilon", "tail_mass", "certified", "state_bound"]
     rows = []

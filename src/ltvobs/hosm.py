@@ -49,7 +49,8 @@ def check_bank_settings(order, lipschitz, gains, channels):
     ``gains[i]`` multiplies the level at distance i from the top, so the
     highest derivative uses ``gains[0]`` and the signal level
     ``gains[order]``, and all of them must be finite and positive.
-    Returns the per-channel bounds; raises ValueError.
+    Returns the per-channel bounds, None for a bound still to estimate;
+    raises ValueError.
     """
     top = len(DEFAULT_GAINS) - 1
     if not 1 <= order <= top:
@@ -57,6 +58,13 @@ def check_bank_settings(order, lipschitz, gains, channels):
             f"order must be in 1..{top} (no established gains beyond {top}), "
             f"got {order}"
         )
+    gain = np.asarray(gains, dtype=float)
+    if gain.ndim != 1 or gain.size < order + 1:
+        raise ValueError(f"need {order + 1} gains for order {order}, got {gain.size}")
+    if not (np.all(gain > 0.0) and np.all(np.isfinite(gain))):
+        raise ValueError(f"gains must be finite and positive, got {tuple(gains)}")
+    if lipschitz is None:
+        return None
     bound = np.asarray(lipschitz, dtype=float)
     if bound.ndim > 1 or bound.size not in (1, channels):
         raise ValueError(
@@ -65,11 +73,6 @@ def check_bank_settings(order, lipschitz, gains, channels):
         )
     if not (np.all(bound > 0.0) and np.all(np.isfinite(bound))):
         raise ValueError(f"Lipschitz bound must be finite and positive, got {lipschitz}")
-    gain = np.asarray(gains, dtype=float)
-    if gain.ndim != 1 or gain.size < order + 1:
-        raise ValueError(f"need {order + 1} gains for order {order}, got {gain.size}")
-    if not (np.all(gain > 0.0) and np.all(np.isfinite(gain))):
-        raise ValueError(f"gains must be finite and positive, got {tuple(gains)}")
     return np.broadcast_to(bound.reshape(-1), (channels,)).copy()
 
 

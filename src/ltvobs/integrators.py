@@ -67,8 +67,8 @@ class StepConfig:
     def __post_init__(self):
         if not (self.h > 0.0 and np.isfinite(self.h)):
             raise ValueError(f"step size must be positive, got {self.h}")
-        if not self.t_end > self.t0:
-            raise ValueError(f"empty horizon [{self.t0}, {self.t_end}]")
+        if not (np.isfinite([self.t0, self.t_end]).all() and self.t_end > self.t0):
+            raise ValueError(f"empty or non-finite horizon [{self.t0}, {self.t_end}]")
 
     @property
     def n_steps(self):

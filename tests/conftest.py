@@ -1,10 +1,12 @@
 """Shared fixtures: small closed-form systems used across the suite."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ltvobs.cli import _resolve_scenario
 from ltvobs.errors import NumericalError
 from ltvobs.hosm import DEFAULT_GAINS
 from ltvobs.linalg import mgs_qr
@@ -19,6 +21,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance verdicts")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+def bench8_run(t_end, **kw):
+    """The bundled bench8 run spec over [0, t_end], with the fields ``kw`` replaced."""
+    run = _resolve_scenario("bench8").run
+    step = replace(run.observer.step, t0=0.0, t_end=t_end)
+    return replace(run, observer=replace(run.observer, step=step), **kw)
 
 
 @pytest.fixture

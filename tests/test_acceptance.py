@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from ltvobs.cascade import CascadeRun, run_cascade, run_tso
+from conftest import bench8_run
+from ltvobs.cascade import run_cascade, run_tso
 from ltvobs.cli import _resolve_scenario, main
 from ltvobs.integrators import StepConfig
 from ltvobs.linalg import numerical_rank
@@ -49,25 +50,7 @@ def verdict(n, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def bench():
-    return _resolve_scenario("bench8")
-
-
-def _bench_run(bench, t_end, **kw):
-    conf = ObserverConfig(
-        p=bench.observer_p,
-        k=bench.observer_k,
-        step=StepConfig(h=bench.step.h, t0=0.0, t_end=t_end),
-    )
-    kw.setdefault("w", bench.w)
-    kw.setdefault("u", bench.u)
-    kw.setdefault("x0", bench.x0)
-    kw.setdefault("xt0", bench.xt0)
-    kw.setdefault("feedback", bench.feedback)
-    kw.setdefault("lipschitz", bench.lipschitz)
-    kw.setdefault("gains", bench.gains)
-    kw.setdefault("threshold", bench.settled_threshold)
-    kw.setdefault("dwell", bench.dwell)
-    return CascadeRun(sys=bench.sys, observer=conf, **kw)
+    return _resolve_scenario("bench8").run
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +58,7 @@ def tso_200_no_input(bench):
     rng = np.random.default_rng(2024)
     e0 = rng.standard_normal(8)
     e0 /= np.linalg.norm(e0)
-    run = _bench_run(bench, 200.0, w=None, xt0=bench.x0 - e0, check_preconditions=False)
+    run = bench8_run(200.0, w=None, xt0=bench.x0 - e0, check_preconditions=False)
     return run_tso(run)
 
 
@@ -84,21 +67,21 @@ def tso_200_with_input(bench):
     rng = np.random.default_rng(2024)
     e0 = rng.standard_normal(8)
     e0 /= np.linalg.norm(e0)
-    run = _bench_run(bench, 200.0, xt0=bench.x0 - e0, check_preconditions=False)
+    run = bench8_run(200.0, xt0=bench.x0 - e0, check_preconditions=False)
     return run_tso(run)
 
 
 @pytest.fixture(scope="module")
-def cascade_50(bench):
+def cascade_50():
     start = time.perf_counter()
-    run = run_cascade(_bench_run(bench, 50.0))
+    run = run_cascade(bench8_run(50.0))
     run.wall_seconds = time.perf_counter() - start
     return run
 
 
 @pytest.fixture(scope="module")
-def cascade_50_noisy(bench):
-    return run_cascade(_bench_run(bench, 50.0, sigma=1e-3, noise_seed=bench.seed))
+def cascade_50_noisy():
+    return run_cascade(bench8_run(50.0, sigma=1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +215,7 @@ def test_06_strong_observability_verdicts(tmp_path_factory, capsys):
 
 
 def test_07_error_system_equivalence(bench):
-    conf = ObserverConfig(
-        p=bench.observer_p,
-        k=bench.observer_k,
-        step=StepConfig(h=bench.step.h, t0=0.0, t_end=50.0),
-    )
+    conf = bench8_run(50.0).observer
     probes = np.linspace(0.0, 50.0, 101)
     snaps = gain_snapshots(bench.sys, conf, probes)
     err_verdict = error_system_so_test(bench.sys, snaps)

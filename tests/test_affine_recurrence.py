@@ -16,8 +16,8 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import bench8_run
 from ltvobs.cascade import CascadeRun, _simulate, run_cascade
-from ltvobs.cli import _resolve_scenario
 from ltvobs.hosm import run_bank
 from ltvobs.integrators import (
     StepConfig,
@@ -157,17 +157,7 @@ def _toy_run(sys, t_end=6.0, **kw):
 
 
 def _bench_run(oracle):
-    bench = _resolve_scenario("bench8")
-    conf = ObserverConfig(
-        p=bench.observer_p, k=bench.observer_k,
-        step=StepConfig(h=bench.step.h, t0=0.0, t_end=2.0),
-    )
-    return CascadeRun(
-        sys=bench.sys, observer=conf, x0=bench.x0, xt0=bench.xt0, w=bench.w,
-        u=bench.u, feedback=bench.feedback, lipschitz=bench.lipschitz,
-        gains=bench.gains, threshold=bench.settled_threshold, dwell=bench.dwell,
-        oracle_derivatives=oracle,
-    )
+    return bench8_run(2.0, oracle_derivatives=oracle)
 
 
 def _check_against_reference(make):

@@ -1,5 +1,7 @@
 """Triangularization and finite-horizon boundedness certificates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from ltvobs.bibs import (
 )
 from ltvobs.cli import _resolve_scenario
 from ltvobs.integrators import StepConfig, rk4_step
-from ltvobs.observer import ObserverConfig
 
 
 def test_triangularize_constant_upper_triangular():
@@ -142,15 +143,11 @@ def test_error_system_certificate_on_bundled_benchmark():
     # rotate the frame through expanding directions), so their tail mass
     # stays near 2.8 and 1.7 and no epsilon can certify them, even
     # though their average rates are firmly negative
-    scen = _resolve_scenario("bench8")
-    conf = ObserverConfig(
-        p=scen.observer_p,
-        k=scen.observer_k,
-        step=StepConfig(h=5e-3, t0=0.0, t_end=50.0),
-    )
-    tri = triangularize_error_system(scen.sys, conf)
+    run = _resolve_scenario("bench8").run
+    conf = replace(run.observer, step=StepConfig(h=5e-3, t0=0.0, t_end=50.0))
+    tri = triangularize_error_system(run.sys, conf)
     cert = general_bibs_certificate(
-        tri, 0.1, d=scen.sys.d, w_bound=scen.sys.w_bound, x0=scen.x0 - scen.xt0
+        tri, 0.1, d=run.sys.d, w_bound=run.sys.w_bound, x0=run.x0 - run.xt0
     )
     lams = np.array([c.scalar.lambda_hat for c in cert.components])
     assert np.all(lams < -1.5)

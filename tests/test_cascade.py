@@ -228,9 +228,18 @@ def test_input_validation(toy2):
     for gains in ((1.1, 0.0, 2.0), (1.1, 1.5, float("inf"))):
         with pytest.raises(ValueError, match="gains must be finite and positive"):
             make_run(toy2, gains=gains)
-    for seed in (-1, 1.5, None):
+    for seed in (-1, 1.5, None, True):
         with pytest.raises(ValueError, match="noise seed"):
             make_run(toy2, noise_seed=seed)
-    # the auto bound is estimated later; the spec itself is valid
+    # the auto bound is estimated later; the spec itself is valid, but its
+    # gains are checked now
     assert make_run(toy2, lipschitz=None).lipschitz is None
+    with pytest.raises(ValueError, match="need 3 gains"):
+        make_run(toy2, lipschitz=None, gains=(1.1, 1.5))
+    # the observer's starting frame is checked with the spec too
+    with pytest.raises(ValueError, match="exceeds state dimension"):
+        make_run(toy2, k=3)
+    conf = ObserverConfig(p=8.0, k=1, step=StepConfig(t_end=1.0), q0=[[0.0], [0.0]])
+    with pytest.raises(ValueError, match="linearly dependent"):
+        CascadeRun(sys=toy2, observer=conf, x0=[1.0, -0.5], xt0=[0.0, 0.0])
     assert make_run(toy2, lipschitz=[8.0], noise_seed=np.int64(3)).noise_seed == 3

@@ -2,7 +2,6 @@
 
 import copy
 import json
-import os
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ import pytest
 from ltvobs import bibs, integrators, lyapunov, observer
 from ltvobs.cli import _resolve_scenario, _write_csv, load_scenario, main
 from ltvobs.errors import ScenarioError
+from ltvobs.hosm import DEFAULT_GAINS
 
 TOY = {
     "name": "toy",
@@ -37,10 +37,13 @@ def write_scenario(tmp_path, doc, name="scen.json"):
 def test_load_scenario_round_trip(tmp_path):
     scen = load_scenario(write_scenario(tmp_path, TOY))
     assert scen.name == "toy"
-    assert scen.sys.n == 2 and scen.sys.r == 1
-    assert scen.observer_k == 1 and scen.observer_p == 8.0
-    assert scen.step.t_end == 6.0
-    assert scen.sigma == 0.0
+    run = scen.run
+    assert run.sys.n == 2 and run.sys.r == 1
+    assert run.observer.k == 1 and run.observer.p == 8.0 and run.observer.q0 is None
+    assert run.observer.step.t_end == 6.0
+    assert np.array_equal(run.x0, [1.0, -0.5]) and run.w == ["0.4*sin(t)"]
+    assert np.array_equal(run.lipschitz, [8.0]) and run.gains == DEFAULT_GAINS
+    assert run.sigma == 0.0 and run.noise_seed == 0
 
 
 def test_missing_scenario_file_exits_2(tmp_path, capsys):
@@ -233,14 +236,35 @@ def test_non_positive_settle_threshold_exits_2(tmp_path, capsys, threshold):
     assert "settle threshold must be finite and positive" in capsys.readouterr().err
 
 
+def edited(edit):
+    """TOY with each dotted key of ``edit`` set to its value."""
+    doc = copy.deepcopy(TOY)
+    for key, value in edit.items():
+        *sections, last = key.split(".")
+        target = doc
+        for section in sections:
+            target = target.setdefault(section, {})
+        target[last] = value
+    return doc
+
+
 @pytest.mark.parametrize(
     "edit, extra, message",
     [
-        ({"lipschitz3": 0}, [], "Lipschitz bound must be finite and positive"),
-        ({"lipschitz3": [-1.0]}, [], "Lipschitz bound must be finite and positive"),
-        ({"gains": [1.1, 1.5]}, [], "need 3 gains"),
-        ({"gains": [1.1, 1.5, -2.0]}, [], "gains must be finite and positive"),
+        ({"differentiator.lipschitz3": 0}, [], "Lipschitz bound must be finite and positive"),
+        ({"differentiator.lipschitz3": [-1.0]}, [], "Lipschitz bound must be finite and positive"),
+        ({"differentiator.gains": [1.1, 1.5]}, [], "need 3 gains"),
+        ({"differentiator.gains": [1.1, 1.5, -2.0]}, [], "gains must be finite and positive"),
         ({}, ["--seed=-1"], "noise seed must be a non-negative integer"),
+        # without a bound the gains are still refused with the spec, not
+        # after the simulation that estimates the bound
+        (
+            {"differentiator.lipschitz3": None, "differentiator.gains": [1.1, 1.5]},
+            [],
+            "differentiator: need 3 gains",
+        ),
+        ({"noise.seed": 1.5}, [], "noise: noise seed must be a non-negative integer"),
+        ({"noise.sigma": -1.0}, [], "noise: noise level must be finite and non-negative"),
     ],
 )
 def test_bad_differentiator_or_noise_setting_exits_2(
@@ -249,12 +273,63 @@ def test_bad_differentiator_or_noise_setting_exits_2(
     # the bank's settings and the noise seed are refused with the run spec,
     # before the frame track, the preconditions and the simulation
     flows = count_flows(monkeypatch)
-    doc = copy.deepcopy(TOY)
-    doc["differentiator"].update(edit)
-    scen = write_scenario(tmp_path, doc)
+    scen = write_scenario(tmp_path, edited(edit))
     assert main(["reconstruct", "--scenario", scen, "--out", str(tmp_path)] + extra) == 2
     assert message in capsys.readouterr().err
     assert flows == []
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("differentiator.gains", 5),
+        ("differentiator.dwell", [1]),
+        ("w_bound", [1]),
+        ("noise", [1]),
+        ("differentiator", []),
+    ],
+)
+def test_malformed_scenario_value_exits_2(tmp_path, capsys, monkeypatch, key, value):
+    # a value of the wrong JSON type is refused by its key, not by a traceback
+    flows = count_flows(monkeypatch)
+    scen = write_scenario(tmp_path, edited({key: value}))
+    assert main(["reconstruct", "--scenario", scen, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert flows == []
+
+
+@pytest.mark.parametrize(
+    "command, edit, extra, message",
+    [
+        ("spectrum", {"differentiator.gains": [1.1, 1.5]}, [], "differentiator: need 3 gains"),
+        ("check-so", {"observer.q0": [[0], [0]]}, [], "observer: q0 columns are linearly dependent"),
+        ("check-so", {"observer.k": 3}, [], "observer: k=3 exceeds state dimension 2"),
+        ("spectrum", {"observer.k": True}, [], "observer key 'k' has the wrong type"),
+        ("spectrum", {"step.t_end": float("inf")}, [], "step: empty or non-finite horizon [0.0, inf]"),
+        ("spectrum", {}, ["--horizon", "inf"], "non-finite horizon [0.0, inf]"),
+        ("observe", {}, ["--horizon", "inf"], "non-finite horizon [0.0, inf]"),
+    ],
+)
+def test_every_command_checks_the_whole_run(
+    tmp_path, capsys, monkeypatch, command, edit, extra, message
+):
+    # a setting the command never reads is refused too, before any flow
+    flows = count_flows(monkeypatch)
+    scen = write_scenario(tmp_path, edited(edit))
+    assert main([command, "--scenario", scen, "--out", str(tmp_path)] + extra) == 2
+    assert message in capsys.readouterr().err
+    assert flows == []
+
+
+def test_k_override_with_q0(tmp_path, capsys):
+    # the spectrum starts from the default frame, so the file's 2x1 q0 does
+    # not bind --k; the observer starts from q0 and refuses the width
+    scen = write_scenario(tmp_path, edited({"observer.q0": [[1.0], [0.5]]}))
+    argv = ["--scenario", scen, "--out", str(tmp_path), "--horizon", "1", "--k", "2"]
+    assert main(["spectrum"] + argv) == 0
+    assert main(["detect"] + argv) == 2
+    assert "q0 must have shape (2, 2)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
@@ -329,9 +404,10 @@ def test_csv_writer_bytes_match_csv_module(tmp_path):
 
 
 def test_bundled_scenario_resolves(capsys, tmp_path):
-    scen = _resolve_scenario("bench8")
-    assert scen.sys.n == 8
-    assert scen.observer_k == 2 and scen.observer_p == 30.0
+    run = _resolve_scenario("bench8").run
+    assert run.sys.n == 8
+    assert run.observer.k == 2 and run.observer.p == 30.0
+    assert run.noise_seed == 42 and run.feedback.shape == (2, 8)
     out = str(tmp_path / "out")
     assert main(["check-so", "--scenario", "bench8", "--out", out]) == 0
     assert capsys.readouterr().out == "nu=2, strongly_observable=true\n"

@@ -12,18 +12,20 @@ compared with the discrete one.  Every reference evaluates its matrices
 once, on the arrays of grid and stage times.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ltvobs.bibs import triangularize, triangularize_error_system
-from ltvobs.cli import _resolve_scenario, load_scenario
+from ltvobs.cli import load_scenario
 from ltvobs.errors import NumericalError
 from ltvobs.integrators import CHUNK_STEPS, StepConfig, frame_flow, system_stages
 from ltvobs.linalg import mgs_qr
 from ltvobs.lyapunov import default_frame, estimate_spectrum
-from ltvobs.observer import ObserverConfig, _gain_basis, frame_track
+from ltvobs.observer import _gain_basis, frame_track
 from ltvobs.system import as_matrix_expr
-from conftest import discrete_qr_step, rk4_propagator, rk4_stage_times
+from conftest import bench8_run, discrete_qr_step, rk4_propagator, rk4_stage_times
 from test_cli import TOY, write_scenario
 
 
@@ -136,12 +138,9 @@ def _rel(a, b):
 @pytest.fixture(scope="module")
 def scenarios(tmp_path_factory):
     """Scenario and grid per name: TOY over its 6 s, bench8 over 3 s."""
-    toy = load_scenario(write_scenario(tmp_path_factory.mktemp("toy"), TOY))
-    bench = _resolve_scenario("bench8")
-    return {
-        "toy": (toy, toy.step),
-        "bench8": (bench, StepConfig(h=bench.step.h, t0=0.0, t_end=3.0)),
-    }
+    toy = load_scenario(write_scenario(tmp_path_factory.mktemp("toy"), TOY)).run
+    bench = bench8_run(3.0)
+    return {"toy": (toy, toy.observer.step), "bench8": (bench, bench.observer.step)}
 
 
 @pytest.mark.parametrize("name", ["toy", "bench8"])
@@ -169,7 +168,7 @@ def test_open_loop_triangularize_matches_sequential(scenarios, name):
 @pytest.mark.parametrize("name", ["toy", "bench8"])
 def test_k2_track_matches_sequential(scenarios, name):
     scen, cfg = scenarios[name]
-    conf = ObserverConfig(p=scen.observer_p, k=2, step=cfg)
+    conf = replace(scen.observer, k=2, step=cfg)
     track = frame_track(scen.sys, conf)
     frames, mats = sequential_flow(scen.sys.a, conf.initial_frame(scen.sys.n), cfg)
     c_val = scen.sys.c.bind()(track.t)
@@ -181,9 +180,8 @@ def test_k2_track_matches_sequential(scenarios, name):
 
 
 def _bench8_conf(t_end):
-    scen = _resolve_scenario("bench8")
-    step = StepConfig(h=scen.step.h, t0=0.0, t_end=t_end)
-    return scen, ObserverConfig(p=scen.observer_p, k=scen.observer_k, step=step)
+    run = bench8_run(t_end)
+    return run, run.observer
 
 
 def test_closed_loop_matches_sequential_on_short_horizon():
@@ -231,9 +229,9 @@ def test_blocked_driver_matches_per_step_discrete_qr(name):
     if name == "spread4":
         a, cfg, q = _spread4(), StepConfig(h=0.05, t0=0.0, t_end=100.0), np.eye(3)
     else:
-        scen = _resolve_scenario("bench8")
-        a, cfg = scen.sys.a, StepConfig(h=scen.step.h, t0=0.0, t_end=3.0)
-        q = default_frame(scen.sys.n, 3)
+        run = bench8_run(3.0)
+        a, cfg = run.sys.a, run.observer.step
+        q = default_frame(run.sys.n, 3)
     stage_mats = a.bind()(rk4_stage_times(cfg.grid(), cfg.h))
     growth = cfg.h * np.abs(stage_mats).sum(axis=1).max()
     assert growth * CHUNK_STEPS > 1.0 if name == "spread4" else growth * CHUNK_STEPS <= 1.0

@@ -1,14 +1,10 @@
 """Sliding-mode differentiator: exactness, homogeneity, bank mechanics."""
 
-import argparse
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from conftest import reference_bank
+from conftest import bench8_run, reference_bank
 from ltvobs.cascade import run_tso
-from ltvobs.cli import _make_run, _resolve_scenario
 from ltvobs.errors import NumericalError
 from ltvobs.hosm import (
     DEFAULT_GAINS,
@@ -64,8 +60,7 @@ def test_proper_step_keeps_quadratic_tracking():
 
 def _bench8_output_error(sigma):
     """bench8's output error e_y over 8 s, with the bank settings of its run."""
-    args = argparse.Namespace(horizon=8.0, k=None, p=None, sigma=sigma, seed=42)
-    run = replace(_make_run(_resolve_scenario("bench8"), args), check_preconditions=False)
+    run = bench8_run(8.0, sigma=sigma, noise_seed=42, check_preconditions=False)
     # the cascade floors the settle threshold at the noise level
     threshold = max(run.threshold, 5.0 * sigma)
     e_y = run_tso(run).e_y

@@ -31,6 +31,10 @@ def test_step_config_validation():
         StepConfig(h=0.1, t0=1.0, t_end=1.0)
     with pytest.raises(ValueError):
         StepConfig(h=0.3, t0=0.0, t_end=1.0).n_steps  # off-grid horizon
+    # an infinite end would reach n_steps as int(inf)
+    for t0, t_end in ((0.0, float("inf")), (float("-inf"), 1.0), (0.0, float("nan"))):
+        with pytest.raises(ValueError, match="non-finite horizon"):
+            StepConfig(h=0.1, t0=t0, t_end=t_end)
 
 
 def test_rk4_local_accuracy_scalar():

@@ -77,7 +77,7 @@ def test_h_eig_history_matches_per_probe(name):
         "full_output": lambda: LtvSystem(
             a=[[0.0, 1.0], [0.0, 0.0]], f=[[0.0], [1.0]], d=[[0.0], [1.0]], c=np.eye(2)
         ),
-        "bench8": lambda: _resolve_scenario("bench8").sys,
+        "bench8": lambda: _resolve_scenario("bench8").run.sys,
     }
     stack = build_stack(systems[name]())
     assert (stack.j_nu is None) == (name == "full_output")
