@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrators import StepConfig, frame_flow, history_stride, skew_rule, system_stages
+from .integrators import StepConfig, frame_flow, skew_rule, system_stages
+from .lyapunov import TAIL_MASS_TOL, history_index
 from .observer import ObserverConfig, frame_track, gain_stack, stage_gains
 from .system import LtvSystem, as_sampler
 
@@ -70,20 +71,19 @@ def _triangular_flow(stages, n, cfg):
 
     B = Qf^T M Qf - S(Qf^T M Qf) with M the recorded grid matrix of
     ``stages`` (see :func:`ltvobs.integrators.frame_flow`); it is taken at
-    the first and last grid points and every
-    :func:`~ltvobs.integrators.history_stride`-th one.
+    the first grid point and at the history points of
+    :func:`ltvobs.lyapunov.history_index`.
     """
-    n_steps = cfg.n_steps
-    stride = history_stride(n_steps)
+    keep = np.zeros(cfg.n_steps + 1, dtype=bool)
+    keep[0] = True
+    keep[history_index(cfg)] = True
     ts, bs, qs = [], [], []
     for lo, hi, grid, frames, _ in frame_flow(stages, np.eye(n), cfg):
-        index = np.arange(lo, hi + 1)
-        keep = (index % stride == 0) | (index == n_steps)
-        if lo > 0:
-            keep[0] = False  # recorded as the previous chunk's last point
-        q = frames[keep]
-        w = q.mT @ grid[keep] @ q
-        ts.append(cfg.t0 + cfg.h * index[keep])
+        first = 1 if lo else 0  # grid point lo closed the previous chunk
+        index = first + np.flatnonzero(keep[lo + first : hi + 1])
+        q = frames[index]
+        w = q.mT @ grid[index] @ q
+        ts.append(cfg.t0 + cfg.h * (lo + index))
         bs.append(w - skew_rule(w))
         qs.append(q)
     return TriangularForm(
@@ -132,16 +132,16 @@ class ScalarCertificate:
 
     ``certified`` requires the average of ``a`` to clear ``-epsilon`` and
     the tail mass of max(a + epsilon, 0) over the last half horizon to
-    stay under ``strong_tol``.  ``bound_factor`` and ``input_gain`` feed
-    the explicit bound |z(t)| <= bound_factor * (|z0| + fbar * input_gain)
-    on the certified horizon.
+    stay at or under :data:`ltvobs.lyapunov.TAIL_MASS_TOL`.
+    ``bound_factor`` and ``input_gain`` feed the explicit bound
+    |z(t)| <= bound_factor * (|z0| + fbar * input_gain) on the certified
+    horizon.
     """
 
     certified: bool
     lambda_hat: float
     epsilon: float
     tail_mass: float
-    strong_tol: float
     bound_factor: float
     input_gain: float
     t0: float
@@ -158,7 +158,7 @@ def check_epsilon(epsilon):
     return epsilon
 
 
-def _certify_series(t, vals, epsilon, strong_tol):
+def _certify_series(t, vals, epsilon):
     check_epsilon(epsilon)
     span = t[-1] - t[0]
     lam = np.trapezoid(vals, t) / span
@@ -168,11 +168,10 @@ def _certify_series(t, vals, epsilon, strong_tol):
     bound_factor = float(np.exp(np.trapezoid(pos, t)))
     input_gain = float((1.0 - np.exp(-epsilon * span)) / epsilon)
     return ScalarCertificate(
-        certified=bool(lam + epsilon < 0.0 and tail_mass <= strong_tol),
+        certified=bool(lam + epsilon < 0.0 and tail_mass <= TAIL_MASS_TOL),
         lambda_hat=float(lam),
         epsilon=float(epsilon),
         tail_mass=tail_mass,
-        strong_tol=float(strong_tol),
         bound_factor=bound_factor,
         input_gain=input_gain,
         t0=float(t[0]),
@@ -180,7 +179,7 @@ def _certify_series(t, vals, epsilon, strong_tol):
     )
 
 
-def scalar_bibs_certificate(a, epsilon, cfg: StepConfig, strong_tol=0.05):
+def scalar_bibs_certificate(a, epsilon, cfg: StepConfig):
     """Certify boundedness of the scalar system dz/dt = a(t) z + f(t).
 
     ``a`` is one entry in any form :func:`ltvobs.system.as_sampler` takes:
@@ -191,7 +190,7 @@ def scalar_bibs_certificate(a, epsilon, cfg: StepConfig, strong_tol=0.05):
     vals = as_sampler(a, ())(t)
     if not np.all(np.isfinite(vals)):
         raise ValueError("diagonal series contains non-finite samples")
-    return _certify_series(t, vals, epsilon, strong_tol)
+    return _certify_series(t, vals, epsilon)
 
 
 @dataclass
@@ -222,9 +221,7 @@ class GeneralCertificate:
         return np.asarray([c.state_bound for c in self.components])
 
 
-def general_bibs_certificate(
-    tri: TriangularForm, epsilon, d=None, w_bound=0.0, strong_tol=0.05, x0=None
-):
+def general_bibs_certificate(tri: TriangularForm, epsilon, d=None, w_bound=0.0, x0=None):
     """Certify every component of the triangularized system, bottom-up.
 
     Component i of the triangular dynamics sees the unknown input through
@@ -250,7 +247,7 @@ def general_bibs_certificate(
     bounds = np.zeros(n)
     chain_ok = True
     for i in range(n - 1, -1, -1):
-        cert = _certify_series(t, tri.b[:, i, i], epsilon, strong_tol)
+        cert = _certify_series(t, tri.b[:, i, i], epsilon)
         coupling = float(b_abs_max[i, i + 1 :] @ bounds[i + 1 :]) if i + 1 < n else 0.0
         certified = bool(cert.certified and chain_ok)
         chain_ok = certified

@@ -55,7 +55,7 @@ from .observer import (
     min_gain_suggestion,
     stage_gains,
 )
-from .strong_obs import ErrorStackSampler, build_stack, strong_observability_test
+from .strong_obs import ErrorStackSampler, horizon_so_check
 from .system import LtvSystem, as_sampler
 
 __all__ = ["CascadeRun", "CascadeResult", "run_cascade", "run_tso"]
@@ -167,10 +167,7 @@ def _check_preconditions(run, track, need_stack):
         )
     if not need_stack:
         return report, None
-    step = run.observer.step
-    probes = np.linspace(step.t0, step.t0 + step.horizon, 101)
-    stack = build_stack(run.sys, probe_times=probes)
-    verdict = strong_observability_test(stack, probe_times=probes)
+    stack, verdict = horizon_so_check(run.sys, run.observer.step)
     if not verdict.ok:
         raise StepPreconditionError(
             "iv", "system is not strongly observable on the run horizon"

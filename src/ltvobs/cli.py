@@ -30,7 +30,6 @@ from . import bibs as bibs_mod
 from .cascade import CascadeRun, run_cascade, run_tso
 from .errors import ExprError, NumericalError, ScenarioError, StepPreconditionError
 from .expr import MatrixExpr, parse
-from .hosm import DEFAULT_GAINS
 from .integrators import StepConfig
 from .lyapunov import estimate_spectrum, nonstable_dimension, regularity_report
 from .observer import (
@@ -39,7 +38,7 @@ from .observer import (
     frame_track,
     min_gain_suggestion,
 )
-from .strong_obs import ReconstructionMap, build_stack, strong_observability_test
+from .strong_obs import ReconstructionMap, horizon_so_check
 from .system import LtvSystem
 
 __all__ = ["Scenario", "load_scenario", "main"]
@@ -173,6 +172,27 @@ def _numbers(raw, name):
         raise ScenarioError(f"{name} has rows of unequal length") from e
 
 
+def _number_list(raw, name):
+    """A JSON list of numbers as a tuple of floats."""
+    if not isinstance(raw, list):
+        raise ScenarioError(f"{name} must be a list of numbers")
+    return tuple(_number(v, f"{name}[{i + 1}]") for i, v in enumerate(raw))
+
+
+def _given(sec, where, **fields):
+    """Spec keywords for the optional keys that the section ``sec`` gives.
+
+    ``fields`` maps a keyword to its ``(key, convert)``; each present key
+    becomes ``convert(value, "<where><key>")``.  An absent key is left out,
+    so the spec type's default applies.
+    """
+    return {
+        field: convert(sec[key], f"{where}{key}")
+        for field, (key, convert) in fields.items()
+        if key in sec
+    }
+
+
 def _float_vector(raw, name, length):
     arr = _numbers(raw, name)
     if np.shape(arr) != (length,):
@@ -214,7 +234,7 @@ def load_scenario(path) -> Scenario:
         f=_parse_grid(_require(doc, "f", list), "F", n, q),
         d=_parse_grid(_require(doc, "d", list), "D", n, m),
         c=_parse_grid(_require(doc, "c", list), "C", r, n),
-        w_bound=_number(doc.get("w_bound", 0.0), "w_bound"),
+        **_given(doc, "", w_bound=("w_bound", _number)),
     )
 
     feedback = None
@@ -229,8 +249,8 @@ def load_scenario(path) -> Scenario:
         "step",
         StepConfig,
         h=_number(_require(stp, "h", None, "step"), "step.h"),
-        t0=_number(stp.get("t0", 0.0), "step.t0"),
         t_end=_number(_require(stp, "t_end", None, "step"), "step.t_end"),
+        **_given(stp, "step.", t0=("t0", _number)),
     )
 
     obs = _require(doc, "observer", dict)
@@ -245,6 +265,7 @@ def load_scenario(path) -> Scenario:
     )
     # the spec is built one section at a time, so that an error names its
     # section; the differentiator and noise settings start at the defaults
+    # of CascadeRun, and only the keys a file gives replace them
     run = _spec(
         "observer",
         CascadeRun,
@@ -267,29 +288,29 @@ def load_scenario(path) -> Scenario:
             "differentiator.lipschitz3"
         )
     lip = diff.get("lipschitz3")
-    gains = diff.get("gains", list(DEFAULT_GAINS))
-    if not isinstance(gains, list):
-        raise ScenarioError("differentiator.gains must be a list of numbers")
     run = _spec(
         "differentiator",
         replace,
         run,
         lipschitz=None if lip is None else _numbers(lip, "differentiator.lipschitz3"),
-        gains=tuple(
-            _number(g, f"differentiator.gains[{i + 1}]") for i, g in enumerate(gains)
+        **_given(
+            diff,
+            "differentiator.",
+            gains=("gains", _number_list),
+            threshold=("settled_threshold", _number),
+            dwell=("dwell", _number),
         ),
-        threshold=_number(
-            diff.get("settled_threshold", 1e-4), "differentiator.settled_threshold"
-        ),
-        dwell=_number(diff.get("dwell", 0.5), "differentiator.dwell"),
     )
-    noise = _section(doc, "noise")
     run = _spec(
         "noise",
         replace,
         run,
-        sigma=_number(noise.get("sigma", 0.0), "noise.sigma"),
-        noise_seed=noise.get("seed", 0),
+        **_given(
+            _section(doc, "noise"),
+            "noise.",
+            sigma=("sigma", _number),
+            noise_seed=("seed", lambda raw, name: raw),
+        ),
     )
     return Scenario(name=str(doc.get("name", os.path.basename(str(path)))), run=run)
 
@@ -320,31 +341,40 @@ def _resolve_scenario(ref):
 # shared run assembly
 
 
+# the command-line flags that override a setting of the scenario file
+_OVERRIDES = ("horizon", "k", "p", "sigma", "seed")
+
+
 def _run_spec(scen, args, reads_q0=True):
     """``scen.run`` with the command-line overrides applied.
 
     Without ``reads_q0`` (a flow from the default frame) the file's q0 is
-    dropped, so ``--k`` may pick any width.
+    dropped, so ``--k`` may pick any width.  A setting the overrides make
+    invalid is a ScenarioError naming the flags given.
     """
     given = {flag: value for flag, value in vars(args).items() if value is not None}
     run, conf = scen.run, scen.run.observer
-    step = conf.step
-    if "horizon" in given:
-        step = replace(step, t_end=step.t0 + given["horizon"])
-    observer = replace(
-        conf,
-        step=step,
-        k=given.get("k", conf.k),
-        p=given.get("p", conf.p),
-        q0=conf.q0 if reads_q0 else None,
-    )
-    return replace(
-        run,
-        observer=observer,
-        sigma=given.get("sigma", run.sigma),
-        noise_seed=given.get("seed", run.noise_seed),
-        oracle_derivatives=given.get("oracle_derivatives", False),
-    )
+    try:
+        step = conf.step
+        if "horizon" in given:
+            step = replace(step, t_end=step.t0 + given["horizon"])
+        observer = replace(
+            conf,
+            step=step,
+            k=given.get("k", conf.k),
+            p=given.get("p", conf.p),
+            q0=conf.q0 if reads_q0 else None,
+        )
+        return replace(
+            run,
+            observer=observer,
+            sigma=given.get("sigma", run.sigma),
+            noise_seed=given.get("seed", run.noise_seed),
+            oracle_derivatives=given.get("oracle_derivatives", False),
+        )
+    except ValueError as e:
+        flags = [f"--{key} {given[key]}" for key in _OVERRIDES if key in given]
+        raise ScenarioError(f"with {' '.join(flags)}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +506,7 @@ def cmd_detect(scen, args, outdir):
 
 
 def cmd_check_so(scen, args, outdir):
-    step = _run_spec(scen, args).observer.step
-    probes = np.linspace(step.t0, step.t0 + step.horizon, 101)
-    stack = build_stack(scen.run.sys, probe_times=probes)
-    verdict = strong_observability_test(stack, probe_times=probes)
+    stack, verdict = horizon_so_check(scen.run.sys, _run_spec(scen, args).observer.step)
     payload = {
         "scenario": scen.name,
         "nu": int(stack.nu),
@@ -491,7 +518,7 @@ def cmd_check_so(scen, args, outdir):
         "rank_s_star_max": int(verdict.rank_s_star.max()),
     }
     if verdict.ok:
-        rmap = ReconstructionMap(stack, probe_times=probes)
+        rmap = ReconstructionMap(stack)
         payload["min_eig_h"] = float(rmap.min_eig_h)
     _write_json(os.path.join(outdir, "check_so.json"), payload)
     print(f"nu={stack.nu}, strongly_observable={str(verdict.ok).lower()}")

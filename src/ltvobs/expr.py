@@ -78,12 +78,6 @@ class Num(Expr):
     def __str__(self):
         return repr(self.value)
 
-    def __eq__(self, other):
-        return isinstance(other, Num) and other.value == self.value
-
-    def __hash__(self):
-        return hash(("Num", self.value))
-
 
 class Time(Expr):
     """The independent variable ``t``."""
@@ -98,12 +92,6 @@ class Time(Expr):
 
     def __str__(self):
         return "t"
-
-    def __eq__(self, other):
-        return isinstance(other, Time)
-
-    def __hash__(self):
-        return hash("Time")
 
 
 class Neg(Expr):
@@ -123,12 +111,6 @@ class Neg(Expr):
 
     def __str__(self):
         return "-" + _paren(self.arg, 3)
-
-    def __eq__(self, other):
-        return isinstance(other, Neg) and other.arg == self.arg
-
-    def __hash__(self):
-        return hash(("Neg", self.arg))
 
 
 class Bin(Expr):
@@ -176,17 +158,6 @@ class Bin(Expr):
         right = _paren(self.right, p + 1 if self.op in "-/" else p)
         return f"{left} {self.op} {right}"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Bin)
-            and other.op == self.op
-            and other.left == self.left
-            and other.right == self.right
-        )
-
-    def __hash__(self):
-        return hash(("Bin", self.op, self.left, self.right))
-
 
 class Call(Expr):
     """Function application: sin, cos, exp or sqrt."""
@@ -219,12 +190,6 @@ class Call(Expr):
 
     def __str__(self):
         return f"{self.name}({self.arg})"
-
-    def __eq__(self, other):
-        return isinstance(other, Call) and other.name == self.name and other.arg == self.arg
-
-    def __hash__(self):
-        return hash(("Call", self.name, self.arg))
 
 
 def _paren(e, minimum):

@@ -110,18 +110,18 @@ def _step_z(z, f, neg_rates, powers, taylor, h):
     return z + h * v + taylor @ z
 
 
-def estimate_lipschitz(f, h, nu, warmup=None):
+def estimate_lipschitz(f, h, nu):
     """Crude per-channel Lipschitz bound: 2x the max finite-difference
-    nu-th derivative over a warmup window.
+    nu-th derivative over the samples ``f`` (the caller's warmup window).
 
     A fallback for when no analytic bound is known; finite differences
     amplify noise by h^-nu, so prefer a supplied bound on noisy data.
     """
     f = np.atleast_2d(np.asarray(f, dtype=float).T).T
-    rows = f.shape[0] if warmup is None else min(int(warmup), f.shape[0])
+    rows = f.shape[0]
     if rows < nu + 1:
         raise ValueError(f"need at least {nu + 1} samples, got {rows}")
-    deriv = np.diff(f[:rows], n=nu, axis=0) / h**nu
+    deriv = np.diff(f, n=nu, axis=0) / h**nu
     return 2.0 * np.max(np.abs(deriv), axis=0)
 
 

@@ -51,11 +51,6 @@ __all__ = [
 CHUNK_STEPS = 128
 
 
-def history_stride(n_steps):
-    """Grid steps between recorded history samples: a few thousand per run."""
-    return max(1, n_steps // 4000)
-
-
 @dataclass(frozen=True)
 class StepConfig:
     """Uniform time grid: step ``h`` over ``[t0, t_end]``."""

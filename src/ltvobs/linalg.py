@@ -27,23 +27,13 @@ __all__ = [
 _EPS = np.finfo(float).eps
 
 
-def default_rank_tol(x, sigma_max=None):
-    """max(rows, cols) * eps * sigma_max, the usual SVD cutoff."""
-    if sigma_max is None:
-        sigma_max = np.linalg.norm(x, 2) if x.size else 0.0
-    return max(x.shape) * _EPS * sigma_max
-
-
-def mgs_qr(x, rank_tol=None):
+def mgs_qr(x):
     """Modified Gram-Schmidt QR of an n-by-m matrix with n >= m.
 
     Parameters
     ----------
     x : ndarray, shape (n, m)
         Columns to orthonormalize.
-    rank_tol : float, optional
-        Pivot cutoff below which a column counts as dependent.  Defaults
-        to ``max(n, m) * eps * max column norm``.
 
     Returns
     -------
@@ -54,7 +44,8 @@ def mgs_qr(x, rank_tol=None):
 
     Notes
     -----
-    A column whose pivot falls below ``rank_tol`` gets ``r[j, j] = 0`` and
+    A column whose pivot is at or below ``max(n, m) * eps * max column
+    norm`` counts as dependent: it gets ``r[j, j] = 0`` and
     its Q column is replaced by the first canonical basis vector with a
     usable residual after orthogonalization against the accepted columns,
     so Q always carries a full orthonormal frame.
@@ -65,9 +56,8 @@ def mgs_qr(x, rank_tol=None):
     n, m = x.shape
     if n < m:
         raise ValueError(f"need n >= m, got shape {x.shape}")
-    if rank_tol is None:
-        col_norms = np.sqrt((x * x).sum(axis=0))
-        rank_tol = max(n, m) * _EPS * (col_norms.max() if m else 0.0)
+    col_norms = np.sqrt((x * x).sum(axis=0))
+    rank_tol = max(n, m) * _EPS * (col_norms.max() if m else 0.0)
 
     q = np.empty((n, m))
     r = np.zeros((m, m))
@@ -157,7 +147,7 @@ def numerical_rank(x, tol=None):
     return int(ranks) if x.ndim == 2 else ranks
 
 
-def pinv(x, tol=None):
+def pinv(x):
     """Moore-Penrose pseudoinverse with the shared rank tolerance.
 
     A stack ``(..., rows, cols)`` is inverted matrix by matrix, each with
@@ -168,22 +158,21 @@ def pinv(x, tol=None):
         u, s, vt = np.linalg.svd(x, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
-    if tol is None:
-        top = s[..., :1] if s.shape[-1] else np.zeros(s.shape[:-1] + (1,))
-        tol = max(x.shape[-2:]) * _EPS * top
+    top = s[..., :1] if s.shape[-1] else np.zeros(s.shape[:-1] + (1,))
+    tol = max(x.shape[-2:]) * _EPS * top
     recip = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
     inv = np.where(s > tol, recip, 0.0)
     return (np.swapaxes(vt, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
-def orthogonal_projector_complement(j, tol=None):
+def orthogonal_projector_complement(j):
     """Projector onto the orthogonal complement of the column span of ``j``.
 
     Returns ``K = I - J J^+``; for ``j == 0`` this is the identity.  The
     result is symmetrized so ``K = K^T`` holds exactly.
     """
     j = np.atleast_2d(np.asarray(j, dtype=float))
-    k = np.eye(j.shape[0]) - j @ pinv(j, tol=tol)
+    k = np.eye(j.shape[0]) - j @ pinv(j)
     return 0.5 * (k + k.T)
 
 

@@ -12,15 +12,20 @@ diagonal.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .integrators import StepConfig, frame_flow, history_stride, system_stages
+from .integrators import StepConfig, frame_flow, system_stages
 from .linalg import mgs_qr
 
 __all__ = [
     "default_frame",
     "start_frame",
+    "history_index",
+    "RunningAverage",
+    "running_average",
+    "frame_diagnostics",
     "SpectrumEstimate",
     "estimate_spectrum",
     "nonstable_dimension",
@@ -28,6 +33,17 @@ __all__ = [
     "RegularityReport",
     "regularity_report",
 ]
+
+# exponents at or above -NONSTABLE_BAND count as non-stable: an exponent
+# that is zero up to estimation error is treated as non-negative by every
+# design step
+NONSTABLE_BAND = 1e-3
+# regularity diagnostics: the shift of the integral test (1/s), the window
+# of the running-average spread test as a fraction of the horizon, and the
+# allowed tail mass of the shifted diagonal over the last half horizon
+REGULARITY_SHIFT = 1e-2
+REGULARITY_WINDOW = 0.1
+TAIL_MASS_TOL = 0.05
 
 
 def default_frame(n, k):
@@ -51,6 +67,64 @@ def start_frame(n, k, q0=None):
     if np.any(np.diag(r) <= 0.0):
         raise ValueError("q0 columns are linearly dependent")
     return q
+
+
+def history_index(cfg):
+    """Grid indices of a run's recorded history: every stride-th step and the last.
+
+    The stride keeps a few thousand samples per run.  Index 0, where no
+    running average exists yet, is not among them.
+    """
+    n_steps = cfg.n_steps
+    stride = max(1, n_steps // 4000)
+    index = np.arange(stride, n_steps + 1, stride)
+    if index[-1] != n_steps:
+        index = np.append(index, n_steps)
+    return index
+
+
+class RunningAverage(NamedTuple):
+    """Output of :func:`running_average`."""
+
+    integral: np.ndarray
+    mean: np.ndarray
+    index: np.ndarray
+    t: np.ndarray
+    history: np.ndarray
+
+
+def running_average(series, cfg):
+    """Trapezoid time averages of a grid series ``(N + 1, k)`` on the grid of ``cfg``.
+
+    Returns the integrals over the horizon, the averages ``integral /
+    horizon``, and the running averages over ``[t0, t]`` at the times
+    ``t`` of the grid points :func:`history_index` picks.  The steps are
+    summed in sequence by one cumsum, so a stream of per-chunk partial sums
+    chained the same way gives the same bits.
+    """
+    steps = (0.5 * cfg.h) * (series[:-1] + series[1:])
+    start = np.zeros((1,) + steps.shape[1:])
+    running = np.cumsum(np.concatenate([start, steps]), axis=0)
+    integral = running[-1].copy()
+    index = history_index(cfg)
+    t = cfg.t0 + cfg.h * index
+    return RunningAverage(
+        integral=integral,
+        mean=integral / cfg.horizon,
+        index=index,
+        t=t,
+        history=running[index] / (t - cfg.t0)[:, None],
+    )
+
+
+def frame_diagnostics(frames, m):
+    """diag(Q^T M Q) (T, k) and ``||Q^T Q - I||_F`` (T,) of frames (T, n, k).
+
+    ``m`` (T, n, n) holds the matrix at each frame's grid point.
+    """
+    b = np.einsum("tij,tij->tj", frames, m @ frames)
+    gram = frames.mT @ frames - np.eye(frames.shape[-1])
+    return b, np.sqrt((gram * gram).sum(axis=(1, 2)))
 
 
 @dataclass
@@ -108,56 +182,38 @@ def estimate_spectrum(a, k, cfg, q0=None):
     SpectrumEstimate
     """
     n, stages = system_stages(a, cfg)
-    q = start_frame(n, k, q0)
-
-    h = cfg.h
-    n_steps = cfg.n_steps
-    stride = history_stride(n_steps)
-
-    integrals = np.zeros(k)
+    diag = np.empty((cfg.n_steps + 1, k))
     log_growth = np.zeros(k)
-    eye_k = np.eye(k)
     max_defect = 0.0
-    hist_t, hist_lam, hist_b = [], [], []
-
-    for lo, hi, grid, frames, log_r in frame_flow(stages, q, cfg):
+    for lo, hi, grid, frames, log_r in frame_flow(stages, start_frame(n, k, q0), cfg):
         log_growth += log_r.sum(axis=0)
-        b = np.einsum("tij,tij->tj", frames, grid @ frames)
-        steps = (0.5 * h) * (b[:-1] + b[1:])
-        running = np.cumsum(np.concatenate([integrals[None], steps]), axis=0)[1:]
-        integrals = running[-1]
-        gram = frames[1:].mT @ frames[1:] - eye_k
-        max_defect = max(max_defect, float(np.sqrt((gram * gram).sum(axis=(1, 2))).max()))
-        index = np.arange(lo + 1, hi + 1)
-        keep = (index % stride == 0) | (index == n_steps)
-        t_keep = cfg.t0 + h * index[keep]
-        hist_t.append(t_keep)
-        hist_lam.append(running[keep] / (t_keep - cfg.t0)[:, None])
-        hist_b.append(b[1:][keep])
-    q = frames[-1]
+        first = 1 if lo else 0  # grid point lo closed the previous chunk
+        b, defect = frame_diagnostics(frames[first:], grid[first:])
+        diag[lo + first : hi + 1] = b
+        max_defect = max(max_defect, float(defect.max()))
 
-    by_direction = integrals / cfg.horizon
+    avg = running_average(diag, cfg)
     return SpectrumEstimate(
-        exponents=np.sort(by_direction)[::-1],
-        exponents_by_direction=by_direction,
+        exponents=np.sort(avg.mean)[::-1],
+        exponents_by_direction=avg.mean,
         exponents_log_r=log_growth / cfg.horizon,
-        integrals=integrals.copy(),
-        q_final=q,
-        history_t=np.concatenate(hist_t),
-        history_lambda=np.concatenate(hist_lam),
-        history_b=np.concatenate(hist_b),
+        integrals=avg.integral,
+        q_final=frames[-1],
+        history_t=avg.t,
+        history_lambda=avg.history,
+        history_b=diag[avg.index],
         max_orth_defect=max_defect,
         config=cfg,
     )
 
 
-def nonstable_dimension(estimate, zero_band=1e-3):
+def nonstable_dimension(estimate):
     """Number of exponents that are not safely negative.
 
-    Counts ``lambda_hat >= -zero_band`` so exponents that are zero up to
-    estimation error land in the non-stable set.
+    Counts ``lambda_hat >= -NONSTABLE_BAND`` so exponents that are zero up
+    to estimation error land in the non-stable set.
     """
-    return int(np.count_nonzero(estimate.exponents >= -zero_band))
+    return int(np.count_nonzero(estimate.exponents >= -NONSTABLE_BAND))
 
 
 @dataclass
@@ -177,10 +233,6 @@ class DirectionRegularity:
 @dataclass
 class RegularityReport:
     directions: list
-    epsilon: float
-    window_fraction: float
-    zero_band: float
-    strong_tol: float
 
     @property
     def forward_regular(self):
@@ -204,14 +256,7 @@ def _window_means(t, y, t_lo, t_hi, width):
     return means
 
 
-def regularity_report(
-    t,
-    b,
-    epsilon=1e-2,
-    window_fraction=0.1,
-    zero_band=1e-3,
-    strong_tol=0.05,
-):
+def regularity_report(t, b):
     """Judge forward and strong forward regularity from a diagonal series.
 
     Parameters
@@ -220,26 +265,20 @@ def regularity_report(
         Sample times, strictly increasing.
     b : ndarray, shape (N,) or (N, k)
         Sampled ``B_ii`` series, one column per direction.
-    epsilon : float
-        Shift used in the integral (quasi-integrability) test, per second.
-    window_fraction : float
-        Window width as a fraction of the horizon for the running-average
-        spread test.
-    zero_band : float
-        The spread verdict allows a gap up to ``10 * zero_band``.
-    strong_tol : float
-        Allowed tail mass of the shifted diagonal over the last half of
-        the horizon.
 
     Notes
     -----
     Forward regularity is proxied by the spread of window means of the
-    running average over the last half of the horizon.  The strong
-    verdict tests quasi-integrability only: tail mass of
+    running average over the last half of the horizon: windows of
+    ``REGULARITY_WINDOW`` times the horizon, and a spread of at most
+    ``10 * NONSTABLE_BAND``.  The strong verdict tests quasi-integrability
+    only: the tail mass over the last half horizon of
     ``max(B_ii + eps, 0)`` for a stable direction and of
-    ``max(eps - B_ii, 0)`` for a non-stable one.  On short horizons a
-    direction can pass the integral test while its running average still
-    drifts, so the two verdicts are reported independently.
+    ``max(eps - B_ii, 0)`` for a non-stable one, with
+    ``eps = REGULARITY_SHIFT``, must stay at or under ``TAIL_MASS_TOL``.
+    On short horizons a direction can pass the integral test while its
+    running average still drifts, so the two verdicts are reported
+    independently.
     """
     t = np.asarray(t, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -251,7 +290,7 @@ def regularity_report(
         raise ValueError("series too short for regularity diagnostics")
     span = t[-1] - t[0]
     t_mid = t[0] + 0.5 * span
-    width = window_fraction * span
+    width = REGULARITY_WINDOW * span
     tail = t >= t_mid - 1e-12
 
     directions = []
@@ -267,13 +306,13 @@ def regularity_report(
             means = [running[-1]]
         limsup_est, liminf_est = max(means), min(means)
         gap = limsup_est - liminf_est
-        forward = gap <= 10.0 * zero_band
+        forward = gap <= 10.0 * NONSTABLE_BAND
 
         if lam_hat < 0.0:
-            shifted = np.maximum(bi + epsilon, 0.0)
+            shifted = np.maximum(bi + REGULARITY_SHIFT, 0.0)
             branch = "stable"
         else:
-            shifted = np.maximum(epsilon - bi, 0.0)
+            shifted = np.maximum(REGULARITY_SHIFT - bi, 0.0)
             branch = "nonstable"
         tail_mass = float(np.trapezoid(shifted[tail], t[tail]))
         directions.append(
@@ -284,14 +323,8 @@ def regularity_report(
                 gap=float(gap),
                 forward_regular=bool(forward),
                 tail_mass=tail_mass,
-                strong_regular=bool(tail_mass <= strong_tol),
+                strong_regular=bool(tail_mass <= TAIL_MASS_TOL),
                 branch=branch,
             )
         )
-    return RegularityReport(
-        directions=directions,
-        epsilon=epsilon,
-        window_fraction=window_fraction,
-        zero_band=zero_band,
-        strong_tol=strong_tol,
-    )
+    return RegularityReport(directions=directions)

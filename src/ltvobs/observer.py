@@ -23,15 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepPreconditionError
-from .integrators import (
-    StepConfig,
-    frame_flow,
-    history_stride,
-    projected_rk4_stages,
-    system_stages,
-)
+from .integrators import StepConfig, frame_flow, projected_rk4_stages, system_stages
 from .linalg import mgs_qr, mgs_qr_stack
-from .lyapunov import start_frame
+from .lyapunov import NONSTABLE_BAND, frame_diagnostics, running_average, start_frame
 from .system import LtvSystem
 
 __all__ = [
@@ -47,23 +41,18 @@ __all__ = [
     "gain_snapshots",
 ]
 
+# the smallest average Rt diagonal (1/s) that counts as detectable
+DETECT_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class ObserverConfig:
-    """Gain scalar ``p``, frame width ``k``, and the integration grid.
-
-    ``detect_tol`` (1/s) is the smallest average Rt diagonal that counts
-    as detectable; ``zero_band`` is the exponent band treated as
-    non-negative.  Both are shared with the spectrum diagnostics so the
-    design steps agree on which directions are non-stable.
-    """
+    """Gain scalar ``p``, frame width ``k``, the integration grid and the start frame."""
 
     p: float
     k: int
     step: StepConfig
     q0: np.ndarray | None = None
-    detect_tol: float = 1e-3
-    zero_band: float = 1e-3
 
     def __post_init__(self):
         if not (self.p > 0.0 and np.isfinite(self.p)):
@@ -130,7 +119,7 @@ class DetectabilityReport:
     """Directional detectability along the frame flow.
 
     ``ok`` is False when some non-stable direction is invisible to the
-    output (its average Rt diagonal stays under ``detect_tol``); no gain
+    output (its average Rt diagonal stays under ``DETECT_TOL``); no gain
     scalar can then push that error exponent negative.
     ``min_ctcq_sigma`` is the smallest singular value of C^T C Q seen on
     the horizon; a near-zero dip flags possible gain non-smoothness.
@@ -139,8 +128,6 @@ class DetectabilityReport:
     directions: list
     ok: bool
     p: float
-    detect_tol: float
-    zero_band: float
     min_ctcq_sigma: float
     q_final: np.ndarray = field(repr=False)
     history_t: np.ndarray = field(repr=False)
@@ -189,15 +176,12 @@ def frame_track(sys: LtvSystem, conf: ObserverConfig, n_steps=None):
     r_diag = np.empty((n_steps + 1, k))
     sigma = np.empty(n_steps + 1)
     defect = np.empty(n_steps + 1)
-    eye_k = np.eye(k)
 
     def diagnose(lo, hi, a_val):
         q = frames[lo:hi]
-        b_diag[lo:hi] = np.einsum("tij,tij->tj", q, a_val @ q)
+        b_diag[lo:hi], defect[lo:hi] = frame_diagnostics(q, a_val)
         _, r_diag[lo:hi], ctcq = _gain_basis_stack(c_grid(t[lo:hi]), q)
         sigma[lo:hi] = np.linalg.svd(ctcq, compute_uv=False)[:, -1]
-        gram = q.mT @ q - eye_k
-        defect[lo:hi] = np.sqrt((gram * gram).sum(axis=(1, 2)))
 
     _, stages = system_stages(sys.a, cfg)
     frames[0] = conf.initial_frame(n)
@@ -237,13 +221,6 @@ def stage_gains(sys: LtvSystem, conf: ObserverConfig, track, lo, hi):
     return a_s, c_s, l_s
 
 
-def _trapezoid_running(values, h):
-    """Running trapezoid integrals of a grid series, summed step by step."""
-    steps = (0.5 * h) * (values[:-1] + values[1:])
-    start = np.zeros((1,) + values.shape[1:])
-    return np.cumsum(np.concatenate([start, steps]), axis=0)
-
-
 def detectability_report(sys: LtvSystem, conf: ObserverConfig, track=None):
     """Average diag(Rt) and diag(B) per direction along the frame flow.
 
@@ -256,49 +233,33 @@ def detectability_report(sys: LtvSystem, conf: ObserverConfig, track=None):
     if track is None:
         track = frame_track(sys, conf)
     cfg = conf.step
-    h = cfg.h
     n_steps = cfg.n_steps
     if track.t.size != n_steps + 1:
         raise ValueError(f"frame track has {track.t.size - 1} steps, the grid {n_steps}")
-    stride = history_stride(n_steps)
-    b_int = _trapezoid_running(track.b_diag, h)
-    rd_int = _trapezoid_running(track.r_diag, h)
+    b_avg = running_average(track.b_diag, cfg)
+    r_avg = running_average(track.r_diag, cfg)
 
-    rec = np.arange(stride, n_steps + 1, stride)
-    if rec.size == 0 or rec[-1] != n_steps:
-        rec = np.append(rec, n_steps)
-    elapsed = (cfg.t0 + rec * h) - cfg.t0
-
-    lam = b_int[-1] / cfg.horizon
-    rbar = rd_int[-1] / cfg.horizon
     directions = []
-    ok = True
-    for j in range(conf.k):
-        nonstable = lam[j] >= -conf.zero_band
-        detectable = rbar[j] > conf.detect_tol
-        if nonstable and not detectable:
-            ok = False
+    for j, (lam, rbar) in enumerate(zip(b_avg.mean, r_avg.mean)):
         directions.append(
             DirectionDetectability(
                 index=j,
-                lambda_hat=float(lam[j]),
-                r_bar=float(rbar[j]),
-                detectable=bool(detectable),
-                mu_hat=float(lam[j] - conf.p * rbar[j]),
-                nonstable=bool(nonstable),
+                lambda_hat=float(lam),
+                r_bar=float(rbar),
+                detectable=bool(rbar > DETECT_TOL),
+                mu_hat=float(lam - conf.p * rbar),
+                nonstable=bool(lam >= -NONSTABLE_BAND),
             )
         )
     return DetectabilityReport(
         directions=directions,
-        ok=ok,
+        ok=not any(d.nonstable and not d.detectable for d in directions),
         p=conf.p,
-        detect_tol=conf.detect_tol,
-        zero_band=conf.zero_band,
         min_ctcq_sigma=track.min_ctcq_sigma,
         q_final=track.frames[-1],
-        history_t=track.t[rec],
-        history_lambda=b_int[rec] / elapsed[:, None],
-        history_rbar=rd_int[rec] / elapsed[:, None],
+        history_t=b_avg.t,
+        history_lambda=b_avg.history,
+        history_rbar=r_avg.history,
         config=cfg,
     )
 

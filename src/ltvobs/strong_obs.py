@@ -40,6 +40,7 @@ __all__ = [
     "build_stack",
     "SoVerdict",
     "strong_observability_test",
+    "horizon_so_check",
     "ReconstructionMap",
     "ErrorStackSampler",
     "solve_normal_stack",
@@ -98,16 +99,15 @@ def _plateau_index(make_depth_expr, probes, depth_max, what):
     )
 
 
-def build_stack(sys: LtvSystem, nu_max=None, probe_times=None):
+def build_stack(sys: LtvSystem, probe_times=None):
     """Build the derivative stack and determine the observability index.
 
-    ``nu_max`` bounds the plateau search (default 2n; time-varying
-    systems may legitimately need more than n).  Rank decisions are made
-    at ``probe_times`` (default 101 points on [0, 10]); a depth whose
-    rank varies across probes fails the constant-rank premise.
+    The plateau search stops at depth 2n (time-varying systems may
+    legitimately need more than n).  Rank decisions are made at
+    ``probe_times`` (default 101 points on [0, 10]); a depth whose rank
+    varies across probes fails the constant-rank premise.
     """
     n, m, r = sys.n, sys.m, sys.r
-    nu_max = nu_max or 2 * n
     probes = _probe_array(DEFAULT_PROBES if probe_times is None else probe_times)
 
     c_list = [sys.c]
@@ -118,7 +118,7 @@ def build_stack(sys: LtvSystem, nu_max=None, probe_times=None):
             c_list.append(prev @ sys.a + prev.derivative())
         return MatrixExpr.vstack(c_list[:k])
 
-    nu, q0_rank, r_nu = _plateau_index(depth_obs, probes, nu_max, "observability")
+    nu, q0_rank, r_nu = _plateau_index(depth_obs, probes, 2 * n, "observability")
     depth_obs(nu + 1)  # ensure C_0..C_nu all exist
 
     d_table = {}
@@ -204,6 +204,17 @@ def strong_observability_test(stack: ObservabilityStack, probe_times=None):
     probes = _probe_array(stack.probe_times if probe_times is None else probe_times)
     r_val = stack.r_nu.bind()(probes)
     return _so_verdict(r_val, _j_values(stack, probes), stack.nu, probes)
+
+
+def horizon_so_check(sys: LtvSystem, step):
+    """Step (iv) on a run's horizon: the stack and its strong-observability verdict.
+
+    The rank decisions are made at 101 times evenly spaced over
+    ``[t0, t0 + horizon]`` of the grid ``step``.  Returns ``(stack, verdict)``.
+    """
+    probes = np.linspace(step.t0, step.t0 + step.horizon, 101)
+    stack = build_stack(sys, probe_times=probes)
+    return stack, strong_observability_test(stack)
 
 
 class ReconstructionMap:

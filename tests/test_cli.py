@@ -2,14 +2,19 @@
 
 import copy
 import json
+from dataclasses import fields
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from ltvobs import bibs, integrators, lyapunov, observer
+from ltvobs.cascade import CascadeRun
 from ltvobs.cli import _resolve_scenario, _write_csv, load_scenario, main
 from ltvobs.errors import ScenarioError
 from ltvobs.hosm import DEFAULT_GAINS
+from ltvobs.integrators import StepConfig
+from ltvobs.system import LtvSystem
 
 TOY = {
     "name": "toy",
@@ -44,6 +49,19 @@ def test_load_scenario_round_trip(tmp_path):
     assert np.array_equal(run.x0, [1.0, -0.5]) and run.w == ["0.4*sin(t)"]
     assert np.array_equal(run.lipschitz, [8.0]) and run.gains == DEFAULT_GAINS
     assert run.sigma == 0.0 and run.noise_seed == 0
+
+    # bench8 without its optional keys: every setting is the spec type's default
+    doc = json.loads((resources.files("ltvobs") / "scenarios" / "bench8.json").read_text())
+    del doc["w_bound"], doc["step"]["t0"], doc["noise"]
+    for key in ("settled_threshold", "dwell", "gains"):
+        del doc["differentiator"][key]
+    run = load_scenario(write_scenario(tmp_path, doc)).run
+    default = {
+        f.name: f.default for cls in (CascadeRun, LtvSystem, StepConfig) for f in fields(cls)
+    }
+    assert run.sys.w_bound == default["w_bound"] and run.observer.step.t0 == default["t0"]
+    for name in ("gains", "threshold", "dwell", "sigma", "noise_seed"):
+        assert getattr(run, name) == default[name], name
 
 
 def test_missing_scenario_file_exits_2(tmp_path, capsys):
@@ -329,7 +347,8 @@ def test_k_override_with_q0(tmp_path, capsys):
     argv = ["--scenario", scen, "--out", str(tmp_path), "--horizon", "1", "--k", "2"]
     assert main(["spectrum"] + argv) == 0
     assert main(["detect"] + argv) == 2
-    assert "q0 must have shape (2, 2)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "q0 must have shape (2, 2)" in err and "--k 2" in err
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])

@@ -87,13 +87,12 @@ def test_nonstable_dimension_band():
     b = np.diag([1.0, -5e-4])
     est2 = estimate_spectrum(lambda t: b, k=2, cfg=StepConfig(h=0.01, t0=0.0, t_end=20.0))
     # an exponent inside the zero band counts as non-stable, conservatively
-    assert nonstable_dimension(est2, zero_band=1e-3) == 2
-    assert nonstable_dimension(est2, zero_band=1e-5) == 1
+    assert nonstable_dimension(est2) == 2
 
 
 def test_regularity_oscillating_diagonal():
     t = np.arange(0.0, 200.0, 0.01)
-    rep = regularity_report(t, np.sin(t), epsilon=0.1)
+    rep = regularity_report(t, np.sin(t))
     d = rep.directions[0]
     # running averages of sin settle like 1/t: forward regular
     assert d.forward_regular
@@ -105,7 +104,7 @@ def test_regularity_oscillating_diagonal():
 
 def test_regularity_decaying_diagonal_is_strong():
     t = np.arange(0.0, 20.0, 0.001)
-    rep = regularity_report(t, -1.0 + 2.0 * np.exp(-t), epsilon=0.1)
+    rep = regularity_report(t, -1.0 + 2.0 * np.exp(-t))
     d = rep.directions[0]
     assert d.branch == "stable"
     assert d.strong_regular
@@ -114,7 +113,7 @@ def test_regularity_decaying_diagonal_is_strong():
 
 def test_regularity_constant_diagonal():
     t = np.arange(0.0, 50.0, 0.01)
-    rep = regularity_report(t, np.full(t.shape, -0.7), epsilon=0.1)
+    rep = regularity_report(t, np.full(t.shape, -0.7))
     d = rep.directions[0]
     assert d.forward_regular and d.strong_regular
     assert d.lambda_hat == pytest.approx(-0.7, abs=1e-12)

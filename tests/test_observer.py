@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
+from conftest import bench8_run
 from ltvobs.cascade import CascadeRun, run_tso
 from ltvobs.errors import StepPreconditionError
 from ltvobs.integrators import StepConfig
+from ltvobs.lyapunov import NONSTABLE_BAND, estimate_spectrum
 from ltvobs.observer import (
+    DETECT_TOL,
     DetectabilityReport,
     DirectionDetectability,
     ObserverConfig,
     detectability_report,
+    frame_track,
     gain_snapshots,
     gain_stack,
     min_gain_suggestion,
@@ -95,15 +99,30 @@ def test_predicted_exponent_never_exceeds_open_loop(toy2):
             assert d.mu_hat <= d.lambda_hat + 1e-12
 
 
-def _report_from(lams, rbars, p=1.0, detect_tol=1e-3, zero_band=1e-3):
+def test_spectrum_and_detectability_share_the_reduction():
+    # the same frame on the same grid: the exponent averages, their
+    # histories and the worst orthogonality defect agree bit for bit
+    run = bench8_run(3.0)
+    conf = run.observer
+    est = estimate_spectrum(run.sys.a, conf.k, conf.step, q0=conf.q0)
+    track = frame_track(run.sys, conf)
+    rep = detectability_report(run.sys, conf, track=track)
+    lam = np.array([d.lambda_hat for d in rep.directions])
+    assert np.array_equal(est.exponents_by_direction, lam)
+    assert np.array_equal(est.history_t, rep.history_t)
+    assert np.array_equal(est.history_lambda, rep.history_lambda)
+    assert est.max_orth_defect == track.max_orth_defect
+
+
+def _report_from(lams, rbars, p=1.0):
     dirs = [
         DirectionDetectability(
             index=i,
             lambda_hat=lam,
             r_bar=rb,
-            detectable=rb > detect_tol,
+            detectable=rb > DETECT_TOL,
             mu_hat=lam - p * rb,
-            nonstable=lam >= -zero_band,
+            nonstable=lam >= -NONSTABLE_BAND,
         )
         for i, (lam, rb) in enumerate(zip(lams, rbars))
     ]
@@ -112,8 +131,6 @@ def _report_from(lams, rbars, p=1.0, detect_tol=1e-3, zero_band=1e-3):
         directions=dirs,
         ok=all(d.detectable or not d.nonstable for d in dirs),
         p=p,
-        detect_tol=detect_tol,
-        zero_band=zero_band,
         min_ctcq_sigma=1.0,
         q_final=np.eye(len(dirs)),
         history_t=empty,
