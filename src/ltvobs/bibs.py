@@ -14,7 +14,8 @@ which case the transition factor is bounded by
 and solutions obey |zeta_i(t)| <= M_i (|zeta_i(t0)| + fbar * G) with the
 input gain G = (1 - exp(-epsilon * horizon)) / epsilon.  The general test
 walks the diagonal bottom-up because component i sees the components
-below it as an extra bounded input.
+below it as an extra bounded input.  :func:`triangularize_error_system`
+reads the observer error system's form off the same open-loop flow.
 
 All certificates are finite-horizon diagnostics: they state "certified
 on [t0, T]" for explicit epsilon, tail-mass threshold, and window, never
@@ -27,7 +28,7 @@ import numpy as np
 
 from .integrators import StepConfig, frame_flow, skew_rule, system_stages
 from .lyapunov import TAIL_MASS_TOL, history_index
-from .observer import ObserverConfig, frame_track, gain_stack, stage_gains
+from .observer import ObserverConfig, gain_stack
 from .system import LtvSystem, as_sampler
 
 __all__ = [
@@ -66,26 +67,28 @@ class TriangularForm:
         return self.b[:, i, i]
 
 
-def _triangular_flow(stages, n, cfg):
-    """Full-width frame flow from the identity, recording B and the frame.
+def _triangular_flow(a, cfg, q=None, loop_gain=None):
+    """Full-width frame flow of ``a`` from the basis ``q`` (default I), recording B.
 
-    B = Qf^T M Qf - S(Qf^T M Qf) with M the recorded grid matrix of
-    ``stages`` (see :func:`ltvobs.integrators.frame_flow`); it is taken at
-    the first grid point and at the history points of
-    :func:`ltvobs.lyapunov.history_index`.
+    B = Qf^T M Qf - S(Qf^T M Qf) with M = A less ``loop_gain(index,
+    frames)``, the stack L C at those grid indices, when given.  B and the
+    frame are kept at grid point 0 and at :func:`ltvobs.lyapunov.history_index`.
     """
+    n, stages = system_stages(a, cfg)
     keep = np.zeros(cfg.n_steps + 1, dtype=bool)
     keep[0] = True
     keep[history_index(cfg)] = True
     ts, bs, qs = [], [], []
-    for lo, hi, grid, frames, _ in frame_flow(stages, np.eye(n), cfg):
+    for lo, hi, grid, frames, _ in frame_flow(stages, np.eye(n) if q is None else q, cfg):
         first = 1 if lo else 0  # grid point lo closed the previous chunk
-        index = first + np.flatnonzero(keep[lo + first : hi + 1])
-        q = frames[index]
-        w = q.mT @ grid[index] @ q
-        ts.append(cfg.t0 + cfg.h * (lo + index))
+        index = lo + first + np.flatnonzero(keep[lo + first : hi + 1])
+        qf, m = frames[index - lo], grid[index - lo]
+        if loop_gain is not None:
+            m = m - loop_gain(index, qf)
+        w = qf.mT @ m @ qf
+        ts.append(cfg.t0 + cfg.h * index)
         bs.append(w - skew_rule(w))
-        qs.append(q)
+        qs.append(qf)
     return TriangularForm(
         t=np.concatenate(ts), b=np.concatenate(bs), frames=np.concatenate(qs), config=cfg
     )
@@ -98,32 +101,31 @@ def triangularize(a, cfg: StepConfig):
     B = Qf^T A Qf - S and the frame at a decimated set of step
     boundaries; the strict lower triangle of B vanishes by construction.
     """
-    n, stages = system_stages(a, cfg)
-    return _triangular_flow(stages, n, cfg)
+    return _triangular_flow(a, cfg)
 
 
 def triangularize_error_system(sys: LtvSystem, conf: ObserverConfig):
     """Triangular form of the observer error dynamics A(t) - L(t) C(t).
 
-    The gain has no closed form: it follows the reduced observer frame,
-    so the full triangularizing frame is driven by M = A - L C with the
-    gain of each RK4 stage taken from the observer's frame in that stage.
-    The observer frame comes from :func:`ltvobs.observer.frame_track`;
-    its stage frames are rebuilt per chunk, so M differs in all four
-    stages.  The recorded B uses the gain of the grid frame.
+    The gain L = p Q Qt^T C^T maps into the span of the observer frame Q,
+    which A's transition matrix carries along, so the error system's QR
+    frame from Q completed to a basis (the identity for the default frame)
+    is the open-loop one, and Qf^T L C Qf is upper triangular with p Rt
+    leading its first k rows.  The first k diagonals of B thus average to
+    detect's mu_hat = lambda_hat - p rbar, the others are the open-loop
+    ones, and no step-size artefact enters beyond the open-loop flow's.
     """
-    track = frame_track(sys, conf)
-    n = sys.n
+    k, cfg = conf.k, conf.step
+    q = conf.initial_frame(sys.n)
+    start = np.linalg.qr(q, mode="complete").Q
+    start[:, :k] = q
+    c_fn = sys.c.bind()
 
-    def stages(lo, hi):
-        a_s, c_s, l_s = stage_gains(sys, conf, track, lo, hi)
-        m_s = (a_s - l_s @ c_s).reshape((4, hi - lo, n, n))
-        # the last stage sits on grid point hi, where A and C close the grid
-        l_end = gain_stack(c_s[-1:], track.frames[hi : hi + 1], conf.p)
-        grid = np.concatenate([m_s[0], a_s[-1:] - l_end @ c_s[-1:]])
-        return grid, tuple(m_s)
+    def loop_gain(index, frames):
+        c_val = c_fn(cfg.t0 + cfg.h * index)
+        return gain_stack(c_val, frames[..., :k], conf.p) @ c_val
 
-    return _triangular_flow(stages, n, conf.step)
+    return _triangular_flow(sys.a, cfg, start, loop_gain)
 
 
 @dataclass

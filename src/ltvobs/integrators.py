@@ -19,9 +19,7 @@ projected RK4 step at a time; ``projected_rk4_stages`` rebuilds its
 unprojected stage frames for many steps at once from their start frames,
 for the callers that need the frame inside every RK4 stage.
 :func:`system_stages` is the stage source of the flow under a system
-matrix A(t); a caller whose stage matrices differ (the closed-loop error
-matrix, whose gain follows the observer frame inside each stage) supplies
-its own.
+matrix A(t).
 """
 
 import functools
@@ -139,8 +137,7 @@ def projected_rk4_step(t, q, h, a_stages):
     a_stages : sequence
         The system matrix ``(A(t), A(t+h/2), A(t+h))``, or four matrices
         ``(A1, A2, A3, A4)`` for the four RK4 stages when the matrix of the
-        second and third stage differ, as in the closed-loop error flow
-        whose gain follows another frame's stages.
+        second and third stage differ.
 
     Returns
     -------
@@ -240,9 +237,9 @@ def frame_flow(stages, q, cfg, n_steps=None):
     """Step the frame ``q`` over the grid of ``cfg`` by the discrete QR method.
 
     ``stages(lo, hi)`` returns the matrices at grid points ``lo .. hi``
-    (T + 1, n, n), which the caller records with, and the stage stacks of
-    steps ``lo .. hi - 1``: three ``(A(t), A(t + h/2), A(t + h))`` or four,
-    one per RK4 stage, each (T, n, n).  Per chunk of at most
+    (T + 1, n, n), which the caller records with, and the stage stacks
+    ``(A(t), A(t + h/2), A(t + h))`` of steps ``lo .. hi - 1``, each
+    (T, n, n), as :func:`system_stages` builds them.  Per chunk of at most
     ``CHUNK_STEPS`` steps the stages fold into propagators ``Phi_i``
     (:func:`rk4_propagators`) and ``X <- Phi_i X`` runs from the last
     frame.  Every block of ``b`` steps is re-orthonormalized by one batched

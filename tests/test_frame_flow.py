@@ -6,10 +6,10 @@ QR method: RK4 on the frame ODE, re-orthonormalized by modified
 Gram-Schmidt, with ``np.tril`` as the skew rule.  The discrete one is the
 discrete QR method itself, one step at a time: ``Q <- mgs_qr(Phi_i Q)``
 with ``Phi_i`` folded stage by stage.  The open-loop flows agree with
-both to round-off level; the closed-loop triangularization, whose frame
-separates two diagonals with an e-folding time of about 40 steps, is
-compared with the discrete one.  Every reference evaluates its matrices
-once, on the arrays of grid and stage times.
+both to round-off level.  The closed-loop triangular form is read off the
+open-loop frame, so it is compared with the discrete reference and with
+the identities that construction rests on.  Every reference evaluates its
+matrices once, on the arrays of grid and stage times.
 """
 
 from dataclasses import replace
@@ -22,8 +22,8 @@ from ltvobs.cli import load_scenario
 from ltvobs.errors import NumericalError
 from ltvobs.integrators import CHUNK_STEPS, StepConfig, frame_flow, system_stages
 from ltvobs.linalg import mgs_qr
-from ltvobs.lyapunov import default_frame, estimate_spectrum
-from ltvobs.observer import _gain_basis, frame_track
+from ltvobs.lyapunov import default_frame, estimate_spectrum, start_frame
+from ltvobs.observer import _gain_basis, detectability_report, frame_track
 from ltvobs.system import as_matrix_expr
 from conftest import bench8_run, discrete_qr_step, rk4_propagator, rk4_stage_times
 from test_cli import TOY, write_scenario
@@ -93,42 +93,27 @@ def discrete_flow(a, q, cfg):
     return np.asarray(frames), np.asarray(log_r)
 
 
-def reference_error_triangularize(sys, conf):
-    """Observer frame and full frame by per-step discrete QR, gain per stage.
+def _loop_matrices(sys, conf, t, frames):
+    """Q^T L C Q and A - L C at ``t``, with the gain of the first k columns."""
+    a_val, c_val = sys.a.bind()(t), sys.c.bind()(t)
+    lc, qlcq = [], []
+    for c, q in zip(c_val, frames):
+        qt, _ = _gain_basis(c, q[:, : conf.k])
+        lc.append(conf.p * (q[:, : conf.k] @ (qt.T @ c.T)) @ c)
+        qlcq.append(q.T @ lc[-1] @ q)
+    return np.asarray(qlcq), a_val - np.asarray(lc)
 
-    The observer frame's stage frames are those of the continuous RK4
-    step from its grid frame; the gain of each stage follows them, and the
-    full frame steps by the propagator folded from the four stage matrices
-    A - L C.
+
+def reference_error_form(sys, conf):
+    """B of the error system at every grid point, one sample at a time.
+
+    The full frame steps under A alone from the identity by the discrete
+    reference; the gain comes from its first k columns.
     """
-    cfg, p, h = conf.step, conf.p, conf.step.h
-    t_grid = cfg.grid()
-    t_stage = rk4_stage_times(t_grid, h)
-    a_st, c_st = sys.a.bind()(t_stage), sys.c.bind()(t_stage)
-    a_gr, c_gr = sys.a.bind()(t_grid), sys.c.bind()(t_grid)
-
-    def a_err(a_val, c_val, q_obs):
-        qt, _ = _gain_basis(c_val, q_obs)
-        return a_val - p * (q_obs @ (qt.T @ c_val.T)) @ c_val
-
-    def b_of(i, q_o, q_f):
-        w = q_f.T @ a_err(a_gr[i], c_gr[i], q_o) @ q_f
-        return w - _skew(w)
-
-    q_obs, qq = conf.initial_frame(sys.n), np.eye(sys.n)
-    bs, qs = [b_of(0, q_obs, qq)], [qq]
-    for i in range(cfg.n_steps):
-        a_s, c_s = a_st[4 * i : 4 * i + 4], c_st[4 * i : 4 * i + 4]
-        k1 = _frame_rhs(a_s[0], q_obs)
-        s2 = q_obs + (0.5 * h) * k1
-        s3 = q_obs + (0.5 * h) * _frame_rhs(a_s[1], s2)
-        s4 = q_obs + h * _frame_rhs(a_s[2], s3)
-        m_s = [a_err(a, c, q) for a, c, q in zip(a_s, c_s, (q_obs, s2, s3, s4))]
-        qq, _ = discrete_qr_step(rk4_propagator(*m_s, h), qq, t_grid[i])
-        q_obs, _ = discrete_qr_step(rk4_propagator(*a_s, h), q_obs, t_grid[i])
-        bs.append(b_of(i + 1, q_obs, qq))
-        qs.append(qq)
-    return np.asarray(bs), np.asarray(qs)
+    frames, _ = discrete_flow(sys.a, np.eye(sys.n), conf.step)
+    _, m = _loop_matrices(sys, conf, conf.step.grid(), frames)
+    w = frames.transpose(0, 2, 1) @ m @ frames
+    return w - np.stack([_skew(x) for x in w]), frames
 
 
 def _rel(a, b):
@@ -187,33 +172,67 @@ def _bench8_conf(t_end):
 def test_closed_loop_matches_sequential_on_short_horizon():
     scen, conf = _bench8_conf(0.3)
     tri = triangularize_error_system(scen.sys, conf)
-    b, frames = reference_error_triangularize(scen.sys, conf)
+    b, frames = reference_error_form(scen.sys, conf)
     assert _rel(tri.frames, frames) <= 1e-10
     assert _rel(tri.b, b) <= 1e-10
 
 
-def test_closed_loop_long_horizon_integrals_and_trace():
-    # from its identity start the closed-loop frame amplifies round-off
-    # (e-folding about 0.04 s, the gap between its -31 and -4.4
-    # diagonals) until about 1.5 s, so over 3 s the frames of the blocked
-    # and the per-step QR part, and their diagonal integrals differ by
-    # about 5e-7 relative; the bound leaves room above that floor.  The
-    # trace identity tr B = tr(A - L C) holds to round-off throughout.
+@pytest.fixture(scope="module")
+def closed_loop_3s():
     scen, conf = _bench8_conf(3.0)
-    tri = triangularize_error_system(scen.sys, conf)
-    b, _ = reference_error_triangularize(scen.sys, conf)
-    diag = np.diagonal(tri.b, axis1=1, axis2=2)
-    ref_diag = np.diagonal(b, axis1=1, axis2=2)
-    integrals = np.trapezoid(diag, tri.t, axis=0)
-    ref_integrals = np.trapezoid(ref_diag, tri.t, axis=0)
-    assert np.all(np.abs(integrals - ref_integrals) <= 1e-5 * np.abs(ref_integrals))
+    return scen, conf, triangularize_error_system(scen.sys, conf)
 
+
+def test_closed_loop_long_horizon_integrals_and_trace(closed_loop_3s):
+    # the error system's QR frame is the open-loop one: its first k
+    # columns are the observer frame, Q^T L C Q has no strict lower part,
+    # the first k diagonals average to detect's mu_hat and the trailing
+    # ones are the open-loop diagonals; the trace of B is tr(A - L C)
+    scen, conf, tri = closed_loop_3s
+    k, cfg = conf.k, conf.step
+    assert np.array_equal(tri.t, cfg.grid())
     track = frame_track(scen.sys, conf)
-    a_val, c_val = scen.sys.a.bind()(track.t), scen.sys.c.bind()(track.t)
-    for a, c, q, b_t in zip(a_val, c_val, track.frames, tri.b):
-        qt, _ = _gain_basis(c, q)
-        m = a - conf.p * (q @ (qt.T @ c.T)) @ c
-        assert abs(np.trace(b_t) - np.trace(m)) <= 1e-10 * max(1.0, abs(np.trace(m)))
+    assert np.max(np.abs(tri.frames[:, :, :k] - track.frames)) <= 1e-12
+
+    qlcq, m = _loop_matrices(scen.sys, conf, tri.t, tri.frames)
+    assert np.max(np.abs(np.tril(qlcq, -1))) <= 1e-12
+    diag = np.diagonal(tri.b, axis1=1, axis2=2)
+    averages = np.trapezoid(diag, tri.t, axis=0) / cfg.horizon
+    report = detectability_report(scen.sys, conf, track)
+    assert np.max(np.abs(averages[:k] - [d.mu_hat for d in report.directions])) <= 1e-12
+    open_diag = np.diagonal(triangularize(scen.sys.a, cfg).b, axis1=1, axis2=2)
+    assert np.max(np.abs(diag[:, k:] - open_diag[:, k:])) <= 1e-12
+    trace = np.trace(m, axis1=1, axis2=2)
+    assert np.max(np.abs(diag.sum(axis=1) - trace) / np.maximum(1.0, np.abs(trace))) <= 1e-12
+
+
+def test_closed_loop_exponents_do_not_move_with_step_size(closed_loop_3s):
+    # from an exactly invariant start no truncation error seeds an escape,
+    # so halving h leaves every component's average where it was
+    scen, conf, tri = closed_loop_3s
+    half = replace(conf, step=replace(conf.step, h=0.5 * conf.step.h))
+    fine = triangularize_error_system(scen.sys, half)
+    lam = [
+        np.trapezoid(np.diagonal(x.b, axis1=1, axis2=2), x.t, axis=0) / conf.step.horizon
+        for x in (tri, fine)
+    ]
+    assert np.max(np.abs(lam[0] - lam[1])) <= 1e-6
+
+
+def test_closed_loop_from_scenario_q0():
+    scen, conf = _bench8_conf(1.0)
+    n, k = scen.sys.n, conf.k
+    q0 = np.random.default_rng(11).standard_normal((n, k))
+    conf = replace(conf, q0=q0)
+    tri = triangularize_error_system(scen.sys, conf)
+    assert np.array_equal(tri.frames[0][:, :k], start_frame(n, k, q0))
+    assert np.max(np.abs(tri.frames[0].T @ tri.frames[0] - np.eye(n))) <= 1e-14
+    track = frame_track(scen.sys, conf)
+    assert np.max(np.abs(tri.frames[:, :, :k] - track.frames)) <= 1e-12
+    _, m = _loop_matrices(scen.sys, conf, tri.t, tri.frames)
+    trace = np.trace(m, axis1=1, axis2=2)
+    diag_sum = np.trace(tri.b, axis1=1, axis2=2)
+    assert np.max(np.abs(diag_sum - trace) / np.maximum(1.0, np.abs(trace))) <= 1e-12
 
 
 def _spread4():
