@@ -20,8 +20,11 @@ Euler.  The gain table lam_0..lam_5 covers orders up to 5; higher
 orders are rejected rather than guessed.
 
 The channels of a bank are independent, so :func:`run_bank` steps them
-together as one (order + 1, channels) array and derives the stack, the
-residuals and the settle index from the recorded states afterwards.
+one at a time, each as a list of order + 1 Python floats: on a few levels
+a float step is cheaper than numpy's per-call cost on a small array.  The
+rates and Taylor coefficients are computed once per call, and the stack,
+the residuals, the settle index and the divergence check are array work
+on the recorded states afterwards.
 """
 
 import math
@@ -77,7 +80,12 @@ def check_bank_settings(order, lipschitz, gains, channels):
 
 
 def _step_coefficients(order, lipschitz, gains, h):
-    """The constants of :func:`_step_z` for per-channel bounds ``lipschitz``."""
+    """The constants of :func:`_step_z` for per-channel bounds ``lipschitz``.
+
+    Returns the rates (order + 1, channels), the exponents of the levels
+    below the top, and the Taylor terms as ``(level, h^l / l!, level + l)``
+    for l >= 2, in level order.
+    """
     # distance of each level to the top
     depth = order - np.arange(order + 1)
     neg_rates = -(
@@ -85,29 +93,42 @@ def _step_coefficients(order, lipschitz, gains, h):
         * lipschitz ** (1.0 / (depth[:, None] + 1.0))
     )
     powers = [d / (d + 1.0) for d in depth[:-1].tolist()]
-    taylor = np.zeros((order + 1, order + 1))
-    for l in range(2, order + 1):
-        taylor += np.eye(order + 1, k=l) * (h**l / math.factorial(l))
+    taylor = [
+        (i, h**l / math.factorial(l), i + l)
+        for i in range(order - 1)
+        for l in range(2, order - i + 1)
+    ]
     return neg_rates, powers, taylor
 
 
 def _step_z(z, f, neg_rates, powers, taylor, h):
-    """One properly discretized step of every channel at once.
+    """One properly discretized step of one channel, on Python floats.
 
-    ``z`` (order + 1, channels) holds the levels and ``f`` (channels,) the
-    sample.  ``neg_rates[i]`` is -gains[r-i] L^{1/(r-i+1)} per channel,
+    ``z`` is the list of the order + 1 levels and ``f`` the sample.
+    ``neg_rates[i]`` is the channel's -gains[r-i] L^{1/(r-i+1)},
     ``powers[i]`` the exponent (r-i)/(r-i+1) of the levels below the top,
-    and ``taylor`` the matrix of the Taylor terms h^l / l! at (i, i + l),
-    l >= 2: z_i <- z_i + h v_i + sum_l h^l / l! z_{i+l}.  The levels run in
-    order because each one injects against the one below it.
+    and ``taylor`` the terms of :func:`_step_coefficients`:
+    z_i <- (z_i + h v_i) + sum_l h^l / l! z_{i+l}.  The levels run in
+    order because each one injects against the one below it.  The top
+    level's sign is 0 at 0, and a NaN passes through every level, so a
+    diverging channel turns non-finite instead of raising.
     """
-    v = np.empty_like(z)
-    v_prev = f
-    for i, power in enumerate(powers):
-        e = z[i] - v_prev
-        v_prev = v[i] = neg_rates[i] * np.copysign(np.abs(e) ** power, e) + z[i + 1]
-    v[-1] = neg_rates[-1] * np.sign(z[-1] - v_prev)
-    return z + h * v + taylor @ z
+    # out[i] holds the level's Taylor sum until its new value replaces it
+    out = [0.0] * len(z)
+    for i, coef, j in taylor:
+        out[i] += coef * z[j]
+    v = f
+    i = 0
+    for power in powers:
+        z_i = z[i]
+        e = z_i - v
+        v = neg_rates[i] * math.copysign(abs(e) ** power, e) + z[i + 1]
+        out[i] = z_i + h * v + out[i]
+        i += 1
+    e = z[i] - v
+    rate = neg_rates[i]
+    out[i] = z[i] + h * (rate if e > 0.0 else -rate if e < 0.0 else rate * e)
+    return out
 
 
 def estimate_lipschitz(f, h, nu):
@@ -155,7 +176,8 @@ def run_bank(e_y, nu, l_est, h, threshold=1e-4, dwell=0.5, gains=DEFAULT_GAINS):
     reconstruction map reads.  ``l_est`` bounds the nu-th derivative.
     Initial states are zero, so a zero input series yields a zero stack
     with the settled flag raised as soon as the dwell window elapses.
-    All channels step together as one (nu, channels) array.
+    Each channel steps on its own through :func:`_step_z`; a channel that
+    turns non-finite raises NumericalError naming it and the sample.
     """
     e_y = np.asarray(e_y, dtype=float)
     if e_y.ndim == 1:
@@ -167,13 +189,18 @@ def run_bank(e_y, nu, l_est, h, threshold=1e-4, dwell=0.5, gains=DEFAULT_GAINS):
 
     neg_rates, powers, taylor = _step_coefficients(order, l_arr, gains, h)
 
-    # history[s] is the state before sample s is read
+    # history[s] is the state before sample s is read; a diverging channel
+    # turns inf or nan and is reported after the loop
     history = np.zeros((n_samples, nu, channels))
-    z = np.zeros((nu, channels))
-    # a diverging channel turns inf or nan and is reported after the loop
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(n_samples - 1):
-            z = history[s + 1] = _step_z(z, e_y[s], neg_rates, powers, taylor, h)
+    for ch in range(channels):
+        rates = neg_rates[:, ch].tolist()
+        z = [0.0] * nu
+        # one flat list of floats: no per-sample list outlives its step
+        states = []
+        for f in e_y[:-1, ch].tolist():
+            z = _step_z(z, f, rates, powers, taylor, h)
+            states += z
+        history[1:, :, ch] = np.reshape(states, (-1, nu))
     finite = np.isfinite(history[1:]).all(axis=1)
     if not finite.all():
         s, ch = np.argwhere(~finite)[0]

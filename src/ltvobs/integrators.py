@@ -135,23 +135,17 @@ def projected_rk4_step(t, q, h, a_stages):
     q : ndarray, shape (n, k)
         Orthonormal frame.
     a_stages : sequence
-        The system matrix ``(A(t), A(t+h/2), A(t+h))``, or four matrices
-        ``(A1, A2, A3, A4)`` for the four RK4 stages when the matrix of the
-        second and third stage differ.
+        The system matrix ``(A(t), A(t+h/2), A(t+h))``.
 
     Returns
     -------
     ndarray, shape (n, k)
         The projected frame; ``||Q^T Q - I||_F`` stays at round-off.
     """
-    if len(a_stages) == 4:
-        a1, a2, a3, a4 = a_stages
-    else:
-        a1, a2, a4 = a_stages
-        a3 = a2
+    a1, a2, a4 = a_stages
     k1 = _frame_rhs_stack(a1, q)
     k2 = _frame_rhs_stack(a2, q + (0.5 * h) * k1)
-    k3 = _frame_rhs_stack(a3, q + (0.5 * h) * k2)
+    k3 = _frame_rhs_stack(a2, q + (0.5 * h) * k2)
     k4 = _frame_rhs_stack(a4, q + h * k3)
     qn = q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     qn, r = mgs_qr(qn)

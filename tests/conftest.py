@@ -96,7 +96,8 @@ def rng():
 def reference_step_z(z, f, order, lipschitz, gains, h):
     """One properly discretized differentiator step on a list of floats.
 
-    The scalar form of ``hosm._step_z``, one channel at a time:
+    Independent of ``hosm._step_z``: it recomputes each rate with ``**``
+    on every step and builds the Taylor coefficients as running products,
     z_i <- z_i + h v_i + sum_{l=2}^{r-i} h^l / l! z_{i+l}.
     """
 

@@ -35,27 +35,25 @@ def test_config_validation():
 
 
 def _step(z, f, order, lipschitz, h):
-    """:func:`_step_z` on a (order + 1, channels) state with one shared bound."""
-    z = np.asarray(z, dtype=float)
-    bounds = np.full(z.shape[1], lipschitz)
-    coefficients = _step_coefficients(order, bounds, DEFAULT_GAINS, h)
-    return _step_z(z, np.asarray(f, dtype=float), *coefficients, h)
+    """:func:`_step_z` on one channel's levels ``z`` with bound ``lipschitz``."""
+    neg_rates, powers, taylor = _step_coefficients(order, np.array([lipschitz]), DEFAULT_GAINS, h)
+    return _step_z(list(z), f, neg_rates[:, 0].tolist(), powers, taylor, h)
 
 
 def test_exact_tracking_is_an_equilibrium():
     # state already matching a constant signal stays put: every sign(0)
-    # injection vanishes, channel by channel
-    z = np.array([[4.2, -1.5], [0.0, 0.0]])
-    assert np.array_equal(_step(z, [4.2, -1.5], 1, 1.0, 1e-3), z)
+    # injection vanishes
+    for level in (4.2, -1.5):
+        assert _step([level, 0.0], level, 1, 1.0, 1e-3) == [level, 0.0]
 
 
 def test_proper_step_keeps_quadratic_tracking():
     # z = (f, f', f'') of f = t^2 at t = 1: the Taylor term h^2/2 z_2
     # carries z_0 onto f(1 + h) exactly, where plain Euler falls h^2 short
     h = 1e-3
-    z = _step([[1.0], [2.0], [2.0]], [1.0], 2, 1.0, h)
+    z = _step([1.0, 2.0, 2.0], 1.0, 2, 1.0, h)
     expected = np.array([(1.0 + h) ** 2, 2.0 * (1.0 + h), 2.0])
-    assert np.allclose(z[:, 0], expected, rtol=0.0, atol=1e-14)
+    assert np.allclose(z, expected, rtol=0.0, atol=1e-14)
 
 
 def _bench8_output_error(sigma):
@@ -90,13 +88,31 @@ def _three_channels():
         lambda: _polynomial([2.0, 1.0], 1.0, 1e-3),
         lambda: _polynomial([1.5, 2.0, 1.0], 5.0, 2e-3),
         lambda: _polynomial([1.5, 2.0, 1.0], 5.0, 1e-3),
+        lambda: _polynomial([0.5, 1.5, 2.0, 1.0], 5.0, 2e-3),
+        lambda: _polynomial([0.25, 0.5, 1.5, 2.0, 1.0], 5.0, 2e-3),
+        lambda: _polynomial([0.1, 0.25, 0.5, 1.5, 2.0, 1.0], 20.0, 2e-3),
         _three_channels,
     ],
-    ids=["bench8", "bench8-noisy", "r1-2ms", "r1-1ms", "r2-2ms", "r2-1ms", "three-channels"],
+    ids=[
+        "bench8",
+        "bench8-noisy",
+        "r1-2ms",
+        "r1-1ms",
+        "r2-2ms",
+        "r2-1ms",
+        "r3-2ms",
+        "r4-2ms",
+        "r5-2ms",
+        "three-channels",
+    ],
 )
 def test_bank_matches_sequential_reference(case):
-    # the array bank against the channel-by-channel list stepper: same
-    # settle index, and stacks apart only by the ulps of numpy's power
+    # the bank against the independent list stepper: same settle index,
+    # and stacks apart only by the ulps of the rates, which the bank takes
+    # from numpy's power once per call (4.3e-13 on bench8's e_y); the
+    # steps themselves use Python's float power on both sides.  Orders 3-5
+    # have levels with more than one Taylor term, and at order 5 one ulp in
+    # the level below flips the chattering top level's sign
     signal, settings = case()
     bank = run_bank(signal, **settings)
     stack, residuals, settled_index = reference_bank(signal, **settings)
@@ -171,6 +187,9 @@ def test_bank_settles_immediately_on_zero_signal():
     # dwell of 0.5 s at h=0.1 is five quiet samples
     assert bank.settled_index == 4
     assert np.allclose(bank.stack, 0.0)
+    # no samples: an empty stack that never settles
+    empty = run_bank(np.zeros(0), nu=2, l_est=1.0, h=h)
+    assert empty.stack.shape == (0, 2) and empty.settled_index is None
 
 
 def test_bank_never_settles_on_fast_signal():
@@ -186,8 +205,14 @@ def test_bank_diverging_input_raises():
     h = 1e-3
     sig = np.zeros(200)
     sig[100] = np.nan
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="channel 0 diverged at sample 100"):
         run_bank(sig, nu=2, l_est=1.0, h=h)
+    # an inf in one channel of several: the report names that channel and
+    # the first sample whose step turned non-finite, with no warning raised
+    wide = np.zeros((200, 3))
+    wide[120:, 1] = np.inf
+    with pytest.raises(NumericalError, match="channel 1 diverged at sample 120"):
+        run_bank(wide, nu=3, l_est=[1.0, 2.0, 3.0], h=h)
 
 
 def test_bank_requires_depth_two():

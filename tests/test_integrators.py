@@ -120,18 +120,6 @@ def test_projected_step_stationary_for_triangular_full_frame():
     assert np.allclose(q, np.eye(2), atol=1e-14)
 
 
-def test_projected_step_takes_four_stage_matrices():
-    rng = np.random.default_rng(11)
-    a1, a2, a4 = rng.standard_normal((3, 4, 4))
-    q, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-    three = projected_rk4_step(0.0, q, 0.01, (a1, a2, a4))
-    four = projected_rk4_step(0.0, q, 0.01, (a1, a2, a2, a4))
-    assert np.array_equal(three, four)
-    # a different third-stage matrix moves the step
-    other = projected_rk4_step(0.0, q, 0.01, (a1, a2, a1, a4))
-    assert np.max(np.abs(other - three)) > 1e-6
-
-
 def test_projected_step_reports_collapse_with_step_time():
     # with A = 0 the frame does not move, so dependent columns stay dependent
     zero = np.zeros((3, 3))
