@@ -9,10 +9,13 @@ whose solution is exactly the Q factor of ``Phi(t, t0) Q0`` with
 therefore runs the discrete QR method (Dieci, Russell & Van Vleck, SIAM
 J. Numer. Anal. 1997): per chunk of ``CHUNK_STEPS`` steps it folds every
 step's RK4 stages into a propagator ``Phi_i`` with stacked products
-(:func:`rk4_propagators`), applies ``X <- Phi_i X`` in a tight loop and
-re-orthonormalizes the recorded block with one batched Householder QR.
-The diagonal of each step's R factor gives the log growth of every
-direction, a second exponent estimate next to the diag(Q^T A Q) average.
+(:func:`rk4_propagators`) and applies ``X <- Phi_i X`` in a tight loop,
+re-anchoring at the end of every block of steps.  Only what the next
+block starts from is done in sequence: the Householder QR of the block's
+last matrix alone.  The checks, the frames and the R factors of every
+step of the chunk then come from one batched QR.  The diagonal of each
+step's R factor gives the log growth of every direction, a second
+exponent estimate next to the diag(Q^T A Q) average.
 
 :func:`projected_rk4_step` is the continuous form of the same flow, one
 projected RK4 step at a time; ``projected_rk4_stages`` rebuilds its
@@ -236,20 +239,28 @@ def frame_flow(stages, q, cfg, n_steps=None):
     (T, n, n), as :func:`system_stages` builds them.  Per chunk of at most
     ``CHUNK_STEPS`` steps the stages fold into propagators ``Phi_i``
     (:func:`rk4_propagators`) and ``X <- Phi_i X`` runs from the last
-    frame.  Every block of ``b`` steps is re-orthonormalized by one batched
-    QR, ``X_j = Q_j R_j`` with diag R >= 0, and the next block starts from
-    its last Q.  ``b = floor(1 / (h max ||M||_1))`` over the chunk's stage
-    matrices, between 1 and T, bounds the norm of every product of a
-    block's propagators and of its inverse by about e, so cond(X) stays
-    below about e^2.
+    frame in blocks of ``b`` steps.  ``b = floor(1 / (h max ||M||_1))``
+    over the chunk's stage matrices, between 1 and T, bounds the norm of
+    every product of a block's propagators and of its inverse by about e,
+    so cond(X) stays below about e^2.  In sequence, each block's last X is
+    factored alone, ``X = Q R`` with diag R >= 0, and the next block starts
+    from that Q; the chunk's last block end is left to the batch.  Then one
+    batched QR of all the chunk's X gives every frame and every R; a
+    matrix factored alone gives the same bits as in the batch, so each
+    block starts from exactly the frame recorded at its start.
 
     Yields ``(lo, hi, grid, frames, log_r)`` per chunk: ``frames``
     (T + 1, n, k) holds the frames at grid points ``lo .. hi`` and
     ``log_r`` (T, k) each step's ``log diag R_i`` in
-    ``Q_{i+1} R_i = Phi_i Q_i``.  Runs the first ``n_steps`` steps
-    (default all).  Raises :class:`NumericalError` naming the step time
-    when a block turns non-finite, or when a pivot ``|r_jj|`` is at or
-    below 1e-8 times the largest column norm of its matrix.
+    ``Q_{i+1} R_i = Phi_i Q_i``, the first step of a block from its own R
+    and every other step as the difference from the step before.  Runs the
+    first ``n_steps`` steps (default all).  Raises :class:`NumericalError`
+    naming the step time when a step turns non-finite, or when a pivot
+    ``|r_jj|`` is at or below 1e-8 times the largest column norm of its
+    matrix.  Of several failing blocks the first raises, and within a
+    block a non-finite step wins over a collapse; the flow stops at the
+    first non-finite block end, so no QR and no log sees NaN or a zero
+    pivot.
     """
     n_steps = cfg.n_steps if n_steps is None else n_steps
     h = cfg.h
@@ -259,33 +270,41 @@ def frame_flow(stages, q, cfg, n_steps=None):
         grid, stacks = stages(lo, hi)
         phi = rk4_propagators(stacks, h)
         growth = h * max(float(np.abs(s).sum(axis=-2).max()) for s in stacks)
-        # a non-finite growth keeps the whole chunk; the block check names it
+        # a non-finite growth keeps the whole chunk; the finite check names it
         block = max(1, int(1.0 / growth)) if growth * count > 1.0 else count
         frames = np.empty((count + 1,) + q.shape)
-        log_r = np.empty((count, q.shape[1]))
-        frames[0] = q
+        frames[0] = x = q
+        # a non-finite block end stops the flow before LAPACK sees it
         for start in range(0, count, block):
             stop = min(start + block, count)
             for j in range(start, stop):
-                np.matmul(phi[j], frames[j], out=frames[j + 1])
-            x = frames[start + 1 : stop + 1]
-            finite = np.isfinite(x).all(axis=(1, 2))
-            if not finite.all():
-                bad = lo + start + int(np.argmin(finite))
-                raise NumericalError(f"non-finite frame flow at t={cfg.time(bad)}")
-            qx, r = np.linalg.qr(x)
-            d = np.diagonal(r, axis1=1, axis2=2)
-            pivots = np.abs(d)
-            scale = np.sqrt((x * x).sum(axis=1)).max(axis=1)
-            collapse = (pivots <= 1e-8 * scale[:, None]).any(axis=1)
-            if collapse.any():
-                j = int(np.argmax(collapse))
-                raise NumericalError(
-                    f"frame rank collapse at t={cfg.time(lo + start + j)}: "
-                    f"pivots {pivots[j]}"
-                )
-            np.multiply(qx, np.where(d < 0.0, -1.0, 1.0)[:, None, :], out=x)
-            log_r[start:stop] = np.diff(np.log(pivots), axis=0, prepend=0.0)
+                x = np.matmul(phi[j], x, out=frames[j + 1])
+            if stop == count or not np.isfinite(x).all():
+                break
+            x, r = np.linalg.qr(x)
+            x *= np.where(r.diagonal() < 0.0, -1.0, 1.0)
+        raw = frames[1 : stop + 1]
+        finite = np.isfinite(raw).all(axis=(1, 2))
+        # the blocks before the one with the first non-finite step
+        good = stop if finite.all() else int(np.argmin(finite)) // block * block
+        x = raw[:good]
+        qx, r = np.linalg.qr(x)
+        d = np.diagonal(r, axis1=1, axis2=2)
+        pivots = np.abs(d)
+        scale = np.sqrt((x * x).sum(axis=1)).max(axis=1)
+        collapse = (pivots <= 1e-8 * scale[:, None]).any(axis=1)
+        if collapse.any():
+            j = int(np.argmax(collapse))
+            raise NumericalError(
+                f"frame rank collapse at t={cfg.time(lo + j)}: pivots {pivots[j]}"
+            )
+        if good < stop:
+            bad = lo + int(np.argmin(finite))
+            raise NumericalError(f"non-finite frame flow at t={cfg.time(bad)}")
+        np.multiply(qx, np.where(d < 0.0, -1.0, 1.0)[:, None, :], out=raw)
+        log_pivots = np.log(pivots)
+        log_r = np.diff(log_pivots, axis=0, prepend=0.0)
+        log_r[block::block] = log_pivots[block::block]
         q = frames[-1]
         yield lo, hi, grid, frames, log_r
 

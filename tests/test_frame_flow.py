@@ -10,6 +10,12 @@ both to round-off level.  The closed-loop triangular form is read off the
 open-loop frame, so it is compared with the discrete reference and with
 the identities that construction rests on.  Every reference evaluates its
 matrices once, on the arrays of grid and stage times.
+
+A third reference runs the chunked loop block by block, each block
+re-orthonormalized by its own batched QR before the next one starts.
+``frame_flow`` factors only the block ends in sequence and the whole
+chunk in one batch, which does the same arithmetic, so the two agree bit
+for bit.
 """
 
 from dataclasses import replace
@@ -20,7 +26,13 @@ import pytest
 from ltvobs.bibs import triangularize, triangularize_error_system
 from ltvobs.cli import load_scenario
 from ltvobs.errors import NumericalError
-from ltvobs.integrators import CHUNK_STEPS, StepConfig, frame_flow, system_stages
+from ltvobs.integrators import (
+    CHUNK_STEPS,
+    StepConfig,
+    frame_flow,
+    rk4_propagators,
+    system_stages,
+)
 from ltvobs.linalg import mgs_qr
 from ltvobs.lyapunov import default_frame, estimate_spectrum, start_frame
 from ltvobs.observer import _gain_basis, detectability_report, frame_track
@@ -91,6 +103,49 @@ def discrete_flow(a, q, cfg):
         frames.append(q)
         log_r.append(lr)
     return np.asarray(frames), np.asarray(log_r)
+
+
+def blocked_flow(stages, q, cfg):
+    """The chunked loop with one batched QR per block, run block by block.
+
+    Yields what :func:`frame_flow` yields, from the same stages, block
+    rule and propagators.
+    """
+    h = cfg.h
+    for lo in range(0, cfg.n_steps, CHUNK_STEPS):
+        hi = min(lo + CHUNK_STEPS, cfg.n_steps)
+        count = hi - lo
+        grid, stacks = stages(lo, hi)
+        phi = rk4_propagators(stacks, h)
+        growth = h * max(float(np.abs(s).sum(axis=-2).max()) for s in stacks)
+        block = max(1, int(1.0 / growth)) if growth * count > 1.0 else count
+        frames = np.empty((count + 1,) + q.shape)
+        log_r = np.empty((count, q.shape[1]))
+        frames[0] = q
+        for start in range(0, count, block):
+            stop = min(start + block, count)
+            for j in range(start, stop):
+                np.matmul(phi[j], frames[j], out=frames[j + 1])
+            x = frames[start + 1 : stop + 1]
+            finite = np.isfinite(x).all(axis=(1, 2))
+            if not finite.all():
+                bad = lo + start + int(np.argmin(finite))
+                raise NumericalError(f"non-finite frame flow at t={cfg.time(bad)}")
+            qx, r = np.linalg.qr(x)
+            d = np.diagonal(r, axis1=1, axis2=2)
+            pivots = np.abs(d)
+            scale = np.sqrt((x * x).sum(axis=1)).max(axis=1)
+            collapse = (pivots <= 1e-8 * scale[:, None]).any(axis=1)
+            if collapse.any():
+                j = int(np.argmax(collapse))
+                raise NumericalError(
+                    f"frame rank collapse at t={cfg.time(lo + start + j)}: "
+                    f"pivots {pivots[j]}"
+                )
+            np.multiply(qx, np.where(d < 0.0, -1.0, 1.0)[:, None, :], out=x)
+            log_r[start:stop] = np.diff(np.log(pivots), axis=0, prepend=0.0)
+        q = frames[-1]
+        yield lo, hi, grid, frames, log_r
 
 
 def _loop_matrices(sys, conf, t, frames):
@@ -265,6 +320,102 @@ def test_blocked_driver_matches_per_step_discrete_qr(name):
     assert np.sqrt((gram * gram).sum(axis=(1, 2))).max() <= 1e-14
 
 
+def _gate1_systems():
+    """The 20 constant upper-triangular systems of acceptance gate 1."""
+    rng = np.random.default_rng(7)
+    systems = []
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        systems.append(np.triu(rng.uniform(-2.0, 2.0, (n, n))))
+    return systems
+
+
+def _differential_cases(name):
+    """(A, grid, start frame) per flow of a named case."""
+    if name == "spread4":
+        return [(_spread4(), StepConfig(h=0.05, t0=0.0, t_end=100.0), np.eye(3))]
+    if name == "gate1":
+        cfg = StepConfig(h=0.05, t0=0.0, t_end=100.0)
+        return [(lambda t, a=a: a, cfg, np.eye(len(a))) for a in _gate1_systems()]
+    run = bench8_run(3.0)
+    return [(run.sys.a, run.observer.step, default_frame(run.sys.n, 3))]
+
+
+@pytest.mark.parametrize("name", ["spread4", "gate1", "bench8"])
+def test_frame_flow_equals_block_by_block_loop(name):
+    # the same arithmetic in another order of calls: equal to the bit
+    for a, cfg, q in _differential_cases(name):
+        _, stages = system_stages(a, cfg)
+        chunks = zip(frame_flow(stages, q, cfg), blocked_flow(stages, q, cfg), strict=True)
+        for (lo, hi, grid, frames, log_r), ref in chunks:
+            assert (lo, hi) == ref[:2]
+            assert np.array_equal(grid, ref[2])
+            assert np.array_equal(frames, ref[3])
+            assert np.array_equal(log_r, ref[4])
+
+
+def _record_qr(monkeypatch):
+    """Record the shape and finiteness of every ``np.linalg.qr`` input."""
+    calls = []
+    qr = np.linalg.qr
+
+    def record(a, *args, **kwargs):
+        calls.append((a.shape, bool(np.isfinite(a).all())))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", record)
+    return calls
+
+
+def test_frame_flow_factors_block_ends_alone_and_each_chunk_once(monkeypatch):
+    # spread4 at h = 0.05 re-anchors every 2 steps: per chunk one batched
+    # QR of all its steps, and one QR of each block end but the last
+    a, cfg, q = _differential_cases("spread4")[0]
+    _, stages = system_stages(a, cfg)
+    calls = _record_qr(monkeypatch)
+    list(frame_flow(stages, q, cfg))
+    expected = []
+    for lo in range(0, cfg.n_steps, CHUNK_STEPS):
+        count = min(CHUNK_STEPS, cfg.n_steps - lo)
+        expected += [((3, 3), True)] * ((count - 1) // 2) + [((count, 3, 3), True)]
+    assert calls == expected
+
+
+# ||A||_1 = 2 at h = 0.05: the block rule re-anchors every 10 steps
+_ROTATE = np.array([[0.5, 1.0, 0.0], [-1.0, 0.5, 0.0], [0.0, 0.0, -2.0]])
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        (np.eye(3, 2), r"non-finite frame flow at t=1\.2000000000000002$"),
+        (np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), r"rank collapse at t=0\.0:"),
+    ],
+    ids=["nan-in-third-block", "collapse-then-nan"],
+)
+def test_frame_flow_error_order_across_blocks(monkeypatch, q, message):
+    # the midpoint matrix of step 24, partway through the chunk's third
+    # block, is NaN, and the frame stays NaN from there on.  The first
+    # failing block raises, a non-finite step before a collapse within a
+    # block, so a frame whose columns start dependent raises the collapse
+    # at step 0; no QR or log sees NaN or a zero pivot
+    cfg = StepConfig(h=0.05, t0=0.0, t_end=10.0)
+    _, stages = system_stages(lambda t: _ROTATE, cfg)
+
+    def poisoned(lo, hi):
+        grid, (a1, a2, a4) = stages(lo, hi)
+        a2 = a2.copy()
+        a2[24 - lo] = np.nan
+        return grid, (a1, a2, a4)
+
+    with pytest.raises(NumericalError, match=message):
+        list(blocked_flow(poisoned, q, cfg))
+    calls = _record_qr(monkeypatch)
+    with pytest.raises(NumericalError, match=message):
+        list(frame_flow(poisoned, q, cfg))
+    assert calls == [((3, 2), True), ((3, 2), True), ((20, 3, 2), True)]
+
+
 def test_frame_flow_names_time_of_non_finite_stage():
     # A turns non-finite past t = 1.26, so the first stage matrix it
     # spoils is the midpoint of the step from t = 1.25
@@ -294,13 +445,9 @@ def test_log_r_exponents_agree_with_diagonal_averages(scenarios, name):
         scen, cfg = scenarios["bench8"]
         ests = [estimate_spectrum(scen.sys.a, 3, cfg)]
     else:
-        # systems drawn as in acceptance gate 1
-        rng = np.random.default_rng(7)
         cfg = StepConfig(h=0.05, t0=0.0, t_end=100.0)
-        ests = []
-        for _ in range(20):
-            n = int(rng.integers(2, 7))
-            a = np.triu(rng.uniform(-2.0, 2.0, (n, n)))
-            ests.append(estimate_spectrum(lambda t, a=a: a, k=n, cfg=cfg))
+        ests = [
+            estimate_spectrum(lambda t, a=a: a, k=len(a), cfg=cfg) for a in _gate1_systems()
+        ]
     for est in ests:
         assert np.max(np.abs(est.exponents_log_r - est.exponents_by_direction)) <= 1e-5
