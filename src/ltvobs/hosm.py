@@ -82,17 +82,18 @@ def check_bank_settings(order, lipschitz, gains, channels):
 def _step_coefficients(order, lipschitz, gains, h):
     """The constants of :func:`_step_z` for per-channel bounds ``lipschitz``.
 
-    Returns the rates (order + 1, channels), the exponents of the levels
-    below the top, and the Taylor terms as ``(level, h^l / l!, level + l)``
-    for l >= 2, in level order.
+    Returns per channel the list of the order + 1 rates
+    -gains[r-i] L^{1/(r-i+1)}, taken with Python's float power as the steps
+    take theirs; the exponents of the levels below the top; and the Taylor
+    terms as ``(level, h^l / l!, level + l)`` for l >= 2, in level order.
     """
     # distance of each level to the top
-    depth = order - np.arange(order + 1)
-    neg_rates = -(
-        np.asarray(gains, dtype=float)[depth, None]
-        * lipschitz ** (1.0 / (depth[:, None] + 1.0))
-    )
-    powers = [d / (d + 1.0) for d in depth[:-1].tolist()]
+    depth = range(order, -1, -1)
+    neg_rates = [
+        [-(float(gains[d]) * bound ** (1.0 / (d + 1.0))) for d in depth]
+        for bound in lipschitz.tolist()
+    ]
+    powers = [d / (d + 1.0) for d in depth[:-1]]
     taylor = [
         (i, h**l / math.factorial(l), i + l)
         for i in range(order - 1)
@@ -192,8 +193,7 @@ def run_bank(e_y, nu, l_est, h, threshold=1e-4, dwell=0.5, gains=DEFAULT_GAINS):
     # history[s] is the state before sample s is read; a diverging channel
     # turns inf or nan and is reported after the loop
     history = np.zeros((n_samples, nu, channels))
-    for ch in range(channels):
-        rates = neg_rates[:, ch].tolist()
+    for ch, rates in enumerate(neg_rates):
         z = [0.0] * nu
         # one flat list of floats: no per-sample list outlives its step
         states = []

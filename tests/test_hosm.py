@@ -37,7 +37,7 @@ def test_config_validation():
 def _step(z, f, order, lipschitz, h):
     """:func:`_step_z` on one channel's levels ``z`` with bound ``lipschitz``."""
     neg_rates, powers, taylor = _step_coefficients(order, np.array([lipschitz]), DEFAULT_GAINS, h)
-    return _step_z(list(z), f, neg_rates[:, 0].tolist(), powers, taylor, h)
+    return _step_z(list(z), f, neg_rates[0], powers, taylor, h)
 
 
 def test_exact_tracking_is_an_equilibrium():
@@ -91,6 +91,7 @@ def _three_channels():
         lambda: _polynomial([0.5, 1.5, 2.0, 1.0], 5.0, 2e-3),
         lambda: _polynomial([0.25, 0.5, 1.5, 2.0, 1.0], 5.0, 2e-3),
         lambda: _polynomial([0.1, 0.25, 0.5, 1.5, 2.0, 1.0], 20.0, 2e-3),
+        lambda: _polynomial([0.1, 0.25, 0.5, 1.5, 2.0, 1.0], 31.0, 2e-3),
         _three_channels,
     ],
     ids=[
@@ -103,16 +104,17 @@ def _three_channels():
         "r3-2ms",
         "r4-2ms",
         "r5-2ms",
+        "r5-2ms-L31",
         "three-channels",
     ],
 )
 def test_bank_matches_sequential_reference(case):
-    # the bank against the independent list stepper: same settle index,
-    # and stacks apart only by the ulps of the rates, which the bank takes
-    # from numpy's power once per call (4.3e-13 on bench8's e_y); the
-    # steps themselves use Python's float power on both sides.  Orders 3-5
-    # have levels with more than one Taylor term, and at order 5 one ulp in
-    # the level below flips the chattering top level's sign
+    # the bank against the independent list stepper: same settle index and
+    # stacks (equal on every case here).  Both take the rates and every
+    # step's powers with Python's float power, so the cases check the step
+    # itself; rates from numpy's power, one ulp off at L = 31, flipped the
+    # chattering top level at order 5 and put the stacks 0.27 apart.
+    # Orders 3-5 have levels with more than one Taylor term
     signal, settings = case()
     bank = run_bank(signal, **settings)
     stack, residuals, settled_index = reference_bank(signal, **settings)
