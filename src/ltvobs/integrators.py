@@ -12,10 +12,12 @@ step's RK4 stages into a propagator ``Phi_i`` with stacked products
 (:func:`rk4_propagators`) and applies ``X <- Phi_i X`` in a tight loop,
 re-anchoring at the end of every block of steps.  Only what the next
 block starts from is done in sequence: the Householder QR of the block's
-last matrix alone.  The checks, the frames and the R factors of every
-step of the chunk then come from one batched QR.  The diagonal of each
-step's R factor gives the log growth of every direction, a second
-exponent estimate next to the diag(Q^T A Q) average.
+last matrix alone.  The checks, the frames and the diagonals of R of
+every step of the chunk then come from one batched Householder QR.  Both
+go through :func:`~ltvobs.linalg.householder_qr`, which returns Q and
+diag R and builds no R matrix.  The diagonal of each step's R factor
+gives the log growth of every direction, a second exponent estimate next
+to the diag(Q^T A Q) average.
 
 :func:`projected_rk4_step` is the continuous form of the same flow, one
 projected RK4 step at a time; ``projected_rk4_stages`` rebuilds its
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import mgs_qr
+from .linalg import householder_qr, mgs_qr
 from .system import as_sampler
 
 __all__ = [
@@ -245,9 +247,11 @@ def frame_flow(stages, q, cfg, n_steps=None):
     so cond(X) stays below about e^2.  In sequence, each block's last X is
     factored alone, ``X = Q R`` with diag R >= 0, and the next block starts
     from that Q; the chunk's last block end is left to the batch.  Then one
-    batched QR of all the chunk's X gives every frame and every R; a
-    matrix factored alone gives the same bits as in the batch, so each
-    block starts from exactly the frame recorded at its start.
+    batched QR of all the chunk's X gives every frame and every diag R.
+    Both factorizations are :func:`~ltvobs.linalg.householder_qr`, the
+    LAPACK kernels of ``np.linalg.qr`` without forming R; a matrix
+    factored alone gives the same bits as in the batch, so each block
+    starts from exactly the frame recorded at its start.
 
     Yields ``(lo, hi, grid, frames, log_r)`` per chunk: ``frames``
     (T + 1, n, k) holds the frames at grid points ``lo .. hi`` and
@@ -281,15 +285,14 @@ def frame_flow(stages, q, cfg, n_steps=None):
                 x = np.matmul(phi[j], x, out=frames[j + 1])
             if stop == count or not np.isfinite(x).all():
                 break
-            x, r = np.linalg.qr(x)
-            x *= np.where(r.diagonal() < 0.0, -1.0, 1.0)
+            x, d = householder_qr(x)
+            x *= np.where(d < 0.0, -1.0, 1.0)
         raw = frames[1 : stop + 1]
         finite = np.isfinite(raw).all(axis=(1, 2))
         # the blocks before the one with the first non-finite step
         good = stop if finite.all() else int(np.argmin(finite)) // block * block
         x = raw[:good]
-        qx, r = np.linalg.qr(x)
-        d = np.diagonal(r, axis1=1, axis2=2)
+        qx, d = householder_qr(x)
         pivots = np.abs(d)
         scale = np.sqrt((x * x).sum(axis=1)).max(axis=1)
         collapse = (pivots <= 1e-8 * scale[:, None]).any(axis=1)

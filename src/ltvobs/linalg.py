@@ -1,21 +1,29 @@
 """Dense linear-algebra kernels used by the flows and rank tests.
 
-The QR factorization here is a hand-written modified Gram-Schmidt: the
-frame integrators re-orthonormalize with it every step and rely on two
-conventions that library QR routines do not guarantee, a nonnegative
-diagonal of R and a deterministic completion rule for (numerically)
-dependent columns.  ``mgs_qr_stack`` runs the same elimination on a stack
-of matrices at once and hands every matrix with a dependent column back to
-``mgs_qr``, so both conventions hold for the stack too.  Rank decisions and
-pseudoinverses go through numpy's SVD with one shared tolerance policy,
-on single matrices or on stacks of them.
+Two QR factorizations live here.  :func:`householder_qr` is LAPACK's
+Householder QR through the same gufuncs ``np.linalg.qr`` calls, for one
+matrix or a stack; it returns Q and only the diagonal of R, which is all
+:func:`~ltvobs.integrators.frame_flow`, the discrete QR method every QR
+flow runs, reads from a factorization.  :func:`mgs_qr` is a hand-written
+modified Gram-Schmidt with two conventions that library QR routines do
+not guarantee: a nonnegative diagonal of R and a deterministic completion
+rule for (numerically) dependent columns.  ``lyapunov.start_frame`` and
+the observer's gain basis rely on them, and so do the per-step reference
+steps ``projected_rk4_step`` and ``joint_rk4_step``.  ``mgs_qr_stack`` runs
+the same elimination on a stack of matrices at once, for the gain basis
+of many samples, and hands every matrix with a dependent column back to
+``mgs_qr``, so both conventions hold for the stack too.  Rank decisions
+and pseudoinverses go through numpy's SVD with one shared tolerance
+policy, on single matrices or on stacks of them.
 """
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError
 
 __all__ = [
+    "householder_qr",
     "mgs_qr",
     "mgs_qr_stack",
     "numerical_rank",
@@ -25,6 +33,33 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+
+
+def _raise_qr_error(err, flag):
+    raise np.linalg.LinAlgError(
+        "Incorrect argument found while performing QR factorization"
+    )
+
+
+def householder_qr(x):
+    """Householder QR of one matrix ``(n, k)`` or a stack ``(..., n, k)``.
+
+    Returns ``(q, d)``: the reduced Q factor ``(..., n, min(n, k))`` and
+    the diagonal of R ``(..., min(n, k))``, both exactly the bits of
+    ``np.linalg.qr``, whose LAPACK gufuncs (``dgeqrf`` then ``dorgqr``)
+    run here on a float64 copy of ``x``; ``x`` itself is never written.
+    The diagonal is read off the factored copy, so no R matrix is built.
+    The gufuncs loop over a stack one matrix at a time, so a matrix
+    factored alone gives the same bits as inside a stack.  An invalid
+    argument in LAPACK raises ``LinAlgError``, as in ``np.linalg.qr``.
+    """
+    a = np.array(x, dtype=np.float64)
+    with np.errstate(
+        call=_raise_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+        q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+    return q, a.diagonal(0, -2, -1)
 
 
 def mgs_qr(x):

@@ -12,10 +12,10 @@ the identities that construction rests on.  Every reference evaluates its
 matrices once, on the arrays of grid and stage times.
 
 A third reference runs the chunked loop block by block, each block
-re-orthonormalized by its own batched QR before the next one starts.
-``frame_flow`` factors only the block ends in sequence and the whole
-chunk in one batch, which does the same arithmetic, so the two agree bit
-for bit.
+re-orthonormalized by its own batched ``np.linalg.qr`` before the next one
+starts.  ``frame_flow`` factors only the block ends in sequence and the
+whole chunk in one batch, through ``householder_qr`` on the same LAPACK
+kernels, which does the same arithmetic, so the two agree bit for bit.
 """
 
 from dataclasses import replace
@@ -33,7 +33,7 @@ from ltvobs.integrators import (
     rk4_propagators,
     system_stages,
 )
-from ltvobs.linalg import mgs_qr
+from ltvobs.linalg import householder_qr, mgs_qr
 from ltvobs.lyapunov import default_frame, estimate_spectrum, start_frame
 from ltvobs.observer import _gain_basis, detectability_report, frame_track
 from ltvobs.system import as_matrix_expr
@@ -355,16 +355,25 @@ def test_frame_flow_equals_block_by_block_loop(name):
 
 
 def _record_qr(monkeypatch):
-    """Record the shape and finiteness of every ``np.linalg.qr`` input."""
-    calls = []
-    qr = np.linalg.qr
+    """Record the shape and finiteness of every ``householder_qr`` input.
 
-    def record(a, *args, **kwargs):
+    Also returns the shapes of every ``np.linalg.qr`` input, which
+    ``frame_flow`` should never call.
+    """
+    calls, library_calls = [], []
+    library_qr = np.linalg.qr
+
+    def record(a):
         calls.append((a.shape, bool(np.isfinite(a).all())))
-        return qr(a, *args, **kwargs)
+        return householder_qr(a)
 
-    monkeypatch.setattr(np.linalg, "qr", record)
-    return calls
+    def record_library(a, *args, **kwargs):
+        library_calls.append(a.shape)
+        return library_qr(a, *args, **kwargs)
+
+    monkeypatch.setattr("ltvobs.integrators.householder_qr", record)
+    monkeypatch.setattr(np.linalg, "qr", record_library)
+    return calls, library_calls
 
 
 def test_frame_flow_factors_block_ends_alone_and_each_chunk_once(monkeypatch):
@@ -372,13 +381,14 @@ def test_frame_flow_factors_block_ends_alone_and_each_chunk_once(monkeypatch):
     # QR of all its steps, and one QR of each block end but the last
     a, cfg, q = _differential_cases("spread4")[0]
     _, stages = system_stages(a, cfg)
-    calls = _record_qr(monkeypatch)
+    calls, library_calls = _record_qr(monkeypatch)
     list(frame_flow(stages, q, cfg))
     expected = []
     for lo in range(0, cfg.n_steps, CHUNK_STEPS):
         count = min(CHUNK_STEPS, cfg.n_steps - lo)
         expected += [((3, 3), True)] * ((count - 1) // 2) + [((count, 3, 3), True)]
     assert calls == expected
+    assert library_calls == []
 
 
 # ||A||_1 = 2 at h = 0.05: the block rule re-anchors every 10 steps
@@ -413,10 +423,11 @@ def test_frame_flow_error_order_across_blocks(monkeypatch, q, message):
 
     with pytest.raises(NumericalError, match=message):
         list(blocked_flow(poisoned, q, cfg))
-    calls = _record_qr(monkeypatch)
+    calls, library_calls = _record_qr(monkeypatch)
     with pytest.raises(NumericalError, match=message):
         list(frame_flow(poisoned, q, cfg))
     assert calls == [((3, 2), True), ((3, 2), True), ((20, 3, 2), True)]
+    assert library_calls == []
 
 
 def test_frame_flow_names_time_of_non_finite_stage():

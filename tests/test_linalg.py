@@ -1,9 +1,10 @@
-"""Rank-revealing modified Gram-Schmidt, numerical rank, pinv, projectors."""
+"""Householder and modified Gram-Schmidt QR, numerical rank, pinv, projectors."""
 
 import numpy as np
 import pytest
 
 from ltvobs.linalg import (
+    householder_qr,
     mgs_qr,
     mgs_qr_stack,
     numerical_rank,
@@ -65,6 +66,53 @@ def test_mgs_stack_is_mgs_per_matrix(rng):
         for i in range(x.shape[0]):
             q_i, r_i = mgs_qr(x[i])
             assert np.array_equal(q[i], q_i) and np.array_equal(r[i], r_i)
+
+
+def _library_qr(x):
+    q, r = np.linalg.qr(x)
+    return q, np.diagonal(r, axis1=-2, axis2=-1)
+
+
+def test_householder_qr_is_numpy_qr_bit_for_bit(rng):
+    zero_column = rng.standard_normal((4, 3))
+    zero_column[:, 1] = 0.0
+    cases = [
+        rng.standard_normal((6, 2)),
+        rng.standard_normal((5, 5)),
+        np.array([[-3.0]]),
+        zero_column,
+        np.asfortranarray(rng.standard_normal((8, 3))),
+        rng.standard_normal((7, 6))[::2, 1::2],  # a strided view
+    ]
+    for x in cases:
+        q, d = householder_qr(x)
+        q_ref, d_ref = _library_qr(x)
+        assert q.shape == q_ref.shape and d.shape == d_ref.shape
+        assert np.array_equal(q, q_ref) and np.array_equal(d, d_ref)
+    assert householder_qr(zero_column)[1][1] == 0.0
+
+
+def test_householder_qr_stack_is_each_matrix_alone(rng):
+    # frame_flow starts each block from a matrix factored alone and records
+    # it from the chunk's batch: the two must agree bit for bit
+    for shape in ((200, 8, 3), (128, 5, 5), (64, 2, 1), (3, 4, 5, 2)):
+        x = rng.standard_normal(shape)
+        q, d = householder_qr(x)
+        q_ref, d_ref = _library_qr(x)
+        assert np.array_equal(q, q_ref) and np.array_equal(d, d_ref)
+        for idx in np.ndindex(shape[:-2]):
+            q_i, d_i = householder_qr(x[idx])
+            assert np.array_equal(q[idx], q_i) and np.array_equal(d[idx], d_i)
+    q, d = householder_qr(np.empty((0, 3, 2)))
+    assert q.shape == (0, 3, 2) and d.shape == (0, 2)
+
+
+def test_householder_qr_leaves_input_unmodified(rng):
+    frames = rng.standard_normal((10, 5, 3))
+    before = frames.copy()
+    householder_qr(frames[2])
+    householder_qr(frames[4:9])
+    assert np.array_equal(frames, before)
 
 
 def test_numerical_rank_examples():
