@@ -1,7 +1,7 @@
 """Tangent-space observers for linear time-varying systems.
 
-The package estimates the Lyapunov spectrum of A(t) by a continuous QR
-flow, checks directional detectability to pick an output-injection gain
+The package estimates the Lyapunov spectrum of A(t) by the discrete QR
+method, checks directional detectability to pick an output-injection gain
 acting on the dominant tangent frame, certifies bounded-input bounded-
 state behavior of the remaining error, tests strong observability with
 respect to an unknown input, and removes the residual error in finite
@@ -55,7 +55,6 @@ from .observer import (
     ObserverConfig,
     detectability_report,
     frame_track,
-    gain_snapshots,
     min_gain_suggestion,
 )
 from .strong_obs import (
@@ -102,7 +101,6 @@ __all__ = [
     "estimate_lipschitz",
     "estimate_spectrum",
     "frame_track",
-    "gain_snapshots",
     "general_bibs_certificate",
     "joint_rk4_step",
     "mgs_qr",

@@ -63,9 +63,6 @@ class TriangularForm:
     def n(self):
         return self.b.shape[1]
 
-    def diagonal(self, i):
-        return self.b[:, i, i]
-
 
 def _triangular_flow(a, cfg, q=None, loop_gain=None):
     """Full-width frame flow of ``a`` from the basis ``q`` (default I), recording B.
@@ -218,31 +215,23 @@ class GeneralCertificate:
     t0: float
     t_end: float
 
-    @property
-    def state_bounds(self):
-        return np.asarray([c.state_bound for c in self.components])
 
-
-def general_bibs_certificate(tri: TriangularForm, epsilon, d=None, w_bound=0.0, x0=None):
+def general_bibs_certificate(tri: TriangularForm, epsilon, d, w_bound, x0):
     """Certify every component of the triangularized system, bottom-up.
 
     Component i of the triangular dynamics sees the unknown input through
-    phi = Qf^T D w plus the off-diagonal coupling to components j > i, so
-    it can only be certified after all of them.  The reported per-state
-    bounds treat that coupling as an extra bounded input, using each
-    lower component's own bound.
+    phi = Qf^T D w, with ``|w| <= w_bound`` and ``d`` in any form
+    :func:`ltvobs.system.as_sampler` takes, plus the off-diagonal coupling
+    to components j > i, so it can only be certified after all of them.
+    The reported per-state bounds start from the initial state ``x0`` and
+    treat that coupling as an extra bounded input, using each lower
+    component's own bound.
     """
     n = tri.n
     t = tri.t
-    if d is not None:
-        qtd = tri.frames.mT @ as_sampler(d)(t)
-        phi = w_bound * np.max(np.abs(qtd).sum(axis=2), axis=0)
-    else:
-        phi = np.zeros(n)
-    if x0 is not None:
-        zeta0 = np.abs(tri.frames[0].T @ np.asarray(x0, dtype=float))
-    else:
-        zeta0 = np.zeros(n)
+    qtd = tri.frames.mT @ as_sampler(d)(t)
+    phi = w_bound * np.max(np.abs(qtd).sum(axis=2), axis=0)
+    zeta0 = np.abs(tri.frames[0].T @ np.asarray(x0, dtype=float))
     b_abs_max = np.max(np.abs(tri.b), axis=0)
 
     comps = [None] * n

@@ -93,7 +93,6 @@ class CascadeRun:
     sigma: float = 0.0
     noise_seed: int = 0
     oracle_derivatives: bool = False
-    check_preconditions: bool = True
 
     def __post_init__(self):
         n = self.sys.n
@@ -152,7 +151,7 @@ class CascadeResult:
 
 def _check_preconditions(run, track, need_stack):
     """Enforce the design steps in order; raises StepPreconditionError."""
-    report = detectability_report(run.sys, run.observer, track=track)
+    report = detectability_report(run.observer, track)
     if not report.ok:
         bad = ", ".join(str(d.index + 1) for d in report.failed_directions)
         raise StepPreconditionError(
@@ -166,7 +165,7 @@ def _check_preconditions(run, track, need_stack):
             f"{p_min:.6g} needed to stabilize every error direction",
         )
     if not need_stack:
-        return report, None
+        return
     stack, verdict = horizon_so_check(run.sys, run.observer.step)
     if not verdict.ok:
         raise StepPreconditionError(
@@ -178,7 +177,6 @@ def _check_preconditions(run, track, need_stack):
             f"observability index is {stack.nu}; the sampled-gain error "
             "stack is implemented for index 2 only",
         )
-    return report, stack
 
 
 def _matvec(m, v):
@@ -292,8 +290,7 @@ def run_cascade(run: CascadeRun) -> CascadeResult:
     step = conf.step
     n, r = sys.n, sys.r
     track = frame_track(sys, conf)
-    if run.check_preconditions:
-        _check_preconditions(run, track, need_stack=True)
+    _check_preconditions(run, track, need_stack=True)
 
     eta = _measurement_noise(run, step.n_steps + 1)
     oracle = run.oracle_derivatives
@@ -345,16 +342,17 @@ def run_cascade(run: CascadeRun) -> CascadeResult:
     e_norm_tso = np.linalg.norm(x_rec - xt_rec, axis=1)
     e_norm_cascade = np.linalg.norm(x_rec - xhat, axis=1)
     tail = None if t_f is None else t_grid >= t_f - 1e-12
+    # JSON has no inf: with no sample at or after t_f the summary says null
     if tail is not None and tail.any():
         sup_state_error = np.max(np.abs(x_rec - xhat)[tail], axis=0)
+        sup_after = [float(v) for v in sup_state_error]
     else:
         sup_state_error = np.full(n, np.inf)
+        sup_after = None
     summary = {
         "settled_time": settled_time,
         "t_f": t_f,
-        "sup_state_error_after_t_f": (
-            None if t_f is None else [float(v) for v in sup_state_error]
-        ),
+        "sup_state_error_after_t_f": sup_after,
         "sup_e_norm_tso": float(np.max(e_norm_tso)),
         "final_e_norm_tso": float(e_norm_tso[-1]),
         "final_e_norm_cascade": float(e_norm_cascade[-1]),
@@ -392,8 +390,7 @@ def run_tso(run: CascadeRun) -> CascadeResult:
     """
     sys, conf = run.sys, run.observer
     track = frame_track(sys, conf)
-    if run.check_preconditions:
-        _check_preconditions(run, track, need_stack=False)
+    _check_preconditions(run, track, need_stack=False)
     eta = _measurement_noise(run, conf.step.n_steps + 1)
     t_grid, x_rec, xt_rec, ey_rec, _, _ = _simulate(
         run, track, eta, record_gain=False, record_eydot=False

@@ -425,7 +425,7 @@ def cmd_spectrum(scen, args, outdir):
 
 
 def _detect_payload(scen, conf, track):
-    rep = detectability_report(scen.run.sys, conf, track=track)
+    rep = detectability_report(conf, track)
     try:
         p_min = min_gain_suggestion(rep, margin=1.0)
     except StepPreconditionError:
@@ -462,7 +462,10 @@ def cmd_detect(scen, args, outdir):
             raise ScenarioError("--sweep needs at least one gain value")
         # every gain is checked before the flow; the gain enters only
         # mu_hat = lambda - p rbar, so one flow serves all
-        confs = [replace(conf, p=p) for p in p_values]
+        try:
+            confs = [replace(conf, p=p) for p in p_values]
+        except ValueError as e:
+            raise ScenarioError(f"with --sweep {args.sweep}: {e}") from e
         track = frame_track(scen.run.sys, conf)
         results = [_detect_payload(scen, c, track) for c in confs]
         _write_json(

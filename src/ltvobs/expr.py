@@ -32,7 +32,6 @@ __all__ = [
     "Bin",
     "Call",
     "parse",
-    "differentiate",
     "MatrixExpr",
 ]
 
@@ -393,13 +392,6 @@ def parse(text):
     return _Parser(text).parse()
 
 
-def differentiate(e):
-    """Symbolic time derivative of an expression or parseable text."""
-    if isinstance(e, str):
-        e = parse(e)
-    return e.derivative()
-
-
 # ---------------------------------------------------------------------------
 # python code generation for the compiled evaluator
 
@@ -458,10 +450,6 @@ class MatrixExpr:
     def zeros(cls, rows, cols):
         return cls([[Num(0.0)] * cols for _ in range(rows)])
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[Num(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)])
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -472,19 +460,9 @@ class MatrixExpr:
     def is_constant(self):
         return all(isinstance(e, Num) for row in self.entries for e in row)
 
-    def derivative(self, order=1):
-        """Entrywise time derivative of the given order."""
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
-        m = self
-        for _ in range(order):
-            m = MatrixExpr([[e.derivative() for e in row] for row in m.entries])
-        return m
-
-    def transpose(self):
-        return MatrixExpr(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+    def derivative(self):
+        """Entrywise time derivative."""
+        return MatrixExpr([[e.derivative() for e in row] for row in self.entries])
 
     def __matmul__(self, other):
         if not isinstance(other, MatrixExpr):

@@ -232,7 +232,7 @@ def rk4_propagators(m, h, b=None):
     return phi, (h / 6.0) * c_sum
 
 
-def frame_flow(stages, q, cfg, n_steps=None):
+def frame_flow(stages, q, cfg):
     """Step the frame ``q`` over the grid of ``cfg`` by the discrete QR method.
 
     ``stages(lo, hi)`` returns the matrices at grid points ``lo .. hi``
@@ -257,16 +257,15 @@ def frame_flow(stages, q, cfg, n_steps=None):
     (T + 1, n, k) holds the frames at grid points ``lo .. hi`` and
     ``log_r`` (T, k) each step's ``log diag R_i`` in
     ``Q_{i+1} R_i = Phi_i Q_i``, the first step of a block from its own R
-    and every other step as the difference from the step before.  Runs the
-    first ``n_steps`` steps (default all).  Raises :class:`NumericalError`
-    naming the step time when a step turns non-finite, or when a pivot
-    ``|r_jj|`` is at or below 1e-8 times the largest column norm of its
-    matrix.  Of several failing blocks the first raises, and within a
-    block a non-finite step wins over a collapse; the flow stops at the
-    first non-finite block end, so no QR and no log sees NaN or a zero
-    pivot.
+    and every other step as the difference from the step before.  Raises
+    :class:`NumericalError` naming the step time when a step turns
+    non-finite, or when a pivot ``|r_jj|`` is at or below 1e-8 times the
+    largest column norm of its matrix.  Of several failing blocks the first
+    raises, and within a block a non-finite step wins over a collapse; the
+    flow stops at the first non-finite block end, so no QR and no log sees
+    NaN or a zero pivot.
     """
-    n_steps = cfg.n_steps if n_steps is None else n_steps
+    n_steps = cfg.n_steps
     h = cfg.h
     for lo in range(0, n_steps, CHUNK_STEPS):
         hi = min(lo + CHUNK_STEPS, n_steps)

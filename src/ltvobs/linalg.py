@@ -163,21 +163,20 @@ def _completion_column(accepted, n):
     raise NumericalError("could not complete orthonormal frame")
 
 
-def numerical_rank(x, tol=None):
-    """Rank of ``x`` by counting singular values above ``tol``.
+def numerical_rank(x):
+    """Rank of ``x`` by counting singular values above the shared tolerance.
 
-    ``tol`` defaults to ``max(rows, cols) * eps * sigma_max``; the zero
+    The tolerance is ``max(rows, cols) * eps * sigma_max``; the zero
     matrix has rank 0 under this policy.  A stack ``(..., rows, cols)``
     gets an int array of ranks from one stacked SVD, each matrix with its
-    own default tolerance; a single matrix gets an int.
+    own tolerance; a single matrix gets an int.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.size == 0:
         ranks = np.zeros(x.shape[:-2], dtype=int)
     else:
         s = np.linalg.svd(x, compute_uv=False)
-        if tol is None:
-            tol = max(x.shape[-2:]) * _EPS * s[..., :1]
+        tol = max(x.shape[-2:]) * _EPS * s[..., :1]
         ranks = np.count_nonzero(s > tol, axis=-1)
     return int(ranks) if x.ndim == 2 else ranks
 

@@ -20,7 +20,6 @@ from .integrators import StepConfig, frame_flow, system_stages
 from .linalg import mgs_qr
 
 __all__ = [
-    "default_frame",
     "start_frame",
     "history_index",
     "RunningAverage",
@@ -46,20 +45,16 @@ REGULARITY_WINDOW = 0.1
 TAIL_MASS_TOL = 0.05
 
 
-def default_frame(n, k):
-    """Default starting frame: the first k columns of the identity."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return np.eye(n, k)
-
-
 def start_frame(n, k, q0=None):
-    """Starting frame of a width-k flow: ``q0`` orthonormalized, or the default.
+    """Starting frame of a width-k flow: ``q0`` orthonormalized.
 
-    ``q0`` must be n-by-k with independent columns.
+    ``q0`` must be n-by-k with independent columns; without it the frame
+    is the first k columns of the identity.
     """
     if q0 is None:
-        return default_frame(n, k)
+        if not 1 <= k <= n:
+            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        return np.eye(n, k)
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != (n, k):
         raise ValueError(f"q0 must have shape ({n}, {k}), got {q0.shape}")
@@ -161,7 +156,7 @@ class SpectrumEstimate:
         return self.exponents.shape[0]
 
 
-def estimate_spectrum(a, k, cfg, q0=None):
+def estimate_spectrum(a, k, cfg):
     """Approximate the k leading Lyapunov exponents of ``dx/dt = A(t) x``.
 
     Parameters
@@ -172,10 +167,8 @@ def estimate_spectrum(a, k, cfg, q0=None):
         Number of exponents (frame width), ``1 <= k <= n``.
     cfg : StepConfig
         Integration grid; the exponents are finite-horizon averages over
-        ``[t0, t_end]``.
-    q0 : ndarray, optional
-        Starting frame; defaults to the first k identity columns.  A
-        non-orthonormal frame is orthonormalized first.
+        ``[t0, t_end]``.  The frame starts from the first k identity
+        columns.
 
     Returns
     -------
@@ -185,7 +178,7 @@ def estimate_spectrum(a, k, cfg, q0=None):
     diag = np.empty((cfg.n_steps + 1, k))
     log_growth = np.zeros(k)
     max_defect = 0.0
-    for lo, hi, grid, frames, log_r in frame_flow(stages, start_frame(n, k, q0), cfg):
+    for lo, hi, grid, frames, log_r in frame_flow(stages, start_frame(n, k), cfg):
         log_growth += log_r.sum(axis=0)
         first = 1 if lo else 0  # grid point lo closed the previous chunk
         b, defect = frame_diagnostics(frames[first:], grid[first:])

@@ -14,8 +14,9 @@ exponent of direction j is lambda_j - p * rbar_j.
 Since the gain depends only on C(t) and the frame, never on the estimate,
 the frame flow runs once per configuration: :func:`frame_track` steps it
 over the grid and keeps the grid frames with their diagnostics, and the
-detectability report, the gain snapshots and the pipeline runs in
-:mod:`ltvobs.cascade` all read that one track.
+detectability report, the error-system rank test in
+:mod:`ltvobs.strong_obs` and the pipeline runs in :mod:`ltvobs.cascade`
+all read that one track.
 """
 
 from dataclasses import dataclass, field
@@ -38,7 +39,6 @@ __all__ = [
     "DetectabilityReport",
     "detectability_report",
     "min_gain_suggestion",
-    "gain_snapshots",
 ]
 
 # the smallest average Rt diagonal (1/s) that counts as detectable
@@ -159,8 +159,8 @@ class FrameTrack:
     max_orth_defect: float
 
 
-def frame_track(sys: LtvSystem, conf: ObserverConfig, n_steps=None):
-    """Step the frame over the first ``n_steps`` grid steps (default all).
+def frame_track(sys: LtvSystem, conf: ObserverConfig):
+    """Step the frame over the grid of ``conf``.
 
     The frame runs through :func:`ltvobs.integrators.frame_flow` with the
     stage matrices from a grid evaluation of each chunk; the diagnostics
@@ -169,7 +169,7 @@ def frame_track(sys: LtvSystem, conf: ObserverConfig, n_steps=None):
     c_grid = sys.c.bind()
     cfg = conf.step
     n, k = sys.n, conf.k
-    n_steps = cfg.n_steps if n_steps is None else n_steps
+    n_steps = cfg.n_steps
     t = cfg.t0 + cfg.h * np.arange(n_steps + 1)
     frames = np.empty((n_steps + 1, n, k))
     b_diag = np.empty((n_steps + 1, k))
@@ -186,7 +186,7 @@ def frame_track(sys: LtvSystem, conf: ObserverConfig, n_steps=None):
     _, stages = system_stages(sys.a, cfg)
     frames[0] = conf.initial_frame(n)
     diagnose(0, 1, sys.a.bind()(t[:1]))
-    for lo, hi, grid, chunk, _ in frame_flow(stages, frames[0], cfg, n_steps):
+    for lo, hi, grid, chunk, _ in frame_flow(stages, frames[0], cfg):
         frames[lo + 1 : hi + 1] = chunk[1:]
         diagnose(lo + 1, hi + 1, grid[1:])
     return FrameTrack(
@@ -221,17 +221,15 @@ def stage_gains(sys: LtvSystem, conf: ObserverConfig, track, lo, hi):
     return a_s, c_s, l_s
 
 
-def detectability_report(sys: LtvSystem, conf: ObserverConfig, track=None):
+def detectability_report(conf: ObserverConfig, track: FrameTrack):
     """Average diag(Rt) and diag(B) per direction along the frame flow.
 
     Exponent averages come from the same pass, so the non-stable
     classification and the detectability verdict refer to one frame
     trajectory.  ``track`` is the :func:`frame_track` of ``conf``'s frame
     and grid; the gain scalar enters only the predicted exponents, so one
-    track serves every ``p``.  It is computed here when not given.
+    track serves every ``p``.
     """
-    if track is None:
-        track = frame_track(sys, conf)
     cfg = conf.step
     n_steps = cfg.n_steps
     if track.t.size != n_steps + 1:
@@ -287,23 +285,3 @@ def min_gain_suggestion(report: DetectabilityReport, margin=1.0):
         worst = max(worst, (d.lambda_hat + margin) / d.r_bar)
     return worst
 
-
-def gain_snapshots(sys: LtvSystem, conf: ObserverConfig, times):
-    """Gain matrices L(t) sampled along the frame flow.
-
-    ``times`` must lie on the step grid (within rounding); returned list
-    pairs each requested time with the gain computed from the live frame.
-    """
-    cfg = conf.step
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    index = np.rint((times - cfg.t0) / cfg.h).astype(int)
-    off = (index < 0) | (index > cfg.n_steps)
-    off |= np.abs(cfg.t0 + index * cfg.h - times) > 1e-9
-    if off.any():
-        raise ValueError(f"snapshot time {times[np.argmax(off)]} is off the step grid")
-    index = np.unique(index)
-
-    track = frame_track(sys, conf, n_steps=int(index.max(initial=0)))
-    frames = track.frames[index]
-    gains = gain_stack(sys.c.bind()(track.t[index]), frames, conf.p)
-    return list(zip((cfg.t0 + index * cfg.h).tolist(), gains, frames))

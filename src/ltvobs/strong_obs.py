@@ -33,6 +33,7 @@ from .linalg import (
     orthogonal_projector_complement,
     projector_complement_stack,
 )
+from .observer import ObserverConfig, frame_track, gain_stack
 from .system import LtvSystem
 
 __all__ = [
@@ -46,16 +47,6 @@ __all__ = [
     "solve_normal_stack",
     "error_system_so_test",
 ]
-
-DEFAULT_PROBES = np.linspace(0.0, 10.0, 101)
-
-
-def _probe_array(probe_times):
-    probes = np.atleast_1d(np.asarray(probe_times, dtype=float))
-    if probes.size < 1:
-        raise ValueError("need at least one probe time")
-    return probes
-
 
 @dataclass
 class ObservabilityStack:
@@ -90,7 +81,7 @@ def _plateau_index(make_depth_expr, probes, depth_max, what):
                 f"rank of the depth-{k} {what} stack varies across probe times "
                 f"(min {ranks.min()}, max {ranks.max()}); not a constant rank system",
             )
-        if ranks_prev is not None and ranks[0] == ranks_prev and k - 1 <= depth_max:
+        if ranks_prev is not None and ranks[0] == ranks_prev:
             return k - 1, int(ranks[0]), expr_prev
         ranks_prev = int(ranks[0])
         expr_prev = expr_k
@@ -99,16 +90,18 @@ def _plateau_index(make_depth_expr, probes, depth_max, what):
     )
 
 
-def build_stack(sys: LtvSystem, probe_times=None):
+def build_stack(sys: LtvSystem, probe_times):
     """Build the derivative stack and determine the observability index.
 
     The plateau search stops at depth 2n (time-varying systems may
     legitimately need more than n).  Rank decisions are made at
-    ``probe_times`` (default 101 points on [0, 10]); a depth whose rank
-    varies across probes fails the constant-rank premise.
+    ``probe_times``; a depth whose rank varies across probes fails the
+    constant-rank premise.
     """
     n, m, r = sys.n, sys.m, sys.r
-    probes = _probe_array(DEFAULT_PROBES if probe_times is None else probe_times)
+    probes = np.atleast_1d(np.asarray(probe_times, dtype=float))
+    if probes.size < 1:
+        raise ValueError("need at least one probe time")
 
     c_list = [sys.c]
 
@@ -195,13 +188,13 @@ def _j_values(stack, times):
     return stack.j_nu.bind()(times)
 
 
-def strong_observability_test(stack: ObservabilityStack, probe_times=None):
-    """Check rank [R J] = rank [[I 0],[R J]] at every probe time.
+def strong_observability_test(stack: ObservabilityStack):
+    """Check rank [R J] = rank [[I 0],[R J]] at every probe time of the stack.
 
     Equality means appending the unknown-input map J cannot hide state
     directions: the stacked map still determines x uniquely.
     """
-    probes = _probe_array(stack.probe_times if probe_times is None else probe_times)
+    probes = stack.probe_times
     r_val = stack.r_nu.bind()(probes)
     return _so_verdict(r_val, _j_values(stack, probes), stack.nu, probes)
 
@@ -213,48 +206,45 @@ def horizon_so_check(sys: LtvSystem, step):
     ``[t0, t0 + horizon]`` of the grid ``step``.  Returns ``(stack, verdict)``.
     """
     probes = np.linspace(step.t0, step.t0 + step.horizon, 101)
-    stack = build_stack(sys, probe_times=probes)
+    stack = build_stack(sys, probes)
     return stack, strong_observability_test(stack)
 
 
 class ReconstructionMap:
-    """State recovery x = H^{-1} (K R)^T K yhat at any time.
+    """Invertibility margin of the state recovery x = H^{-1} (K R)^T K yhat.
 
     Built only for strongly observable stacks; construction evaluates the
-    invertibility margin of H over the probe grid and refuses maps whose
-    condition number exceeds 1e12.
+    normal matrix H = (K R)^T K R at every probe time of the stack and
+    refuses a map whose H is not positive definite, or has a condition
+    number above 1e12, at some probe.  ``min_eig_h`` is the smallest
+    eigenvalue of H over the probes and ``h_eig_history`` the smallest one
+    at each probe.
     """
 
-    def __init__(self, stack: ObservabilityStack, probe_times=None):
-        verdict = strong_observability_test(stack, probe_times)
+    def __init__(self, stack: ObservabilityStack):
+        verdict = strong_observability_test(stack)
         if not verdict.ok:
             raise StepPreconditionError(
                 "iv", "system is not strongly observable; reconstruction undefined"
             )
-        self.stack = stack
-        probes = verdict.probe_times
+        probes = stack.probe_times
         k_val = projector_complement_stack(_j_values(stack, probes))
         kr = k_val @ stack.r_nu.bind()(probes)
-        eigs = np.linalg.eigvalsh(kr.mT @ kr)[:, 0]
-        self.probe_times = probes
-        self.min_eig_h = float(eigs.min())
-        self.h_eig_history = eigs
-        worst = float(np.abs(eigs).max())
-        if self.min_eig_h <= 0.0 or worst / self.min_eig_h > 1e12:
+        eigs = np.linalg.eigvalsh(kr.mT @ kr)
+        self.h_eig_history = eigs[:, 0]
+        self.min_eig_h = float(self.h_eig_history.min())
+        if self.min_eig_h <= 0.0:
             raise NumericalError(
-                f"normal matrix nearly singular: min eig {self.min_eig_h:.3e} "
+                f"normal matrix not positive definite: min eig {self.min_eig_h:.3e} "
                 f"over the probe grid (marginal strong observability)"
             )
-
-    def reconstruct(self, t, yhat):
-        yhat = np.asarray(yhat, dtype=float)
-        expected = self.stack.r * self.stack.nu
-        if yhat.shape != (expected,):
-            raise ValueError(f"yhat must have shape ({expected},), got {yhat.shape}")
-        times = np.array([t], dtype=float)
-        k_val = orthogonal_projector_complement(_j_values(self.stack, times)[0])
-        kr = k_val @ self.stack.r_nu.bind()(times)[0]
-        return _solve_normal(kr, k_val @ yhat, t)
+        cond = eigs[:, -1] / eigs[:, 0]
+        worst = int(np.argmax(cond))
+        if cond[worst] > 1e12:
+            raise NumericalError(
+                f"normal matrix nearly singular: condition number {cond[worst]:.3e} "
+                f"at t={probes[worst]} (marginal strong observability)"
+            )
 
 
 def _solve_normal(kr, kyhat, t):
@@ -333,13 +323,22 @@ class ErrorStackSampler:
         return solve_normal_stack(k_val @ r_e, k_yhat, times)
 
 
-def error_system_so_test(sys: LtvSystem, gain_samples):
-    """Strong-observability ranks of (A - L C, D, C) at sampled gains.
+def error_system_so_test(sys: LtvSystem, conf: ObserverConfig, times):
+    """Strong-observability ranks of the error system (A - L C, D, C) at ``times``.
 
-    ``gain_samples`` pairs times with gain matrices, e.g. from
-    :func:`ltvobs.observer.gain_snapshots`.  Depth is fixed at 2.
+    The gain L is the observer's, read off one :func:`frame_track` of
+    ``conf`` at the grid points ``times`` names; a time off the step grid
+    raises ValueError.  Depth is fixed at 2, as in the cascade.
     """
-    times, gains, *_ = zip(*gain_samples)
-    times, gains = np.asarray(times, dtype=float), np.asarray(gains, dtype=float)
-    r_e, j_e = ErrorStackSampler(sys).matrices_stack(times, gains)
-    return _so_verdict(r_e, j_e, 2, times)
+    cfg = conf.step
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    index = np.rint((times - cfg.t0) / cfg.h).astype(int)
+    off = (index < 0) | (index > cfg.n_steps)
+    off |= np.abs(cfg.t0 + index * cfg.h - times) > 1e-9
+    if off.any():
+        raise ValueError(f"probe time {times[np.argmax(off)]} is off the step grid")
+    track = frame_track(sys, conf)
+    t = track.t[index]
+    gains = gain_stack(sys.c.bind()(t), track.frames[index], conf.p)
+    r_e, j_e = ErrorStackSampler(sys).matrices_stack(t, gains)
+    return _so_verdict(r_e, j_e, 2, t)

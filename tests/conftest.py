@@ -12,6 +12,9 @@ from ltvobs.hosm import DEFAULT_GAINS
 from ltvobs.linalg import mgs_qr
 from ltvobs.system import LtvSystem
 
+# rank-test probe times of a run over [0, 10], as horizon_so_check picks them
+PROBES = np.linspace(0.0, 10.0, 101)
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Replay the acceptance verdict lines after the capture-hidden run."""

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bench8_run
+from conftest import PROBES, bench8_run
 from ltvobs.cascade import run_cascade, run_tso
 from ltvobs.cli import _resolve_scenario, main
 from ltvobs.integrators import StepConfig
@@ -21,12 +21,13 @@ from ltvobs.lyapunov import estimate_spectrum
 from ltvobs.observer import (
     ObserverConfig,
     detectability_report,
-    gain_snapshots,
+    frame_track,
     min_gain_suggestion,
 )
 from ltvobs.strong_obs import (
     build_stack,
     error_system_so_test,
+    horizon_so_check,
     strong_observability_test,
 )
 from ltvobs.system import LtvSystem
@@ -58,7 +59,7 @@ def tso_200_no_input(bench):
     rng = np.random.default_rng(2024)
     e0 = rng.standard_normal(8)
     e0 /= np.linalg.norm(e0)
-    run = bench8_run(200.0, w=None, xt0=bench.x0 - e0, check_preconditions=False)
+    run = bench8_run(200.0, w=None, xt0=bench.x0 - e0)
     return run_tso(run)
 
 
@@ -67,7 +68,7 @@ def tso_200_with_input(bench):
     rng = np.random.default_rng(2024)
     e0 = rng.standard_normal(8)
     e0 /= np.linalg.norm(e0)
-    run = bench8_run(200.0, xt0=bench.x0 - e0, check_preconditions=False)
+    run = bench8_run(200.0, xt0=bench.x0 - e0)
     return run_tso(run)
 
 
@@ -137,8 +138,12 @@ def test_03_double_integrator_negative_control():
     def plant(c):
         return LtvSystem(a=[[0.0, 1.0], [0.0, 0.0]], f=[[0.0], [1.0]], d=[[0.0], [1.0]], c=c)
 
-    rep_fail = detectability_report(plant([[1.0, 0.0]]), ObserverConfig(p=1.0, k=2, step=step))
-    rep_pass = detectability_report(plant([[1.0, 0.0], [0.0, 1.0]]), ObserverConfig(p=1.0, k=2, step=step))
+    def report(c):
+        conf = ObserverConfig(p=1.0, k=2, step=step)
+        return detectability_report(conf, frame_track(plant(c), conf))
+
+    rep_fail = report([[1.0, 0.0]])
+    rep_pass = report([[1.0, 0.0], [0.0, 1.0]])
     p_min = min_gain_suggestion(rep_pass, margin=1.0) if rep_pass.ok else np.inf
     ok = (not rep_fail.ok) and rep_pass.ok and np.isfinite(p_min)
     assert verdict(3, ok, f"C=[1 0] ok={rep_fail.ok}, C=I ok={rep_pass.ok}, p_min={p_min:.3f}")
@@ -202,7 +207,7 @@ def test_06_strong_observability_verdicts(tmp_path_factory, capsys):
             d=[[d_col[0]], [d_col[1]]],
             c=[[1.0, 0.0]],
         )
-        stack = build_stack(sys)
+        stack = build_stack(sys, PROBES)
         got = strong_observability_test(stack).ok
         nu_brute, so_brute = _lti_so_oracle(
             np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -216,12 +221,8 @@ def test_06_strong_observability_verdicts(tmp_path_factory, capsys):
 
 def test_07_error_system_equivalence(bench):
     conf = bench8_run(50.0).observer
-    probes = np.linspace(0.0, 50.0, 101)
-    snaps = gain_snapshots(bench.sys, conf, probes)
-    err_verdict = error_system_so_test(bench.sys, snaps)
-    plant_verdict = strong_observability_test(
-        build_stack(bench.sys), probe_times=probes
-    )
+    _, plant_verdict = horizon_so_check(bench.sys, conf.step)
+    err_verdict = error_system_so_test(bench.sys, conf, plant_verdict.probe_times)
     plant_pointwise = plant_verdict.rank_s == plant_verdict.rank_s_star
     err_pointwise = err_verdict.rank_s == err_verdict.rank_s_star
     ok = (

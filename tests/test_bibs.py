@@ -84,7 +84,9 @@ def test_scalar_certificate_rejects_bad_epsilon():
         with pytest.raises(ValueError, match="epsilon must be finite and positive"):
             scalar_bibs_certificate(-1.0, epsilon=epsilon, cfg=cfg)
         with pytest.raises(ValueError, match="epsilon must be finite and positive"):
-            general_bibs_certificate(tri, epsilon)
+            general_bibs_certificate(
+                tri, epsilon, d=np.zeros((2, 1)), w_bound=0.0, x0=np.zeros(2)
+            )
 
 
 def test_general_certificate_diagonal_system():
@@ -93,13 +95,13 @@ def test_general_certificate_diagonal_system():
     cert = general_bibs_certificate(tri, 0.1, d=[[1.0], [1.0]], w_bound=1.0, x0=(1.0, 1.0))
     assert cert.certified
     want = 1.0 + (1.0 - np.exp(-2.0)) / 0.1
-    assert np.allclose(cert.state_bounds, [want, want], rtol=1e-9)
+    assert np.allclose([c.state_bound for c in cert.components], [want, want], rtol=1e-9)
 
 
 def test_general_certificate_chain_blocks_on_unstable_component():
     a = np.array([[-1.0, 5.0], [0.0, 0.2]])
     tri = triangularize(lambda t: a, StepConfig(h=0.01, t0=0.0, t_end=20.0))
-    cert = general_bibs_certificate(tri, 0.1, d=[[0.0], [1.0]], w_bound=1.0)
+    cert = general_bibs_certificate(tri, 0.1, d=[[0.0], [1.0]], w_bound=1.0, x0=np.zeros(2))
     assert not cert.certified
     assert not cert.components[1].certified
     # the top component is scalar-certifiable but its coupling partner
@@ -123,7 +125,7 @@ def test_certified_bound_holds_in_simulation():
         x = rk4_step(lambda s, z: a @ z + np.array([0.0, np.sin(s)]), t, x, cfg.h)
         sup = np.maximum(sup, np.abs(x))
     # the certificate bounds the rotated coordinates; frames stay I here
-    assert np.all(sup <= cert.state_bounds + 1e-9)
+    assert np.all(sup <= [c.state_bound + 1e-9 for c in cert.components])
 
 
 def test_rotated_coordinates_preserve_norm():

@@ -189,7 +189,8 @@ def test_bad_sweep_gain_exits_2(tmp_path, capsys, monkeypatch, sweep):
     scen = write_scenario(tmp_path, TOY)
     argv = ["detect", "--scenario", scen, "--out", str(tmp_path), f"--sweep={sweep}"]
     assert main(argv) == 2
-    assert "gain p must be positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"with --sweep {sweep}: gain p must be positive" in err
     assert flows == []
 
 
@@ -233,6 +234,21 @@ def test_reconstruct_outputs(tmp_path, capsys):
     assert summary["t_f"] == pytest.approx(summary["settled_time"] + 0.5)
     health = {"min_ctcq_sigma", "max_orth_defect", "min_eig_h_e"}
     assert set(summary["health"]) == health
+
+
+def test_reconstruct_json_is_strict_when_t_f_passes_the_horizon(tmp_path, capsys):
+    # the bank settles at 1.948 s, so t_f = 2.448 s lies past the last sample
+    scen = write_scenario(tmp_path, TOY)
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--scenario", scen, "--out", str(out), "--horizon", "2"]) == 0
+    capsys.readouterr()
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+    summary = json.loads((out / "reconstruct.json").read_text(), parse_constant=refuse)
+    assert summary["t_f"] > 2.0
+    assert summary["sup_state_error_after_t_f"] is None
 
 
 def test_reconstruct_undetectable_exits_3(tmp_path, capsys):

@@ -34,7 +34,7 @@ from ltvobs.integrators import (
     system_stages,
 )
 from ltvobs.linalg import householder_qr, mgs_qr
-from ltvobs.lyapunov import default_frame, estimate_spectrum, start_frame
+from ltvobs.lyapunov import estimate_spectrum, start_frame
 from ltvobs.observer import _gain_basis, detectability_report, frame_track
 from ltvobs.system import as_matrix_expr
 from conftest import bench8_run, discrete_qr_step, rk4_propagator, rk4_stage_times
@@ -188,7 +188,7 @@ def test_spectrum_matches_sequential(scenarios, name):
     scen, cfg = scenarios[name]
     k = min(3, scen.sys.n)
     est = estimate_spectrum(scen.sys.a, k, cfg)
-    integrals, b, frames = reference_spectrum(scen.sys.a, default_frame(scen.sys.n, k), cfg)
+    integrals, b, frames = reference_spectrum(scen.sys.a, start_frame(scen.sys.n, k), cfg)
     assert _rel(est.integrals, integrals) <= 1e-10
     assert _rel(est.history_b, b[1:]) <= 1e-10
     assert _rel(est.q_final, frames[-1]) <= 1e-10
@@ -253,7 +253,7 @@ def test_closed_loop_long_horizon_integrals_and_trace(closed_loop_3s):
     assert np.max(np.abs(np.tril(qlcq, -1))) <= 1e-12
     diag = np.diagonal(tri.b, axis1=1, axis2=2)
     averages = np.trapezoid(diag, tri.t, axis=0) / cfg.horizon
-    report = detectability_report(scen.sys, conf, track)
+    report = detectability_report(conf, track)
     assert np.max(np.abs(averages[:k] - [d.mu_hat for d in report.directions])) <= 1e-12
     open_diag = np.diagonal(triangularize(scen.sys.a, cfg).b, axis1=1, axis2=2)
     assert np.max(np.abs(diag[:, k:] - open_diag[:, k:])) <= 1e-12
@@ -305,7 +305,7 @@ def test_blocked_driver_matches_per_step_discrete_qr(name):
     else:
         run = bench8_run(3.0)
         a, cfg = run.sys.a, run.observer.step
-        q = default_frame(run.sys.n, 3)
+        q = start_frame(run.sys.n, 3)
     stage_mats = a.bind()(rk4_stage_times(cfg.grid(), cfg.h))
     growth = cfg.h * np.abs(stage_mats).sum(axis=1).max()
     assert growth * CHUNK_STEPS > 1.0 if name == "spread4" else growth * CHUNK_STEPS <= 1.0
@@ -338,7 +338,7 @@ def _differential_cases(name):
         cfg = StepConfig(h=0.05, t0=0.0, t_end=100.0)
         return [(lambda t, a=a: a, cfg, np.eye(len(a))) for a in _gate1_systems()]
     run = bench8_run(3.0)
-    return [(run.sys.a, run.observer.step, default_frame(run.sys.n, 3))]
+    return [(run.sys.a, run.observer.step, start_frame(run.sys.n, 3))]
 
 
 @pytest.mark.parametrize("name", ["spread4", "gate1", "bench8"])

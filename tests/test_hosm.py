@@ -58,7 +58,7 @@ def test_proper_step_keeps_quadratic_tracking():
 
 def _bench8_output_error(sigma):
     """bench8's output error e_y over 8 s, with the bank settings of its run."""
-    run = bench8_run(8.0, sigma=sigma, noise_seed=42, check_preconditions=False)
+    run = bench8_run(8.0, sigma=sigma, noise_seed=42)
     # the cascade floors the settle threshold at the noise level
     threshold = max(run.threshold, 5.0 * sigma)
     e_y = run_tso(run).e_y

@@ -122,7 +122,6 @@ def test_numerical_rank_examples():
     # relative tolerance: uniform scaling cannot change the rank
     x = np.array([[1.0, 2.0], [2.0, 4.000001]])
     assert numerical_rank(x) == numerical_rank(1e-9 * x) == 2
-    assert numerical_rank(np.diag([1.0, 0.5]), tol=0.6) == 1
 
 
 def test_numerical_rank_stack_matches_single(rng):

@@ -6,11 +6,13 @@ import pytest
 from ltvobs.expr import MatrixExpr
 from ltvobs.integrators import StepConfig, skew_rule
 from ltvobs.lyapunov import (
-    default_frame,
     estimate_spectrum,
     nonstable_dimension,
     regularity_report,
+    start_frame,
 )
+from ltvobs.observer import ObserverConfig, detectability_report, frame_track
+from ltvobs.system import LtvSystem
 
 
 def test_skew_rule_splits_triangular():
@@ -25,11 +27,12 @@ def test_skew_rule_splits_triangular():
 
 
 def test_default_frame():
-    q = default_frame(4, 2)
-    assert q.shape == (4, 2)
-    assert np.allclose(q.T @ q, np.eye(2))
-    with pytest.raises(ValueError):
-        default_frame(2, 3)
+    # without q0 the frame is the first k columns of the identity
+    q = start_frame(4, 2)
+    assert np.array_equal(q, np.eye(4, 2))
+    for k in (0, 3):
+        with pytest.raises(ValueError):
+            start_frame(2, k)
 
 
 def test_constant_diagonal_spectrum():
@@ -57,15 +60,18 @@ def test_nilpotent_exponents_near_zero():
 
 def test_spectrum_insensitive_to_start_frame():
     # the frame aligns exponentially fast but the exponent is a time
-    # average, so a random start contaminates it by O(1/T)
+    # average, so a random start contaminates it by O(1/T); the observer's
+    # flow, which starts from its q0, reads the same exponents
     a = np.array([[1.0, 0.5], [0.0, -1.0]])
     cfg = StepConfig(h=0.02, t0=0.0, t_end=200.0)
     base = estimate_spectrum(lambda t: a, k=2, cfg=cfg)
+    sys = LtvSystem(a=a, f=np.zeros((2, 1)), d=np.zeros((2, 1)), c=np.eye(2))
     rng = np.random.default_rng(11)
     for _ in range(3):
-        q0 = rng.standard_normal((2, 2))
-        est = estimate_spectrum(lambda t: a, k=2, cfg=cfg, q0=q0)
-        assert np.allclose(est.exponents, base.exponents, atol=0.01)
+        conf = ObserverConfig(p=1.0, k=2, step=cfg, q0=rng.standard_normal((2, 2)))
+        rep = detectability_report(conf, frame_track(sys, conf))
+        lams = sorted((d.lambda_hat for d in rep.directions), reverse=True)
+        assert np.allclose(lams, base.exponents, atol=0.01)
 
 
 def test_matrix_expr_input_and_history():

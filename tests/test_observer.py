@@ -15,7 +15,6 @@ from ltvobs.observer import (
     ObserverConfig,
     detectability_report,
     frame_track,
-    gain_snapshots,
     gain_stack,
     min_gain_suggestion,
 )
@@ -67,7 +66,7 @@ def test_observer_converges_scalar_unstable_plant():
 
 def test_detectability_report_toy(toy2):
     conf = ObserverConfig(p=3.0, k=1, step=StepConfig(h=1e-3, t0=0.0, t_end=20.0))
-    rep = detectability_report(toy2, conf)
+    rep = detectability_report(conf, frame_track(toy2, conf))
     assert rep.ok
     d = rep.directions[0]
     assert d.nonstable and d.detectable
@@ -82,7 +81,7 @@ def test_detectability_report_flags_invisible_direction():
     # invisible, so the report must refuse and suggestion must raise
     sys = LtvSystem(a=[[0.3, 0.0], [0.0, -2.0]], f=[[0.0], [1.0]], d=[[0.0], [1.0]], c=[[0.0, 1.0]])
     conf = ObserverConfig(p=3.0, k=1, step=StepConfig(h=1e-3, t0=0.0, t_end=10.0))
-    rep = detectability_report(sys, conf)
+    rep = detectability_report(conf, frame_track(sys, conf))
     assert not rep.ok
     assert len(rep.failed_directions) == 1
     assert rep.failed_directions[0].index == 0
@@ -94,7 +93,7 @@ def test_detectability_report_flags_invisible_direction():
 def test_predicted_exponent_never_exceeds_open_loop(toy2):
     for p in (1.0, 3.0, 10.0):
         conf = ObserverConfig(p=p, k=2, step=StepConfig(h=1e-3, t0=0.0, t_end=10.0))
-        rep = detectability_report(toy2, conf)
+        rep = detectability_report(conf, frame_track(toy2, conf))
         for d in rep.directions:
             assert d.mu_hat <= d.lambda_hat + 1e-12
 
@@ -104,9 +103,9 @@ def test_spectrum_and_detectability_share_the_reduction():
     # histories and the worst orthogonality defect agree bit for bit
     run = bench8_run(3.0)
     conf = run.observer
-    est = estimate_spectrum(run.sys.a, conf.k, conf.step, q0=conf.q0)
+    est = estimate_spectrum(run.sys.a, conf.k, conf.step)
     track = frame_track(run.sys, conf)
-    rep = detectability_report(run.sys, conf, track=track)
+    rep = detectability_report(conf, track)
     lam = np.array([d.lambda_hat for d in rep.directions])
     assert np.array_equal(est.exponents_by_direction, lam)
     assert np.array_equal(est.history_t, rep.history_t)
@@ -150,18 +149,6 @@ def test_min_gain_arithmetic():
     assert min_gain_suggestion(rep3, margin=1.0) == 0.0
     with pytest.raises(ValueError):
         min_gain_suggestion(rep3, margin=-0.1)
-
-
-def test_gain_snapshots_on_grid(toy2):
-    conf = ObserverConfig(p=2.0, k=1, step=StepConfig(h=1e-3, t0=0.0, t_end=2.0))
-    snaps = gain_snapshots(toy2, conf, [0.0, 1.0, 2.0])
-    assert [s[0] for s in snaps] == [0.0, 1.0, 2.0]
-    for t, l, q in snaps:
-        assert l.shape == (2, 1)
-        assert q.shape == (2, 1)
-        assert abs(q[:, 0] @ q[:, 0] - 1.0) < 1e-10
-    with pytest.raises(ValueError):
-        gain_snapshots(toy2, conf, [0.00037])
 
 
 def test_observer_config_validation():

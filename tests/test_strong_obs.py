@@ -8,7 +8,7 @@ from ltvobs.expr import MatrixExpr
 from ltvobs.integrators import StepConfig
 from ltvobs.cli import _resolve_scenario
 from ltvobs.linalg import numerical_rank, orthogonal_projector_complement
-from ltvobs.observer import ObserverConfig, gain_snapshots
+from ltvobs.observer import ObserverConfig
 from ltvobs.strong_obs import (
     ErrorStackSampler,
     ObservabilityStack,
@@ -20,7 +20,7 @@ from ltvobs.strong_obs import (
 )
 from ltvobs.system import LtvSystem
 
-from conftest import double_integrator
+from conftest import PROBES, double_integrator
 
 
 def lti_stack_oracle(a, c, d, depth):
@@ -55,7 +55,7 @@ def lti_so_oracle(a, c, d):
 
 def test_double_integrator_load_channel_is_so():
     sys = double_integrator([0.0, 1.0])
-    stack = build_stack(sys)
+    stack = build_stack(sys, PROBES)
     assert stack.nu == 2
     assert stack.q0_rank == 2
     assert np.allclose(stack.r_nu.bind()([0.7]), np.eye(2))
@@ -65,7 +65,6 @@ def test_double_integrator_load_channel_is_so():
     assert np.all(verdict.rank_s == 2) and np.all(verdict.rank_s_star == 2)
     rmap = ReconstructionMap(stack)
     assert rmap.min_eig_h == pytest.approx(1.0)
-    assert np.allclose(rmap.reconstruct(0.3, [1.5, -2.0]), [1.5, -2.0])
 
 
 @pytest.mark.parametrize("name", ["load_channel", "full_output", "bench8"])
@@ -79,14 +78,14 @@ def test_h_eig_history_matches_per_probe(name):
         ),
         "bench8": lambda: _resolve_scenario("bench8").run.sys,
     }
-    stack = build_stack(systems[name]())
+    stack = build_stack(systems[name](), PROBES)
     assert (stack.j_nu is None) == (name == "full_output")
     rmap = ReconstructionMap(stack)
-    r_val = stack.r_nu.bind()(rmap.probe_times)
+    r_val = stack.r_nu.bind()(stack.probe_times)
     if stack.j_nu is None:
-        j_val = np.zeros((rmap.probe_times.size, r_val.shape[1], 0))
+        j_val = np.zeros((stack.probe_times.size, r_val.shape[1], 0))
     else:
-        j_val = stack.j_nu.bind()(rmap.probe_times)
+        j_val = stack.j_nu.bind()(stack.probe_times)
     want = []
     for r_i, j_i in zip(r_val, j_val):
         kr = orthogonal_projector_complement(j_i) @ r_i
@@ -94,11 +93,36 @@ def test_h_eig_history_matches_per_probe(name):
     assert np.array_equal(rmap.h_eig_history, want)
 
 
+def _static_output(c):
+    """Two frozen states (A = 0) seen through C, with no unknown input."""
+    zero = [[0.0], [0.0]]
+    return LtvSystem(a=np.zeros((2, 2)), f=zero, d=zero, c=c)
+
+
+def test_reconstruction_map_refuses_ill_conditioned_normal_matrix():
+    # H = C^T C is the same at every probe, positive definite, but its
+    # condition number is 4e14
+    stack = build_stack(_static_output([[1.0, 0.0], [1.0, 1e-7]]), PROBES)
+    assert strong_observability_test(stack).ok
+    with pytest.raises(NumericalError, match="condition number 4.0"):
+        ReconstructionMap(stack)
+
+
+def test_reconstruction_map_accepts_small_but_well_conditioned_normal_matrix():
+    # C = e^{-t} I: H = e^{-2t} I is perfectly conditioned at every probe,
+    # however small its eigenvalues get by t = 20
+    sys = _static_output([["exp(-t)", "0"], ["0", "exp(-t)"]])
+    stack = build_stack(sys, np.linspace(0.0, 20.0, 101))
+    rmap = ReconstructionMap(stack)
+    assert rmap.min_eig_h == pytest.approx(np.exp(-40.0), rel=1e-12)
+    assert np.allclose(rmap.h_eig_history, np.exp(-2.0 * stack.probe_times), rtol=1e-12)
+
+
 def test_double_integrator_output_channel_not_so():
     # the unknown input feeds the measured state directly: its effect is
     # indistinguishable from a state contribution at every depth
     sys = double_integrator([1.0, 0.0])
-    stack = build_stack(sys)
+    stack = build_stack(sys, PROBES)
     assert stack.nu == 2
     assert np.allclose(stack.j_nu.bind()([0.0]), [[0.0], [1.0]])
     verdict = strong_observability_test(stack)
@@ -117,7 +141,7 @@ def test_stack_matches_lti_markov_parameters(rng):
         c = rng.standard_normal((1, n))
         d = rng.standard_normal((n, 1))
         sys = LtvSystem(a=a, f=np.zeros((n, 1)), d=d, c=c)
-        stack = build_stack(sys)
+        stack = build_stack(sys, PROBES)
         for (al, be), entry in stack.d_table.items():
             want = c @ np.linalg.matrix_power(a, al - 1 - be) @ d
             assert np.allclose(entry.bind()([0.0]), want, atol=1e-10), (al, be)
@@ -136,7 +160,7 @@ def test_verdicts_match_brute_force_oracle(rng):
         c = rng.standard_normal((r, n))
         d = rng.standard_normal((n, 1))
         sys = LtvSystem(a=a, f=np.zeros((n, 1)), d=d, c=c)
-        stack = build_stack(sys)
+        stack = build_stack(sys, PROBES)
         nu_want, so_want = lti_so_oracle(a, c, d)
         assert stack.nu == nu_want
         got = strong_observability_test(stack).ok
@@ -154,18 +178,20 @@ def test_time_varying_stack_row():
         d=[[0.0], [1.0]],
         c=[[1.0, 0.0]],
     )
-    stack = build_stack(sys)
+    stack = build_stack(sys, PROBES)
     assert stack.nu == 2
     ts = np.array([0.0, 1.0, 2.5])
     c1 = stack.c_list[1].bind()(ts)
     assert np.allclose(c1[:, 0, 0], 0.0)
     assert np.allclose(c1[:, 0, 1], 1.0 + 0.5 * np.sin(ts), atol=1e-12)
-    rmap = ReconstructionMap(stack)
+    assert ReconstructionMap(stack).min_eig_h > 0.0
+    # at zero gain the error stack is the plant's stack, and recovers x
+    sampler = ErrorStackSampler(sys)
     ts = np.array([0.1, 4.0, 8.0])
     rng = np.random.default_rng(2)
     for t, r_val in zip(ts, stack.r_nu.bind()(ts)):
         x = rng.standard_normal(2)
-        assert np.allclose(rmap.reconstruct(t, r_val @ x), x, atol=1e-9)
+        assert np.allclose(sampler.reconstruct(t, np.zeros((2, 1)), r_val @ x), x, atol=1e-9)
 
 
 def test_rank_profile_must_be_constant():
@@ -176,27 +202,28 @@ def test_rank_profile_must_be_constant():
         c=[["t", "0"]],
     )
     with pytest.raises(StepPreconditionError) as info:
-        build_stack(sys)
+        build_stack(sys, PROBES)
     assert info.value.step == "iv"
     assert "rank" in str(info.value)
 
 
 def test_reconstruction_is_linear(toy2):
-    rmap = ReconstructionMap(build_stack(toy2))
+    sampler = ErrorStackSampler(toy2)
+    l_val = np.array([[2.0], [0.5]])
     rng = np.random.default_rng(8)
     y1, y2 = rng.standard_normal(2), rng.standard_normal(2)
     a, b = 1.7, -0.3
     t = 2.0
-    lhs = rmap.reconstruct(t, a * y1 + b * y2)
-    rhs = a * rmap.reconstruct(t, y1) + b * rmap.reconstruct(t, y2)
+    lhs = sampler.reconstruct(t, l_val, a * y1 + b * y2)
+    rhs = a * sampler.reconstruct(t, l_val, y1) + b * sampler.reconstruct(t, l_val, y2)
     assert np.allclose(lhs, rhs, atol=1e-10)
-    assert np.allclose(rmap.reconstruct(t, np.zeros(2)), 0.0, atol=1e-14)
+    assert np.allclose(sampler.reconstruct(t, l_val, np.zeros(2)), 0.0, atol=1e-14)
     with pytest.raises(ValueError):
-        rmap.reconstruct(t, np.zeros(3))
+        sampler.reconstruct(t, l_val, np.zeros(3))
 
 
 def test_error_stack_sampler_matches_symbolic_at_zero_gain(toy2):
-    stack = build_stack(toy2)
+    stack = build_stack(toy2, PROBES)
     sampler = ErrorStackSampler(toy2)
     ts = np.array([0.0, 1.0, 3.7])
     for t, r_val, j_val in zip(ts, stack.r_nu.bind()(ts), stack.j_nu.bind()(ts)):
@@ -217,12 +244,20 @@ def test_error_stack_sampler_reconstructs_error(toy2):
 
 def test_error_system_so_matches_plant_system(toy2):
     conf = ObserverConfig(p=3.0, k=1, step=StepConfig(h=1e-3, t0=0.0, t_end=10.0))
-    snaps = gain_snapshots(toy2, conf, np.linspace(0.0, 10.0, 101))
-    verdict = error_system_so_test(toy2, snaps)
+    verdict = error_system_so_test(toy2, conf, PROBES)
     assert verdict.ok
     assert verdict.nu == 2
-    plant = strong_observability_test(build_stack(toy2))
+    assert np.allclose(verdict.probe_times, PROBES, rtol=0.0, atol=1e-9)
+    plant = strong_observability_test(build_stack(toy2, PROBES))
     assert verdict.ok == plant.ok
+
+
+def test_error_system_so_test_refuses_off_grid_time(toy2):
+    conf = ObserverConfig(p=2.0, k=1, step=StepConfig(h=1e-3, t0=0.0, t_end=2.0))
+    assert error_system_so_test(toy2, conf, [0.0, 1.0, 2.0]).ok
+    for t in (0.00037, 2.001, -1e-3):
+        with pytest.raises(ValueError, match="off the step grid"):
+            error_system_so_test(toy2, conf, [0.0, t])
 
 
 def test_batched_normal_solve_names_singular_sample():
