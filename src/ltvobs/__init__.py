@@ -30,7 +30,6 @@ from .hosm import (
 from .integrators import (
     StepConfig,
     joint_rk4_step,
-    projected_rk4_step,
     rk4_step,
     skew_rule,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "orthogonal_projector_complement",
     "parse",
     "pinv",
-    "projected_rk4_step",
     "regularity_report",
     "rk4_step",
     "run_bank",

@@ -51,7 +51,6 @@ from .observer import (
     ObserverConfig,
     detectability_report,
     frame_track,
-    gain_stack,
     min_gain_suggestion,
     stage_gains,
 )
@@ -188,11 +187,12 @@ def _simulate(run, track, eta, record_gain, record_eydot):
 
     Returns time grid and per-sample records.  ``eta`` is the (N+1, r)
     additive measurement noise, held constant within each step.  Each
-    step's stage gains come from the stage frames of the track's step.
+    step's stages read the gains at the track's grid frames and at the
+    discrete-QR midpoint frame of :func:`ltvobs.observer.stage_gains`.
     """
     sys, conf = run.sys, run.observer
-    n, r, p, h = sys.n, sys.r, conf.p, conf.step.h
-    a_fn, c_fn, f_fn, d_fn = (m.bind() for m in (sys.a, sys.c, sys.f, sys.d))
+    n, r, h = sys.n, sys.r, conf.step.h
+    f_fn, d_fn = sys.f.bind(), sys.d.bind()
     cdot_fn = sys.c.derivative().bind() if record_eydot else None
     w_fn = as_sampler(run.w, (sys.m,))
     u_fn = as_sampler(run.u, (sys.q,))
@@ -228,7 +228,8 @@ def _simulate(run, track, eta, record_gain, record_eydot):
         count = hi - lo
         t_g = t_grid[lo : hi + 1]
         t_m = t_g[:-1] + 0.5 * h
-        a_s, c_s, l_s = stage_gains(sys, conf, track, lo, hi)
+        grid, mid = stage_gains(sys, conf, track, lo, hi)
+        a_s, c_s, l_s = (stages(g, m) for g, m in zip(grid, mid))
         f_s = stages(f_fn(t_g), f_fn(t_m))
 
         lc = l_s @ c_s
@@ -253,12 +254,9 @@ def _simulate(run, track, eta, record_gain, record_eydot):
         if not finite.all():
             bad = t_grid[lo + 1 + np.argmin(finite)]
             raise NumericalError(f"non-finite plant or observer state at t={bad}")
-        record(lo, hi, t_g[:-1], a_s[:count], c_s[:count], l_s[:count])
-
-    t_end = t_grid[-1:]
-    c_end = c_fn(t_end)
-    l_end = gain_stack(c_end, track.frames[-1:], p)
-    record(n_steps, n_steps + 1, t_end, a_fn(t_end), c_end, l_end)
+        # the last chunk also records the final sample
+        size = count + (hi == n_steps)
+        record(lo, lo + size, t_g[:size], *(g[:size] for g in grid))
     x_rec, xt_rec = x_rec.copy(), xt_rec.copy()
     return t_grid, x_rec, xt_rec, ey_rec, l_rec, eyd_rec
 

@@ -453,7 +453,7 @@ def _detect_payload(scen, conf, track):
 
 def cmd_detect(scen, args, outdir):
     conf = _run_spec(scen, args).observer
-    if args.sweep:
+    if args.sweep is not None:
         try:
             p_values = [float(v) for v in args.sweep.split(",") if v.strip()]
         except ValueError as e:

@@ -20,11 +20,9 @@ gives the log growth of every direction, a second exponent estimate next
 to the diag(Q^T A Q) average.
 
 :func:`projected_rk4_step` is the continuous form of the same flow, one
-projected RK4 step at a time; ``projected_rk4_stages`` rebuilds its
-unprojected stage frames for many steps at once from their start frames,
-for the callers that need the frame inside every RK4 stage.
-:func:`system_stages` is the stage source of the flow under a system
-matrix A(t).
+projected RK4 step at a time; no program path steps it, and it stays as
+the per-step reference of the tests.  :func:`system_stages` is the stage
+source of the flow under a system matrix A(t).
 """
 
 import functools
@@ -41,7 +39,6 @@ __all__ = [
     "rk4_step",
     "skew_rule",
     "projected_rk4_step",
-    "projected_rk4_stages",
     "rk4_propagators",
     "system_stages",
     "frame_flow",
@@ -158,23 +155,6 @@ def projected_rk4_step(t, q, h, a_stages):
     if not (np.isfinite(qn).all() and (d > 1e-8).all()):
         raise NumericalError(f"frame rank collapse at t={t}: pivots {d}")
     return qn
-
-
-def projected_rk4_stages(q, a1, a2, h):
-    """Stage frames of :func:`projected_rk4_step` for a stack of steps.
-
-    ``q`` (T, n, k) holds the start frames, ``a1`` and ``a2`` (T, n, n)
-    the system matrix at each step's start and midpoint; the skew rule is
-    :func:`skew_rule`.  Returns (4, T, n, k):
-    the frames at which the four RK4 stages evaluate their derivative,
-    ``q``, ``q + h/2 k1``, ``q + h/2 k2`` and ``q + h k3``.
-    """
-    out = np.empty((4,) + q.shape)
-    out[0] = q
-    out[1] = q + (0.5 * h) * _frame_rhs_stack(a1, q)
-    out[2] = q + (0.5 * h) * _frame_rhs_stack(a2, out[1])
-    out[3] = q + h * _frame_rhs_stack(a2, out[2])
-    return out
 
 
 def system_stages(a, cfg):

@@ -9,7 +9,7 @@ modified Gram-Schmidt with two conventions that library QR routines do
 not guarantee: a nonnegative diagonal of R and a deterministic completion
 rule for (numerically) dependent columns.  ``lyapunov.start_frame`` and
 the observer's gain basis rely on them, and so do the per-step reference
-steps ``projected_rk4_step`` and ``joint_rk4_step``.  ``mgs_qr_stack`` runs
+steppers of :mod:`~ltvobs.integrators`.  ``mgs_qr_stack`` runs
 the same elimination on a stack of matrices at once, for the gain basis
 of many samples, and hands every matrix with a dependent column back to
 ``mgs_qr``, so both conventions hold for the stack too.  Rank decisions

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepPreconditionError
-from .integrators import StepConfig, frame_flow, projected_rk4_stages, system_stages
-from .linalg import mgs_qr, mgs_qr_stack
+from .integrators import StepConfig, frame_flow, rk4_propagators, system_stages
+from .linalg import householder_qr, mgs_qr, mgs_qr_stack
 from .lyapunov import NONSTABLE_BAND, frame_diagnostics, running_average, start_frame
 from .system import LtvSystem
 
@@ -86,19 +86,18 @@ def _gain_basis(c_val, q):
 def _gain_basis_stack(c_val, q):
     """:func:`_gain_basis` for stacks ``c_val (T, r, n)``, ``q (T, n, k)``.
 
-    Returns Qt (T, n, k), diag(Rt) (T, k) and C^T C Q (T, n, k).
-    :func:`mgs_qr_stack` refactors every matrix with a dependent column by
-    :func:`mgs_qr`, whose zero pivots then zero the matching Qt column.
+    Returns Qt (T, n, k) and Rt (T, k, k).  :func:`mgs_qr_stack` refactors
+    every matrix with a dependent column by :func:`mgs_qr`, whose zero
+    pivots then zero the matching Qt column.
     """
-    ctcq = np.swapaxes(c_val, 1, 2) @ (c_val @ q)
-    qt, rt = mgs_qr_stack(ctcq)
-    rdiag = np.diagonal(rt, axis1=1, axis2=2).copy()
-    return qt * (rdiag > 0.0)[:, None, :], rdiag, ctcq
+    qt, rt = mgs_qr_stack(np.swapaxes(c_val, 1, 2) @ (c_val @ q))
+    rdiag = np.diagonal(rt, axis1=1, axis2=2)
+    return qt * (rdiag > 0.0)[:, None, :], rt
 
 
 def gain_stack(c_val, q, p):
     """Gains L = p Q Qt^T C^T (T, n, r) for stacks of C and frames."""
-    qt, _, _ = _gain_basis_stack(c_val, q)
+    qt, _ = _gain_basis_stack(c_val, q)
     return p * (q @ (np.swapaxes(qt, 1, 2) @ np.swapaxes(c_val, 1, 2)))
 
 
@@ -146,9 +145,9 @@ class FrameTrack:
 
     ``frames[i]`` is the frame at ``t[i]``; ``b_diag[i]`` and ``r_diag[i]``
     are diag(Q^T A Q) and diag(Rt) of C^T C Q there.  ``min_ctcq_sigma``
-    is the smallest singular value of C^T C Q on the grid (a near-zero dip
-    flags possible gain non-smoothness) and ``max_orth_defect`` the worst
-    ``||Q^T Q - I||_F``.
+    is the smallest singular value of C^T C Q on the grid, read off the
+    k-by-k Rt (a near-zero dip flags possible gain non-smoothness), and
+    ``max_orth_defect`` the worst ``||Q^T Q - I||_F``.
     """
 
     t: np.ndarray = field(repr=False)
@@ -180,8 +179,10 @@ def frame_track(sys: LtvSystem, conf: ObserverConfig):
     def diagnose(lo, hi, a_val):
         q = frames[lo:hi]
         b_diag[lo:hi], defect[lo:hi] = frame_diagnostics(q, a_val)
-        _, r_diag[lo:hi], ctcq = _gain_basis_stack(c_grid(t[lo:hi]), q)
-        sigma[lo:hi] = np.linalg.svd(ctcq, compute_uv=False)[:, -1]
+        # C^T C Q = Qt Rt with orthonormal Qt: both have the singular values of Rt
+        _, rt = _gain_basis_stack(c_grid(t[lo:hi]), q)
+        r_diag[lo:hi] = np.diagonal(rt, axis1=1, axis2=2)
+        sigma[lo:hi] = np.linalg.svd(rt, compute_uv=False)[:, -1]
 
     _, stages = system_stages(sys.a, cfg)
     frames[0] = conf.initial_frame(n)
@@ -200,13 +201,18 @@ def frame_track(sys: LtvSystem, conf: ObserverConfig):
 
 
 def stage_gains(sys: LtvSystem, conf: ObserverConfig, track, lo, hi):
-    """A, C and the gain L in the RK4 stages of grid steps ``lo .. hi - 1``.
+    """A, C and the gain L that the RK4 stages of grid steps ``lo .. hi - 1`` read.
 
-    The gain of each stage follows the observer frame inside that stage,
-    rebuilt from the track's grid frame by
-    :func:`ltvobs.integrators.projected_rk4_stages`.  Returns A (4T, n, n),
-    C (4T, r, n) and L (4T, n, r), stage-major: the T steps at t, then at
-    t + h/2 twice, then at t + h.
+    RK4 reads them at t, t + h/2 twice and t + h, so each step needs its
+    grid values and one midpoint value.  The grid gains come from the
+    track's grid frames.  The midpoint frame is one discrete QR step of
+    half a step from the grid frame Q(t), as :func:`frame_flow` takes its
+    steps: the Householder QR of Phi_half Q(t) with diag R >= 0, where
+    Phi_half is the RK4 propagator of dx/dt = A x over [t, t + h/2] from
+    A(t), A(t + h/4) and A(t + h/2).  Every frame a gain is formed from is
+    therefore orthonormal.  Returns ``(grid, mid)``: ``grid`` holds A, C
+    and L at grid points ``lo .. hi`` (T + 1, ...), ``mid`` at the T
+    midpoints.
     """
     h = conf.step.h
     t_g = track.t[lo : hi + 1]
@@ -214,11 +220,11 @@ def stage_gains(sys: LtvSystem, conf: ObserverConfig, track, lo, hi):
     a_fn, c_fn = sys.a.bind(), sys.c.bind()
     a_g, a_m = a_fn(t_g), a_fn(t_m)
     c_g, c_m = c_fn(t_g), c_fn(t_m)
-    frames = projected_rk4_stages(track.frames[lo:hi], a_g[:-1], a_m, h)
-    a_s = np.concatenate([a_g[:-1], a_m, a_m, a_g[1:]])
-    c_s = np.concatenate([c_g[:-1], c_m, c_m, c_g[1:]])
-    l_s = gain_stack(c_s, frames.reshape((-1,) + frames.shape[2:]), conf.p)
-    return a_s, c_s, l_s
+    phi = rk4_propagators((a_g[:-1], a_fn(t_g[:-1] + 0.25 * h), a_m), 0.5 * h)
+    q_m, d = householder_qr(phi @ track.frames[lo:hi])
+    q_m *= np.where(d < 0.0, -1.0, 1.0)[:, None, :]
+    l_g = gain_stack(c_g, track.frames[lo : hi + 1], conf.p)
+    return (a_g, c_g, l_g), (a_m, c_m, gain_stack(c_m, q_m, conf.p))
 
 
 def detectability_report(conf: ObserverConfig, track: FrameTrack):

@@ -2,13 +2,15 @@
 
 The reference is the per-step integration the cascade used before it
 stepped plant and observer as an affine recurrence: one joint RK4 step of
-(x, x~, Q) per grid step through the public ``joint_rk4_step``, the gain
+(x, x~) per grid step through the public ``joint_rk4_step``, the gain
 recomputed inside every stage from that stage's frame, and one
-reconstruction solve per sample.  The grid frame then takes the per-step
-discrete QR step ``Q <- mgs_qr(Phi_i Q)`` of the frame flow, so the stage
-frames start from the frames the package's flow produces.  Its matrices
-are evaluated once, on the arrays of grid and stage times, and read in
-stage order.
+reconstruction solve per sample.  The frames are per-step discrete QR
+steps ``Q <- mgs_qr(Phi Q)``: the grid frame over a whole step, as the
+package's frame flow takes it, and the midpoint frame over half a step
+from the grid frame, with Phi_half folded from A(t), A(t + h/4) twice
+and A(t + h/2).  The stages read the frames Q(t), Q_mid, Q_mid and
+Q(t + h).  Its matrices are evaluated once, on the arrays of grid, stage
+and quarter-step times, and read in stage order.
 """
 
 import itertools
@@ -19,14 +21,9 @@ import pytest
 from conftest import bench8_run
 from ltvobs.cascade import CascadeRun, _simulate, run_cascade
 from ltvobs.hosm import run_bank
-from ltvobs.integrators import (
-    StepConfig,
-    joint_rk4_step,
-    projected_rk4_stages,
-    skew_rule,
-)
+from ltvobs.integrators import StepConfig, joint_rk4_step
 from ltvobs.linalg import orthogonal_projector_complement
-from ltvobs.observer import ObserverConfig, _gain_basis, frame_track
+from ltvobs.observer import ObserverConfig, _gain_basis, frame_track, stage_gains
 from ltvobs.strong_obs import ErrorStackSampler, _solve_normal
 from ltvobs.system import as_sampler
 
@@ -34,10 +31,10 @@ from conftest import discrete_qr_step, rk4_propagator, rk4_stage_times
 
 
 def reference_simulate(run, eta, record_eydot):
-    """Sequential joint RK4 of plant and observer; records stage frames.
+    """Sequential joint RK4 of plant and observer; records stage gains.
 
-    The frame rides in the joint step for its stage frames, and its grid
-    frame comes from the discrete QR step under A's stage matrices.
+    The grid frame and the midpoint frame are discrete QR steps under A's
+    stage matrices; each stage's gain comes from its frame.
     """
     sys, conf = run.sys, run.observer
     step = conf.step
@@ -56,19 +53,20 @@ def reference_simulate(run, eta, record_eydot):
         sample(m) for m in (sys.a, sys.c, sys.f, sys.d)
     )
     (w_st, w_gr), (u_st, _) = sample(run.w, (sys.m,)), sample(run.u, (sys.q,))
+    a_quarter = as_sampler(sys.a)(t_grid[:-1] + 0.25 * step.h)
     cdot_gr = sys.c.derivative().bind()(t_grid)
     stage = itertools.count()
     x_rec, xt_rec = np.empty((size, n)), np.empty((size, n))
     ey_rec, eyd_rec = np.empty((size, r)), np.empty((size, r))
     l_rec = np.empty((size, n, r))
-    stage_frames = []
+    stage_l = []
     x, xt, q = run.x0.copy(), run.xt0.copy(), conf.initial_frame(n)
-    noise = eta[0]
+    noise, stage_frames = eta[0], ()
 
     def rhs(t, states):
-        xs, xts, qs = states
-        stage_frames.append(qs.copy())
+        xs, xts = states
         i = next(stage)
+        qs = stage_frames[i % 4]
         a_val, c_val = a_st[i], c_st[i]
         u_val = u_st[i]
         if fb is not None:
@@ -76,11 +74,10 @@ def reference_simulate(run, eta, record_eydot):
         drive = f_st[i] @ u_val
         dx = a_val @ xs + drive + d_st[i] @ w_st[i]
         qt, _ = _gain_basis(c_val, qs)
+        stage_l.append(p * (qs @ (qt.T @ c_val.T)))
         e_out = (c_val @ xs + noise) - c_val @ xts
-        dxt = a_val @ xts + drive + p * (qs @ (qt.T @ (c_val.T @ e_out)))
-        m = a_val @ qs
-        w_red = qs.T @ m
-        return [dx, dxt, m - qs @ (w_red - skew_rule(w_red))]
+        dxt = a_val @ xts + drive + stage_l[-1] @ e_out
+        return [dx, dxt]
 
     def record(i):
         c_val = c_gr[i]
@@ -96,12 +93,17 @@ def reference_simulate(run, eta, record_eydot):
     record(0)
     for i in range(size - 1):
         noise = eta[i]
-        x, xt, _ = joint_rk4_step(rhs, t_grid[i], [x, xt, q], step.h)
-        phi = rk4_propagator(*a_st[4 * i : 4 * i + 4], step.h)
-        q, _ = discrete_qr_step(phi, q, t_grid[i])
+        a_step = a_st[4 * i : 4 * i + 4]
+        a_q = a_quarter[i]
+        half = rk4_propagator(a_step[0], a_q, a_q, a_step[1], 0.5 * step.h)
+        q_mid, _ = discrete_qr_step(half, q, t_grid[i])
+        q_next, _ = discrete_qr_step(rk4_propagator(*a_step, step.h), q, t_grid[i])
+        stage_frames = (q, q_mid, q_mid, q_next)
+        x, xt = joint_rk4_step(rhs, t_grid[i], [x, xt], step.h)
+        q = q_next
         record(i + 1)
-    frames = np.asarray(stage_frames).reshape(size - 1, 4, n, conf.k)
-    return t_grid, x_rec, xt_rec, ey_rec, l_rec, eyd_rec, frames
+    stage_l = np.asarray(stage_l).reshape(size - 1, 4, n, r)
+    return t_grid, x_rec, xt_rec, ey_rec, l_rec, eyd_rec, stage_l
 
 
 def _noise(run):
@@ -116,7 +118,7 @@ def reference_cascade(run):
     step = run.observer.step
     r = run.sys.r
     eta = _noise(run)
-    t, x, xt, ey, l_rec, eyd, frames = reference_simulate(
+    t, x, xt, ey, l_rec, eyd, stage_l = reference_simulate(
         run, eta, run.oracle_derivatives
     )
     if run.oracle_derivatives:
@@ -141,7 +143,9 @@ def reference_cascade(run):
     sup = None
     if t_f is not None:
         sup = np.max(np.abs(x - xhat)[t >= t_f - 1e-12], axis=0)
-    return dict(t=t, x=x, xt=xt, e_y=ey, gains=l_rec, frames=frames, t_f=t_f, sup=sup)
+    return dict(
+        t=t, x=x, xt=xt, e_y=ey, gains=l_rec, stage_gains=stage_l, t_f=t_f, sup=sup
+    )
 
 
 def _rel(a, b):
@@ -180,13 +184,11 @@ def _check_against_reference(make):
     gains = _simulate(spec, track, _noise(spec), True, False)[4]
     assert _rel(gains, ref["gains"]) <= 1e-10
 
-    # stage frames rebuilt in batch from the one frame track
-    h = conf.step.h
-    a_grid = sys.a.bind()
-    stages = projected_rk4_stages(
-        track.frames[:-1], a_grid(track.t[:-1]), a_grid(track.t[:-1] + 0.5 * h), h
-    )
-    assert np.max(np.abs(np.swapaxes(stages, 0, 1) - ref["frames"])) <= 1e-12
+    # the gains of the four RK4 stages, at t, t + h/2 twice and t + h
+    (_, _, l_grid), (_, _, l_mid) = stage_gains(sys, conf, track, 0, track.t.size - 1)
+    ref_stage = ref["stage_gains"]
+    for s, l_stage in enumerate((l_grid[:-1], l_mid, l_mid, l_grid[1:])):
+        assert _rel(l_stage, ref_stage[:, s]) <= 1e-10
     return run
 
 

@@ -194,6 +194,18 @@ def test_bad_sweep_gain_exits_2(tmp_path, capsys, monkeypatch, sweep):
     assert flows == []
 
 
+@pytest.mark.parametrize("sweep", ["", ","])
+def test_empty_sweep_exits_2(tmp_path, capsys, monkeypatch, sweep):
+    # an empty list is refused before any flow, not read as no --sweep
+    flows = count_flows(monkeypatch)
+    scen = write_scenario(tmp_path, TOY)
+    argv = ["detect", "--scenario", scen, "--out", str(tmp_path), "--sweep", sweep]
+    assert main(argv) == 2
+    assert "--sweep needs at least one gain value" in capsys.readouterr().err
+    assert flows == []
+    assert not (tmp_path / "detect.json").exists()
+
+
 def test_check_so_output(tmp_path, capsys):
     scen = write_scenario(tmp_path, TOY)
     out = str(tmp_path / "out")

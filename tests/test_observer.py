@@ -1,9 +1,12 @@
 """Directional gain computation, observer convergence, detectability report."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import bench8_run
+from conftest import bench8_run, discrete_qr_step, rk4_propagator
+from ltvobs import observer
 from ltvobs.cascade import CascadeRun, run_tso
 from ltvobs.errors import StepPreconditionError
 from ltvobs.integrators import StepConfig
@@ -17,6 +20,7 @@ from ltvobs.observer import (
     frame_track,
     gain_stack,
     min_gain_suggestion,
+    stage_gains,
 )
 from ltvobs.system import LtvSystem
 
@@ -62,6 +66,70 @@ def test_observer_converges_scalar_unstable_plant():
     run = run_tso(CascadeRun(sys=sys, observer=conf, x0=[1.0], xt0=[0.0]))
     err = abs(np.exp(0.5 * 0.5) - run.xt[-1, 0])
     assert err < 4e-7  # e^{-14.75} plus discretization
+
+
+def _stage_frames(monkeypatch, run, lo, hi):
+    """The frame stacks ``stage_gains`` forms gains from, one per call."""
+    seen = []
+
+    def recording(c_val, q, p):
+        seen.append(q)
+        return gain_stack(c_val, q, p)
+
+    monkeypatch.setattr(observer, "gain_stack", recording)
+    track = frame_track(run.sys, run.observer)
+    stage_gains(run.sys, run.observer, track, lo, hi)
+    return track, seen
+
+
+def test_stage_gain_frames_are_orthonormal(monkeypatch):
+    # every gain L = p Q Qt^T C^T assumes an orthonormal Q
+    _, seen = _stage_frames(monkeypatch, bench8_run(0.5), 100, 300)
+    assert seen
+    for q in seen:
+        defect = q.mT @ q - np.eye(q.shape[-1])
+        assert np.max(np.linalg.norm(defect, axis=(1, 2))) <= 1e-14
+
+
+def test_stage_gain_midpoint_frame_is_half_step_discrete_qr(monkeypatch):
+    # three gains per step: the grid frames lo .. hi, then the midpoints
+    run = bench8_run(0.5)
+    lo, hi = 100, 300
+    track, (grid, mid) = _stage_frames(monkeypatch, run, lo, hi)
+    assert np.array_equal(grid, track.frames[lo : hi + 1])
+    h = run.observer.step.h
+    a_fn = run.sys.a.bind()
+    t = track.t[lo:hi]
+    a1, a_quarter, a2 = a_fn(t), a_fn(t + 0.25 * h), a_fn(t + 0.5 * h)
+    for i in range(hi - lo):
+        half = rk4_propagator(a1[i], a_quarter[i], a_quarter[i], a2[i], 0.5 * h)
+        q_ref, _ = discrete_qr_step(half, track.frames[lo + i], t[i])
+        assert np.max(np.abs(mid[i] - q_ref)) <= 1e-12
+
+
+def _with_step(run, h):
+    step = replace(run.observer.step, h=h)
+    return replace(run, observer=replace(run.observer, step=step))
+
+
+@pytest.mark.parametrize("which", ["toy", "bench8"])
+def test_observer_state_converges_at_order_four(toy2, which):
+    # x~ at steps h, h/2 and h/4 on the common grid: the change per
+    # halving shrinks by 2^4 when the stage gains are fourth-order
+    if which == "toy":
+        # a start frame off the unstable direction makes the frame turn
+        conf = ObserverConfig(
+            p=8.0, k=1, step=StepConfig(h=4e-3, t0=0.0, t_end=2.0), q0=[[1.0], [1.0]]
+        )
+        run = CascadeRun(
+            sys=toy2, observer=conf, x0=[1.0, -0.5], xt0=[0.0, 0.0], w=["0.4*sin(t)"]
+        )
+    else:
+        run = _with_step(bench8_run(2.0), 2e-3)
+    h = run.observer.step.h
+    xt = [run_tso(_with_step(run, h / 2**j)).xt[:: 2**j] for j in range(3)]
+    ratio = np.max(np.abs(xt[0] - xt[1])) / np.max(np.abs(xt[1] - xt[2]))
+    assert 14.0 <= ratio <= 19.0
 
 
 def test_detectability_report_toy(toy2):
