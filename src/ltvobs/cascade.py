@@ -248,7 +248,7 @@ def _simulate(run, track, eta, record_gain, record_eydot):
             m.reshape(4, count, 2 * n, 2 * n), h, b.reshape(4, count, 2 * n)
         )
         for j in range(count):
-            z = phi[j] @ z + psi[j]
+            z = np.dot(phi[j], z) + psi[j]
             z_rec[lo + j + 1] = z
         finite = np.all(np.isfinite(z_rec[lo + 1 : hi + 1]), axis=1)
         if not finite.all():

@@ -388,10 +388,7 @@ def cmd_spectrum(scen, args, outdir):
     reg = regularity_report(est.history_t, est.history_b)
 
     header = ["t"] + [f"lambda_{j + 1}" for j in range(k)]
-    rows = [
-        [t] + list(lam)
-        for t, lam in zip(est.history_t, est.history_lambda)
-    ]
+    rows = np.column_stack([est.history_t, est.history_lambda]).tolist()
     csv_path = os.path.join(outdir, "spectrum.csv")
     _write_csv(csv_path, header, rows)
     _write_plot(
@@ -491,10 +488,7 @@ def cmd_detect(scen, args, outdir):
         + [f"lambda_{j + 1}" for j in range(k)]
         + [f"rbar_{j + 1}" for j in range(k)]
     )
-    rows = [
-        [t] + list(lam) + list(rb)
-        for t, lam, rb in zip(rep.history_t, rep.history_lambda, rep.history_rbar)
-    ]
+    rows = np.column_stack([rep.history_t, rep.history_lambda, rep.history_rbar]).tolist()
     _write_csv(os.path.join(outdir, "detect.csv"), header, rows)
     _write_plot(
         os.path.join(outdir, "detect.gp"),

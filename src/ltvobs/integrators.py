@@ -7,10 +7,11 @@ The frame flow follows an orthonormal n-by-k matrix along
 whose solution is exactly the Q factor of ``Phi(t, t0) Q0`` with
 ``Phi`` the transition matrix of ``dx/dt = A x``.  :func:`frame_flow`
 therefore runs the discrete QR method (Dieci, Russell & Van Vleck, SIAM
-J. Numer. Anal. 1997): per chunk of ``CHUNK_STEPS`` steps it folds every
-step's RK4 stages into a propagator ``Phi_i`` with stacked products
-(:func:`rk4_propagators`) and applies ``X <- Phi_i X`` in a tight loop,
-re-anchoring at the end of every block of steps.  Only what the next
+J. Numer. Anal. 1997): per chunk of steps it folds every step's RK4
+stages into a propagator ``Phi_i`` with stacked products
+(:func:`rk4_propagators`) and applies ``X <- Phi_i X`` in a tight loop of
+``np.dot`` calls, re-anchoring at the end of every block of steps whose
+propagators can grow X by at most about e^4.  Only what the next
 block starts from is done in sequence: the Householder QR of the block's
 last matrix alone.  The checks, the frames and the diagonals of R of
 every step of the chunk then come from one batched Householder QR.  Both
@@ -45,9 +46,11 @@ __all__ = [
     "joint_rk4_step",
 ]
 
-# steps per batch in the chunked grid loops: long enough to amortize the
-# per-call overhead of numpy, short enough that no per-stage array spans
-# the horizon
+# steps per batch in the cascade's chunked grid loops, and the fewest per
+# chunk of the frame flow, whose chunks hold about 8192 matrix entries per
+# stage stack (128 steps at n = 8, 2048 at n = 2): long enough to amortize
+# the per-call overhead of numpy, short enough that no per-stage array
+# spans the horizon
 CHUNK_STEPS = 128
 
 
@@ -218,13 +221,16 @@ def frame_flow(stages, q, cfg):
     ``stages(lo, hi)`` returns the matrices at grid points ``lo .. hi``
     (T + 1, n, n), which the caller records with, and the stage stacks
     ``(A(t), A(t + h/2), A(t + h))`` of steps ``lo .. hi - 1``, each
-    (T, n, n), as :func:`system_stages` builds them.  Per chunk of at most
-    ``CHUNK_STEPS`` steps the stages fold into propagators ``Phi_i``
-    (:func:`rk4_propagators`) and ``X <- Phi_i X`` runs from the last
-    frame in blocks of ``b`` steps.  ``b = floor(1 / (h max ||M||_1))``
-    over the chunk's stage matrices, between 1 and T, bounds the norm of
-    every product of a block's propagators and of its inverse by about e,
-    so cond(X) stays below about e^2.  In sequence, each block's last X is
+    (T, n, n), as :func:`system_stages` builds them.  A chunk holds at most
+    ``max(CHUNK_STEPS, 8192 // n**2)`` steps, so each stage stack keeps
+    about 8192 entries (64 KiB) whatever the dimension n.  Per chunk the
+    stages fold into propagators ``Phi_i`` (:func:`rk4_propagators`) and
+    ``X <- Phi_i X`` runs from the last frame, one ``np.dot`` per step, in
+    blocks of ``b`` steps.  ``b = floor(4 / (h max ||M||_1))`` over the
+    chunk's stage matrices, between 1 and T, bounds the norm of every
+    product of a block's propagators and of its inverse by about e^4, so
+    cond(X) stays below about e^8 (3e3) and the backward-stable Householder
+    QR keeps the frames at round-off.  In sequence, each block's last X is
     factored alone, ``X = Q R`` with diag R >= 0, and the next block starts
     from that Q; the chunk's last block end is left to the batch.  Then one
     batched QR of all the chunk's X gives every frame and every diag R.
@@ -247,21 +253,22 @@ def frame_flow(stages, q, cfg):
     """
     n_steps = cfg.n_steps
     h = cfg.h
-    for lo in range(0, n_steps, CHUNK_STEPS):
-        hi = min(lo + CHUNK_STEPS, n_steps)
+    chunk = max(CHUNK_STEPS, 8192 // q.shape[0] ** 2)
+    for lo in range(0, n_steps, chunk):
+        hi = min(lo + chunk, n_steps)
         count = hi - lo
         grid, stacks = stages(lo, hi)
         phi = rk4_propagators(stacks, h)
         growth = h * max(float(np.abs(s).sum(axis=-2).max()) for s in stacks)
-        # a non-finite growth keeps the whole chunk; the finite check names it
-        block = max(1, int(1.0 / growth)) if growth * count > 1.0 else count
+        # a NaN growth keeps the whole chunk; the finite check names it
+        block = max(1, int(4.0 / growth)) if growth * count > 4.0 else count
         frames = np.empty((count + 1,) + q.shape)
         frames[0] = x = q
         # a non-finite block end stops the flow before LAPACK sees it
         for start in range(0, count, block):
             stop = min(start + block, count)
             for j in range(start, stop):
-                x = np.matmul(phi[j], x, out=frames[j + 1])
+                x = np.dot(phi[j], x, out=frames[j + 1])
             if stop == count or not np.isfinite(x).all():
                 break
             x, d = householder_qr(x)

@@ -95,10 +95,14 @@ def _gain_basis_stack(c_val, q):
     return qt * (rdiag > 0.0)[:, None, :], rt
 
 
+def _gain_from_basis(c_val, q, qt, p):
+    """Gains L = p Q Qt^T C^T (T, n, r) from the gain basis ``qt`` of ``q``."""
+    return p * (q @ (np.swapaxes(qt, 1, 2) @ np.swapaxes(c_val, 1, 2)))
+
+
 def gain_stack(c_val, q, p):
     """Gains L = p Q Qt^T C^T (T, n, r) for stacks of C and frames."""
-    qt, _ = _gain_basis_stack(c_val, q)
-    return p * (q @ (np.swapaxes(qt, 1, 2) @ np.swapaxes(c_val, 1, 2)))
+    return _gain_from_basis(c_val, q, _gain_basis_stack(c_val, q)[0], p)
 
 
 @dataclass
@@ -144,18 +148,26 @@ class FrameTrack:
     """The reduced frame flow on the step grid, with its diagnostics.
 
     ``frames[i]`` is the frame at ``t[i]``; ``b_diag[i]`` and ``r_diag[i]``
-    are diag(Q^T A Q) and diag(Rt) of C^T C Q there.  ``min_ctcq_sigma``
-    is the smallest singular value of C^T C Q on the grid, read off the
-    k-by-k Rt (a near-zero dip flags possible gain non-smoothness), and
-    ``max_orth_defect`` the worst ``||Q^T Q - I||_F``.
+    are diag(Q^T A Q) and diag(Rt) of C^T C Q there, and ``gain_basis[i]``
+    the Qt (n, k) of that factorization with degenerate columns zeroed.
+    No gain scalar enters Qt, so :meth:`gains` forms L = p Q Qt^T C^T from
+    it for any p.  ``min_ctcq_sigma`` is the smallest singular value of
+    C^T C Q on the grid, read off the k-by-k Rt (a near-zero dip flags
+    possible gain non-smoothness), and ``max_orth_defect`` the worst
+    ``||Q^T Q - I||_F``.
     """
 
     t: np.ndarray = field(repr=False)
     frames: np.ndarray = field(repr=False)
     b_diag: np.ndarray = field(repr=False)
     r_diag: np.ndarray = field(repr=False)
+    gain_basis: np.ndarray = field(repr=False)
     min_ctcq_sigma: float
     max_orth_defect: float
+
+    def gains(self, c_val, p, index):
+        """Gains L (T, n, r) at the grid points ``index``, with ``c_val`` C there."""
+        return _gain_from_basis(c_val, self.frames[index], self.gain_basis[index], p)
 
 
 def frame_track(sys: LtvSystem, conf: ObserverConfig):
@@ -173,6 +185,7 @@ def frame_track(sys: LtvSystem, conf: ObserverConfig):
     frames = np.empty((n_steps + 1, n, k))
     b_diag = np.empty((n_steps + 1, k))
     r_diag = np.empty((n_steps + 1, k))
+    gain_basis = np.empty((n_steps + 1, n, k))
     sigma = np.empty(n_steps + 1)
     defect = np.empty(n_steps + 1)
 
@@ -180,7 +193,7 @@ def frame_track(sys: LtvSystem, conf: ObserverConfig):
         q = frames[lo:hi]
         b_diag[lo:hi], defect[lo:hi] = frame_diagnostics(q, a_val)
         # C^T C Q = Qt Rt with orthonormal Qt: both have the singular values of Rt
-        _, rt = _gain_basis_stack(c_grid(t[lo:hi]), q)
+        gain_basis[lo:hi], rt = _gain_basis_stack(c_grid(t[lo:hi]), q)
         r_diag[lo:hi] = np.diagonal(rt, axis1=1, axis2=2)
         sigma[lo:hi] = np.linalg.svd(rt, compute_uv=False)[:, -1]
 
@@ -195,6 +208,7 @@ def frame_track(sys: LtvSystem, conf: ObserverConfig):
         frames=frames,
         b_diag=b_diag,
         r_diag=r_diag,
+        gain_basis=gain_basis,
         min_ctcq_sigma=float(sigma.min()),
         max_orth_defect=float(defect.max()),
     )
@@ -205,12 +219,13 @@ def stage_gains(sys: LtvSystem, conf: ObserverConfig, track, lo, hi):
 
     RK4 reads them at t, t + h/2 twice and t + h, so each step needs its
     grid values and one midpoint value.  The grid gains come from the
-    track's grid frames.  The midpoint frame is one discrete QR step of
-    half a step from the grid frame Q(t), as :func:`frame_flow` takes its
-    steps: the Householder QR of Phi_half Q(t) with diag R >= 0, where
-    Phi_half is the RK4 propagator of dx/dt = A x over [t, t + h/2] from
-    A(t), A(t + h/4) and A(t + h/2).  Every frame a gain is formed from is
-    therefore orthonormal.  Returns ``(grid, mid)``: ``grid`` holds A, C
+    track's grid frames and gain bases (:meth:`FrameTrack.gains`).  The
+    midpoint frame is one discrete QR step of half a step from the grid
+    frame Q(t), as :func:`frame_flow` takes its steps: the Householder QR
+    of Phi_half Q(t) with diag R >= 0, where Phi_half is the RK4
+    propagator of dx/dt = A x over [t, t + h/2] from A(t), A(t + h/4) and
+    A(t + h/2).  Every frame a gain is formed from is therefore
+    orthonormal.  Returns ``(grid, mid)``: ``grid`` holds A, C
     and L at grid points ``lo .. hi`` (T + 1, ...), ``mid`` at the T
     midpoints.
     """
@@ -223,7 +238,7 @@ def stage_gains(sys: LtvSystem, conf: ObserverConfig, track, lo, hi):
     phi = rk4_propagators((a_g[:-1], a_fn(t_g[:-1] + 0.25 * h), a_m), 0.5 * h)
     q_m, d = householder_qr(phi @ track.frames[lo:hi])
     q_m *= np.where(d < 0.0, -1.0, 1.0)[:, None, :]
-    l_g = gain_stack(c_g, track.frames[lo : hi + 1], conf.p)
+    l_g = track.gains(c_g, conf.p, slice(lo, hi + 1))
     return (a_g, c_g, l_g), (a_m, c_m, gain_stack(c_m, q_m, conf.p))
 
 

@@ -33,7 +33,7 @@ from .linalg import (
     orthogonal_projector_complement,
     projector_complement_stack,
 )
-from .observer import ObserverConfig, frame_track, gain_stack
+from .observer import ObserverConfig, frame_track
 from .system import LtvSystem
 
 __all__ = [
@@ -316,8 +316,14 @@ class ErrorStackSampler:
         return r_e, j_e
 
     def reconstruct_stack(self, times, l_vals, yhat):
-        """Batched :meth:`reconstruct`; also returns each sample's min eig H_e."""
+        """Batched :meth:`reconstruct`; also returns each sample's min eig H_e.
+
+        With no nonzero entry in J_e (C D = 0) the projector is the identity,
+        and the samples are solved unprojected.
+        """
         r_e, j_e = self.matrices_stack(times, l_vals)
+        if not j_e.any():
+            return solve_normal_stack(r_e, yhat, times)
         k_val = projector_complement_stack(j_e)
         k_yhat = (k_val @ yhat[..., None])[..., 0]
         return solve_normal_stack(k_val @ r_e, k_yhat, times)
@@ -339,6 +345,6 @@ def error_system_so_test(sys: LtvSystem, conf: ObserverConfig, times):
         raise ValueError(f"probe time {times[np.argmax(off)]} is off the step grid")
     track = frame_track(sys, conf)
     t = track.t[index]
-    gains = gain_stack(sys.c.bind()(t), track.frames[index], conf.p)
+    gains = track.gains(sys.c.bind()(t), conf.p, index)
     r_e, j_e = ErrorStackSampler(sys).matrices_stack(t, gains)
     return _so_verdict(r_e, j_e, 2, t)

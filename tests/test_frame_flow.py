@@ -12,10 +12,11 @@ the identities that construction rests on.  Every reference evaluates its
 matrices once, on the arrays of grid and stage times.
 
 A third reference runs the chunked loop block by block, each block
-re-orthonormalized by its own batched ``np.linalg.qr`` before the next one
-starts.  ``frame_flow`` factors only the block ends in sequence and the
-whole chunk in one batch, through ``householder_qr`` on the same LAPACK
-kernels, which does the same arithmetic, so the two agree bit for bit.
+stepped by ``np.matmul`` and re-orthonormalized by its own batched
+``np.linalg.qr`` before the next one starts.  ``frame_flow`` steps by
+``np.dot``, factors only the block ends in sequence and the whole chunk in
+one batch, through ``householder_qr`` on the same LAPACK kernels, which
+does the same arithmetic, so the two agree bit for bit.
 """
 
 from dataclasses import replace
@@ -105,20 +106,26 @@ def discrete_flow(a, q, cfg):
     return np.asarray(frames), np.asarray(log_r)
 
 
+def _chunk_steps(n):
+    """Steps per chunk of an n-dimensional flow: about 8192 entries per stage stack."""
+    return max(CHUNK_STEPS, 8192 // n**2)
+
+
 def blocked_flow(stages, q, cfg):
     """The chunked loop with one batched QR per block, run block by block.
 
-    Yields what :func:`frame_flow` yields, from the same stages, block
-    rule and propagators.
+    Yields what :func:`frame_flow` yields, from the same stages, chunk and
+    block rules and propagators.
     """
     h = cfg.h
-    for lo in range(0, cfg.n_steps, CHUNK_STEPS):
-        hi = min(lo + CHUNK_STEPS, cfg.n_steps)
+    chunk = _chunk_steps(q.shape[0])
+    for lo in range(0, cfg.n_steps, chunk):
+        hi = min(lo + chunk, cfg.n_steps)
         count = hi - lo
         grid, stacks = stages(lo, hi)
         phi = rk4_propagators(stacks, h)
         growth = h * max(float(np.abs(s).sum(axis=-2).max()) for s in stacks)
-        block = max(1, int(1.0 / growth)) if growth * count > 1.0 else count
+        block = max(1, int(4.0 / growth)) if growth * count > 4.0 else count
         frames = np.empty((count + 1,) + q.shape)
         log_r = np.empty((count, q.shape[1]))
         frames[0] = q
@@ -298,8 +305,8 @@ def _spread4():
 
 @pytest.mark.parametrize("name", ["spread4", "bench8"])
 def test_blocked_driver_matches_per_step_discrete_qr(name):
-    # the block rule re-anchors the spread-4 flow at h = 0.05 every few
-    # steps of each chunk, while bench8 at h = 1e-3 keeps whole chunks
+    # the block rule re-anchors the spread-4 flow at h = 0.05 every 9 steps
+    # of each 910-step chunk, while bench8 at h = 1e-3 keeps whole chunks
     if name == "spread4":
         a, cfg, q = _spread4(), StepConfig(h=0.05, t0=0.0, t_end=100.0), np.eye(3)
     else:
@@ -308,7 +315,8 @@ def test_blocked_driver_matches_per_step_discrete_qr(name):
         q = start_frame(run.sys.n, 3)
     stage_mats = a.bind()(rk4_stage_times(cfg.grid(), cfg.h))
     growth = cfg.h * np.abs(stage_mats).sum(axis=1).max()
-    assert growth * CHUNK_STEPS > 1.0 if name == "spread4" else growth * CHUNK_STEPS <= 1.0
+    steps = _chunk_steps(q.shape[0]) * growth
+    assert steps > 4.0 if name == "spread4" else steps <= 4.0
     _, stages = system_stages(a, cfg)
     chunks = list(frame_flow(stages, q, cfg))
     frames = np.concatenate([q[None]] + [c[3][1:] for c in chunks])
@@ -318,6 +326,38 @@ def test_blocked_driver_matches_per_step_discrete_qr(name):
     assert _rel(log_r, ref_log_r) <= 1e-10
     gram = frames.mT @ frames - np.eye(q.shape[1])
     assert np.sqrt((gram * gram).sum(axis=(1, 2))).max() <= 1e-14
+
+
+_NON_NORMAL = np.array([[0.5, 40.0, 0.0], [0.0, -0.5, 30.0], [0.0, 0.0, 0.2]])
+_FAST_ROTATION = np.array([[0.0, 30.0], [-30.0, 0.1]])
+
+
+@pytest.mark.parametrize("a", [_NON_NORMAL, _FAST_ROTATION], ids=["non-normal", "rotation"])
+def test_growth_budget_keeps_frames_at_round_off(a):
+    # ||A||_1 = 70 and 30.1 at h = 0.01: blocks of 5 and 13 steps, each
+    # allowed to grow X by about e^4, still give the per-step frames; the
+    # start frame is off the invariant subspaces, so every frame turns
+    cfg = StepConfig(h=0.01, t0=0.0, t_end=30.0)
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal(a.shape))
+    _, stages = system_stages(lambda t: a, cfg)
+    chunks = list(frame_flow(stages, q, cfg))
+    frames = np.concatenate([q[None]] + [c[3][1:] for c in chunks])
+    log_r = np.concatenate([c[4] for c in chunks])
+    ref_frames, ref_log_r = discrete_flow(as_matrix_expr(a.tolist()), q, cfg)
+    assert _rel(frames, ref_frames) <= 1e-10
+    assert _rel(log_r, ref_log_r) <= 1e-10
+    gram = frames.mT @ frames - np.eye(len(a))
+    assert np.sqrt((gram * gram).sum(axis=(1, 2))).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n, k, steps", [(8, 3, 128), (8, 8, 128), (2, 1, 2048), (2, 2, 2048)])
+def test_chunk_length_follows_system_dimension(n, k, steps):
+    # about 8192 matrix entries per stage stack, never under CHUNK_STEPS;
+    # the frame width k does not enter
+    cfg = StepConfig(h=0.01, t0=0.0, t_end=50.0)
+    _, stages = system_stages(lambda t: -0.1 * np.eye(n), cfg)
+    spans = [(lo, hi) for lo, hi, *_ in frame_flow(stages, np.eye(n, k), cfg)]
+    assert spans == [(lo, min(lo + steps, 5000)) for lo in range(0, 5000, steps)]
 
 
 def _gate1_systems():
@@ -377,34 +417,35 @@ def _record_qr(monkeypatch):
 
 
 def test_frame_flow_factors_block_ends_alone_and_each_chunk_once(monkeypatch):
-    # spread4 at h = 0.05 re-anchors every 2 steps: per chunk one batched
-    # QR of all its steps, and one QR of each block end but the last
+    # spread4 at h = 0.05 re-anchors every 9 steps of its 910-step chunks:
+    # per chunk one batched QR of all its steps, and one QR of each block
+    # end but the last
     a, cfg, q = _differential_cases("spread4")[0]
     _, stages = system_stages(a, cfg)
     calls, library_calls = _record_qr(monkeypatch)
     list(frame_flow(stages, q, cfg))
     expected = []
-    for lo in range(0, cfg.n_steps, CHUNK_STEPS):
-        count = min(CHUNK_STEPS, cfg.n_steps - lo)
-        expected += [((3, 3), True)] * ((count - 1) // 2) + [((count, 3, 3), True)]
+    for lo in range(0, cfg.n_steps, 910):
+        count = min(910, cfg.n_steps - lo)
+        expected += [((3, 3), True)] * ((count - 1) // 9) + [((count, 3, 3), True)]
     assert calls == expected
     assert library_calls == []
 
 
-# ||A||_1 = 2 at h = 0.05: the block rule re-anchors every 10 steps
+# ||A||_1 = 2 at h = 0.05: the block rule re-anchors every 40 steps
 _ROTATE = np.array([[0.5, 1.0, 0.0], [-1.0, 0.5, 0.0], [0.0, 0.0, -2.0]])
 
 
 @pytest.mark.parametrize(
     "q, message",
     [
-        (np.eye(3, 2), r"non-finite frame flow at t=1\.2000000000000002$"),
+        (np.eye(3, 2), r"non-finite frame flow at t=5\.2$"),
         (np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), r"rank collapse at t=0\.0:"),
     ],
     ids=["nan-in-third-block", "collapse-then-nan"],
 )
 def test_frame_flow_error_order_across_blocks(monkeypatch, q, message):
-    # the midpoint matrix of step 24, partway through the chunk's third
+    # the midpoint matrix of step 104, partway through the chunk's third
     # block, is NaN, and the frame stays NaN from there on (a NaN at a grid
     # time would make the block rule keep the whole chunk).  The first
     # failing block raises, as block by block, so a frame whose columns
@@ -416,9 +457,9 @@ def test_frame_flow_error_order_across_blocks(monkeypatch, q, message):
 
     def poisoned(lo, hi):
         grid, (a1, a2, a4) = stages(lo, hi)
-        if lo <= 24 < hi:
+        if lo <= 104 < hi:
             a2 = a2.copy()
-            a2[24 - lo] = np.nan
+            a2[104 - lo] = np.nan
         return grid, (a1, a2, a4)
 
     with pytest.raises(NumericalError, match=message):
@@ -426,7 +467,7 @@ def test_frame_flow_error_order_across_blocks(monkeypatch, q, message):
     calls, library_calls = _record_qr(monkeypatch)
     with pytest.raises(NumericalError, match=message):
         list(frame_flow(poisoned, q, cfg))
-    assert calls == [((3, 2), True), ((3, 2), True), ((20, 3, 2), True)]
+    assert calls == [((3, 2), True), ((3, 2), True), ((80, 3, 2), True)]
     assert library_calls == []
 
 

@@ -71,12 +71,13 @@ def test_observer_converges_scalar_unstable_plant():
 def _stage_frames(monkeypatch, run, lo, hi):
     """The frame stacks ``stage_gains`` forms gains from, one per call."""
     seen = []
+    gain_from_basis = observer._gain_from_basis
 
-    def recording(c_val, q, p):
+    def recording(c_val, q, qt, p):
         seen.append(q)
-        return gain_stack(c_val, q, p)
+        return gain_from_basis(c_val, q, qt, p)
 
-    monkeypatch.setattr(observer, "gain_stack", recording)
+    monkeypatch.setattr(observer, "_gain_from_basis", recording)
     track = frame_track(run.sys, run.observer)
     stage_gains(run.sys, run.observer, track, lo, hi)
     return track, seen
@@ -89,6 +90,22 @@ def test_stage_gain_frames_are_orthonormal(monkeypatch):
     for q in seen:
         defect = q.mT @ q - np.eye(q.shape[-1])
         assert np.max(np.linalg.norm(defect, axis=(1, 2))) <= 1e-14
+
+
+def test_track_gains_equal_gain_stack_for_every_gain():
+    # the gain basis does not depend on p: one track serves every gain
+    run = bench8_run(0.5)
+    track = frame_track(run.sys, run.observer)
+    c_val = run.sys.c.bind()(track.t)
+    assert track.gain_basis.shape == track.frames.shape
+    for p in (30.0, 90.0):
+        expected = gain_stack(c_val, track.frames, p)
+        assert np.array_equal(track.gains(c_val, p, slice(None)), expected)
+    every_tenth = np.arange(0, track.t.size, 10)
+    assert np.array_equal(
+        track.gains(c_val[every_tenth], 30.0, every_tenth),
+        gain_stack(c_val[every_tenth], track.frames[every_tenth], 30.0),
+    )
 
 
 def test_stage_gain_midpoint_frame_is_half_step_discrete_qr(monkeypatch):

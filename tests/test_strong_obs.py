@@ -7,7 +7,11 @@ from ltvobs.errors import NumericalError, StepPreconditionError
 from ltvobs.expr import MatrixExpr
 from ltvobs.integrators import StepConfig
 from ltvobs.cli import _resolve_scenario
-from ltvobs.linalg import numerical_rank, orthogonal_projector_complement
+from ltvobs.linalg import (
+    numerical_rank,
+    orthogonal_projector_complement,
+    projector_complement_stack,
+)
 from ltvobs.observer import ObserverConfig
 from ltvobs.strong_obs import (
     ErrorStackSampler,
@@ -270,6 +274,46 @@ def test_batched_normal_solve_names_singular_sample():
     x, eig = solve_normal_stack(kr[keep], ky[keep], times[keep])
     assert np.allclose(x, [[1.0, 1.0], [0.5, 0.5]])
     assert np.allclose(eig, [1.0, 4.0])
+
+
+def _projected_solve(sampler, times, gains, yhat):
+    """The samples solved through the projector K = I - J_e J_e^+."""
+    r_e, j_e = sampler.matrices_stack(times, gains)
+    k_val = projector_complement_stack(j_e)
+    return solve_normal_stack(k_val @ r_e, (k_val @ yhat[..., None])[..., 0], times)
+
+
+def test_zero_input_map_skips_the_projector(toy2, rng):
+    # toy2 has C D = 0, so J_e has no nonzero entry and K = I: the
+    # unprojected solve gives the projected one to the bit
+    sampler = ErrorStackSampler(toy2)
+    times = np.linspace(0.0, 3.0, 7)
+    gains, yhat = rng.standard_normal((7, 2, 1)), rng.standard_normal((7, 2))
+    assert not sampler.matrices_stack(times, gains)[1].any()
+    for got, expected in zip(
+        sampler.reconstruct_stack(times, gains, yhat),
+        _projected_solve(sampler, times, gains, yhat),
+        strict=True,
+    ):
+        assert np.array_equal(got, expected)
+
+
+def test_nonzero_input_map_still_projects(rng):
+    # with C = I the input column reaches the second output's derivative:
+    # its stacked row is projected out, and a disturbance there is ignored
+    sys = LtvSystem(
+        a=[[0.3, 1.0], [0.0, -2.0]], f=[[0.0], [1.0]], d=[[0.0], [1.0]], c=np.eye(2).tolist()
+    )
+    sampler = ErrorStackSampler(sys)
+    times = np.linspace(0.0, 3.0, 7)
+    gains, e = rng.standard_normal((7, 2, 2)), rng.standard_normal((7, 2))
+    r_e, j_e = sampler.matrices_stack(times, gains)
+    assert j_e.any()
+    yhat = (r_e @ e[..., None])[..., 0] + j_e[..., 0] * rng.standard_normal((7, 1))
+    x, eig = sampler.reconstruct_stack(times, gains, yhat)
+    expected_x, expected_eig = _projected_solve(sampler, times, gains, yhat)
+    assert np.array_equal(x, expected_x) and np.array_equal(eig, expected_eig)
+    assert np.allclose(x, e, rtol=0.0, atol=1e-12)
 
 
 def test_batched_reconstruction_matches_per_sample(toy2, rng):
