@@ -22,11 +22,11 @@ on [t0, T]" for explicit epsilon, tail-mass threshold, and window, never
 an asymptotic proof.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .integrators import StepConfig, frame_flow, skew_rule, system_stages
+from .integrators import StepConfig, frame_flow, skew_rule
 from .lyapunov import TAIL_MASS_TOL, history_index
 from .observer import ObserverConfig, gain_stack
 from .system import LtvSystem, as_sampler
@@ -51,7 +51,6 @@ class TriangularForm:
     t: np.ndarray
     b: np.ndarray
     frames: np.ndarray
-    config: StepConfig = field(repr=False)
 
     def __post_init__(self):
         sub = np.tril(self.b, -1)
@@ -64,30 +63,30 @@ class TriangularForm:
         return self.b.shape[1]
 
 
-def _triangular_flow(a, cfg, q=None, loop_gain=None):
-    """Full-width frame flow of ``a`` from the basis ``q`` (default I), recording B.
+def _triangular_flow(a, cfg, q, loop_gain=None):
+    """Full-width frame flow of ``a`` from the basis ``q``, recording B.
 
-    B = Qf^T M Qf - S(Qf^T M Qf) with M = A less ``loop_gain(index,
-    frames)``, the stack L C at those grid indices, when given.  B and the
-    frame are kept at grid point 0 and at :func:`ltvobs.lyapunov.history_index`.
+    ``a`` is an evaluator ``times -> (T, n, n)``.  B = Qf^T M Qf -
+    S(Qf^T M Qf) with M = A less ``loop_gain(index, frames)``, the stack
+    L C at those grid indices, when given.  B and the frame are kept at
+    grid point 0 and at :func:`ltvobs.lyapunov.history_index`.
     """
-    n, stages = system_stages(a, cfg)
     keep = np.zeros(cfg.n_steps + 1, dtype=bool)
     keep[0] = True
     keep[history_index(cfg)] = True
     ts, bs, qs = [], [], []
-    for lo, hi, grid, frames, _ in frame_flow(stages, np.eye(n) if q is None else q, cfg):
-        first = 1 if lo else 0  # grid point lo closed the previous chunk
-        index = lo + first + np.flatnonzero(keep[lo + first : hi + 1])
-        qf, m = frames[index - lo], grid[index - lo]
+    for s, grid, frames, _ in frame_flow(a, q, cfg):
+        kept = np.flatnonzero(keep[s])
+        index = s.start + kept
+        qf, m = frames[kept], grid[kept]
         if loop_gain is not None:
             m = m - loop_gain(index, qf)
         w = qf.mT @ m @ qf
-        ts.append(cfg.t0 + cfg.h * index)
+        ts.append(cfg.time(index))
         bs.append(w - skew_rule(w))
         qs.append(qf)
     return TriangularForm(
-        t=np.concatenate(ts), b=np.concatenate(bs), frames=np.concatenate(qs), config=cfg
+        t=np.concatenate(ts), b=np.concatenate(bs), frames=np.concatenate(qs)
     )
 
 
@@ -98,7 +97,8 @@ def triangularize(a, cfg: StepConfig):
     B = Qf^T A Qf - S and the frame at a decimated set of step
     boundaries; the strict lower triangle of B vanishes by construction.
     """
-    return _triangular_flow(a, cfg)
+    a = as_sampler(a)
+    return _triangular_flow(a, cfg, np.eye(a(np.array([cfg.t0])).shape[-1]))
 
 
 def triangularize_error_system(sys: LtvSystem, conf: ObserverConfig):
@@ -119,10 +119,10 @@ def triangularize_error_system(sys: LtvSystem, conf: ObserverConfig):
     c_fn = sys.c.bind()
 
     def loop_gain(index, frames):
-        c_val = c_fn(cfg.t0 + cfg.h * index)
+        c_val = c_fn(cfg.time(index))
         return gain_stack(c_val, frames[..., :k], conf.p) @ c_val
 
-    return _triangular_flow(sys.a, cfg, start, loop_gain)
+    return _triangular_flow(sys.a.bind(), cfg, start, loop_gain)
 
 
 @dataclass

@@ -97,8 +97,11 @@ class CascadeRun:
         n = self.sys.n
         self.observer.initial_frame(n)
         # frozen: the normalized arrays are set past the dataclass guard
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(n))
-        object.__setattr__(self, "xt0", np.asarray(self.xt0, dtype=float).reshape(n))
+        for name in ("x0", "xt0"):
+            value = np.asarray(getattr(self, name), dtype=float).reshape(n)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} has non-finite entries")
+            object.__setattr__(self, name, value)
         if self.feedback is not None:
             fb = np.asarray(self.feedback, dtype=float)
             if fb.shape != (self.sys.q, n):
@@ -182,7 +185,7 @@ def _matvec(m, v):
     return (m @ v[..., None])[..., 0]
 
 
-def _simulate(run, track, eta, record_gain, record_eydot):
+def _simulate(run, track, eta, record_eydot):
     """RK4 integration of plant and observer copy along a frame track.
 
     Returns time grid and per-sample records.  ``eta`` is the (N+1, r)
@@ -205,14 +208,11 @@ def _simulate(run, track, eta, record_gain, record_eydot):
     z_rec[0, n:] = run.xt0
     x_rec, xt_rec = z_rec[:, :n], z_rec[:, n:]
     ey_rec = np.empty((n_steps + 1, r))
-    l_rec = np.empty((n_steps + 1, n, r)) if record_gain else None
     eyd_rec = np.empty((n_steps + 1, r)) if record_eydot else None
 
     def record(lo, hi, times, a_val, c_val, l_val):
         x, xt = x_rec[lo:hi], xt_rec[lo:hi]
         ey_rec[lo:hi] = (_matvec(c_val, x) + eta[lo:hi]) - _matvec(c_val, xt)
-        if record_gain:
-            l_rec[lo:hi] = l_val
         if record_eydot:
             e = x - xt
             de = _matvec(a_val - l_val @ c_val, e) + _matvec(d_fn(times), w_fn(times))
@@ -258,7 +258,7 @@ def _simulate(run, track, eta, record_gain, record_eydot):
         size = count + (hi == n_steps)
         record(lo, lo + size, t_g[:size], *(g[:size] for g in grid))
     x_rec, xt_rec = x_rec.copy(), xt_rec.copy()
-    return t_grid, x_rec, xt_rec, ey_rec, l_rec, eyd_rec
+    return t_grid, x_rec, xt_rec, ey_rec, eyd_rec
 
 
 def _measurement_noise(run, n_samples):
@@ -292,9 +292,7 @@ def run_cascade(run: CascadeRun) -> CascadeResult:
 
     eta = _measurement_noise(run, step.n_steps + 1)
     oracle = run.oracle_derivatives
-    t_grid, x_rec, xt_rec, ey_rec, l_rec, eyd_rec = _simulate(
-        run, track, eta, record_gain=True, record_eydot=oracle
-    )
+    t_grid, x_rec, xt_rec, ey_rec, eyd_rec = _simulate(run, track, eta, record_eydot=oracle)
 
     filtered = run.sigma > 0.0
     if oracle:
@@ -327,14 +325,15 @@ def run_cascade(run: CascadeRun) -> CascadeResult:
             t_f = settled_time + run.dwell
 
     sampler = ErrorStackSampler(sys)
+    c_fn = sys.c.bind()
     xhat = np.empty_like(xt_rec)
     min_eig_h = np.inf
     for lo in range(0, t_grid.size, CHUNK_STEPS):
-        hi = min(lo + CHUNK_STEPS, t_grid.size)
-        e_tilde, eig_h = sampler.reconstruct_stack(
-            t_grid[lo:hi], l_rec[lo:hi], stack[lo:hi]
-        )
-        xhat[lo:hi] = xt_rec[lo:hi] + e_tilde
+        index = slice(lo, min(lo + CHUNK_STEPS, t_grid.size))
+        t = t_grid[index]
+        gains = track.gains(c_fn(t), conf.p, index)
+        e_tilde, eig_h = sampler.reconstruct_stack(t, gains, stack[index])
+        xhat[index] = xt_rec[index] + e_tilde
         min_eig_h = min(min_eig_h, float(eig_h.min()))
 
     e_norm_tso = np.linalg.norm(x_rec - xt_rec, axis=1)
@@ -390,9 +389,7 @@ def run_tso(run: CascadeRun) -> CascadeResult:
     track = frame_track(sys, conf)
     _check_preconditions(run, track, need_stack=False)
     eta = _measurement_noise(run, conf.step.n_steps + 1)
-    t_grid, x_rec, xt_rec, ey_rec, _, _ = _simulate(
-        run, track, eta, record_gain=False, record_eydot=False
-    )
+    t_grid, x_rec, xt_rec, ey_rec, _ = _simulate(run, track, eta, record_eydot=False)
     e_norm_tso = np.linalg.norm(x_rec - xt_rec, axis=1)
     return CascadeResult(
         t=t_grid,

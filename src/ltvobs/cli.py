@@ -714,15 +714,16 @@ def main(argv=None):
         scen = _resolve_scenario(args.scenario)
         os.makedirs(args.out, exist_ok=True)
         return args.handler(scen, args, args.out)
+    # LinAlgError is a ValueError, so the numerical clause comes first
+    except (NumericalError, np.linalg.LinAlgError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
     except (ScenarioError, ExprError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except StepPreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (NumericalError, np.linalg.LinAlgError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -383,13 +383,17 @@ def parse(text):
 
     An :class:`Expr` is returned as is and a number becomes a :class:`Num`.
     Raises :class:`ExprError` (with ``position`` set) on malformed input or
-    identifiers outside the grammar.
+    identifiers outside the grammar, and without it on nesting too deep
+    for the parser's recursion.
     """
     if isinstance(text, Expr):
         return text
     if not isinstance(text, str):
         return Num(text)
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ExprError("expression is nested too deeply to parse") from None
 
 
 # ---------------------------------------------------------------------------
@@ -535,22 +539,31 @@ class MatrixExpr:
 
         Each non-constant entry becomes one line of generated source that
         evaluates it on the whole time array with numpy ufuncs; the closure
-        is built once per matrix.  A non-finite value raises
+        is built once per matrix.  An entry too deep for Python to compile
+        raises :class:`ExprError` naming it, and a non-finite value
         :class:`NumericalError` naming the first offending time and entry.
         """
         if self._fn is not None:
             return self._fn
         base = np.zeros(self.shape)
-        lines = ["def _f(t, out):"]
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                if isinstance(e, Num):
-                    base[i, j] = e.value
-                else:
-                    lines.append(f"    out[:, {i}, {j}] = {_pysrc(e)}")
-        lines.append("    return out")
-        ns = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
-        exec("\n".join(lines), ns)  # controlled codegen from our own AST
+        lines, cells = ["def _f(t, out):"], [None]
+        try:
+            for i, row in enumerate(self.entries):
+                for j, e in enumerate(row):
+                    if isinstance(e, Num):
+                        base[i, j] = e.value
+                    else:
+                        cells.append((i, j))
+                        lines.append(f"    out[:, {i}, {j}] = {_pysrc(e)}")
+            lines.append("    return out")
+            ns = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
+            exec("\n".join(lines), ns)  # controlled codegen from our own AST
+        except (SyntaxError, RecursionError) as exc:
+            # a RecursionError comes from _pysrc: Python refuses 200 nested
+            # parentheses before its compiler recurses that deep
+            i, j = cells[exc.lineno - 1] if isinstance(exc, SyntaxError) else cells[-1]
+            where = f"entry ({i},{j}) of a {self.rows}x{self.cols} matrix"
+            raise ExprError(f"{where} is nested too deeply to compile") from None
         raw = ns["_f"]
 
         def fn(times, _raw=raw, _base=base):

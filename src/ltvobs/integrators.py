@@ -7,33 +7,31 @@ The frame flow follows an orthonormal n-by-k matrix along
 whose solution is exactly the Q factor of ``Phi(t, t0) Q0`` with
 ``Phi`` the transition matrix of ``dx/dt = A x``.  :func:`frame_flow`
 therefore runs the discrete QR method (Dieci, Russell & Van Vleck, SIAM
-J. Numer. Anal. 1997): per chunk of steps it folds every step's RK4
-stages into a propagator ``Phi_i`` with stacked products
+J. Numer. Anal. 1997) and owns the walk over the grid: per chunk of steps
+it samples A at the grid points and step midpoints, folds every step's
+RK4 stages into a propagator ``Phi_i`` with stacked products
 (:func:`rk4_propagators`) and applies ``X <- Phi_i X`` in a tight loop of
 ``np.dot`` calls, re-anchoring at the end of every block of steps whose
 propagators can grow X by at most about e^4.  Only what the next
 block starts from is done in sequence: the Householder QR of the block's
 last matrix alone.  The checks, the frames and the diagonals of R of
 every step of the chunk then come from one batched Householder QR.  Both
-go through :func:`~ltvobs.linalg.householder_qr`, which returns Q and
-diag R and builds no R matrix.  The diagonal of each step's R factor
-gives the log growth of every direction, a second exponent estimate next
-to the diag(Q^T A Q) average.
+go through :func:`~ltvobs.linalg.householder_qr`, which returns Q with
+diag R >= 0 and |diag R|, and builds no R matrix.  The diagonal of each
+step's R factor gives the log growth of every direction, a second
+exponent estimate next to the diag(Q^T A Q) average.
 
 :func:`projected_rk4_step` is the continuous form of the same flow, one
 projected RK4 step at a time; no program path steps it, and it stays as
-the per-step reference of the tests.  :func:`system_stages` is the stage
-source of the flow under a system matrix A(t).
+the per-step reference of the tests.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 from .linalg import householder_qr, mgs_qr
-from .system import as_sampler
 
 __all__ = [
     "StepConfig",
@@ -41,7 +39,6 @@ __all__ = [
     "skew_rule",
     "projected_rk4_step",
     "rk4_propagators",
-    "system_stages",
     "frame_flow",
     "joint_rk4_step",
 ]
@@ -104,22 +101,14 @@ def rk4_step(f, t, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-@functools.lru_cache(maxsize=32)
-def _strict_lower_mask(k):
-    mask = np.tri(k, k, -1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
 def skew_rule(w):
     """Skew stabilizer of the frame flow.
 
     Copies the strict lower triangle of ``W = Q^T A Q`` and mirrors it
     with opposite sign; the diagonal is zero.  ``w`` may be a stack
-    ``(..., k, k)``.  The mask is cached per size; ``np.where`` with it
-    gives bit for bit ``np.tril(w, -1)``.
+    ``(..., k, k)``.
     """
-    lower = np.where(_strict_lower_mask(w.shape[-1]), w, 0.0)
+    lower = np.tril(w, -1)
     return lower - lower.mT
 
 
@@ -160,31 +149,6 @@ def projected_rk4_step(t, q, h, a_stages):
     return qn
 
 
-def system_stages(a, cfg):
-    """Stage source of the frame flow under a system matrix ``A(t)``.
-
-    ``a`` is a :class:`~ltvobs.expr.MatrixExpr` or anything else
-    :func:`~ltvobs.system.as_sampler` takes, such as a callable
-    ``t -> (n, n)``; it is evaluated per chunk on the chunk's time arrays.
-    Returns ``(n, stages)``; ``stages(lo, hi)`` gives, for grid steps
-    ``lo .. hi - 1``, the matrices at grid points ``lo .. hi`` (T + 1, n, n)
-    and the stage stacks ``(A(t), A(t + h/2), A(t + h))`` of
-    :func:`frame_flow`.
-    """
-    h = cfg.h
-    a_fn = as_sampler(a)
-    shape = a_fn(np.array([cfg.t0])).shape[1:]
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"system matrix must be square, got {shape}")
-
-    def stages(lo, hi):
-        t = cfg.t0 + h * np.arange(lo, hi + 1)
-        grid = a_fn(t)
-        return grid, (grid[:-1], a_fn(t[:-1] + 0.5 * h), grid[1:])
-
-    return shape[0], stages
-
-
 def rk4_propagators(m, h, b=None):
     """Fold the RK4 stages of ``dz/dt = M_s z + b_s`` into per-step maps.
 
@@ -215,49 +179,57 @@ def rk4_propagators(m, h, b=None):
     return phi, (h / 6.0) * c_sum
 
 
-def frame_flow(stages, q, cfg):
+def frame_flow(a, q, cfg):
     """Step the frame ``q`` over the grid of ``cfg`` by the discrete QR method.
 
-    ``stages(lo, hi)`` returns the matrices at grid points ``lo .. hi``
-    (T + 1, n, n), which the caller records with, and the stage stacks
-    ``(A(t), A(t + h/2), A(t + h))`` of steps ``lo .. hi - 1``, each
-    (T, n, n), as :func:`system_stages` builds them.  A chunk holds at most
+    ``a`` evaluates the system matrix, ``times (T,) -> (T, n, n)``, as
+    :func:`~ltvobs.system.as_sampler` returns it.  A chunk holds at most
     ``max(CHUNK_STEPS, 8192 // n**2)`` steps, so each stage stack keeps
-    about 8192 entries (64 KiB) whatever the dimension n.  Per chunk the
-    stages fold into propagators ``Phi_i`` (:func:`rk4_propagators`) and
-    ``X <- Phi_i X`` runs from the last frame, one ``np.dot`` per step, in
-    blocks of ``b`` steps.  ``b = floor(4 / (h max ||M||_1))`` over the
-    chunk's stage matrices, between 1 and T, bounds the norm of every
-    product of a block's propagators and of its inverse by about e^4, so
-    cond(X) stays below about e^8 (3e3) and the backward-stable Householder
-    QR keeps the frames at round-off.  In sequence, each block's last X is
-    factored alone, ``X = Q R`` with diag R >= 0, and the next block starts
-    from that Q; the chunk's last block end is left to the batch.  Then one
-    batched QR of all the chunk's X gives every frame and every diag R.
-    Both factorizations are :func:`~ltvobs.linalg.householder_qr`, the
-    LAPACK kernels of ``np.linalg.qr`` without forming R; a matrix
-    factored alone gives the same bits as in the batch, so each block
-    starts from exactly the frame recorded at its start.
+    about 8192 entries (64 KiB) whatever the dimension n.  For its steps
+    ``lo .. hi - 1``, A is sampled at the grid points ``lo .. hi`` and the
+    step midpoints, and the stages ``(A(t), A(t + h/2), A(t + h))`` fold
+    into propagators ``Phi_i`` (:func:`rk4_propagators`).  ``X <- Phi_i X``
+    runs from the last frame, one ``np.dot`` per step, in blocks of ``b =
+    floor(4 / (h max ||M||_1))`` steps over the chunk's stage matrices,
+    between 1 and T.  This bounds the norm of every product of a block's
+    propagators and of its inverse by about e^4, so cond(X) stays below
+    about e^8 (3e3) and the backward-stable Householder QR keeps the frames
+    at round-off.  In sequence, each block's last X is factored alone,
+    ``X = Q R`` with diag R >= 0, and the next block starts from that Q;
+    the chunk's last block end is left to the batch.  Then one batched QR
+    of all the chunk's X gives every frame and every diag R.  Both
+    factorizations are :func:`~ltvobs.linalg.householder_qr`, the LAPACK
+    kernels of ``np.linalg.qr`` without forming R; a matrix factored alone
+    gives the same bits as in the batch, so each block starts from exactly
+    the frame recorded at its start.
 
-    Yields ``(lo, hi, grid, frames, log_r)`` per chunk: ``frames``
-    (T + 1, n, k) holds the frames at grid points ``lo .. hi`` and
-    ``log_r`` (T, k) each step's ``log diag R_i`` in
+    Yields ``(index, grid, frames, log_r)`` per chunk: ``index`` slices
+    the grid points ``0 .. hi`` for the first chunk and ``lo + 1 .. hi``
+    for every later one, so each point ``0 .. N`` comes once, in order;
+    ``grid`` and ``frames`` hold A (P, n, n) and the frame (P, n, k) at
+    those P points, and ``log_r`` (T, k) each step's ``log diag R_i`` in
     ``Q_{i+1} R_i = Phi_i Q_i``, the first step of a block from its own R
     and every other step as the difference from the step before.  Raises
-    :class:`NumericalError` naming the step time when a step turns
-    non-finite, or when a pivot ``|r_jj|`` is at or below 1e-8 times the
-    largest column norm of its matrix.  Of several failing blocks the first
-    raises, and within a block a non-finite step wins over a collapse; the
-    flow stops at the first non-finite block end, so no QR and no log sees
-    NaN or a zero pivot.
+    ``ValueError`` naming the shape when A is not n-by-n for the n rows of
+    ``q``.  Raises :class:`NumericalError` naming the step time when a step
+    turns non-finite, or when a pivot ``|r_jj|`` is at or below 1e-8 times
+    the largest column norm of its matrix.  Of several failing blocks the
+    first raises, and within a block a non-finite step wins over a
+    collapse; the flow stops at the first non-finite block end, so no QR
+    and no log sees NaN or a zero pivot.
     """
+    n = q.shape[0]
     n_steps = cfg.n_steps
     h = cfg.h
-    chunk = max(CHUNK_STEPS, 8192 // q.shape[0] ** 2)
+    chunk = max(CHUNK_STEPS, 8192 // n**2)
     for lo in range(0, n_steps, chunk):
         hi = min(lo + chunk, n_steps)
         count = hi - lo
-        grid, stacks = stages(lo, hi)
+        t = cfg.time(np.arange(lo, hi + 1))
+        grid = a(t)
+        if grid.shape[1:] != (n, n):
+            raise ValueError(f"system matrix must be {n}x{n}, got {grid.shape[1:]}")
+        stacks = (grid[:-1], a(t[:-1] + 0.5 * h), grid[1:])
         phi = rk4_propagators(stacks, h)
         growth = h * max(float(np.abs(s).sum(axis=-2).max()) for s in stacks)
         # a NaN growth keeps the whole chunk; the finite check names it
@@ -271,15 +243,13 @@ def frame_flow(stages, q, cfg):
                 x = np.dot(phi[j], x, out=frames[j + 1])
             if stop == count or not np.isfinite(x).all():
                 break
-            x, d = householder_qr(x)
-            x *= np.where(d < 0.0, -1.0, 1.0)
+            x, _ = householder_qr(x)
         raw = frames[1 : stop + 1]
         finite = np.isfinite(raw).all(axis=(1, 2))
         # the blocks before the one with the first non-finite step
         good = stop if finite.all() else int(np.argmin(finite)) // block * block
         x = raw[:good]
-        qx, d = householder_qr(x)
-        pivots = np.abs(d)
+        qx, pivots = householder_qr(x)
         scale = np.sqrt((x * x).sum(axis=1)).max(axis=1)
         collapse = (pivots <= 1e-8 * scale[:, None]).any(axis=1)
         if collapse.any():
@@ -290,12 +260,14 @@ def frame_flow(stages, q, cfg):
         if good < stop:
             bad = lo + int(np.argmin(finite))
             raise NumericalError(f"non-finite frame flow at t={cfg.time(bad)}")
-        np.multiply(qx, np.where(d < 0.0, -1.0, 1.0)[:, None, :], out=raw)
+        raw[...] = qx
         log_pivots = np.log(pivots)
         log_r = np.diff(log_pivots, axis=0, prepend=0.0)
         log_r[block::block] = log_pivots[block::block]
         q = frames[-1]
-        yield lo, hi, grid, frames, log_r
+        # grid point lo closed the chunk before
+        skip = 1 if lo else 0
+        yield slice(lo + skip, hi + 1), grid[skip:], frames[skip:], log_r
 
 
 def joint_rk4_step(rhs, t, states, h, project=()):

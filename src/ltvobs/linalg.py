@@ -2,9 +2,9 @@
 
 Two QR factorizations live here.  :func:`householder_qr` is LAPACK's
 Householder QR through the same gufuncs ``np.linalg.qr`` calls, for one
-matrix or a stack; it returns Q and only the diagonal of R, which is all
-:func:`~ltvobs.integrators.frame_flow`, the discrete QR method every QR
-flow runs, reads from a factorization.  :func:`mgs_qr` is a hand-written
+matrix or a stack; it returns Q with diag R >= 0 and only |diag R|, all
+that :func:`~ltvobs.integrators.frame_flow`, the discrete QR method every
+QR flow runs, reads from a factorization.  :func:`mgs_qr` is a hand-written
 modified Gram-Schmidt with two conventions that library QR routines do
 not guarantee: a nonnegative diagonal of R and a deterministic completion
 rule for (numerically) dependent columns.  ``lyapunov.start_frame`` and
@@ -44,14 +44,15 @@ def _raise_qr_error(err, flag):
 def householder_qr(x):
     """Householder QR of one matrix ``(n, k)`` or a stack ``(..., n, k)``.
 
-    Returns ``(q, d)``: the reduced Q factor ``(..., n, min(n, k))`` and
-    the diagonal of R ``(..., min(n, k))``, both exactly the bits of
-    ``np.linalg.qr``, whose LAPACK gufuncs (``dgeqrf`` then ``dorgqr``)
-    run here on a float64 copy of ``x``; ``x`` itself is never written.
-    The diagonal is read off the factored copy, so no R matrix is built.
-    The gufuncs loop over a stack one matrix at a time, so a matrix
-    factored alone gives the same bits as inside a stack.  An invalid
-    argument in LAPACK raises ``LinAlgError``, as in ``np.linalg.qr``.
+    Returns ``(q, d)``: the reduced Q factor ``(..., n, min(n, k))``, its
+    columns flipped where diag R < 0 so that diag R >= 0, and ``|diag R|``
+    ``(..., min(n, k))``.  Up to that flip both are the bits of
+    ``np.linalg.qr``, whose LAPACK gufuncs (``dgeqrf`` then ``dorgqr``) run
+    here on a float64 copy of ``x``; ``x`` itself is never written.  The
+    diagonal is read off the factored copy, so no R matrix is built.  The
+    gufuncs loop over a stack one matrix at a time, so a matrix factored
+    alone gives the same bits as inside a stack.  An invalid argument in
+    LAPACK raises ``LinAlgError``, as in ``np.linalg.qr``.
     """
     a = np.array(x, dtype=np.float64)
     with np.errstate(
@@ -59,7 +60,9 @@ def householder_qr(x):
     ):
         tau = _umath_linalg.qr_r_raw(a, signature="d->d")
         q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
-    return q, a.diagonal(0, -2, -1)
+    diag = a.diagonal(0, -2, -1)
+    q *= np.where(diag < 0.0, -1.0, 1.0)[..., None, :]
+    return q, np.abs(diag)
 
 
 def mgs_qr(x):

@@ -11,13 +11,14 @@ the stronger integral condition from the tail mass of the epsilon-shifted
 diagonal.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .integrators import StepConfig, frame_flow, system_stages
+from .integrators import frame_flow
 from .linalg import mgs_qr
+from .system import as_sampler
 
 __all__ = [
     "start_frame",
@@ -48,8 +49,8 @@ TAIL_MASS_TOL = 0.05
 def start_frame(n, k, q0=None):
     """Starting frame of a width-k flow: ``q0`` orthonormalized.
 
-    ``q0`` must be n-by-k with independent columns; without it the frame
-    is the first k columns of the identity.
+    ``q0`` must be finite and n-by-k with independent columns; without it
+    the frame is the first k columns of the identity.
     """
     if q0 is None:
         if not 1 <= k <= n:
@@ -58,6 +59,8 @@ def start_frame(n, k, q0=None):
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != (n, k):
         raise ValueError(f"q0 must have shape ({n}, {k}), got {q0.shape}")
+    if not np.isfinite(q0).all():
+        raise ValueError("q0 has non-finite entries")
     q, r = mgs_qr(q0)
     if np.any(np.diag(r) <= 0.0):
         raise ValueError("q0 columns are linearly dependent")
@@ -102,7 +105,7 @@ def running_average(series, cfg):
     running = np.cumsum(np.concatenate([start, steps]), axis=0)
     integral = running[-1].copy()
     index = history_index(cfg)
-    t = cfg.t0 + cfg.h * index
+    t = cfg.time(index)
     return RunningAverage(
         integral=integral,
         mean=integral / cfg.horizon,
@@ -143,7 +146,6 @@ class SpectrumEstimate:
     history_lambda: np.ndarray
     history_b: np.ndarray
     max_orth_defect: float
-    config: StepConfig = field(repr=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.exponents) > 0):
@@ -174,15 +176,14 @@ def estimate_spectrum(a, k, cfg):
     -------
     SpectrumEstimate
     """
-    n, stages = system_stages(a, cfg)
+    a = as_sampler(a)
+    n = a(np.array([cfg.t0])).shape[-1]
     diag = np.empty((cfg.n_steps + 1, k))
     log_growth = np.zeros(k)
     max_defect = 0.0
-    for lo, hi, grid, frames, log_r in frame_flow(stages, start_frame(n, k), cfg):
+    for index, grid, frames, log_r in frame_flow(a, start_frame(n, k), cfg):
         log_growth += log_r.sum(axis=0)
-        first = 1 if lo else 0  # grid point lo closed the previous chunk
-        b, defect = frame_diagnostics(frames[first:], grid[first:])
-        diag[lo + first : hi + 1] = b
+        diag[index], defect = frame_diagnostics(frames, grid)
         max_defect = max(max_defect, float(defect.max()))
 
     avg = running_average(diag, cfg)
@@ -196,7 +197,6 @@ def estimate_spectrum(a, k, cfg):
         history_lambda=avg.history,
         history_b=diag[avg.index],
         max_orth_defect=max_defect,
-        config=cfg,
     )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepPreconditionError
-from .integrators import StepConfig, frame_flow, rk4_propagators, system_stages
+from .integrators import StepConfig, frame_flow, rk4_propagators
 from .linalg import householder_qr, mgs_qr, mgs_qr_stack
 from .lyapunov import NONSTABLE_BAND, frame_diagnostics, running_average, start_frame
 from .system import LtvSystem
@@ -132,11 +132,9 @@ class DetectabilityReport:
     ok: bool
     p: float
     min_ctcq_sigma: float
-    q_final: np.ndarray = field(repr=False)
     history_t: np.ndarray = field(repr=False)
     history_lambda: np.ndarray = field(repr=False)
     history_rbar: np.ndarray = field(repr=False)
-    config: StepConfig = field(repr=False)
 
     @property
     def failed_directions(self):
@@ -173,36 +171,24 @@ class FrameTrack:
 def frame_track(sys: LtvSystem, conf: ObserverConfig):
     """Step the frame over the grid of ``conf``.
 
-    The frame runs through :func:`ltvobs.integrators.frame_flow` with the
-    stage matrices from a grid evaluation of each chunk; the diagnostics
-    are computed per chunk on the stacked grid frames.
+    The frame runs through :func:`ltvobs.integrators.frame_flow`, which
+    samples A per chunk; each chunk's grid frames and their diagnostics are
+    stored at the grid points the chunk yields.
     """
-    c_grid = sys.c.bind()
+    c_fn = sys.c.bind()
     cfg = conf.step
     n, k = sys.n, conf.k
-    n_steps = cfg.n_steps
-    t = cfg.t0 + cfg.h * np.arange(n_steps + 1)
-    frames = np.empty((n_steps + 1, n, k))
-    b_diag = np.empty((n_steps + 1, k))
-    r_diag = np.empty((n_steps + 1, k))
-    gain_basis = np.empty((n_steps + 1, n, k))
-    sigma = np.empty(n_steps + 1)
-    defect = np.empty(n_steps + 1)
-
-    def diagnose(lo, hi, a_val):
-        q = frames[lo:hi]
-        b_diag[lo:hi], defect[lo:hi] = frame_diagnostics(q, a_val)
+    t = cfg.grid()
+    frames, gain_basis = np.empty((2, t.size, n, k))
+    b_diag, r_diag = np.empty((2, t.size, k))
+    sigma, defect = np.empty((2, t.size))
+    for s, grid, chunk, _ in frame_flow(sys.a.bind(), conf.initial_frame(n), cfg):
+        frames[s] = chunk
+        b_diag[s], defect[s] = frame_diagnostics(chunk, grid)
         # C^T C Q = Qt Rt with orthonormal Qt: both have the singular values of Rt
-        gain_basis[lo:hi], rt = _gain_basis_stack(c_grid(t[lo:hi]), q)
-        r_diag[lo:hi] = np.diagonal(rt, axis1=1, axis2=2)
-        sigma[lo:hi] = np.linalg.svd(rt, compute_uv=False)[:, -1]
-
-    _, stages = system_stages(sys.a, cfg)
-    frames[0] = conf.initial_frame(n)
-    diagnose(0, 1, sys.a.bind()(t[:1]))
-    for lo, hi, grid, chunk, _ in frame_flow(stages, frames[0], cfg):
-        frames[lo + 1 : hi + 1] = chunk[1:]
-        diagnose(lo + 1, hi + 1, grid[1:])
+        gain_basis[s], rt = _gain_basis_stack(c_fn(t[s]), chunk)
+        r_diag[s] = np.diagonal(rt, axis1=1, axis2=2)
+        sigma[s] = np.linalg.svd(rt, compute_uv=False)[:, -1]
     return FrameTrack(
         t=t,
         frames=frames,
@@ -236,8 +222,7 @@ def stage_gains(sys: LtvSystem, conf: ObserverConfig, track, lo, hi):
     a_g, a_m = a_fn(t_g), a_fn(t_m)
     c_g, c_m = c_fn(t_g), c_fn(t_m)
     phi = rk4_propagators((a_g[:-1], a_fn(t_g[:-1] + 0.25 * h), a_m), 0.5 * h)
-    q_m, d = householder_qr(phi @ track.frames[lo:hi])
-    q_m *= np.where(d < 0.0, -1.0, 1.0)[:, None, :]
+    q_m, _ = householder_qr(phi @ track.frames[lo:hi])
     l_g = track.gains(c_g, conf.p, slice(lo, hi + 1))
     return (a_g, c_g, l_g), (a_m, c_m, gain_stack(c_m, q_m, conf.p))
 
@@ -275,11 +260,9 @@ def detectability_report(conf: ObserverConfig, track: FrameTrack):
         ok=not any(d.nonstable and not d.detectable for d in directions),
         p=conf.p,
         min_ctcq_sigma=track.min_ctcq_sigma,
-        q_final=track.frames[-1],
         history_t=b_avg.t,
         history_lambda=b_avg.history,
         history_rbar=r_avg.history,
-        config=cfg,
     )
 
 

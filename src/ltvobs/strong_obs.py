@@ -340,7 +340,7 @@ def error_system_so_test(sys: LtvSystem, conf: ObserverConfig, times):
     times = np.atleast_1d(np.asarray(times, dtype=float))
     index = np.rint((times - cfg.t0) / cfg.h).astype(int)
     off = (index < 0) | (index > cfg.n_steps)
-    off |= np.abs(cfg.t0 + index * cfg.h - times) > 1e-9
+    off |= np.abs(cfg.time(index) - times) > 1e-9
     if off.any():
         raise ValueError(f"probe time {times[np.argmax(off)]} is off the step grid")
     track = frame_track(sys, conf)

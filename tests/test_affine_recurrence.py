@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import bench8_run
-from ltvobs.cascade import CascadeRun, _simulate, run_cascade
+from ltvobs.cascade import CascadeRun, run_cascade
 from ltvobs.hosm import run_bank
 from ltvobs.integrators import StepConfig, joint_rk4_step
 from ltvobs.linalg import orthogonal_projector_complement
@@ -178,10 +178,10 @@ def _check_against_reference(make):
         floor = 1e-9 if spec.oracle_derivatives else 0.0
         assert np.allclose(run.sup_state_error, ref["sup"], rtol=1e-6, atol=floor)
 
-    # the grid gains the batched path records for the reconstruction
+    # the grid gains the reconstruction reads off the track
     sys, conf = spec.sys, spec.observer
     track = frame_track(sys, conf)
-    gains = _simulate(spec, track, _noise(spec), True, False)[4]
+    gains = track.gains(sys.c.bind()(track.t), conf.p, slice(None))
     assert _rel(gains, ref["gains"]) <= 1e-10
 
     # the gains of the four RK4 stages, at t, t + h/2 twice and t + h

@@ -41,7 +41,6 @@ def test_triangular_form_rejects_subdiagonal_residue():
             t=np.array([0.0, 1.0]),
             b=b,
             frames=np.stack([np.eye(2)] * 2),
-            config=StepConfig(h=1.0, t0=0.0, t_end=1.0),
         )
 
 

@@ -158,7 +158,7 @@ def count_flows(monkeypatch):
     def counted(*args, **kwargs):
         flows.append(0)
         for chunk in flow_fn(*args, **kwargs):
-            flows[-1] += chunk[1] - chunk[0]
+            flows[-1] += len(chunk[3])  # one log_r row per step
             yield chunk
 
     for module in (bibs, lyapunov, observer):
@@ -355,6 +355,14 @@ def test_malformed_scenario_value_exits_2(tmp_path, capsys, monkeypatch, key, va
         ("spectrum", {"step.t_end": float("inf")}, [], "step: empty or non-finite horizon [0.0, inf]"),
         ("spectrum", {}, ["--horizon", "inf"], "non-finite horizon [0.0, inf]"),
         ("observe", {}, ["--horizon", "inf"], "non-finite horizon [0.0, inf]"),
+        # JSON's NaN literal is read as a float: refused at load, not
+        # after the flows run into it
+        *(
+            (command, {"x0": [float("nan"), -0.5]}, [], "x0 has non-finite entries")
+            for command in ("spectrum", "detect", "check-so", "observe", "reconstruct", "bibs")
+        ),
+        ("reconstruct", {"xt0": [0.0, float("inf")]}, [], "xt0 has non-finite entries"),
+        ("detect", {"observer.q0": [[float("nan")], [1.0]]}, [], "q0 has non-finite entries"),
     ],
 )
 def test_every_command_checks_the_whole_run(
@@ -402,6 +410,39 @@ def test_singular_error_stack_exits_4(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["reconstruct", "--scenario", scen, "--out", out]) == 4
     assert "not positive definite at t=0.005" in capsys.readouterr().err
+
+
+def test_lapack_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # LinAlgError is a ValueError, but it is a numerical failure, not a bad
+    # scenario
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(observer, "frame_flow", failing)
+    scen = write_scenario(tmp_path, TOY)
+    assert main(["detect", "--scenario", scen, "--out", str(tmp_path)]) == 4
+    assert "error: SVD did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("(" * 2000 + "t" + ")" * 2000, "A[1][2]: expression is nested too deeply to parse"),
+        ("+".join(["t"] * 300), "entry (1,1) of a 2x2 matrix is nested too deeply to compile"),
+    ],
+    ids=["2000-parens", "300-term-sum"],
+)
+def test_over_deep_expression_exits_2(tmp_path, capsys, entry, message):
+    # the parser recurses per parenthesis and Python's compiler limits the
+    # nesting of the generated source; both are refused, not a traceback.
+    # The first matrix check-so compiles is the stack [C; C A + dC/dt],
+    # whose entry (1,1) holds A[1][2]
+    doc = copy.deepcopy(TOY)
+    doc["a"][0][1] = entry
+    scen = write_scenario(tmp_path, doc)
+    argv = ["check-so", "--scenario", scen, "--out", str(tmp_path), "--horizon", "1"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_bibs_open_and_closed_loop(tmp_path, capsys):

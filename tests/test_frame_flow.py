@@ -16,7 +16,9 @@ stepped by ``np.matmul`` and re-orthonormalized by its own batched
 ``np.linalg.qr`` before the next one starts.  ``frame_flow`` steps by
 ``np.dot``, factors only the block ends in sequence and the whole chunk in
 one batch, through ``householder_qr`` on the same LAPACK kernels, which
-does the same arithmetic, so the two agree bit for bit.
+does the same arithmetic, so the two agree bit for bit.  Both sample A
+themselves, at the grid points and step midpoints of each chunk, and
+yield each grid point once.
 """
 
 from dataclasses import replace
@@ -27,17 +29,11 @@ import pytest
 from ltvobs.bibs import triangularize, triangularize_error_system
 from ltvobs.cli import load_scenario
 from ltvobs.errors import NumericalError
-from ltvobs.integrators import (
-    CHUNK_STEPS,
-    StepConfig,
-    frame_flow,
-    rk4_propagators,
-    system_stages,
-)
+from ltvobs.integrators import CHUNK_STEPS, StepConfig, frame_flow, rk4_propagators
 from ltvobs.linalg import householder_qr, mgs_qr
 from ltvobs.lyapunov import estimate_spectrum, start_frame
 from ltvobs.observer import _gain_basis, detectability_report, frame_track
-from ltvobs.system import as_matrix_expr
+from ltvobs.system import as_matrix_expr, as_sampler
 from conftest import bench8_run, discrete_qr_step, rk4_propagator, rk4_stage_times
 from test_cli import TOY, write_scenario
 
@@ -111,18 +107,20 @@ def _chunk_steps(n):
     return max(CHUNK_STEPS, 8192 // n**2)
 
 
-def blocked_flow(stages, q, cfg):
+def blocked_flow(a, q, cfg):
     """The chunked loop with one batched QR per block, run block by block.
 
-    Yields what :func:`frame_flow` yields, from the same stages, chunk and
-    block rules and propagators.
+    Yields what :func:`frame_flow` yields, from the same evaluator ``a``,
+    samples, chunk and block rules and propagators.
     """
     h = cfg.h
     chunk = _chunk_steps(q.shape[0])
     for lo in range(0, cfg.n_steps, chunk):
         hi = min(lo + chunk, cfg.n_steps)
         count = hi - lo
-        grid, stacks = stages(lo, hi)
+        t = cfg.time(np.arange(lo, hi + 1))
+        grid = a(t)
+        stacks = (grid[:-1], a(t[:-1] + 0.5 * h), grid[1:])
         phi = rk4_propagators(stacks, h)
         growth = h * max(float(np.abs(s).sum(axis=-2).max()) for s in stacks)
         block = max(1, int(4.0 / growth)) if growth * count > 4.0 else count
@@ -152,7 +150,9 @@ def blocked_flow(stages, q, cfg):
             np.multiply(qx, np.where(d < 0.0, -1.0, 1.0)[:, None, :], out=x)
             log_r[start:stop] = np.diff(np.log(pivots), axis=0, prepend=0.0)
         q = frames[-1]
-        yield lo, hi, grid, frames, log_r
+        # grid point lo closed the chunk before
+        skip = 1 if lo else 0
+        yield slice(lo + skip, hi + 1), grid[skip:], frames[skip:], log_r
 
 
 def _loop_matrices(sys, conf, t, frames):
@@ -317,10 +317,9 @@ def test_blocked_driver_matches_per_step_discrete_qr(name):
     growth = cfg.h * np.abs(stage_mats).sum(axis=1).max()
     steps = _chunk_steps(q.shape[0]) * growth
     assert steps > 4.0 if name == "spread4" else steps <= 4.0
-    _, stages = system_stages(a, cfg)
-    chunks = list(frame_flow(stages, q, cfg))
-    frames = np.concatenate([q[None]] + [c[3][1:] for c in chunks])
-    log_r = np.concatenate([c[4] for c in chunks])
+    chunks = list(frame_flow(a.bind(), q, cfg))
+    frames = np.concatenate([c[2] for c in chunks])
+    log_r = np.concatenate([c[3] for c in chunks])
     ref_frames, ref_log_r = discrete_flow(a, q, cfg)
     assert _rel(frames, ref_frames) <= 1e-10
     assert _rel(log_r, ref_log_r) <= 1e-10
@@ -339,10 +338,9 @@ def test_growth_budget_keeps_frames_at_round_off(a):
     # start frame is off the invariant subspaces, so every frame turns
     cfg = StepConfig(h=0.01, t0=0.0, t_end=30.0)
     q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal(a.shape))
-    _, stages = system_stages(lambda t: a, cfg)
-    chunks = list(frame_flow(stages, q, cfg))
-    frames = np.concatenate([q[None]] + [c[3][1:] for c in chunks])
-    log_r = np.concatenate([c[4] for c in chunks])
+    chunks = list(frame_flow(as_sampler(lambda t: a), q, cfg))
+    frames = np.concatenate([c[2] for c in chunks])
+    log_r = np.concatenate([c[3] for c in chunks])
     ref_frames, ref_log_r = discrete_flow(as_matrix_expr(a.tolist()), q, cfg)
     assert _rel(frames, ref_frames) <= 1e-10
     assert _rel(log_r, ref_log_r) <= 1e-10
@@ -355,9 +353,12 @@ def test_chunk_length_follows_system_dimension(n, k, steps):
     # about 8192 matrix entries per stage stack, never under CHUNK_STEPS;
     # the frame width k does not enter
     cfg = StepConfig(h=0.01, t0=0.0, t_end=50.0)
-    _, stages = system_stages(lambda t: -0.1 * np.eye(n), cfg)
-    spans = [(lo, hi) for lo, hi, *_ in frame_flow(stages, np.eye(n, k), cfg)]
-    assert spans == [(lo, min(lo + steps, 5000)) for lo in range(0, 5000, steps)]
+    chunks = list(frame_flow(as_sampler(lambda t: -0.1 * np.eye(n)), np.eye(n, k), cfg))
+    starts = range(0, 5000, steps)
+    assert [len(log_r) for *_, log_r in chunks] == [min(steps, 5000 - lo) for lo in starts]
+    # each chunk yields the grid points past its first, the first chunk all
+    spans = [(index.start, index.stop) for index, *_ in chunks]
+    assert spans == [(lo + 1 if lo else 0, min(lo + steps, 5000) + 1) for lo in starts]
 
 
 def _gate1_systems():
@@ -371,27 +372,28 @@ def _gate1_systems():
 
 
 def _differential_cases(name):
-    """(A, grid, start frame) per flow of a named case."""
+    """(A evaluator, grid, start frame) per flow of a named case."""
     if name == "spread4":
-        return [(_spread4(), StepConfig(h=0.05, t0=0.0, t_end=100.0), np.eye(3))]
+        return [(_spread4().bind(), StepConfig(h=0.05, t0=0.0, t_end=100.0), np.eye(3))]
     if name == "gate1":
         cfg = StepConfig(h=0.05, t0=0.0, t_end=100.0)
-        return [(lambda t, a=a: a, cfg, np.eye(len(a))) for a in _gate1_systems()]
+        return [
+            (as_sampler(lambda t, a=a: a), cfg, np.eye(len(a))) for a in _gate1_systems()
+        ]
     run = bench8_run(3.0)
-    return [(run.sys.a, run.observer.step, start_frame(run.sys.n, 3))]
+    return [(run.sys.a.bind(), run.observer.step, start_frame(run.sys.n, 3))]
 
 
 @pytest.mark.parametrize("name", ["spread4", "gate1", "bench8"])
 def test_frame_flow_equals_block_by_block_loop(name):
     # the same arithmetic in another order of calls: equal to the bit
     for a, cfg, q in _differential_cases(name):
-        _, stages = system_stages(a, cfg)
-        chunks = zip(frame_flow(stages, q, cfg), blocked_flow(stages, q, cfg), strict=True)
-        for (lo, hi, grid, frames, log_r), ref in chunks:
-            assert (lo, hi) == ref[:2]
-            assert np.array_equal(grid, ref[2])
-            assert np.array_equal(frames, ref[3])
-            assert np.array_equal(log_r, ref[4])
+        chunks = zip(frame_flow(a, q, cfg), blocked_flow(a, q, cfg), strict=True)
+        for (index, grid, frames, log_r), ref in chunks:
+            assert index == ref[0]
+            assert np.array_equal(grid, ref[1])
+            assert np.array_equal(frames, ref[2])
+            assert np.array_equal(log_r, ref[3])
 
 
 def _record_qr(monkeypatch):
@@ -421,9 +423,8 @@ def test_frame_flow_factors_block_ends_alone_and_each_chunk_once(monkeypatch):
     # per chunk one batched QR of all its steps, and one QR of each block
     # end but the last
     a, cfg, q = _differential_cases("spread4")[0]
-    _, stages = system_stages(a, cfg)
     calls, library_calls = _record_qr(monkeypatch)
-    list(frame_flow(stages, q, cfg))
+    list(frame_flow(a, q, cfg))
     expected = []
     for lo in range(0, cfg.n_steps, 910):
         count = min(910, cfg.n_steps - lo)
@@ -453,14 +454,13 @@ def test_frame_flow_error_order_across_blocks(monkeypatch, q, message):
     # block ends are factored up to the NaN one and the batch stops before
     # its block, so no QR sees NaN
     cfg = StepConfig(h=0.05, t0=0.0, t_end=10.0)
-    _, stages = system_stages(lambda t: _ROTATE, cfg)
+    # the midpoint time of step 104, with the bits both flows compute
+    t_nan = cfg.time(104) + 0.5 * cfg.h
 
-    def poisoned(lo, hi):
-        grid, (a1, a2, a4) = stages(lo, hi)
-        if lo <= 104 < hi:
-            a2 = a2.copy()
-            a2[104 - lo] = np.nan
-        return grid, (a1, a2, a4)
+    def poisoned(times):
+        a = np.repeat(_ROTATE[None], len(times), axis=0)
+        a[times == t_nan] = np.nan
+        return a
 
     with pytest.raises(NumericalError, match=message):
         list(blocked_flow(poisoned, q, cfg))
@@ -478,18 +478,46 @@ def test_frame_flow_names_time_of_non_finite_stage():
         return np.full((2, 2), np.nan) if t > 1.26 else np.array([[0.0, 1.0], [-1.0, 0.0]])
 
     cfg = StepConfig(h=0.125, t0=0.0, t_end=2.0)
-    _, stages = system_stages(a, cfg)
     with pytest.raises(NumericalError, match=r"non-finite frame flow at t=1\.25$"):
-        list(frame_flow(stages, np.eye(2, 1), cfg))
+        list(frame_flow(as_sampler(a), np.eye(2, 1), cfg))
 
 
 def test_frame_flow_reports_rank_collapse_with_step_time():
     # with A = 0 the frame does not move, so dependent columns stay dependent
     cfg = StepConfig(h=0.125, t0=0.25, t_end=1.0)
-    _, stages = system_stages(lambda t: np.zeros((3, 3)), cfg)
     q = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(NumericalError, match=r"rank collapse at t=0\.25:"):
-        list(frame_flow(stages, q, cfg))
+        list(frame_flow(as_sampler(lambda t: np.zeros((3, 3))), q, cfg))
+
+
+@pytest.mark.parametrize(
+    "n, cfg",
+    [(3, StepConfig(h=0.05, t0=0.5, t_end=2.0)), (2, StepConfig(h=0.01, t0=0.0, t_end=50.0))],
+    ids=["one-chunk", "multi-chunk"],
+)
+def test_frame_flow_yields_each_grid_point_once(n, cfg):
+    # disjoint slices in order over 0..N, A sampled at exactly those times
+    a = as_matrix_expr([[f"sin({i + 1}*t) + {j}" for j in range(n)] for i in range(n)])
+    a = a.bind()
+    chunks = list(frame_flow(a, np.eye(n, 1), cfg))
+    assert len(chunks) == (1 if n == 3 else 3)
+    points = np.concatenate([np.arange(cfg.n_steps + 1)[index] for index, *_ in chunks])
+    assert np.array_equal(points, np.arange(cfg.n_steps + 1))
+    assert sum(len(log_r) for *_, log_r in chunks) == cfg.n_steps
+    for index, grid, frames, log_r in chunks:
+        assert index.step is None
+        assert np.array_equal(grid, a(cfg.grid()[index]))
+        assert len(frames) == len(grid)
+
+
+@pytest.mark.parametrize(
+    "a, shape", [(np.ones((3, 2)), r"\(3, 2\)"), (np.eye(2), r"\(2, 2\)")], ids=["3x2", "2x2"]
+)
+def test_frame_flow_refuses_a_matrix_of_the_wrong_shape(a, shape):
+    # A must be n x n for the n rows of the frame
+    cfg = StepConfig(h=0.1, t0=0.0, t_end=1.0)
+    with pytest.raises(ValueError, match=rf"system matrix must be 3x3, got {shape}"):
+        list(frame_flow(as_sampler(lambda t: a), np.eye(3, 1), cfg))
 
 
 @pytest.mark.parametrize("name", ["bench8", "gate1"])

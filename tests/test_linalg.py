@@ -69,8 +69,10 @@ def test_mgs_stack_is_mgs_per_matrix(rng):
 
 
 def _library_qr(x):
+    """``np.linalg.qr`` with Q's columns flipped where diag R < 0, and |diag R|."""
     q, r = np.linalg.qr(x)
-    return q, np.diagonal(r, axis1=-2, axis2=-1)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.where(d < 0.0, -1.0, 1.0)[..., None, :], np.abs(d)
 
 
 def test_householder_qr_is_numpy_qr_bit_for_bit(rng):
@@ -84,12 +86,20 @@ def test_householder_qr_is_numpy_qr_bit_for_bit(rng):
         np.asfortranarray(rng.standard_normal((8, 3))),
         rng.standard_normal((7, 6))[::2, 1::2],  # a strided view
     ]
+    flipped = 0
     for x in cases:
         q, d = householder_qr(x)
         q_ref, d_ref = _library_qr(x)
         assert q.shape == q_ref.shape and d.shape == d_ref.shape
         assert np.array_equal(q, q_ref) and np.array_equal(d, d_ref)
+        assert (d >= 0.0).all()
+        flipped += int((np.diagonal(np.linalg.qr(x)[1]) < 0.0).sum())
+    # LAPACK's R has negative diagonals here, so the flip is exercised
+    assert flipped > 0
     assert householder_qr(zero_column)[1][1] == 0.0
+    # LAPACK leaves a 1x1 matrix as Q = 1, R = -3: the flip makes it -1, 3
+    q, d = householder_qr(np.array([[-3.0]]))
+    assert q[0, 0] == -1.0 and d[0] == 3.0
 
 
 def test_householder_qr_stack_is_each_matrix_alone(rng):

@@ -216,11 +216,9 @@ def _report_from(lams, rbars, p=1.0):
         ok=all(d.detectable or not d.nonstable for d in dirs),
         p=p,
         min_ctcq_sigma=1.0,
-        q_final=np.eye(len(dirs)),
         history_t=empty,
         history_lambda=empty,
         history_rbar=empty,
-        config=StepConfig(h=1.0, t0=0.0, t_end=1.0),
     )
 
 
