@@ -23,14 +23,20 @@ switches from raw e_y to the differentiator's filtered z_0 estimate.
 
 The gain depends only on C(t) and the observer frame, never on the
 states, so one :func:`ltvobs.observer.frame_track` serves the precondition
-checks and the simulation.  With the stage gains of an RK4 step fixed,
-plant and observer form the linear system dz/dt = M z + b in
-z = [x; x~], with
+checks and the simulation.  The run is stepped in the coordinates
+z = [x; e], e = x - x~, where plant and error are two decoupled n x n
+systems,
 
-    M = [[A - F K, 0], [L C - F K, A - L C]],   b = [F u + D w; F u + L eta],
+    dx/dt = (A - F K) x + F u + D w,      de/dt = (A - L C) e + D w - L eta,
 
-so the step is the affine map z -> Phi z + psi.  The maps are built per
-chunk of steps with stacked matrix products and applied in a tight loop;
+so e_y = C e + eta and ||e|| are read off the stepped error, never formed
+as a difference of two states.  RK4 is exact under a constant linear
+change of coordinates, so this is the joint plant/observer step up to
+round-off.  Per chunk of steps both systems are built once at the grid
+points and once at the step midpoints, and their RK4 stages fold into one
+affine map per step.  A step is stored as the augmented matrix
+[[Phi, psi], [0, 1]], Phi = blockdiag(Phi_x, Phi_e), and the state as the
+row [x, e, 1], so each step is one matrix-vector product in a tight loop;
 the reconstruction of the stacked error is batched per chunk the same way.
 """
 
@@ -108,6 +114,8 @@ class CascadeRun:
                 raise ValueError(
                     f"feedback must be {self.sys.q}x{n}, got {fb.shape}"
                 )
+            if not np.isfinite(fb).all():
+                raise ValueError("feedback has non-finite entries")
             object.__setattr__(self, "feedback", fb)
         if self.sigma < 0.0 or not np.isfinite(self.sigma):
             raise ValueError("noise level must be finite and non-negative")
@@ -186,11 +194,12 @@ def _matvec(m, v):
 
 
 def _simulate(run, track, eta, record_eydot):
-    """RK4 integration of plant and observer copy along a frame track.
+    """RK4 integration of the plant and the estimation error along a frame track.
 
-    Returns time grid and per-sample records.  ``eta`` is the (N+1, r)
-    additive measurement noise, held constant within each step.  Each
-    step's stages read the gains at the track's grid frames and at the
+    Returns the time grid and per-sample records of x, e = x - x~, e_y
+    and, with ``record_eydot``, the exact de_y/dt.  ``eta`` is the
+    (N+1, r) additive measurement noise, held constant within each step.
+    Each step's stages read the gains at the track's grid frames and at the
     discrete-QR midpoint frame of :func:`ltvobs.observer.stage_gains`.
     """
     sys, conf = run.sys, run.observer
@@ -203,71 +212,70 @@ def _simulate(run, track, eta, record_eydot):
 
     n_steps = track.t.size - 1
     t_grid = track.t
-    z_rec = np.empty((n_steps + 1, 2 * n))
-    z_rec[0, :n] = run.x0
-    z_rec[0, n:] = run.xt0
-    x_rec, xt_rec = z_rec[:, :n], z_rec[:, n:]
+    # row i is [x, e, 1] at grid point i, so one product takes a step
+    rec = np.empty((n_steps + 1, 2 * n + 1))
+    rec[0, :n] = run.x0
+    rec[0, n : 2 * n] = run.x0 - run.xt0
+    rec[0, 2 * n] = 1.0
+    x_rec, e_rec = rec[:, :n], rec[:, n : 2 * n]
     ey_rec = np.empty((n_steps + 1, r))
     eyd_rec = np.empty((n_steps + 1, r)) if record_eydot else None
 
-    def record(lo, hi, times, a_val, c_val, l_val):
-        x, xt = x_rec[lo:hi], xt_rec[lo:hi]
-        ey_rec[lo:hi] = (_matvec(c_val, x) + eta[lo:hi]) - _matvec(c_val, xt)
-        if record_eydot:
-            e = x - xt
-            de = _matvec(a_val - l_val @ c_val, e) + _matvec(d_fn(times), w_fn(times))
-            eyd_rec[lo:hi] = _matvec(cdot_fn(times), e) + _matvec(c_val, de)
+    def systems(times, a_val, c_val, l_val):
+        """(A - F K, A - L C) as (P, 2, n, n), (F u + D w, D w) as (P, 2, n)."""
+        f_val = f_fn(times)
+        m = np.empty((times.size, 2, n, n))
+        m[:, 0] = a_val - f_val @ fb if fb is not None else a_val
+        m[:, 1] = a_val - l_val @ c_val
+        b = np.empty((times.size, 2, n))
+        b[:, 1] = _matvec(d_fn(times), w_fn(times))
+        b[:, 0] = _matvec(f_val, u_fn(times)) + b[:, 1]
+        return m, b
 
-    def stages(grid_val, mid_val):
-        """Stage values (4T, ...) at t, t + h/2, t + h/2, t + h."""
-        return np.concatenate([grid_val[:-1], mid_val, mid_val, grid_val[1:]])
-
-    z = z_rec[0].copy()
+    step = np.zeros((min(CHUNK_STEPS, n_steps), 2 * n + 1, 2 * n + 1))
+    step[:, 2 * n, 2 * n] = 1.0
+    z = rec[0]
     for lo in range(0, n_steps, CHUNK_STEPS):
         hi = min(lo + CHUNK_STEPS, n_steps)
         count = hi - lo
         t_g = t_grid[lo : hi + 1]
-        t_m = t_g[:-1] + 0.5 * h
         grid, mid = stage_gains(sys, conf, track, lo, hi)
-        a_s, c_s, l_s = (stages(g, m) for g, m in zip(grid, mid))
-        f_s = stages(f_fn(t_g), f_fn(t_m))
-
-        lc = l_s @ c_s
-        fk = f_s @ fb if fb is not None else 0.0
-        m = np.empty((4 * count, 2 * n, 2 * n))
-        m[:, :n, :n] = a_s - fk
-        m[:, :n, n:] = 0.0
-        m[:, n:, :n] = lc - fk
-        m[:, n:, n:] = a_s - lc
-        drive = _matvec(f_s, stages(u_fn(t_g), u_fn(t_m)))
-        d_s = stages(d_fn(t_g), d_fn(t_m))
-        b = np.empty((4 * count, 2 * n))
-        b[:, :n] = drive + _matvec(d_s, stages(w_fn(t_g), w_fn(t_m)))
-        b[:, n:] = drive + _matvec(l_s, np.tile(eta[lo:hi], (4, 1)))
-        phi, psi = rk4_propagators(
-            m.reshape(4, count, 2 * n, 2 * n), h, b.reshape(4, count, 2 * n)
-        )
+        m_g, b_g = systems(t_g, *grid)
+        m_m, b_m = systems(t_g[:-1] + 0.5 * h, *mid)
+        # the noise of step j drives all four stages of the step
+        noise = eta[lo:hi]
+        b1, b4 = b_g[:-1].copy(), b_g[1:].copy()
+        b1[:, 1] -= _matvec(grid[2][:-1], noise)
+        b_m[:, 1] -= _matvec(mid[2], noise)
+        b4[:, 1] -= _matvec(grid[2][1:], noise)
+        phi, psi = rk4_propagators((m_g[:-1], m_m, m_g[1:]), h, (b1, b_m, b_m, b4))
+        step[:count, :n, :n] = phi[:, 0]
+        step[:count, n : 2 * n, n : 2 * n] = phi[:, 1]
+        step[:count, : 2 * n, 2 * n] = psi.reshape(count, 2 * n)
         for j in range(count):
-            z = np.dot(phi[j], z) + psi[j]
-            z_rec[lo + j + 1] = z
-        finite = np.all(np.isfinite(z_rec[lo + 1 : hi + 1]), axis=1)
+            z = np.dot(step[j], z, out=rec[lo + j + 1])
+        finite = np.all(np.isfinite(rec[lo + 1 : hi + 1]), axis=1)
         if not finite.all():
             bad = t_grid[lo + 1 + np.argmin(finite)]
             raise NumericalError(f"non-finite plant or observer state at t={bad}")
         # the last chunk also records the final sample
         size = count + (hi == n_steps)
-        record(lo, lo + size, t_g[:size], *(g[:size] for g in grid))
-    x_rec, xt_rec = x_rec.copy(), xt_rec.copy()
-    return t_grid, x_rec, xt_rec, ey_rec, eyd_rec
+        index = slice(lo, lo + size)
+        e = e_rec[index]
+        c_val = grid[1][:size]
+        ey_rec[index] = _matvec(c_val, e) + eta[index]
+        if record_eydot:
+            de = _matvec(m_g[:size, 1], e) + b_g[:size, 1]
+            eyd_rec[index] = _matvec(cdot_fn(t_g[:size]), e) + _matvec(c_val, de)
+    return t_grid, x_rec.copy(), e_rec.copy(), ey_rec, eyd_rec
 
 
 def _measurement_noise(run, n_samples):
-    """Seeded (n_samples, r) Gaussian noise; zeros when sigma is 0."""
+    """Seeded (n_samples, r) Gaussian noise; zeros, and no generator, when sigma is 0."""
+    if run.sigma == 0.0:
+        return np.zeros((n_samples, run.sys.r))
     rng = np.random.default_rng(run.noise_seed)
-    eta = np.zeros((n_samples, run.sys.r))
-    if run.sigma > 0.0:
-        eta += rng.normal(0.0, run.sigma, size=eta.shape)
-    return eta
+    return rng.normal(0.0, run.sigma, size=(n_samples, run.sys.r))
 
 
 def _auto_lipschitz(ey_rec, h, order):
@@ -282,7 +290,8 @@ def run_cascade(run: CascadeRun) -> CascadeResult:
 
     The corrected estimate satisfies xhat = x~ + e~ sample by sample,
     where e~ is the least-squares reconstruction of the estimation
-    error from the stacked output-error derivatives.
+    error from the stacked output-error derivatives.  Its error
+    x - xhat = e - e~ is formed from the stepped error e.
     """
     sys, conf = run.sys, run.observer
     step = conf.step
@@ -292,7 +301,7 @@ def run_cascade(run: CascadeRun) -> CascadeResult:
 
     eta = _measurement_noise(run, step.n_steps + 1)
     oracle = run.oracle_derivatives
-    t_grid, x_rec, xt_rec, ey_rec, eyd_rec = _simulate(run, track, eta, record_eydot=oracle)
+    t_grid, x_rec, e_rec, ey_rec, eyd_rec = _simulate(run, track, eta, record_eydot=oracle)
 
     filtered = run.sigma > 0.0
     if oracle:
@@ -326,22 +335,25 @@ def run_cascade(run: CascadeRun) -> CascadeResult:
 
     sampler = ErrorStackSampler(sys)
     c_fn = sys.c.bind()
-    xhat = np.empty_like(xt_rec)
+    e_tilde = np.empty_like(e_rec)
     min_eig_h = np.inf
     for lo in range(0, t_grid.size, CHUNK_STEPS):
         index = slice(lo, min(lo + CHUNK_STEPS, t_grid.size))
         t = t_grid[index]
         gains = track.gains(c_fn(t), conf.p, index)
-        e_tilde, eig_h = sampler.reconstruct_stack(t, gains, stack[index])
-        xhat[index] = xt_rec[index] + e_tilde
+        e_tilde[index], eig_h = sampler.reconstruct_stack(t, gains, stack[index])
         min_eig_h = min(min_eig_h, float(eig_h.min()))
+    xt_rec = x_rec - e_rec
+    xhat = xt_rec + e_tilde
+    # x - xhat = e - e~, formed without the round-off of x
+    miss = e_rec - e_tilde
 
-    e_norm_tso = np.linalg.norm(x_rec - xt_rec, axis=1)
-    e_norm_cascade = np.linalg.norm(x_rec - xhat, axis=1)
+    e_norm_tso = np.linalg.norm(e_rec, axis=1)
+    e_norm_cascade = np.linalg.norm(miss, axis=1)
     tail = None if t_f is None else t_grid >= t_f - 1e-12
     # JSON has no inf: with no sample at or after t_f the summary says null
     if tail is not None and tail.any():
-        sup_state_error = np.max(np.abs(x_rec - xhat)[tail], axis=0)
+        sup_state_error = np.max(np.abs(miss)[tail], axis=0)
         sup_after = [float(v) for v in sup_state_error]
     else:
         sup_state_error = np.full(n, np.inf)
@@ -389,8 +401,9 @@ def run_tso(run: CascadeRun) -> CascadeResult:
     track = frame_track(sys, conf)
     _check_preconditions(run, track, need_stack=False)
     eta = _measurement_noise(run, conf.step.n_steps + 1)
-    t_grid, x_rec, xt_rec, ey_rec, _ = _simulate(run, track, eta, record_eydot=False)
-    e_norm_tso = np.linalg.norm(x_rec - xt_rec, axis=1)
+    t_grid, x_rec, e_rec, ey_rec, _ = _simulate(run, track, eta, record_eydot=False)
+    xt_rec = x_rec - e_rec
+    e_norm_tso = np.linalg.norm(e_rec, axis=1)
     return CascadeResult(
         t=t_grid,
         x=x_rec,
@@ -401,7 +414,7 @@ def run_tso(run: CascadeRun) -> CascadeResult:
         e_norm_cascade=e_norm_tso,
         settled_time=None,
         t_f=None,
-        sup_state_error=np.max(np.abs(x_rec - xt_rec), axis=0),
+        sup_state_error=np.max(np.abs(e_rec), axis=0),
         summary={
             "sup_e_norm_tso": float(np.max(e_norm_tso)),
             "final_e_norm_tso": float(e_norm_tso[-1]),

@@ -119,21 +119,49 @@ def _parse_grid(raw, name, rows, cols):
             except ExprError as e:
                 raise ScenarioError(f"{name}[{i + 1}][{j + 1}]: {e}") from e
         parsed.append(tuple(out_row))
-    return MatrixExpr(tuple(parsed))
+    return _compile(MatrixExpr(tuple(parsed)), name)
 
 
 def _parse_vector_exprs(raw, name, length):
+    """Check a list of expression strings, parsed and compiled as a column."""
     if raw is None:
         return None
     if not isinstance(raw, list) or len(raw) != length:
         got = len(raw) if isinstance(raw, list) else "?"
         raise ScenarioError(f"{name} must have {length} entries, got {got}")
+    column = []
     for i, entry in enumerate(raw):
         try:
-            parse(entry)
+            column.append([parse(entry)])
         except ExprError as e:
             raise ScenarioError(f"{name}[{i + 1}]: {e}") from e
+    _compile(MatrixExpr(column), name, column=True)
     return list(raw)
+
+
+def _compile(matrix, name, column=False):
+    """``matrix`` bound, so that its closure is cached for every later call.
+
+    Every command evaluates the scenario's matrices, so a compile error is
+    raised here, as a ScenarioError naming the entry as the file does
+    (``name[i][j]``, or ``name[i]`` for a column), and not later for an
+    entry of a matrix derived from it.
+    """
+    try:
+        matrix.bind()
+    except ExprError as e:
+        # bind refuses the first entry in row-major order; find which
+        for i, row in enumerate(matrix.entries):
+            for j, entry in enumerate(row):
+                try:
+                    MatrixExpr([[entry]]).bind()
+                except ExprError:
+                    where = f"{name}[{i + 1}]" if column else f"{name}[{i + 1}][{j + 1}]"
+                    raise ScenarioError(
+                        f"{where}: expression is nested too deeply to compile"
+                    ) from e
+        raise
+    return matrix
 
 
 def _require(doc, key, kind, where="scenario"):
@@ -242,7 +270,7 @@ def load_scenario(path) -> Scenario:
         fb_expr = _parse_grid(doc["feedback"], "feedback", q, n)
         if not fb_expr.is_constant:
             raise ScenarioError("feedback must be a constant matrix")
-        feedback = fb_expr.bind()([0.0])[0]
+        feedback = np.array([[e.value for e in row] for row in fb_expr.entries])
 
     stp = _require(doc, "step", dict)
     step = _spec(
@@ -264,19 +292,23 @@ def load_scenario(path) -> Scenario:
         q0=None if q0 is None else _numbers(q0, "observer.q0"),
     )
     # the spec is built one section at a time, so that an error names its
-    # section; the differentiator and noise settings start at the defaults
-    # of CascadeRun, and only the keys a file gives replace them
+    # section or key: the observer from a zero state, then the states and
+    # the feedback; the differentiator and noise settings start at the
+    # defaults of CascadeRun, and only the keys a file gives replace them
     run = _spec(
         "observer",
         CascadeRun,
         sys=system,
         observer=observer,
-        x0=_float_vector(_require(doc, "x0", None), "x0", n),
-        xt0=_float_vector(_require(doc, "xt0", None), "xt0", n),
+        x0=np.zeros(n),
+        xt0=np.zeros(n),
         w=_parse_vector_exprs(doc.get("w"), "w", m),
         u=_parse_vector_exprs(doc.get("u"), "u", q),
-        feedback=feedback,
     )
+    for key in ("x0", "xt0"):
+        state = _float_vector(_require(doc, key, None), key, n)
+        run = _spec(key, replace, run, **{key: state})
+    run = _spec("feedback", replace, run, feedback=feedback)
 
     diff = _section(doc, "differentiator")
     if "lipschitz" in diff:

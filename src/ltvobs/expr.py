@@ -539,8 +539,10 @@ class MatrixExpr:
 
         Each non-constant entry becomes one line of generated source that
         evaluates it on the whole time array with numpy ufuncs; the closure
-        is built once per matrix.  An entry too deep for Python to compile
-        raises :class:`ExprError` naming it, and a non-finite value
+        is built once per matrix.  A matrix without a time-varying entry
+        whose entries are all finite evaluates to copies of itself, with no
+        per-call check.  An entry too deep for Python to compile raises
+        :class:`ExprError` naming it, and a non-finite value
         :class:`NumericalError` naming the first offending time and entry.
         """
         if self._fn is not None:
@@ -566,19 +568,27 @@ class MatrixExpr:
             raise ExprError(f"{where} is nested too deeply to compile") from None
         raw = ns["_f"]
 
-        def fn(times, _raw=raw, _base=base):
-            times = np.asarray(times, dtype=float)
-            out = np.repeat(_base[None], times.shape[0], axis=0)
-            with np.errstate(all="ignore"):
-                _raw(times, out)
-            bad = ~np.isfinite(out)
-            if bad.any():
-                k, i, j = np.argwhere(bad)[0]
-                raise NumericalError(
-                    f"entry ({i},{j}) evaluated non-finite at t={times[k]}: "
-                    f"{self.entries[i][j]}"
-                )
-            return out
+        if len(cells) == 1 and np.isfinite(base).all():
+            # no entry varies in time (cells holds only its placeholder):
+            # nothing to evaluate, nothing to check
+            def fn(times, _base=base):
+                return np.repeat(_base[None], len(times), axis=0)
+
+        else:
+
+            def fn(times, _raw=raw, _base=base):
+                times = np.asarray(times, dtype=float)
+                out = np.repeat(_base[None], times.shape[0], axis=0)
+                with np.errstate(all="ignore"):
+                    _raw(times, out)
+                bad = ~np.isfinite(out)
+                if bad.any():
+                    k, i, j = np.argwhere(bad)[0]
+                    raise NumericalError(
+                        f"entry ({i},{j}) evaluated non-finite at t={times[k]}: "
+                        f"{self.entries[i][j]}"
+                    )
+                return out
 
         self._fn = fn
         return fn

@@ -20,11 +20,13 @@ Euler.  The gain table lam_0..lam_5 covers orders up to 5; higher
 orders are rejected rather than guessed.
 
 The channels of a bank are independent, so :func:`run_bank` steps them
-one at a time, each as a list of order + 1 Python floats: on a few levels
-a float step is cheaper than numpy's per-call cost on a small array.  The
-rates and Taylor coefficients are computed once per call, and the stack,
-the residuals, the settle index and the divergence check are array work
-on the recorded states afterwards.
+one at a time on order + 1 Python floats: on a few levels a float step is
+cheaper than numpy's per-call cost on a small array.  The step is
+compiled once per call, for the bank's order and step, into generated
+source that unrolls it inside the loop over the samples, so a channel is
+one call; the rates are computed once per channel.  The stack, the
+residuals, the settle index and the divergence check are array work on
+the recorded states afterwards.
 """
 
 import math
@@ -79,57 +81,68 @@ def check_bank_settings(order, lipschitz, gains, channels):
     return np.broadcast_to(bound.reshape(-1), (channels,)).copy()
 
 
-def _step_coefficients(order, lipschitz, gains, h):
-    """The constants of :func:`_step_z` for per-channel bounds ``lipschitz``.
+def _neg_rates(order, lipschitz, gains):
+    """Per channel the order + 1 rates -gains[r-i] L^{1/(r-i+1)}, level by level.
 
-    Returns per channel the list of the order + 1 rates
-    -gains[r-i] L^{1/(r-i+1)}, taken with Python's float power as the steps
-    take theirs; the exponents of the levels below the top; and the Taylor
-    terms as ``(level, h^l / l!, level + l)`` for l >= 2, in level order.
+    ``lipschitz`` holds the per-channel bounds; the power is Python's float
+    ``**``, as the steps take theirs.
     """
     # distance of each level to the top
     depth = range(order, -1, -1)
-    neg_rates = [
+    return [
         [-(float(gains[d]) * bound ** (1.0 / (d + 1.0))) for d in depth]
         for bound in lipschitz.tolist()
     ]
-    powers = [d / (d + 1.0) for d in depth[:-1]]
-    taylor = [
-        (i, h**l / math.factorial(l), i + l)
-        for i in range(order - 1)
-        for l in range(2, order - i + 1)
-    ]
-    return neg_rates, powers, taylor
 
 
-def _step_z(z, f, neg_rates, powers, taylor, h):
-    """One properly discretized step of one channel, on Python floats.
+def _bank_loop(order, h):
+    """Compile the sample loop of one channel at ``order`` with step ``h``.
 
-    ``z`` is the list of the order + 1 levels and ``f`` the sample.
-    ``neg_rates[i]`` is the channel's -gains[r-i] L^{1/(r-i+1)},
-    ``powers[i]`` the exponent (r-i)/(r-i+1) of the levels below the top,
-    and ``taylor`` the terms of :func:`_step_coefficients`:
-    z_i <- (z_i + h v_i) + sum_l h^l / l! z_{i+l}.  The levels run in
-    order because each one injects against the one below it.  The top
-    level's sign is 0 at 0, and a NaN passes through every level, so a
-    diverging channel turns non-finite instead of raising.
+    Returns ``loop(samples, levels, neg_rates)``: from the order + 1
+    starting ``levels`` it takes one properly discretized step per sample
+    and returns the levels after every step, flattened into one list.
+    ``neg_rates[i]`` is the channel's -gains[r-i] L^{1/(r-i+1)}.  The
+    source is generated per order with the step unrolled:
+    z_i <- (z_i + h v_i) + (0.0 + sum_l h^l / l! z_{i+l}), the Taylor sum
+    taken in order of l and the constants written as exact float literals.
+    Level i injects against the level below it with the exponent
+    (r-i)/(r-i+1); the top level's sign is 0 at 0, and a NaN passes through
+    every level, so a diverging channel turns non-finite instead of
+    raising.
     """
-    # out[i] holds the level's Taylor sum until its new value replaces it
-    out = [0.0] * len(z)
-    for i, coef, j in taylor:
-        out[i] += coef * z[j]
-    v = f
-    i = 0
-    for power in powers:
-        z_i = z[i]
-        e = z_i - v
-        v = neg_rates[i] * math.copysign(abs(e) ** power, e) + z[i + 1]
-        out[i] = z_i + h * v + out[i]
-        i += 1
-    e = z[i] - v
-    rate = neg_rates[i]
-    out[i] = z[i] + h * (rate if e > 0.0 else -rate if e < 0.0 else rate * e)
-    return out
+    levels = range(order + 1)
+    z = ", ".join(f"z{i}" for i in levels)
+    lines = [
+        "def _loop(samples, levels, neg_rates, _copysign=copysign):",
+        f"    {z}, = levels",
+        f"    {', '.join(f'r{i}' for i in levels)}, = neg_rates",
+        "    states = []",
+        "    push = states.extend",
+        "    for f in samples:",
+    ]
+    for i in range(order):
+        d = order - i
+        taylor = "".join(
+            f" + {h**l / math.factorial(l)!r} * z{i + l}" for l in range(2, d + 1)
+        )
+        # the signal level injects against the sample, every other level
+        # against the injection of the level below
+        lines += [
+            f"        e = z{i} - {'v' if i else 'f'}",
+            f"        v = r{i} * _copysign(abs(e) ** {d / (d + 1.0)!r}, e) + z{i + 1}",
+            f"        n{i} = z{i} + {h!r} * v + (0.0{taylor})",
+        ]
+    lines += [
+        f"        e = z{order} - v",
+        f"        n{order} = z{order} + {h!r} * "
+        f"(r{order} if e > 0.0 else -r{order} if e < 0.0 else r{order} * e)",
+        f"        {z}, = {', '.join(f'n{i}' for i in levels)},",
+        f"        push(({z},))",
+        "    return states",
+    ]
+    ns = {"copysign": math.copysign}
+    exec("\n".join(lines), ns)  # controlled codegen from fixed templates
+    return ns["_loop"]
 
 
 def estimate_lipschitz(f, h, nu):
@@ -177,8 +190,9 @@ def run_bank(e_y, nu, l_est, h, threshold=1e-4, dwell=0.5, gains=DEFAULT_GAINS):
     reconstruction map reads.  ``l_est`` bounds the nu-th derivative.
     Initial states are zero, so a zero input series yields a zero stack
     with the settled flag raised as soon as the dwell window elapses.
-    Each channel steps on its own through :func:`_step_z`; a channel that
-    turns non-finite raises NumericalError naming it and the sample.
+    Each channel steps on its own through one compiled loop
+    (:func:`_bank_loop`); a channel that turns non-finite raises
+    NumericalError naming it and the sample.
     """
     e_y = np.asarray(e_y, dtype=float)
     if e_y.ndim == 1:
@@ -188,18 +202,13 @@ def run_bank(e_y, nu, l_est, h, threshold=1e-4, dwell=0.5, gains=DEFAULT_GAINS):
     l_arr = check_bank_settings(order, l_est, gains, channels)
     dwell_steps = max(1, int(round(dwell / h)))
 
-    neg_rates, powers, taylor = _step_coefficients(order, l_arr, gains, h)
+    loop = _bank_loop(order, h)
 
     # history[s] is the state before sample s is read; a diverging channel
     # turns inf or nan and is reported after the loop
     history = np.zeros((n_samples, nu, channels))
-    for ch, rates in enumerate(neg_rates):
-        z = [0.0] * nu
-        # one flat list of floats: no per-sample list outlives its step
-        states = []
-        for f in e_y[:-1, ch].tolist():
-            z = _step_z(z, f, rates, powers, taylor, h)
-            states += z
+    for ch, rates in enumerate(_neg_rates(order, l_arr, gains)):
+        states = loop(e_y[:-1, ch].tolist(), [0.0] * nu, rates)
         history[1:, :, ch] = np.reshape(states, (-1, nu))
     finite = np.isfinite(history[1:]).all(axis=1)
     if not finite.all():

@@ -154,10 +154,11 @@ def rk4_propagators(m, h, b=None):
 
     ``m`` holds the stage matrices of T steps: three stacks
     ``(M(t), M(t + h/2), M(t + h))``, or four, one per RK4 stage, each
-    (T, d, d).  Returns ``Phi`` (T, d, d), one RK4 step of ``dz/dt = M z``
-    applied to the identity.  With the stage drives ``b`` (4, T, d) it
-    returns ``(Phi, psi)``, psi (T, d), so that each step is the affine
-    map ``z -> Phi z + psi``.
+    (T, ..., d, d); the axes after T batch independent systems.  Returns
+    ``Phi`` (T, ..., d, d), one RK4 step of ``dz/dt = M z`` applied to the
+    identity.  With the four stage drives ``b``, each (T, ..., d), it
+    returns ``(Phi, psi)``, psi (T, ..., d), so that each step is the
+    affine map ``z -> Phi z + psi``.
     """
     if len(m) == 3:
         m = (m[0], m[1], m[1], m[2])
@@ -222,6 +223,8 @@ def frame_flow(a, q, cfg):
     n_steps = cfg.n_steps
     h = cfg.h
     chunk = max(CHUNK_STEPS, 8192 // n**2)
+    # column sums as products with ones: the matmul kernels the steps use
+    ones = np.ones(n)
     for lo in range(0, n_steps, chunk):
         hi = min(lo + chunk, n_steps)
         count = hi - lo
@@ -229,9 +232,11 @@ def frame_flow(a, q, cfg):
         grid = a(t)
         if grid.shape[1:] != (n, n):
             raise ValueError(f"system matrix must be {n}x{n}, got {grid.shape[1:]}")
-        stacks = (grid[:-1], a(t[:-1] + 0.5 * h), grid[1:])
-        phi = rk4_propagators(stacks, h)
-        growth = h * max(float(np.abs(s).sum(axis=-2).max()) for s in stacks)
+        mid = a(t[:-1] + 0.5 * h)
+        phi = rk4_propagators((grid[:-1], mid, grid[1:]), h)
+        # the column sums of |M| as one product per stack; grid and mid
+        # hold all three stage stacks
+        growth = h * max(float((ones @ np.abs(s)).max()) for s in (grid, mid))
         # a NaN growth keeps the whole chunk; the finite check names it
         block = max(1, int(4.0 / growth)) if growth * count > 4.0 else count
         frames = np.empty((count + 1,) + q.shape)
@@ -250,7 +255,7 @@ def frame_flow(a, q, cfg):
         good = stop if finite.all() else int(np.argmin(finite)) // block * block
         x = raw[:good]
         qx, pivots = householder_qr(x)
-        scale = np.sqrt((x * x).sum(axis=1)).max(axis=1)
+        scale = np.sqrt((ones @ (x * x)).max(axis=1))
         collapse = (pivots <= 1e-8 * scale[:, None]).any(axis=1)
         if collapse.any():
             j = int(np.argmax(collapse))

@@ -105,7 +105,8 @@ def reference_step_z(z, f, order, lipschitz, gains, h):
     """
 
     def sign(x):
-        return 1.0 if x > 0.0 else (-1.0 if x < 0.0 else 0.0)
+        # a zero keeps its sign and NaN stays NaN, as in the copysign form
+        return 1.0 if x > 0.0 else (-1.0 if x < 0.0 else x * 0.0)
 
     v_prev = f
     v = [0.0] * (order + 1)

@@ -1,12 +1,19 @@
 """End-to-end cascade: observer + differentiator bank + error reconstruction."""
 
 import copy
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
+from conftest import bench8_run
+from ltvobs import cascade
 from ltvobs.cascade import CascadeRun, run_cascade, run_tso
+from ltvobs.cli import _resolve_scenario
 from ltvobs.errors import StepPreconditionError
 from ltvobs.integrators import StepConfig
 from ltvobs.observer import ObserverConfig
@@ -240,3 +247,60 @@ def test_input_validation(toy2):
     with pytest.raises(ValueError, match="linearly dependent"):
         CascadeRun(sys=toy2, observer=conf, x0=[1.0, -0.5], xt0=[0.0, 0.0])
     assert make_run(toy2, lipschitz=[8.0], noise_seed=np.int64(3)).noise_seed == 3
+
+
+def test_noise_free_run_leaves_numpy_random_unloaded():
+    # the generator is created only when there is noise to draw, so a
+    # noise-free run never imports numpy.random (tens of ms in a fresh
+    # process)
+    script = textwrap.dedent(
+        """
+        import sys
+        from ltvobs.cascade import CascadeRun, run_cascade
+        from ltvobs.integrators import StepConfig
+        from ltvobs.observer import ObserverConfig
+        from ltvobs.system import LtvSystem
+
+        sys_ = LtvSystem(
+            a=[[0.3, 1.0], [0.0, -2.0]], f=[[0.0], [1.0]], d=[[0.0], [1.0]],
+            c=[[1.0, 0.0]], w_bound=1.0,
+        )
+        conf = ObserverConfig(p=8.0, k=1, step=StepConfig(h=1e-3, t_end=1.0))
+        run = CascadeRun(
+            sys=sys_, observer=conf, x0=[1.0, -0.5], xt0=[0.0, 0.0],
+            w=["0.4*sin(t)"], lipschitz=8.0,
+        )
+        result = run_cascade(run)
+        assert result.e_y.shape == (1001, 1)
+        print("numpy.random" in sys.modules)
+        """
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
+
+
+def test_error_norm_is_the_stepped_error(monkeypatch):
+    # gate 4's run: bench8 without unknown input from a unit error.  Plant
+    # and error decay together, and by t = 200 the error is far below the
+    # round-off of x, so ||e|| must come from the stepped e, not from x - x~
+    stepped = []
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        stepped.append(out[2])
+        return out
+
+    real = cascade._simulate
+    monkeypatch.setattr(cascade, "_simulate", spy)
+    bench = _resolve_scenario("bench8").run
+    e0 = np.random.default_rng(2024).standard_normal(8)
+    e0 /= np.linalg.norm(e0)
+    run = run_tso(bench8_run(200.0, w=None, xt0=bench.x0 - e0))
+    (e,) = stepped
+    assert np.array_equal(run.e_norm_tso, np.linalg.norm(e, axis=1))
+    assert abs(run.e_norm_tso[0] - 1.0) < 1e-12
+    assert 0.0 < run.e_norm_tso[-1] <= 1e-6

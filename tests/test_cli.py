@@ -376,6 +376,23 @@ def test_every_command_checks_the_whole_run(
     assert flows == []
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"x0": [float("nan"), -0.5]}, "x0: x0 has non-finite entries"),
+        ({"xt0": [0.0, float("inf")]}, "xt0: xt0 has non-finite entries"),
+        ({"feedback": [[float("nan"), 0.0]]}, "feedback: feedback has non-finite entries"),
+    ],
+    ids=["x0", "xt0", "feedback"],
+)
+def test_run_spec_error_names_its_key(tmp_path, capsys, edit, message):
+    # the run spec checks the states and the feedback; its error is labelled
+    # with the scenario key, not with the observer section
+    scen = write_scenario(tmp_path, edited(edit))
+    assert main(["observe", "--scenario", scen, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_k_override_with_q0(tmp_path, capsys):
     # the spectrum starts from the default frame, so the file's 2x1 q0 does
     # not bind --k; the observer starts from q0 and refuses the width
@@ -428,21 +445,41 @@ def test_lapack_failure_exits_4(tmp_path, capsys, monkeypatch):
     "entry, message",
     [
         ("(" * 2000 + "t" + ")" * 2000, "A[1][2]: expression is nested too deeply to parse"),
-        ("+".join(["t"] * 300), "entry (1,1) of a 2x2 matrix is nested too deeply to compile"),
+        ("+".join(["t"] * 300), "A[1][2]: expression is nested too deeply to compile"),
     ],
     ids=["2000-parens", "300-term-sum"],
 )
 def test_over_deep_expression_exits_2(tmp_path, capsys, entry, message):
     # the parser recurses per parenthesis and Python's compiler limits the
-    # nesting of the generated source; both are refused, not a traceback.
-    # The first matrix check-so compiles is the stack [C; C A + dC/dt],
-    # whose entry (1,1) holds A[1][2]
+    # nesting of the generated source; both are refused at load, not with a
+    # traceback, and named by the file's entry, not by an entry of a matrix
+    # derived from it (check-so compiles the stack [C; C A + dC/dt] first,
+    # whose entry (1,1) holds A[1][2])
     doc = copy.deepcopy(TOY)
     doc["a"][0][1] = entry
     scen = write_scenario(tmp_path, doc)
     argv = ["check-so", "--scenario", scen, "--out", str(tmp_path), "--horizon", "1"]
     assert main(argv) == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "reconstruct"])
+@pytest.mark.parametrize(
+    "key, where", [("a", "A[2][2]"), ("c", "C[1][2]"), ("w", "w[1]"), ("u", "u[1]")]
+)
+def test_compile_error_names_the_scenario_entry(tmp_path, capsys, command, key, where):
+    # every command loads the scenario through one compile of its matrices
+    # and input expressions, so each reports the entry as the file spells it
+    doc = copy.deepcopy(TOY)
+    deep = "+".join(["t"] * 300)
+    if key in "ac":
+        doc[key][-1][-1] = deep
+    else:
+        doc[key] = [deep]
+    scen = write_scenario(tmp_path, doc)
+    assert main([command, "--scenario", scen, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {where}: expression is nested too deeply to compile\n"
 
 
 def test_bibs_open_and_closed_loop(tmp_path, capsys):

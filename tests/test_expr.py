@@ -161,6 +161,18 @@ def test_matrix_constant_and_zeros():
     assert np.array_equal(c.bind()([9.9, 0.0]), [[[1.0, 2.0], [3.0, 4.0]]] * 2)
     assert np.array_equal(MatrixExpr.zeros(2, 3).bind()([1.0])[0], np.zeros((2, 3)))
     assert MatrixExpr.zeros(2, 3).bind()([]).shape == (0, 2, 3)
+    # each call returns its own copies, so a caller may write into them
+    values = c.bind()(np.array([0.0, 1.0]))
+    values[0, 0, 0] = -7.0
+    assert c.bind()(np.array([0.0]))[0, 0, 0] == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_constant_rejects_non_finite(bad):
+    # the constant fast path skips the per-call scan only for finite entries
+    m = MatrixExpr.constant([[1.0, bad]])
+    with pytest.raises(NumericalError, match=r"entry \(0,1\) evaluated non-finite"):
+        m.bind()(np.array([0.0, 1.0]))
 
 
 def test_matrix_shape_validation():

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import bench8_run, reference_bank
+from conftest import bench8_run, reference_bank, reference_step_z
 from ltvobs.cascade import run_tso
 from ltvobs.errors import NumericalError
 from ltvobs.hosm import (
     DEFAULT_GAINS,
-    _step_coefficients,
-    _step_z,
+    _bank_loop,
+    _neg_rates,
     check_bank_settings,
     estimate_lipschitz,
     run_bank,
@@ -35,9 +35,36 @@ def test_config_validation():
 
 
 def _step(z, f, order, lipschitz, h):
-    """:func:`_step_z` on one channel's levels ``z`` with bound ``lipschitz``."""
-    neg_rates, powers, taylor = _step_coefficients(order, np.array([lipschitz]), DEFAULT_GAINS, h)
-    return _step_z(list(z), f, neg_rates[0], powers, taylor, h)
+    """One step of the compiled loop on one channel's levels ``z``."""
+    rates = _neg_rates(order, np.array([lipschitz]), DEFAULT_GAINS)[0]
+    return _bank_loop(order, h)([f], list(z), rates)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_compiled_loop_matches_reference_step_bit_for_bit(order):
+    # a channel whose injections all hit e = 0 (the zero signal from rest),
+    # a chattering one, and one that turns NaN; the bits, signed zeros
+    # included, match the list stepper
+    h, lipschitz = 2e-3, 7.0
+    t = np.arange(0.0, 2.0, h)
+    signals = {
+        "zero": np.zeros(300),
+        "chattering": np.sin(3.0 * t) + 0.3 * t**2,
+        "nan": np.r_[np.cos(t[:300]), np.nan, np.cos(t[:50])],
+    }
+    loop = _bank_loop(order, h)
+    rates = _neg_rates(order, np.array([lipschitz]), DEFAULT_GAINS)[0]
+    for name, signal in signals.items():
+        z, want = [0.0] * (order + 1), []
+        for f in signal.tolist():
+            z = reference_step_z(z, f, order, lipschitz, DEFAULT_GAINS, h)
+            want += z
+        got, want = np.array(loop(signal.tolist(), [0.0] * (order + 1), rates)), np.array(want)
+        # NaN is compared as NaN, its sign bit and payload carry no value
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), name
+        assert got[~nan].tobytes() == want[~nan].tobytes(), name
+    assert nan[-1]
 
 
 def test_exact_tracking_is_an_equilibrium():
