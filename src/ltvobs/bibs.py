@@ -17,6 +17,12 @@ walks the diagonal bottom-up because component i sees the components
 below it as an extra bounded input.  :func:`triangularize_error_system`
 reads the observer error system's form off the same open-loop flow.
 
+The form is written in place at the kept points only: grid point 0 and
+the history points of :func:`ltvobs.lyapunov.history_index`.  Each chunk
+of the flow fills its slice of stacks sized for those points, and the
+residue check and the certificate's max |B_ij| scan the stacks without
+copying them.
+
 All certificates are finite-horizon diagnostics: they state "certified
 on [t0, T]" for explicit epsilon, tail-mass threshold, and window, never
 an asymptotic proof.
@@ -53,8 +59,9 @@ class TriangularForm:
     frames: np.ndarray
 
     def __post_init__(self):
-        sub = np.tril(self.b, -1)
-        worst = np.max(np.abs(sub)) if sub.size else 0.0
+        # the strict lower triangle row by row, with no copy of the stack
+        rows = range(1, self.n) if self.b.size else ()
+        worst = np.max([_abs_max(self.b[:, i, :i]) for i in rows], initial=0.0)
         if worst > 1e-8:
             raise ValueError(f"triangular form has subdiagonal residue {worst:.3e}")
 
@@ -63,31 +70,36 @@ class TriangularForm:
         return self.b.shape[1]
 
 
+def _abs_max(x, axis=None):
+    """max |x| over ``axis``, taken from max x and min x without a copy |x|."""
+    return np.maximum(np.abs(x.max(axis)), np.abs(x.min(axis)))
+
+
 def _triangular_flow(a, cfg, q, loop_gain=None):
     """Full-width frame flow of ``a`` from the basis ``q``, recording B.
 
     ``a`` is an evaluator ``times -> (T, n, n)``.  B = Qf^T M Qf -
     S(Qf^T M Qf) with M = A less ``loop_gain(index, frames)``, the stack
     L C at those grid indices, when given.  B and the frame are kept at
-    grid point 0 and at :func:`ltvobs.lyapunov.history_index`.
+    grid point 0 and at :func:`ltvobs.lyapunov.history_index`, each chunk
+    written into its slice of the kept stacks.
     """
-    keep = np.zeros(cfg.n_steps + 1, dtype=bool)
-    keep[0] = True
-    keep[history_index(cfg)] = True
-    ts, bs, qs = [], [], []
-    for s, grid, frames, _ in frame_flow(a, q, cfg):
-        kept = np.flatnonzero(keep[s])
-        index = s.start + kept
-        qf, m = frames[kept], grid[kept]
+    index = np.concatenate(([0], history_index(cfg)))
+    k = q.shape[1]
+    b = np.empty((index.size, k, k))
+    frames = np.empty((index.size,) + q.shape)
+    lo = 0
+    for s, grid, chunk_frames, _ in frame_flow(a, q, cfg):
+        hi = int(np.searchsorted(index, s.stop))
+        kept = index[lo:hi] - s.start
+        qf = np.take(chunk_frames, kept, axis=0, out=frames[lo:hi])
+        m = grid[kept]
         if loop_gain is not None:
-            m = m - loop_gain(index, qf)
+            m = m - loop_gain(index[lo:hi], qf)
         w = qf.mT @ m @ qf
-        ts.append(cfg.time(index))
-        bs.append(w - skew_rule(w))
-        qs.append(qf)
-    return TriangularForm(
-        t=np.concatenate(ts), b=np.concatenate(bs), frames=np.concatenate(qs)
-    )
+        np.subtract(w, skew_rule(w), out=b[lo:hi])
+        lo = hi
+    return TriangularForm(t=cfg.time(index), b=b, frames=frames)
 
 
 def triangularize(a, cfg: StepConfig):
@@ -232,7 +244,7 @@ def general_bibs_certificate(tri: TriangularForm, epsilon, d, w_bound, x0):
     qtd = tri.frames.mT @ as_sampler(d)(t)
     phi = w_bound * np.max(np.abs(qtd).sum(axis=2), axis=0)
     zeta0 = np.abs(tri.frames[0].T @ np.asarray(x0, dtype=float))
-    b_abs_max = np.max(np.abs(tri.b), axis=0)
+    b_abs_max = _abs_max(tri.b, axis=0)
 
     comps = [None] * n
     bounds = np.zeros(n)

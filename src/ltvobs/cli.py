@@ -49,20 +49,54 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+# rows formatted per block: the Python floats of one block at a time
+CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path, header, rows):
     """Header through ``csv.writer``, then every row as ``%.17g`` fields.
 
-    ``"%.17g" % v`` spells a value as ``format(float(v), ".17g")`` does and
-    never needs quoting, so one row format per row gives the bytes
-    ``csv.writer`` would write, ``\r\n`` line ends included.
+    ``rows`` is a 2-D array of numbers, or anything ``np.asarray`` turns
+    into one.  ``"%.17g" % v`` spells a value as ``format(float(v),
+    ".17g")`` does and never needs quoting, so one row format per row gives
+    the bytes ``csv.writer`` would write, ``\r\n`` line ends included.
+    The rows become Python floats :data:`CSV_BLOCK_ROWS` at a time, never
+    all at once.
     """
+    rows = np.asarray(rows, dtype=float)
     row_fmt = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(row_fmt % tuple(row) for row in rows)
+        for lo in range(0, rows.shape[0], CSV_BLOCK_ROWS):
+            block = rows[lo : lo + CSV_BLOCK_ROWS].tolist()
+            fh.writelines(row_fmt % tuple(row) for row in block)
+
+
+def _non_finite(value, where=""):
+    """``(key path, number)`` of the first non-finite number in ``value``, or None."""
+    if isinstance(value, dict):
+        items = ((f"{where}.{k}" if where else str(k), v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(value))
+    elif isinstance(value, float) and not math.isfinite(value):
+        return where, value
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, key) for key, v in items)), None)
 
 
 def _write_json(path, payload):
+    """``payload`` as indented JSON, which has no NaN or Infinity.
+
+    A summary value that is not finite is a numerical failure: it raises
+    NumericalError naming its key, before the file is opened.
+    """
+    bad = _non_finite(payload)
+    if bad is not None:
+        key, value = bad
+        raise NumericalError(
+            f"{os.path.basename(path)}: {key} is {value}, not a finite number"
+        )
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -420,7 +454,7 @@ def cmd_spectrum(scen, args, outdir):
     reg = regularity_report(est.history_t, est.history_b)
 
     header = ["t"] + [f"lambda_{j + 1}" for j in range(k)]
-    rows = np.column_stack([est.history_t, est.history_lambda]).tolist()
+    rows = np.column_stack([est.history_t, est.history_lambda])
     csv_path = os.path.join(outdir, "spectrum.csv")
     _write_csv(csv_path, header, rows)
     _write_plot(
@@ -520,7 +554,7 @@ def cmd_detect(scen, args, outdir):
         + [f"lambda_{j + 1}" for j in range(k)]
         + [f"rbar_{j + 1}" for j in range(k)]
     )
-    rows = np.column_stack([rep.history_t, rep.history_lambda, rep.history_rbar]).tolist()
+    rows = np.column_stack([rep.history_t, rep.history_lambda, rep.history_rbar])
     _write_csv(os.path.join(outdir, "detect.csv"), header, rows)
     _write_plot(
         os.path.join(outdir, "detect.gp"),
@@ -566,7 +600,7 @@ def _series_csv(path, run, include_xhat):
         cols += [run.xt[:, i] for i in range(n)]
     header += ["e_norm_tso", "e_norm_cascade"]
     cols += [run.e_norm_tso, run.e_norm_cascade]
-    _write_csv(path, header, np.column_stack(cols).tolist())
+    _write_csv(path, header, np.column_stack(cols))
     return header
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ltvobs import cascade
 from ltvobs.cli import _resolve_scenario
 from ltvobs.errors import NumericalError
 from ltvobs.hosm import DEFAULT_GAINS
@@ -31,6 +32,31 @@ def bench8_run(t_end, **kw):
     run = _resolve_scenario("bench8").run
     step = replace(run.observer.step, t0=0.0, t_end=t_end)
     return replace(run, observer=replace(run.observer, step=step), **kw)
+
+
+@pytest.fixture(scope="session")
+def gate4_run():
+    """Gate 4's observer run and the error e that ``_simulate`` stepped for it.
+
+    bench8 over 200 s without unknown input, from a seeded unit error.  It
+    takes about 4 s, so gate 4 and the cascade test of ||e|| share one run.
+    """
+    stepped = []
+    real = cascade._simulate
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        stepped.append(out[2])
+        return out
+
+    bench = _resolve_scenario("bench8").run
+    e0 = np.random.default_rng(2024).standard_normal(8)
+    e0 /= np.linalg.norm(e0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cascade, "_simulate", spy)
+        run = cascade.run_tso(bench8_run(200.0, w=None, xt0=bench.x0 - e0))
+    (e,) = stepped
+    return run, e
 
 
 @pytest.fixture

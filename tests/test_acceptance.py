@@ -55,15 +55,6 @@ def bench():
 
 
 @pytest.fixture(scope="module")
-def tso_200_no_input(bench):
-    rng = np.random.default_rng(2024)
-    e0 = rng.standard_normal(8)
-    e0 /= np.linalg.norm(e0)
-    run = bench8_run(200.0, w=None, xt0=bench.x0 - e0)
-    return run_tso(run)
-
-
-@pytest.fixture(scope="module")
 def tso_200_with_input(bench):
     rng = np.random.default_rng(2024)
     e0 = rng.standard_normal(8)
@@ -149,8 +140,8 @@ def test_03_double_integrator_negative_control():
     assert verdict(3, ok, f"C=[1 0] ok={rep_fail.ok}, C=I ok={rep_pass.ok}, p_min={p_min:.3f}")
 
 
-def test_04_observer_converges_without_unknown_input(tso_200_no_input):
-    run = tso_200_no_input
+def test_04_observer_converges_without_unknown_input(gate4_run):
+    run, _ = gate4_run
     e0 = run.e_norm_tso[0]
     e_final = run.e_norm_tso[-1]
     ok = abs(e0 - 1.0) < 1e-12 and e_final <= 1e-6

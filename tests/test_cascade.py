@@ -10,10 +10,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from conftest import bench8_run
-from ltvobs import cascade
 from ltvobs.cascade import CascadeRun, run_cascade, run_tso
-from ltvobs.cli import _resolve_scenario
 from ltvobs.errors import StepPreconditionError
 from ltvobs.integrators import StepConfig
 from ltvobs.observer import ObserverConfig
@@ -283,24 +280,11 @@ def test_noise_free_run_leaves_numpy_random_unloaded():
     assert out.stdout == "False\n"
 
 
-def test_error_norm_is_the_stepped_error(monkeypatch):
+def test_error_norm_is_the_stepped_error(gate4_run):
     # gate 4's run: bench8 without unknown input from a unit error.  Plant
     # and error decay together, and by t = 200 the error is far below the
     # round-off of x, so ||e|| must come from the stepped e, not from x - x~
-    stepped = []
-
-    def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        stepped.append(out[2])
-        return out
-
-    real = cascade._simulate
-    monkeypatch.setattr(cascade, "_simulate", spy)
-    bench = _resolve_scenario("bench8").run
-    e0 = np.random.default_rng(2024).standard_normal(8)
-    e0 /= np.linalg.norm(e0)
-    run = run_tso(bench8_run(200.0, w=None, xt0=bench.x0 - e0))
-    (e,) = stepped
+    run, e = gate4_run
     assert np.array_equal(run.e_norm_tso, np.linalg.norm(e, axis=1))
     assert abs(run.e_norm_tso[0] - 1.0) < 1e-12
     assert 0.0 < run.e_norm_tso[-1] <= 1e-6

@@ -10,8 +10,8 @@ import pytest
 
 from ltvobs import bibs, integrators, lyapunov, observer
 from ltvobs.cascade import CascadeRun
-from ltvobs.cli import _resolve_scenario, _write_csv, load_scenario, main
-from ltvobs.errors import ScenarioError
+from ltvobs.cli import _resolve_scenario, _write_csv, _write_json, load_scenario, main
+from ltvobs.errors import NumericalError, ScenarioError
 from ltvobs.hosm import DEFAULT_GAINS
 from ltvobs.integrators import StepConfig
 from ltvobs.system import LtvSystem
@@ -439,6 +439,43 @@ def test_lapack_failure_exits_4(tmp_path, capsys, monkeypatch):
     scen = write_scenario(tmp_path, TOY)
     assert main(["detect", "--scenario", scen, "--out", str(tmp_path)]) == 4
     assert "error: SVD did not converge" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "change, flags",
+    [({}, ["--p", "3000"]), ({"xt0": [1e160] * 8}, [])],
+    ids=["p-3000", "xt0-1e160"],
+)
+@pytest.mark.parametrize("command", ["observe", "reconstruct"])
+def test_overflowing_error_norm_exits_4(tmp_path, capsys, command, change, flags):
+    # at p = 3000, h p ||C||^2 = 3 lies past RK4's real-axis limit of 2.785,
+    # so e grows until ||e|| overflows; an observer start 1e160 away
+    # overflows ||e|| at once.  Either is a numerical failure: no summary
+    # may hold Infinity, and the norms warn nothing (warnings are errors)
+    doc = json.loads((resources.files("ltvobs") / "scenarios" / "bench8.json").read_text())
+    doc.update(change)
+    out = tmp_path / "out"
+    argv = [command, "--scenario", write_scenario(tmp_path, doc), "--horizon", "3"]
+    assert main(argv + flags + ["--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"error: {command}.json: sup_e_norm_tso is inf, not a finite number" in err
+    # the summary is refused before its file is opened
+    assert list(out.glob("*.json")) == []
+
+
+def test_json_summaries_hold_only_finite_numbers(tmp_path):
+    payload = {"ok": [1.0, None, {"n": 2}], "health": {"worst": [0.5, float("nan")]}}
+    with pytest.raises(NumericalError, match=r"s.json: health.worst\[1\] is nan"):
+        _write_json(tmp_path / "s.json", payload)
+    assert not (tmp_path / "s.json").exists()
+    payload["health"]["worst"][1] = 0.25
+    _write_json(tmp_path / "s.json", payload)
+    text = (tmp_path / "s.json").read_text()
+    assert json.loads(text, parse_constant=_reject_constant) == payload
 
 
 @pytest.mark.parametrize(
