@@ -14,7 +14,8 @@ plant is unknown.
 The design preconditions are enforced in order before integrating:
 (ii) every non-stable direction must be detectable, (iii) the gain
 scalar must exceed the minimum that stabilizes all predicted error
-exponents, (iv) the system must be strongly observable with index 2.
+exponents, and the RK4 step must be stable on the error system's fast
+modes, (iv) the system must be strongly observable with index 2.
 Failures raise StepPreconditionError carrying the step label.
 
 Measurement noise is applied per sample and held across the RK4 stages
@@ -67,6 +68,9 @@ __all__ = ["CascadeRun", "CascadeResult", "run_cascade", "run_tso"]
 
 # one above the index: z_1 is then not the bank's top (O(h)) level
 _BANK_ORDER = 2
+# RK4 is stable on the negative real axis down to h lambda = -2.785
+# (Hairer & Wanner, Solving ODEs II, IV.2)
+_RK4_REAL_LIMIT = 2.785
 
 
 @dataclass(frozen=True)
@@ -173,6 +177,16 @@ def _check_preconditions(run, track, need_stack):
             "iii",
             f"gain p={run.observer.p:g} does not exceed the minimum "
             f"{p_min:.6g} needed to stabilize every error direction",
+        )
+    # in frame coordinates Q^T L C Q = p Rt, so the error's fast modes sit
+    # near -p diag Rt(t), and an RK4 step takes them at h p diag Rt
+    h, p, r_max = run.observer.step.h, run.observer.p, float(track.r_diag.max())
+    if h * p * r_max > _RK4_REAL_LIMIT:
+        raise StepPreconditionError(
+            "iii",
+            f"gain p={p:g} with step h={h:g} puts the error system's fast modes past "
+            f"RK4's stability limit (h p max diag Rt = {h * p * r_max:.6g} > "
+            f"{_RK4_REAL_LIMIT}); this step admits p up to {_RK4_REAL_LIMIT / (h * r_max):.6g}",
         )
     if not need_stack:
         return

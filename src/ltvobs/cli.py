@@ -184,17 +184,9 @@ def _compile(matrix, name, column=False):
     try:
         matrix.bind()
     except ExprError as e:
-        # bind refuses the first entry in row-major order; find which
-        for i, row in enumerate(matrix.entries):
-            for j, entry in enumerate(row):
-                try:
-                    MatrixExpr([[entry]]).bind()
-                except ExprError:
-                    where = f"{name}[{i + 1}]" if column else f"{name}[{i + 1}][{j + 1}]"
-                    raise ScenarioError(
-                        f"{where}: expression is nested too deeply to compile"
-                    ) from e
-        raise
+        i, j = e.entry
+        where = f"{name}[{i + 1}]" if column else f"{name}[{i + 1}][{j + 1}]"
+        raise ScenarioError(f"{where}: expression is nested too deeply to compile") from e
     return matrix
 
 
@@ -606,6 +598,8 @@ def _series_csv(path, run, include_xhat):
 
 def cmd_observe(scen, args, outdir):
     run = run_tso(_run_spec(scen, args))
+    # the summary first: a refused one leaves no series behind
+    _write_json(os.path.join(outdir, "observe.json"), run.summary)
     _series_csv(os.path.join(outdir, "observe.csv"), run, include_xhat=False)
     _write_plot(
         os.path.join(outdir, "observe.gp"),
@@ -615,7 +609,6 @@ def cmd_observe(scen, args, outdir):
         "||x - x~||",
         logy=True,
     )
-    _write_json(os.path.join(outdir, "observe.json"), run.summary)
     print(
         f"sup ||e||={_fmt(run.summary['sup_e_norm_tso'])}, "
         f"final ||e||={_fmt(run.summary['final_e_norm_tso'])}"
@@ -626,6 +619,7 @@ def cmd_observe(scen, args, outdir):
 def cmd_reconstruct(scen, args, outdir):
     run = run_cascade(_run_spec(scen, args))
     n = run.x.shape[1]
+    _write_json(os.path.join(outdir, "reconstruct.json"), run.summary)
     _series_csv(os.path.join(outdir, "reconstruct.csv"), run, include_xhat=True)
     _write_plot(
         os.path.join(outdir, "reconstruct.gp"),
@@ -635,7 +629,6 @@ def cmd_reconstruct(scen, args, outdir):
         "error norm",
         logy=True,
     )
-    _write_json(os.path.join(outdir, "reconstruct.json"), run.summary)
     settled = run.summary["settled_time"]
     print(
         "settled_time="

@@ -8,11 +8,15 @@ with 4.
 
 
 class ExprError(ValueError):
-    """Malformed expression text. Carries the offending position."""
+    """Malformed expression text.
 
-    def __init__(self, message, position=None):
+    Carries the offending position, or the ``entry`` (i, j) of a matrix too deep to compile.
+    """
+
+    def __init__(self, message, position=None, entry=None):
         super().__init__(message)
         self.position = position
+        self.entry = entry
 
 
 class ScenarioError(ValueError):

@@ -565,7 +565,7 @@ class MatrixExpr:
             # parentheses before its compiler recurses that deep
             i, j = cells[exc.lineno - 1] if isinstance(exc, SyntaxError) else cells[-1]
             where = f"entry ({i},{j}) of a {self.rows}x{self.cols} matrix"
-            raise ExprError(f"{where} is nested too deeply to compile") from None
+            raise ExprError(f"{where} is nested too deeply to compile", entry=(i, j)) from None
         raw = ns["_f"]
 
         if len(cells) == 1 and np.isfinite(base).all():

@@ -12,9 +12,9 @@ the observer's gain basis rely on them, and so do the per-step reference
 steppers of :mod:`~ltvobs.integrators`.  ``mgs_qr_stack`` runs
 the same elimination on a stack of matrices at once, for the gain basis
 of many samples, and hands every matrix with a dependent column back to
-``mgs_qr``, so both conventions hold for the stack too.  Rank decisions
-and pseudoinverses go through numpy's SVD with one shared tolerance
-policy, on single matrices or on stacks of them.
+``mgs_qr``, so both conventions hold for the stack too.  Rank decisions,
+pseudoinverses and left-null projectors go through numpy's SVD with one
+shared tolerance policy, on single matrices or on stacks of them.
 """
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "numerical_rank",
     "pinv",
     "orthogonal_projector_complement",
-    "projector_complement_stack",
 ]
 
 _EPS = np.finfo(float).eps
@@ -206,19 +205,10 @@ def orthogonal_projector_complement(j):
     """Projector onto the orthogonal complement of the column span of ``j``.
 
     Returns ``K = I - J J^+``; for ``j == 0`` this is the identity.  The
-    result is symmetrized so ``K = K^T`` holds exactly.
+    result is symmetrized so ``K = K^T`` holds exactly.  A stack
+    ``(..., rows, cols)`` gets one projector ``(..., rows, rows)`` per
+    matrix, each with the bits it has alone.
     """
     j = np.atleast_2d(np.asarray(j, dtype=float))
-    k = np.eye(j.shape[0]) - j @ pinv(j)
-    return 0.5 * (k + k.T)
-
-
-def projector_complement_stack(j):
-    """:func:`orthogonal_projector_complement` of every matrix in a stack.
-
-    ``j`` has shape ``(T, rows, cols)``; returns the ``(T, rows, rows)``
-    symmetrized projectors ``I - J J^+``.
-    """
-    j = np.asarray(j, dtype=float)
-    k = np.eye(j.shape[1]) - j @ pinv(j)
-    return 0.5 * (k + np.swapaxes(k, 1, 2))
+    k = np.eye(j.shape[-2]) - j @ pinv(j)
+    return 0.5 * (k + k.mT)

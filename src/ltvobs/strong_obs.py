@@ -18,8 +18,11 @@ C_a D form of the first column.  The observability index nu is the
 smallest depth whose stacked rank matches the next depth at every probe
 time; strong observability asks that appending J to R adds exactly
 rank(J) to the rank, and then x is recovered by annihilating the
-unknown-input image with K = I - J J^+ and solving the normal equations
-H x = (K R)^T K yhat.
+unknown-input image with K = I - J J^+ and solving K R x = K yhat in the
+least-squares sense.  The solve factors K R itself and never forms the
+normal matrix H = (K R)^T K R, whose condition number is that of K R
+squared (Golub & Van Loan, Matrix Computations, 4th ed., 5.3); H enters
+only through its eigenvalues, the reported margin of the map.
 """
 
 from dataclasses import dataclass, field
@@ -28,11 +31,7 @@ import numpy as np
 
 from .errors import NumericalError, StepPreconditionError
 from .expr import MatrixExpr
-from .linalg import (
-    numerical_rank,
-    orthogonal_projector_complement,
-    projector_complement_stack,
-)
+from .linalg import householder_qr, numerical_rank, orthogonal_projector_complement
 from .observer import ObserverConfig, frame_track
 from .system import LtvSystem
 
@@ -44,7 +43,6 @@ __all__ = [
     "horizon_so_check",
     "ReconstructionMap",
     "ErrorStackSampler",
-    "solve_normal_stack",
     "error_system_so_test",
 ]
 
@@ -210,13 +208,37 @@ def horizon_so_check(sys: LtvSystem, step):
     return stack, strong_observability_test(stack)
 
 
+def _normal_eigs(kr):
+    """Ascending eigenvalues (T, n) of H = (K R)^T K R for a stack ``kr`` (T, rows, n).
+
+    The margin of the reconstruction map: H is positive definite exactly
+    when K R has full column rank, and its eigenvalues are the squared
+    singular values of K R.
+    """
+    return np.linalg.eigvalsh(kr.mT @ kr)
+
+
+def _least_squares(m, y):
+    """Least-squares solutions x (T, n) of m x = y for stacks ``m`` (T, rows, n), ``y`` (T, rows).
+
+    A square stack is solved by LU.  A tall one is first reduced by
+    Householder QR, m = Q R, to the square systems R x = Q^T y, with R
+    read as Q^T m, and then solved the same way.
+    """
+    if m.shape[-2] > m.shape[-1]:
+        q, _ = householder_qr(m)
+        m, y = q.mT @ m, (q.mT @ y[..., None])[..., 0]
+    return np.linalg.solve(m, y[..., None])[..., 0]
+
+
 class ReconstructionMap:
-    """Invertibility margin of the state recovery x = H^{-1} (K R)^T K yhat.
+    """Invertibility margin of the state recovery from K R x = K yhat.
 
     Built only for strongly observable stacks; construction evaluates the
     normal matrix H = (K R)^T K R at every probe time of the stack and
     refuses a map whose H is not positive definite, or has a condition
-    number above 1e12, at some probe.  ``min_eig_h`` is the smallest
+    number above 1e12, at some probe.  cond(H) = cond(K R)^2, so the
+    second refusal is cond(K R) > 1e6.  ``min_eig_h`` is the smallest
     eigenvalue of H over the probes and ``h_eig_history`` the smallest one
     at each probe.
     """
@@ -228,9 +250,8 @@ class ReconstructionMap:
                 "iv", "system is not strongly observable; reconstruction undefined"
             )
         probes = stack.probe_times
-        k_val = projector_complement_stack(_j_values(stack, probes))
-        kr = k_val @ stack.r_nu.bind()(probes)
-        eigs = np.linalg.eigvalsh(kr.mT @ kr)
+        k_val = orthogonal_projector_complement(_j_values(stack, probes))
+        eigs = _normal_eigs(k_val @ stack.r_nu.bind()(probes))
         self.h_eig_history = eigs[:, 0]
         self.min_eig_h = float(self.h_eig_history.min())
         if self.min_eig_h <= 0.0:
@@ -245,40 +266,6 @@ class ReconstructionMap:
                 f"normal matrix nearly singular: condition number {cond[worst]:.3e} "
                 f"at t={probes[worst]} (marginal strong observability)"
             )
-
-
-def _solve_normal(kr, kyhat, t):
-    h = kr.T @ kr
-    rhs = kr.T @ kyhat
-    try:
-        chol = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"normal matrix not positive definite at t={t}") from exc
-    z = np.linalg.solve(chol, rhs)
-    return np.linalg.solve(chol.T, z)
-
-
-def solve_normal_stack(kr, kyhat, times):
-    """Batched :func:`_solve_normal` over a stack of samples.
-
-    ``kr`` (T, rows, n) and ``kyhat`` (T, rows) are the projected stack
-    maps and stacked outputs at ``times`` (T,).  Returns the solutions
-    (T, n) and the smallest eigenvalue of each normal matrix (T,).  When
-    a normal matrix is not positive definite, :class:`NumericalError` names
-    the time of the smallest eigenvalue.
-    """
-    kr_t = np.swapaxes(kr, 1, 2)
-    h = kr_t @ kr
-    eig = np.linalg.eigvalsh(h)[:, 0]
-    try:
-        chol = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"normal matrix not positive definite at t={float(times[np.argmin(eig)])}"
-        ) from exc
-    z = np.linalg.solve(chol, kr_t @ kyhat[..., None])
-    x = np.linalg.solve(np.swapaxes(chol, 1, 2), z)[..., 0]
-    return x, eig
 
 
 class ErrorStackSampler:
@@ -301,9 +288,9 @@ class ErrorStackSampler:
         return r_e[0], j_e[0]
 
     def reconstruct(self, t, l_val, yhat):
-        r_e, j_e = self.matrices(t, l_val)
-        k_val = orthogonal_projector_complement(j_e)
-        return _solve_normal(k_val @ r_e, k_val @ np.asarray(yhat, dtype=float), t)
+        """:meth:`reconstruct_stack` of the one sample at time t."""
+        l_vals, yhats = (np.asarray(v, dtype=float)[None] for v in (l_val, yhat))
+        return self.reconstruct_stack(np.array([t], dtype=float), l_vals, yhats)[0][0]
 
     def matrices_stack(self, times, l_vals):
         """:meth:`matrices` at every time of ``times`` (T,), gains (T, n, r)."""
@@ -316,17 +303,23 @@ class ErrorStackSampler:
         return r_e, j_e
 
     def reconstruct_stack(self, times, l_vals, yhat):
-        """Batched :meth:`reconstruct`; also returns each sample's min eig H_e.
+        """Least-squares errors (T, n) from ``yhat`` (T, 2 r), and each sample's min eig H_e.
 
         With no nonzero entry in J_e (C D = 0) the projector is the identity,
-        and the samples are solved unprojected.
+        and the samples are solved unprojected.  When some H_e is not
+        positive definite, :class:`NumericalError` names the time of the
+        smallest eigenvalue.
         """
         r_e, j_e = self.matrices_stack(times, l_vals)
-        if not j_e.any():
-            return solve_normal_stack(r_e, yhat, times)
-        k_val = projector_complement_stack(j_e)
-        k_yhat = (k_val @ yhat[..., None])[..., 0]
-        return solve_normal_stack(k_val @ r_e, k_yhat, times)
+        if j_e.any():
+            k_val = orthogonal_projector_complement(j_e)
+            r_e, yhat = k_val @ r_e, (k_val @ yhat[..., None])[..., 0]
+        eig = _normal_eigs(r_e)[:, 0]
+        if eig.min() <= 0.0:
+            raise NumericalError(
+                f"normal matrix not positive definite at t={float(times[np.argmin(eig)])}"
+            )
+        return _least_squares(r_e, yhat), eig
 
 
 def error_system_so_test(sys: LtvSystem, conf: ObserverConfig, times):

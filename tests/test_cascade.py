@@ -16,6 +16,8 @@ from ltvobs.integrators import StepConfig
 from ltvobs.observer import ObserverConfig
 from ltvobs.system import LtvSystem
 
+from conftest import bench8_run
+
 
 def make_run(sys, t_end=6.0, h=1e-3, p=8.0, k=1, **kw):
     conf = ObserverConfig(p=p, k=k, step=StepConfig(h=h, t0=0.0, t_end=t_end))
@@ -107,6 +109,15 @@ def test_summary_health_block(toy2):
     assert health["min_ctcq_sigma"] > 0.5
     assert health["min_eig_h_e"] > 0.0
     assert health["max_orth_defect"] < 1e-12
+
+
+def test_bench8_reconstructs_x1_to_x4_to_round_off():
+    # bench8's R_e is square with cond(R_e) up to about 1e4; its LU solve
+    # keeps x1..4, which the exact e_y block determines, at round-off after
+    # t_f, where the normal equations (cond(R_e)^2) left 1.6e-13
+    run = run_cascade(bench8_run(8.0))
+    assert run.t_f is not None
+    assert np.all(run.sup_state_error[:4] <= 1e-14)
 
 
 def test_oracle_derivatives_reconstruct_exactly(toy2):

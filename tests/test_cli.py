@@ -446,25 +446,39 @@ def _reject_constant(name):
 
 
 @pytest.mark.parametrize(
-    "change, flags",
-    [({}, ["--p", "3000"]), ({"xt0": [1e160] * 8}, [])],
+    "change, flags, code",
+    [({}, ["--p", "3000"], 3), ({"xt0": [1e160] * 8}, [], 4)],
     ids=["p-3000", "xt0-1e160"],
 )
 @pytest.mark.parametrize("command", ["observe", "reconstruct"])
-def test_overflowing_error_norm_exits_4(tmp_path, capsys, command, change, flags):
-    # at p = 3000, h p ||C||^2 = 3 lies past RK4's real-axis limit of 2.785,
-    # so e grows until ||e|| overflows; an observer start 1e160 away
-    # overflows ||e|| at once.  Either is a numerical failure: no summary
-    # may hold Infinity, and the norms warn nothing (warnings are errors)
+def test_overflowing_error_norm_exits_4(tmp_path, capsys, command, change, flags, code):
+    # at p = 3000, h p max diag Rt = 3 lies past RK4's real-axis limit of
+    # 2.785, so e would grow until ||e|| overflows: the step is refused
+    # before any simulation (exit 3).  An observer start 1e160 away
+    # overflows ||e|| at once, a numerical failure (exit 4): no summary may
+    # hold Infinity, and the norms warn nothing (warnings are errors).
+    # Either way the command writes no file, not even its series
     doc = json.loads((resources.files("ltvobs") / "scenarios" / "bench8.json").read_text())
     doc.update(change)
     out = tmp_path / "out"
     argv = [command, "--scenario", write_scenario(tmp_path, doc), "--horizon", "3"]
-    assert main(argv + flags + ["--out", str(out)]) == 4
+    assert main(argv + flags + ["--out", str(out)]) == code
     err = capsys.readouterr().err
-    assert f"error: {command}.json: sup_e_norm_tso is inf, not a finite number" in err
-    # the summary is refused before its file is opened
-    assert list(out.glob("*.json")) == []
+    if code == 3:
+        assert err.startswith("error: step iii: gain p=3000 with step h=0.001 ")
+        assert "(h p max diag Rt = 3 > 2.785); this step admits p up to 2785\n" in err
+    else:
+        assert f"error: {command}.json: sup_e_norm_tso is inf, not a finite number" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["observe", "reconstruct"])
+def test_gain_just_inside_the_rk4_bound_runs(tmp_path, command):
+    out = tmp_path / "out"
+    argv = [command, "--scenario", "bench8", "--horizon", "3", "--p", "2780", "--out", str(out)]
+    assert main(argv) == 0
+    summary = json.loads((out / f"{command}.json").read_text(), parse_constant=_reject_constant)
+    assert summary["sup_e_norm_tso"] < 20.0
 
 
 def test_json_summaries_hold_only_finite_numbers(tmp_path):

@@ -7,24 +7,21 @@ from ltvobs.errors import NumericalError, StepPreconditionError
 from ltvobs.expr import MatrixExpr
 from ltvobs.integrators import StepConfig
 from ltvobs.cli import _resolve_scenario
-from ltvobs.linalg import (
-    numerical_rank,
-    orthogonal_projector_complement,
-    projector_complement_stack,
-)
-from ltvobs.observer import ObserverConfig
+from ltvobs.linalg import numerical_rank, orthogonal_projector_complement
+from ltvobs.observer import ObserverConfig, frame_track
 from ltvobs.strong_obs import (
     ErrorStackSampler,
     ObservabilityStack,
     ReconstructionMap,
+    _least_squares,
+    _normal_eigs,
     build_stack,
     error_system_so_test,
-    solve_normal_stack,
     strong_observability_test,
 )
 from ltvobs.system import LtvSystem
 
-from conftest import PROBES, double_integrator
+from conftest import PROBES, bench8_run, double_integrator
 
 
 def lti_stack_oracle(a, c, d, depth):
@@ -265,22 +262,74 @@ def test_error_system_so_test_refuses_off_grid_time(toy2):
 
 
 def test_batched_normal_solve_names_singular_sample():
-    kr = np.stack([np.eye(2), [[1.0, 0.0], [0.0, 0.0]], 2.0 * np.eye(2)])
-    ky = np.ones((3, 2))
-    times = np.array([0.0, 0.25, 0.5])
+    # at zero gain R_e = [C; C A] = [[1, 0], [0, 4 t - 1]] is singular at
+    # t = 0.25 alone: the batch is refused there, and solved without it
+    sys = LtvSystem(
+        a=[["0", "4*t - 1"], ["0", "0"]], f=[[0.0], [1.0]], d=[[0.0], [1.0]], c=[[1.0, 0.0]]
+    )
+    sampler = ErrorStackSampler(sys)
+    times, gains, yhat = np.array([0.0, 0.25, 0.5]), np.zeros((3, 2, 1)), np.ones((3, 2))
     with pytest.raises(NumericalError, match=r"not positive definite at t=0\.25"):
-        solve_normal_stack(kr, ky, times)
+        sampler.reconstruct_stack(times, gains, yhat)
     keep = [0, 2]
-    x, eig = solve_normal_stack(kr[keep], ky[keep], times[keep])
-    assert np.allclose(x, [[1.0, 1.0], [0.5, 0.5]])
-    assert np.allclose(eig, [1.0, 4.0])
+    x, eig = sampler.reconstruct_stack(times[keep], gains[keep], yhat[keep])
+    assert np.array_equal(x, [[1.0, -1.0], [1.0, 1.0]])
+    assert np.array_equal(eig, [1.0, 1.0])
+    kr = np.stack([np.eye(2), 2.0 * np.eye(2)])
+    assert np.array_equal(_least_squares(kr, np.ones((2, 2))), [[1.0, 1.0], [0.5, 0.5]])
+    assert np.array_equal(_normal_eigs(kr), [[1.0, 1.0], [4.0, 4.0]])
 
 
 def _projected_solve(sampler, times, gains, yhat):
     """The samples solved through the projector K = I - J_e J_e^+."""
     r_e, j_e = sampler.matrices_stack(times, gains)
-    k_val = projector_complement_stack(j_e)
-    return solve_normal_stack(k_val @ r_e, (k_val @ yhat[..., None])[..., 0], times)
+    k_val = orthogonal_projector_complement(j_e)
+    kr = k_val @ r_e
+    return _least_squares(kr, (k_val @ yhat[..., None])[..., 0]), _normal_eigs(kr)[:, 0]
+
+
+def _lstsq_each(m, y):
+    """Per-sample library least squares (SVD based) of m x = y."""
+    return np.array([np.linalg.lstsq(m_i, y_i, rcond=None)[0] for m_i, y_i in zip(m, y)])
+
+
+def _bench8_samples(rng):
+    """bench8's error stacks at 40 grid times of a 2 s track, with its gains."""
+    run = bench8_run(2.0)
+    track = frame_track(run.sys, run.observer)
+    index = np.sort(rng.choice(track.t.size, size=40, replace=False))
+    t = track.t[index]
+    gains = track.gains(run.sys.c.bind()(t), run.observer.p, index)
+    return ErrorStackSampler(run.sys), t, gains
+
+
+def test_least_squares_matches_lstsq_on_square_stacks(toy2, rng):
+    toy_sampler, times = ErrorStackSampler(toy2), np.linspace(0.0, 3.0, 7)
+    cases = [(toy_sampler, times, rng.standard_normal((7, 2, 1))), _bench8_samples(rng)]
+    for sampler, t, gains in cases:
+        r_e, j_e = sampler.matrices_stack(t, gains)
+        assert r_e.shape[1] == r_e.shape[2] and not j_e.any()
+        yhat = rng.standard_normal(r_e.shape[:2])
+        x = _least_squares(r_e, yhat)
+        # both solves are backward stable: they agree to cond(R_e) eps
+        cond = np.linalg.cond(r_e)[:, None]
+        ref = _lstsq_each(r_e, yhat)
+        assert np.all(np.abs(x - ref) <= 4.0 * cond * np.finfo(float).eps * np.abs(ref).max())
+        assert np.array_equal(sampler.reconstruct_stack(t, gains, yhat)[0], x)
+
+
+def test_least_squares_matches_lstsq_on_projected_tall_stacks(rng):
+    # C = I: the 4 x 2 error stack K R_e is tall and goes through the QR branch
+    sys = LtvSystem(
+        a=[[0.3, 1.0], [0.0, -2.0]], f=[[0.0], [1.0]], d=[[0.0], [1.0]], c=np.eye(2).tolist()
+    )
+    times = np.linspace(0.0, 3.0, 7)
+    gains = rng.standard_normal((7, 2, 2))
+    r_e, j_e = ErrorStackSampler(sys).matrices_stack(times, gains)
+    k_val = orthogonal_projector_complement(j_e)
+    kr, ky = k_val @ r_e, (k_val @ rng.standard_normal((7, 4))[..., None])[..., 0]
+    assert kr.shape == (7, 4, 2)
+    assert np.allclose(_least_squares(kr, ky), _lstsq_each(kr, ky), rtol=0.0, atol=1e-14)
 
 
 def test_zero_input_map_skips_the_projector(toy2, rng):
