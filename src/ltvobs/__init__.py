@@ -21,12 +21,7 @@ from .bibs import (
 from .cascade import CascadeResult, CascadeRun, run_cascade, run_tso
 from .errors import ExprError, NumericalError, ScenarioError, StepPreconditionError
 from .expr import Expr, MatrixExpr, parse
-from .hosm import (
-    DEFAULT_GAINS,
-    BankRun,
-    estimate_lipschitz,
-    run_bank,
-)
+from .hosm import DEFAULT_GAINS, BankRun, run_bank
 from .integrators import (
     StepConfig,
     joint_rk4_step,
@@ -97,7 +92,6 @@ __all__ = [
     "build_stack",
     "detectability_report",
     "error_system_so_test",
-    "estimate_lipschitz",
     "estimate_spectrum",
     "frame_track",
     "general_bibs_certificate",

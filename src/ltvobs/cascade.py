@@ -46,13 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, StepPreconditionError
-from .hosm import (
-    DEFAULT_GAINS,
-    BankRun,
-    check_bank_settings,
-    estimate_lipschitz,
-    run_bank,
-)
+from .hosm import DEFAULT_GAINS, BankRun, check_bank_settings, run_bank
 from .integrators import CHUNK_STEPS, rk4_propagators
 from .observer import (
     ObserverConfig,
@@ -79,12 +73,13 @@ class CascadeRun:
 
     :func:`run_cascade` and :func:`run_tso` read it and return a new
     :class:`CascadeResult`.  ``lipschitz`` bounds the third derivative of
-    e_y; it may be a scalar, a per-channel sequence, or None for the
-    finite-difference auto estimate over the warmup window.  Every setting,
-    the observer's starting frame included, is checked here before any
-    flow runs.  With ``sigma > 0`` the output is corrupted by seeded
-    Gaussian noise and the reconstruction reads the differentiator's
-    filtered z_0 in place of raw e_y.  A variant is
+    e_y, as a scalar or a per-channel sequence.  It is a design input, and
+    only a bank run reads it, so a spec may hold None; :func:`run_cascade`
+    without ``oracle_derivatives`` refuses that.  Every other setting, the
+    observer's starting frame included, is checked here before any flow
+    runs.  With ``sigma > 0`` the output is corrupted by seeded Gaussian
+    noise and the reconstruction reads the differentiator's filtered z_0
+    in place of raw e_y.  A variant is
     ``dataclasses.replace(run, sigma=..., noise_seed=...)``.
     """
 
@@ -128,15 +123,18 @@ class CascadeRun:
         integral = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
         if not (integral and seed >= 0):
             raise ValueError(f"noise seed must be a non-negative integer, got {seed!r}")
-        check_bank_settings(_BANK_ORDER, self.lipschitz, self.gains, self.sys.r)
-        if self.dwell < 0.0:
-            raise ValueError("dwell must be non-negative")
-        # a residual never drops below a threshold <= 0, so the run could
-        # not settle
-        if not (self.threshold > 0.0 and np.isfinite(self.threshold)):
-            raise ValueError(
-                f"settle threshold must be finite and positive, got {self.threshold}"
-            )
+        self.bank_bounds(need_bound=False)
+
+    def bank_bounds(self, need_bound=True):
+        """The bank's per-channel Lipschitz bounds, every bank setting checked.
+
+        A missing bound raises ValueError, or returns None without
+        ``need_bound``.
+        """
+        return check_bank_settings(
+            _BANK_ORDER, self.lipschitz, self.gains, self.sys.r, self.threshold,
+            self.dwell, need_bound,
+        )
 
 
 @dataclass
@@ -298,29 +296,24 @@ def _measurement_noise(run, n_samples):
     return rng.normal(0.0, run.sigma, size=(n_samples, run.sys.r))
 
 
-def _auto_lipschitz(ey_rec, h, order):
-    """Finite-difference bound on the (order+1)-th derivative of e_y."""
-    nu = order + 1
-    warm = max(nu + 1, min(ey_rec.shape[0], int(round(2.0 / h)) + 1))
-    return estimate_lipschitz(ey_rec[:warm], h, nu)
-
-
 def run_cascade(run: CascadeRun) -> CascadeResult:
     """Execute the full pipeline and return its recorded outputs.
 
     The corrected estimate satisfies xhat = x~ + e~ sample by sample,
     where e~ is the least-squares reconstruction of the estimation
     error from the stacked output-error derivatives.  Its error
-    x - xhat = e - e~ is formed from the stepped error e.
+    x - xhat = e - e~ is formed from the stepped error e.  A bank run
+    refuses a spec without a Lipschitz bound before any flow.
     """
     sys, conf = run.sys, run.observer
     step = conf.step
     n, r = sys.n, sys.r
+    oracle = run.oracle_derivatives
+    l_est = None if oracle else run.bank_bounds()
     track = frame_track(sys, conf)
     _check_preconditions(run, track, need_stack=True)
 
     eta = _measurement_noise(run, step.n_steps + 1)
-    oracle = run.oracle_derivatives
     t_grid, x_rec, e_rec, ey_rec, eyd_rec = _simulate(run, track, eta, record_eydot=oracle)
 
     filtered = run.sigma > 0.0
@@ -329,9 +322,6 @@ def run_cascade(run: CascadeRun) -> CascadeResult:
         bank = None
         settled_time = t_f = step.t0
     else:
-        l_est = run.lipschitz
-        if l_est is None:
-            l_est = _auto_lipschitz(ey_rec, step.h, _BANK_ORDER)
         # the settle detector cannot resolve residuals below the noise
         # floor, so with noise present the threshold is floored at 5 sigma
         threshold = max(run.threshold, 5.0 * run.sigma)

@@ -102,8 +102,19 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_plot(path, csv_name, title, ycols, ylabel, logy=False):
-    """Emit a small gnuplot script plotting the named CSV columns."""
+def _write_outputs(outdir, stem, payload, header, rows, plot=None):
+    """A command's files: ``<stem>.json``, ``<stem>.csv``, then any ``<stem>.gp``.
+
+    The summary comes first, so one that :func:`_write_json` refuses leaves
+    no series behind.  ``plot`` is ``(title, ycols, ylabel, logy)`` for a
+    small gnuplot script of the CSV columns ``ycols``, ``(index, name)``
+    pairs.
+    """
+    _write_json(os.path.join(outdir, f"{stem}.json"), payload)
+    _write_csv(os.path.join(outdir, f"{stem}.csv"), header, rows)
+    if plot is None:
+        return
+    title, ycols, ylabel, logy = plot
     lines = [
         "set datafile separator ','",
         "set key outside",
@@ -114,11 +125,11 @@ def _write_plot(path, csv_name, title, ycols, ylabel, logy=False):
     if logy:
         lines.append("set logscale y")
     plots = [
-        f"'{csv_name}' using 1:{idx} with lines title '{name}'"
+        f"'{stem}.csv' using 1:{idx} with lines title '{name}'"
         for idx, name in ycols
     ]
     lines.append("plot \\\n  " + ", \\\n  ".join(plots))
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(outdir, f"{stem}.gp"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -157,7 +168,7 @@ def _parse_grid(raw, name, rows, cols):
 
 
 def _parse_vector_exprs(raw, name, length):
-    """Check a list of expression strings, parsed and compiled as a column."""
+    """A list of expression strings as a column, parsed and compiled."""
     if raw is None:
         return None
     if not isinstance(raw, list) or len(raw) != length:
@@ -169,8 +180,7 @@ def _parse_vector_exprs(raw, name, length):
             column.append([parse(entry)])
         except ExprError as e:
             raise ScenarioError(f"{name}[{i + 1}]: {e}") from e
-    _compile(MatrixExpr(column), name, column=True)
-    return list(raw)
+    return _compile(MatrixExpr(column), name, column=True)
 
 
 def _compile(matrix, name, column=False):
@@ -445,17 +455,6 @@ def cmd_spectrum(scen, args, outdir):
     est = estimate_spectrum(run.sys.a, k, step)
     reg = regularity_report(est.history_t, est.history_b)
 
-    header = ["t"] + [f"lambda_{j + 1}" for j in range(k)]
-    rows = np.column_stack([est.history_t, est.history_lambda])
-    csv_path = os.path.join(outdir, "spectrum.csv")
-    _write_csv(csv_path, header, rows)
-    _write_plot(
-        os.path.join(outdir, "spectrum.gp"),
-        "spectrum.csv",
-        f"running Lyapunov exponent estimates (k={k})",
-        [(j + 2, f"lambda_{j + 1}") for j in range(k)],
-        "running average",
-    )
     payload = {
         "scenario": scen.name,
         "k": k,
@@ -470,7 +469,12 @@ def cmd_spectrum(scen, args, outdir):
         "forward_regular": bool(reg.forward_regular),
         "strong_regular": bool(reg.strong_regular),
     }
-    _write_json(os.path.join(outdir, "spectrum.json"), payload)
+    header = ["t"] + [f"lambda_{j + 1}" for j in range(k)]
+    rows = np.column_stack([est.history_t, est.history_lambda])
+    title = f"running Lyapunov exponent estimates (k={k})"
+    ycols = [(j + 2, f"lambda_{j + 1}") for j in range(k)]
+    plot = (title, ycols, "running average", False)
+    _write_outputs(outdir, "spectrum", payload, header, rows, plot)
     print(
         "exponents:",
         " ".join(_fmt(v) for v in est.exponents),
@@ -547,16 +551,9 @@ def cmd_detect(scen, args, outdir):
         + [f"rbar_{j + 1}" for j in range(k)]
     )
     rows = np.column_stack([rep.history_t, rep.history_lambda, rep.history_rbar])
-    _write_csv(os.path.join(outdir, "detect.csv"), header, rows)
-    _write_plot(
-        os.path.join(outdir, "detect.gp"),
-        "detect.csv",
-        "running exponents and output visibility",
-        [(j + 2, f"lambda_{j + 1}") for j in range(k)]
-        + [(k + j + 2, f"rbar_{j + 1}") for j in range(k)],
-        "running average",
-    )
-    _write_json(os.path.join(outdir, "detect.json"), payload)
+    ycols = [(j + 2, name) for j, name in enumerate(header[1:])]
+    plot = ("running exponents and output visibility", ycols, "running average", False)
+    _write_outputs(outdir, "detect", payload, header, rows, plot)
     return 0
 
 
@@ -580,7 +577,8 @@ def cmd_check_so(scen, args, outdir):
     return 0
 
 
-def _series_csv(path, run, include_xhat):
+def _series(run, include_xhat):
+    """Header and rows of a run's CSV: t, x, xhat or x~, both error norms."""
     n = run.x.shape[1]
     header = ["t"] + [f"x_{i + 1}" for i in range(n)]
     cols = [run.t, *(run.x[:, i] for i in range(n))]
@@ -592,23 +590,14 @@ def _series_csv(path, run, include_xhat):
         cols += [run.xt[:, i] for i in range(n)]
     header += ["e_norm_tso", "e_norm_cascade"]
     cols += [run.e_norm_tso, run.e_norm_cascade]
-    _write_csv(path, header, np.column_stack(cols))
-    return header
+    return header, np.column_stack(cols)
 
 
 def cmd_observe(scen, args, outdir):
     run = run_tso(_run_spec(scen, args))
-    # the summary first: a refused one leaves no series behind
-    _write_json(os.path.join(outdir, "observe.json"), run.summary)
-    _series_csv(os.path.join(outdir, "observe.csv"), run, include_xhat=False)
-    _write_plot(
-        os.path.join(outdir, "observe.gp"),
-        "observe.csv",
-        "observer-only error norm",
-        [(2 * run.x.shape[1] + 2, "e_norm_tso")],
-        "||x - x~||",
-        logy=True,
-    )
+    header, rows = _series(run, include_xhat=False)
+    plot = ("observer-only error norm", [(len(header) - 1, "e_norm_tso")], "||x - x~||", True)
+    _write_outputs(outdir, "observe", run.summary, header, rows, plot)
     print(
         f"sup ||e||={_fmt(run.summary['sup_e_norm_tso'])}, "
         f"final ||e||={_fmt(run.summary['final_e_norm_tso'])}"
@@ -617,18 +606,16 @@ def cmd_observe(scen, args, outdir):
 
 
 def cmd_reconstruct(scen, args, outdir):
-    run = run_cascade(_run_spec(scen, args))
-    n = run.x.shape[1]
-    _write_json(os.path.join(outdir, "reconstruct.json"), run.summary)
-    _series_csv(os.path.join(outdir, "reconstruct.csv"), run, include_xhat=True)
-    _write_plot(
-        os.path.join(outdir, "reconstruct.gp"),
-        "reconstruct.csv",
-        "observer vs corrected estimate",
-        [(2 * n + 2, "e_norm_tso"), (2 * n + 3, "e_norm_cascade")],
-        "error norm",
-        logy=True,
-    )
+    spec = _run_spec(scen, args)
+    # only the bank reads the bound, so a file may leave it out for every
+    # other command; a bank run refuses that here, naming the key
+    if not spec.oracle_derivatives:
+        _spec("differentiator.lipschitz3", spec.bank_bounds)
+    run = run_cascade(spec)
+    header, rows = _series(run, include_xhat=True)
+    ycols = [(len(header) - 1, "e_norm_tso"), (len(header), "e_norm_cascade")]
+    plot = ("observer vs corrected estimate", ycols, "error norm", True)
+    _write_outputs(outdir, "reconstruct", run.summary, header, rows, plot)
     settled = run.summary["settled_time"]
     print(
         "settled_time="
@@ -666,7 +653,6 @@ def cmd_bibs(scen, args, outdir):
                 comp.state_bound if math.isfinite(comp.state_bound) else float("inf"),
             ]
         )
-    _write_csv(os.path.join(outdir, "bibs.csv"), header, rows)
     payload = {
         "scenario": scen.name,
         "subject": subject,
@@ -685,7 +671,7 @@ def cmd_bibs(scen, args, outdir):
             for comp in cert.components
         ],
     }
-    _write_json(os.path.join(outdir, "bibs.json"), payload)
+    _write_outputs(outdir, "bibs", payload, header, rows)
     print(
         f"bibs({subject}): "
         + ("certified" if cert.certified else "not certified")

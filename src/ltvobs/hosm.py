@@ -39,7 +39,6 @@ from .errors import NumericalError
 __all__ = [
     "DEFAULT_GAINS",
     "check_bank_settings",
-    "estimate_lipschitz",
     "BankRun",
     "run_bank",
 ]
@@ -47,15 +46,19 @@ __all__ = [
 DEFAULT_GAINS = (1.1, 1.5, 2.0, 3.0, 5.0, 8.0)
 
 
-def check_bank_settings(order, lipschitz, gains, channels):
-    """Validate the settings of an order-``order`` bank over ``channels``.
+def check_bank_settings(order, lipschitz, gains, channels, threshold, dwell, need_bound=True):
+    """Validate every setting of an order-``order`` bank over ``channels``.
 
-    ``lipschitz`` is one finite positive bound, or one per channel;
+    ``lipschitz`` bounds the (order+1)-th derivative of each channel's
+    input: one finite positive value, or one per channel.  It is a design
+    input (Levant, IJC 2003), which no run can measure from its own data.
     ``gains[i]`` multiplies the level at distance i from the top, so the
     highest derivative uses ``gains[0]`` and the signal level
-    ``gains[order]``, and all of them must be finite and positive.
-    Returns the per-channel bounds, None for a bound still to estimate;
-    raises ValueError.
+    ``gains[order]``, and all of them must be finite and positive.  The
+    settle ``threshold`` must be finite and positive and the ``dwell``
+    finite and non-negative.  Returns the per-channel bounds and raises
+    ValueError, for a missing bound (None) too; with ``need_bound`` false,
+    for a spec that may run no bank, a missing bound returns None.
     """
     top = len(DEFAULT_GAINS) - 1
     if not 1 <= order <= top:
@@ -68,8 +71,19 @@ def check_bank_settings(order, lipschitz, gains, channels):
         raise ValueError(f"need {order + 1} gains for order {order}, got {gain.size}")
     if not (np.all(gain > 0.0) and np.all(np.isfinite(gain))):
         raise ValueError(f"gains must be finite and positive, got {tuple(gains)}")
+    # a residual never drops below a threshold <= 0, so the bank could not
+    # settle
+    if not (threshold > 0.0 and math.isfinite(threshold)):
+        raise ValueError(f"settle threshold must be finite and positive, got {threshold}")
+    if not (dwell >= 0.0 and math.isfinite(dwell)):
+        raise ValueError(f"dwell must be finite and non-negative, got {dwell}")
     if lipschitz is None:
-        return None
+        if not need_bound:
+            return None
+        raise ValueError(
+            f"no Lipschitz bound given: the order-{order} bank needs a bound on "
+            f"derivative {order + 1} of its input"
+        )
     bound = np.asarray(lipschitz, dtype=float)
     if bound.ndim > 1 or bound.size not in (1, channels):
         raise ValueError(
@@ -145,21 +159,6 @@ def _bank_loop(order, h):
     return ns["_loop"]
 
 
-def estimate_lipschitz(f, h, nu):
-    """Crude per-channel Lipschitz bound: 2x the max finite-difference
-    nu-th derivative over the samples ``f`` (the caller's warmup window).
-
-    A fallback for when no analytic bound is known; finite differences
-    amplify noise by h^-nu, so prefer a supplied bound on noisy data.
-    """
-    f = np.atleast_2d(np.asarray(f, dtype=float).T).T
-    rows = f.shape[0]
-    if rows < nu + 1:
-        raise ValueError(f"need at least {nu + 1} samples, got {rows}")
-    deriv = np.diff(f, n=nu, axis=0) / h**nu
-    return 2.0 * np.max(np.abs(deriv), axis=0)
-
-
 @dataclass
 class BankRun:
     """Differentiator bank output over a sampled multi-channel signal.
@@ -187,9 +186,11 @@ def run_bank(e_y, nu, l_est, h, threshold=1e-4, dwell=0.5, gains=DEFAULT_GAINS):
 
     Emits, per sample, the stacked estimates of the signal and its first
     nu - 1 derivatives, from which the cascade takes the levels its
-    reconstruction map reads.  ``l_est`` bounds the nu-th derivative.
+    reconstruction map reads.  ``l_est`` bounds the nu-th derivative;
+    it and the other settings are checked by :func:`check_bank_settings`.
     Initial states are zero, so a zero input series yields a zero stack
-    with the settled flag raised as soon as the dwell window elapses.
+    with the settled flag raised as soon as the dwell window elapses; a
+    dwell longer than the series never elapses.
     Each channel steps on its own through one compiled loop
     (:func:`_bank_loop`); a channel that turns non-finite raises
     NumericalError naming it and the sample.
@@ -199,8 +200,9 @@ def run_bank(e_y, nu, l_est, h, threshold=1e-4, dwell=0.5, gains=DEFAULT_GAINS):
         e_y = e_y[:, None]
     n_samples, channels = e_y.shape
     order = nu - 1
-    l_arr = check_bank_settings(order, l_est, gains, channels)
-    dwell_steps = max(1, int(round(dwell / h)))
+    l_arr = check_bank_settings(order, l_est, gains, channels, threshold, dwell)
+    # a window longer than the series never fits, so the bank never settles
+    dwell_steps = max(1, round(min(dwell / h, n_samples + 1)))
 
     loop = _bank_loop(order, h)
 

@@ -10,6 +10,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
+from ltvobs import cascade
 from ltvobs.cascade import CascadeRun, run_cascade, run_tso
 from ltvobs.errors import StepPreconditionError
 from ltvobs.integrators import StepConfig
@@ -208,21 +209,26 @@ def test_precondition_wrong_index():
     assert "index 2" in str(info.value)
 
 
-def test_auto_lipschitz_path(toy2):
-    run = run_cascade(make_run(toy2, lipschitz=None))
-    assert run.settled_time is not None
-    assert run.bank.lipschitz[0] > 0.0
-    # the estimate overshoots the true bound (transient in the window), but
-    # the order-2 bank still reconstructs x2 to 3.7e-3; the order-1 bank
-    # with its second-difference estimate gave 0.16 here
-    assert run.sup_state_error[1] < 1e-2
+def test_bank_run_refuses_a_missing_bound_before_any_flow(toy2, monkeypatch):
+    spec = make_run(toy2, t_end=1.0, lipschitz=None)
+    # the observer alone and exact derivatives read no bound
+    assert run_tso(spec).t_f is None
+    assert run_cascade(replace(spec, oracle_derivatives=True)).t_f == 0.0
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("frame_track ran")
+
+    monkeypatch.setattr(cascade, "frame_track", no_flow)
+    with pytest.raises(ValueError, match="no Lipschitz bound given"):
+        run_cascade(spec)
 
 
 def test_input_validation(toy2):
     with pytest.raises(ValueError):
         make_run(toy2, sigma=-1.0)
-    with pytest.raises(ValueError):
-        make_run(toy2, dwell=-0.1)
+    for dwell in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dwell must be finite and non-negative"):
+            make_run(toy2, dwell=dwell)
     with pytest.raises(ValueError):
         make_run(toy2, x0=[1.0, 2.0, 3.0])
     for threshold in (0.0, -1.0, float("nan"), float("inf")):
@@ -243,7 +249,7 @@ def test_input_validation(toy2):
     for seed in (-1, 1.5, None, True):
         with pytest.raises(ValueError, match="noise seed"):
             make_run(toy2, noise_seed=seed)
-    # the auto bound is estimated later; the spec itself is valid, but its
+    # only a bank run reads the bound, so a spec may leave it out, but its
     # gains are checked now
     assert make_run(toy2, lipschitz=None).lipschitz is None
     with pytest.raises(ValueError, match="need 3 gains"):

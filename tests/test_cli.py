@@ -10,8 +10,16 @@ import pytest
 
 from ltvobs import bibs, integrators, lyapunov, observer
 from ltvobs.cascade import CascadeRun
-from ltvobs.cli import _resolve_scenario, _write_csv, _write_json, load_scenario, main
+from ltvobs.cli import (
+    _resolve_scenario,
+    _write_csv,
+    _write_json,
+    _write_outputs,
+    load_scenario,
+    main,
+)
 from ltvobs.errors import NumericalError, ScenarioError
+from ltvobs.expr import MatrixExpr
 from ltvobs.hosm import DEFAULT_GAINS
 from ltvobs.integrators import StepConfig
 from ltvobs.system import LtvSystem
@@ -46,7 +54,11 @@ def test_load_scenario_round_trip(tmp_path):
     assert run.sys.n == 2 and run.sys.r == 1
     assert run.observer.k == 1 and run.observer.p == 8.0 and run.observer.q0 is None
     assert run.observer.step.t_end == 6.0
-    assert np.array_equal(run.x0, [1.0, -0.5]) and run.w == ["0.4*sin(t)"]
+    # w is kept as the column the loader compiled, so no run compiles it again
+    assert np.array_equal(run.x0, [1.0, -0.5]) and run.u is None
+    assert isinstance(run.w, MatrixExpr) and run.w.shape == (1, 1)
+    assert run.w.bind() is run.w.bind()
+    assert np.array_equal(run.w.bind()(np.array([1.0])), [[[0.4 * np.sin(1.0)]]])
     assert np.array_equal(run.lipschitz, [8.0]) and run.gains == DEFAULT_GAINS
     assert run.sigma == 0.0 and run.noise_seed == 0
 
@@ -263,6 +275,45 @@ def test_reconstruct_json_is_strict_when_t_f_passes_the_horizon(tmp_path, capsys
     assert summary["sup_state_error_after_t_f"] is None
 
 
+@pytest.mark.parametrize(
+    "command, extra, code",
+    [
+        ("reconstruct", [], 2),
+        ("reconstruct", ["--oracle-derivatives"], 0),
+        ("observe", [], 0),
+        ("spectrum", [], 0),
+    ],
+)
+def test_only_a_bank_run_needs_the_lipschitz_bound(
+    tmp_path, capsys, monkeypatch, command, extra, code
+):
+    # the bound is a design input that only the differentiator bank reads:
+    # a file without it serves every other command, and a bank run refuses
+    # it before any flow
+    doc = copy.deepcopy(TOY)
+    del doc["differentiator"]["lipschitz3"]
+    flows = count_flows(monkeypatch)
+    scen = write_scenario(tmp_path, doc)
+    argv = [command, "--scenario", scen, "--out", str(tmp_path), "--horizon", "1"] + extra
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "differentiator.lipschitz3" in err and flows == []
+    else:
+        assert err == "" and flows
+
+
+def test_dwell_past_the_float_range_never_settles(tmp_path, capsys, monkeypatch):
+    # 1e308 s in steps of 1e-3 is past the float range; the run never settles
+    flows = count_flows(monkeypatch)
+    scen = write_scenario(tmp_path, edited({"differentiator.dwell": 1e308}))
+    assert main(["reconstruct", "--scenario", scen, "--out", str(tmp_path), "--horizon", "3"]) == 0
+    assert capsys.readouterr().out.startswith("settled_time=never")
+    summary = json.loads((tmp_path / "reconstruct.json").read_text())
+    assert summary["settled_time"] is None and summary["t_f"] is None
+    assert flows
+
+
 def test_reconstruct_undetectable_exits_3(tmp_path, capsys):
     doc = copy.deepcopy(TOY)
     doc["a"] = [["0.3", "0"], ["0", "-2"]]
@@ -302,8 +353,8 @@ def edited(edit):
         ({"differentiator.gains": [1.1, 1.5]}, [], "need 3 gains"),
         ({"differentiator.gains": [1.1, 1.5, -2.0]}, [], "gains must be finite and positive"),
         ({}, ["--seed=-1"], "noise seed must be a non-negative integer"),
-        # without a bound the gains are still refused with the spec, not
-        # after the simulation that estimates the bound
+        # without a bound the gains are still refused with the spec, by
+        # their own section
         (
             {"differentiator.lipschitz3": None, "differentiator.gains": [1.1, 1.5]},
             [],
@@ -311,6 +362,11 @@ def edited(edit):
         ),
         ({"noise.seed": 1.5}, [], "noise: noise seed must be a non-negative integer"),
         ({"noise.sigma": -1.0}, [], "noise: noise level must be finite and non-negative"),
+        # json reads the literals Infinity and NaN as floats
+        *(
+            ({"differentiator.dwell": dwell}, [], "dwell must be finite and non-negative")
+            for dwell in (float("inf"), float("nan"))
+        ),
     ],
 )
 def test_bad_differentiator_or_noise_setting_exits_2(
@@ -577,6 +633,16 @@ def test_csv_writer_bytes_match_csv_module(tmp_path):
     data = (tmp_path / "fast.csv").read_bytes()
     assert data == (tmp_path / "ref.csv").read_bytes()
     assert data.count(b"\r\n") == len(rows) + 1
+
+
+def test_refused_summary_leaves_no_files(tmp_path):
+    # every command writes through one writer, summary first
+    plot = ("title", [(2, "x")], "x", False)
+    with pytest.raises(NumericalError, match="s.json: a is nan"):
+        _write_outputs(tmp_path, "s", {"a": float("nan")}, ["t", "x"], [[0.0, 1.0]], plot)
+    assert list(tmp_path.iterdir()) == []
+    _write_outputs(tmp_path, "s", {"a": 1.0}, ["t", "x"], [[0.0, 1.0]], plot)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.gp", "s.json"]
 
 
 def test_bundled_scenario_resolves(capsys, tmp_path):

@@ -11,27 +11,44 @@ from ltvobs.hosm import (
     _bank_loop,
     _neg_rates,
     check_bank_settings,
-    estimate_lipschitz,
     run_bank,
 )
 
 
 def test_config_validation():
+    settle = (1e-4, 0.5)  # threshold and dwell
     for order in (0, 6):
         with pytest.raises(ValueError, match="order must be in 1..5"):
-            check_bank_settings(order, 1.0, DEFAULT_GAINS, 1)
+            check_bank_settings(order, 1.0, DEFAULT_GAINS, 1, *settle)
     for bound in (0.0, -1.0, np.nan, np.inf, [1.0, 0.0]):
         with pytest.raises(ValueError, match="Lipschitz bound must be finite"):
-            check_bank_settings(1, bound, DEFAULT_GAINS, 2)
+            check_bank_settings(1, bound, DEFAULT_GAINS, 2, *settle)
     with pytest.raises(ValueError, match="one value per channel"):
-        check_bank_settings(1, [1.0, 2.0, 3.0], DEFAULT_GAINS, 2)
+        check_bank_settings(1, [1.0, 2.0, 3.0], DEFAULT_GAINS, 2, *settle)
     with pytest.raises(ValueError, match="need 4 gains"):
-        check_bank_settings(3, 1.0, (1.1, 1.5), 1)
+        check_bank_settings(3, 1.0, (1.1, 1.5), 1, *settle)
     for gains in ((1.1, -1.5), (1.1, np.inf), (1.1, np.nan, 2.0)):
         with pytest.raises(ValueError, match="gains must be finite and positive"):
-            check_bank_settings(1, 1.0, gains, 1)
-    assert np.array_equal(check_bank_settings(5, 2.0, DEFAULT_GAINS, 3), [2.0, 2.0, 2.0])
-    assert np.array_equal(check_bank_settings(2, [1.0, 3.0], DEFAULT_GAINS, 2), [1.0, 3.0])
+            check_bank_settings(1, 1.0, gains, 1, *settle)
+    for threshold in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="settle threshold must be finite and positive"):
+            check_bank_settings(1, 1.0, DEFAULT_GAINS, 1, threshold, 0.5)
+    for dwell in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dwell must be finite and non-negative"):
+            check_bank_settings(1, 1.0, DEFAULT_GAINS, 1, 1e-4, dwell)
+    # the bound is a design input: a missing one is refused, unless the
+    # caller may run no bank
+    with pytest.raises(ValueError, match="no Lipschitz bound given"):
+        check_bank_settings(2, None, DEFAULT_GAINS, 1, *settle)
+    assert check_bank_settings(2, None, DEFAULT_GAINS, 1, *settle, need_bound=False) is None
+    with pytest.raises(ValueError, match="need 3 gains"):
+        check_bank_settings(2, None, (1.1, 1.5), 1, *settle, need_bound=False)
+    assert np.array_equal(
+        check_bank_settings(5, 2.0, DEFAULT_GAINS, 3, *settle), [2.0, 2.0, 2.0]
+    )
+    assert np.array_equal(
+        check_bank_settings(2, [1.0, 3.0], DEFAULT_GAINS, 2, *settle), [1.0, 3.0]
+    )
 
 
 def _step(z, f, order, lipschitz, h):
@@ -249,11 +266,16 @@ def test_bank_requires_depth_two():
         run_bank(np.zeros(10), nu=1, l_est=1.0, h=0.1)
 
 
-def test_estimate_lipschitz_sin():
-    h = 1e-3
-    t = np.arange(0.0, 3.0 + h / 2, h)
-    est = estimate_lipschitz(np.sin(t), h, nu=2)
-    assert est.shape == (1,)
-    assert 1.8 <= float(est[0]) <= 2.2  # 2x the true bound of 1
-    with pytest.raises(ValueError):
-        estimate_lipschitz(np.zeros(2), h, nu=2)
+def test_bank_refuses_a_missing_bound_and_an_unbounded_dwell():
+    signal = np.zeros(100)
+    with pytest.raises(ValueError, match="no Lipschitz bound given"):
+        run_bank(signal, nu=3, l_est=None, h=1e-3)
+    for dwell in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="dwell must be finite and non-negative"):
+            run_bank(signal, nu=3, l_est=1.0, h=1e-3, dwell=dwell)
+    # a finite dwell longer than the series, even past the float range in
+    # steps, never elapses
+    for dwell in (0.101, 1e308):
+        assert run_bank(signal, nu=3, l_est=1.0, h=1e-3, dwell=dwell).settled_index is None
+    # a quiet series settles at its last sample through a window of its length
+    assert run_bank(signal, nu=3, l_est=1.0, h=1e-3, dwell=0.1).settled_index == 99
