@@ -49,9 +49,11 @@ from .errors import NumericalError, StepPreconditionError
 from .hosm import DEFAULT_GAINS, BankRun, check_bank_settings, run_bank
 from .integrators import CHUNK_STEPS, rk4_propagators
 from .observer import (
+    RK4_REAL_LIMIT,
     ObserverConfig,
     detectability_report,
     frame_track,
+    max_rk4_gain,
     min_gain_suggestion,
     stage_gains,
 )
@@ -62,9 +64,6 @@ __all__ = ["CascadeRun", "CascadeResult", "run_cascade", "run_tso"]
 
 # one above the index: z_1 is then not the bank's top (O(h)) level
 _BANK_ORDER = 2
-# RK4 is stable on the negative real axis down to h lambda = -2.785
-# (Hairer & Wanner, Solving ODEs II, IV.2)
-_RK4_REAL_LIMIT = 2.785
 
 
 @dataclass(frozen=True)
@@ -176,15 +175,14 @@ def _check_preconditions(run, track, need_stack):
             f"gain p={run.observer.p:g} does not exceed the minimum "
             f"{p_min:.6g} needed to stabilize every error direction",
         )
-    # in frame coordinates Q^T L C Q = p Rt, so the error's fast modes sit
-    # near -p diag Rt(t), and an RK4 step takes them at h p diag Rt
-    h, p, r_max = run.observer.step.h, run.observer.p, float(track.r_diag.max())
-    if h * p * r_max > _RK4_REAL_LIMIT:
+    h, p = run.observer.step.h, run.observer.p
+    p_max = max_rk4_gain(track, h)
+    if p_max is not None and p > p_max:
         raise StepPreconditionError(
             "iii",
             f"gain p={p:g} with step h={h:g} puts the error system's fast modes past "
-            f"RK4's stability limit (h p max diag Rt = {h * p * r_max:.6g} > "
-            f"{_RK4_REAL_LIMIT}); this step admits p up to {_RK4_REAL_LIMIT / (h * r_max):.6g}",
+            f"RK4's stability limit (h p max diag Rt = {RK4_REAL_LIMIT * p / p_max:.6g} > "
+            f"{RK4_REAL_LIMIT}); this step admits p up to {p_max:.6g}",
         )
     if not need_stack:
         return

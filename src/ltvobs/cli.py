@@ -36,6 +36,7 @@ from .observer import (
     ObserverConfig,
     detectability_report,
     frame_track,
+    max_rk4_gain,
     min_gain_suggestion,
 )
 from .strong_obs import ReconstructionMap, horizon_so_check
@@ -495,6 +496,7 @@ def _detect_payload(scen, conf, track):
         "p": conf.p,
         "ok": bool(rep.ok),
         "p_min_margin_1": p_min,
+        "p_max_rk4": max_rk4_gain(track, conf.step.h),
         "min_ctcq_sigma": float(rep.min_ctcq_sigma),
         "directions": [
             {

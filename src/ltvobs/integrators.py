@@ -8,18 +8,22 @@ whose solution is exactly the Q factor of ``Phi(t, t0) Q0`` with
 ``Phi`` the transition matrix of ``dx/dt = A x``.  :func:`frame_flow`
 therefore runs the discrete QR method (Dieci, Russell & Van Vleck, SIAM
 J. Numer. Anal. 1997) and owns the walk over the grid: per chunk of steps
-it samples A at the grid points and step midpoints, folds every step's
+it samples A at the grid points and step midpoints and folds every step's
 RK4 stages into a propagator ``Phi_i`` with stacked products
-(:func:`rk4_propagators`) and applies ``X <- Phi_i X`` in a tight loop of
-``np.dot`` calls, re-anchoring at the end of every block of steps whose
-propagators can grow X by at most about e^4.  Only what the next
-block starts from is done in sequence: the Householder QR of the block's
-last matrix alone.  The checks, the frames and the diagonals of R of
-every step of the chunk then come from one batched Householder QR.  Both
-go through :func:`~ltvobs.linalg.householder_qr`, which returns Q with
-diag R >= 0 and |diag R|, and builds no R matrix.  The diagonal of each
-step's R factor gives the log growth of every direction, a second
-exponent estimate next to the diag(Q^T A Q) average.
+(:func:`rk4_propagators`).  The chunk is re-anchored at the end of every
+block of steps whose propagators can grow X by at most about e^4.  The
+first block applies ``X <- Phi_i X`` in a tight loop of ``np.dot`` calls;
+every later block forms the running product of its own propagators, all
+later blocks at once, one batched product per position in a block.  Only
+what the next block starts from is done in sequence: the block's last
+product applied to the frame it starts from, and the Householder QR of
+that matrix alone.  One batched product then gives every later block's
+matrices, and one batched Householder QR the checks, the frames and the
+diagonals of R of every step of the chunk.  Both QRs go through the
+LAPACK kernels of :mod:`~ltvobs.linalg`, which return Q with diag R >= 0
+and build no R matrix.  The diagonal of each step's R factor gives the log
+growth of every direction, a second exponent estimate next to the
+diag(Q^T A Q) average.
 
 :func:`projected_rk4_step` is the continuous form of the same flow, one
 projected RK4 step at a time; no program path steps it, and it stays as
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import householder_qr, mgs_qr
+from .linalg import householder_q, householder_qr, mgs_qr
 
 __all__ = [
     "StepConfig",
@@ -64,14 +68,14 @@ class StepConfig:
             raise ValueError(f"step size must be positive, got {self.h}")
         if not (np.isfinite([self.t0, self.t_end]).all() and self.t_end > self.t0):
             raise ValueError(f"empty or non-finite horizon [{self.t0}, {self.t_end}]")
+        span = self.horizon
+        steps = round(span / self.h)
+        if steps < 1 or abs(steps * self.h - span) > 1e-9 * max(1.0, span):
+            raise ValueError(f"horizon {span} is not a multiple of h={self.h}")
 
     @property
     def n_steps(self):
-        span = self.t_end - self.t0
-        n = int(round(span / self.h))
-        if abs(n * self.h - span) > 1e-9 * max(1.0, abs(span)):
-            raise ValueError(f"horizon {span} is not a multiple of h={self.h}")
-        return max(n, 1)
+        return round(self.horizon / self.h)
 
     @property
     def horizon(self):
@@ -189,20 +193,26 @@ def frame_flow(a, q, cfg):
     about 8192 entries (64 KiB) whatever the dimension n.  For its steps
     ``lo .. hi - 1``, A is sampled at the grid points ``lo .. hi`` and the
     step midpoints, and the stages ``(A(t), A(t + h/2), A(t + h))`` fold
-    into propagators ``Phi_i`` (:func:`rk4_propagators`).  ``X <- Phi_i X``
-    runs from the last frame, one ``np.dot`` per step, in blocks of ``b =
-    floor(4 / (h max ||M||_1))`` steps over the chunk's stage matrices,
-    between 1 and T.  This bounds the norm of every product of a block's
-    propagators and of its inverse by about e^4, so cond(X) stays below
-    about e^8 (3e3) and the backward-stable Householder QR keeps the frames
-    at round-off.  In sequence, each block's last X is factored alone,
-    ``X = Q R`` with diag R >= 0, and the next block starts from that Q;
-    the chunk's last block end is left to the batch.  Then one batched QR
-    of all the chunk's X gives every frame and every diag R.  Both
-    factorizations are :func:`~ltvobs.linalg.householder_qr`, the LAPACK
-    kernels of ``np.linalg.qr`` without forming R; a matrix factored alone
-    gives the same bits as in the batch, so each block starts from exactly
-    the frame recorded at its start.
+    into propagators ``Phi_i`` (:func:`rk4_propagators`).  The chunk is
+    cut into blocks of ``b = floor(4 / (h max ||M||_1))`` steps over its
+    stage matrices, between 1 and T.  This bounds the norm of every product
+    of a block's propagators and of its inverse by about e^4, so cond(X)
+    stays below about e^8 (3e3) and the backward-stable Householder QR
+    keeps the frames at round-off.  The first block steps the last frame,
+    ``X <- Phi_i X``, one ``np.dot`` per step.  In the same pass over the
+    positions j of a block, the products ``P_j = Phi_j ... Phi_0`` of all
+    later blocks advance together, one ``np.matmul`` per position.  Only
+    the block ends are done in sequence: each block's end ``X = P Q`` is
+    factored alone, ``X = Q R`` with diag R >= 0 by
+    :func:`~ltvobs.linalg.householder_q`, and the next block starts from
+    that Q; the chunk's last block end is left to the batch.  One batched
+    product ``P Q`` then gives the frames X of every later block, and one
+    batched QR of all the chunk's X (:func:`~ltvobs.linalg.householder_qr`)
+    every frame and every diag R.  Both run the LAPACK kernels of
+    ``np.linalg.qr`` without forming R; a matrix factored alone gives the
+    same bits as in the batch, so each block starts from exactly the frame
+    recorded at its start.  A chunk of one block makes one ``np.dot`` per
+    step and the batched QR alone.
 
     Yields ``(index, grid, frames, log_r)`` per chunk: ``index`` slices
     the grid points ``0 .. hi`` for the first chunk and ``lo + 1 .. hi``
@@ -241,14 +251,39 @@ def frame_flow(a, q, cfg):
         block = max(1, int(4.0 / growth)) if growth * count > 4.0 else count
         frames = np.empty((count + 1,) + q.shape)
         frames[0] = x = q
-        # a non-finite block end stops the flow before LAPACK sees it
-        for start in range(0, count, block):
-            stop = min(start + block, count)
-            for j in range(start, stop):
+        # prods[s - block] = Phi_s ... Phi_b for each step s past the first
+        # block, b the first step of its block: prods[j::block] are the
+        # steps at position j of blocks 1, 2, ..., the last one shorter
+        later = count - block
+        prods = np.empty((later, n, n))
+        prods[::block] = phi[block::block]
+        # the frame each block starts from
+        starts = np.empty((-(-count // block),) + q.shape)
+        starts[0] = q
+        stop = block
+        # one error state for the chunk's products and block-end QRs: a
+        # non-finite product warns nothing and the finite checks name it,
+        # and every matrix factored alone is factored again by the batch
+        # below, under LAPACK's error state
+        with np.errstate(all="ignore"):
+            for j in range(block):
                 x = np.dot(phi[j], x, out=frames[j + 1])
-            if stop == count or not np.isfinite(x).all():
-                break
-            x, _ = householder_qr(x)
+                if 0 < j < later:
+                    at = prods[j::block]
+                    np.matmul(phi[block + j :: block], prods[j - 1 :: block][: len(at)], out=at)
+            # a non-finite block end stops the flow before LAPACK sees it
+            for b in range(1, len(starts)):
+                if not np.isfinite(x).all():
+                    break
+                starts[b] = householder_q(x)
+                stop = min(stop + block, count)
+                x = np.dot(prods[stop - 1 - block], starts[b], out=frames[stop])
+            if stop > block:
+                np.matmul(
+                    prods[: stop - block],
+                    starts[np.arange(block, stop) // block],
+                    out=frames[block + 1 : stop + 1],
+                )
         raw = frames[1 : stop + 1]
         finite = np.isfinite(raw).all(axis=(1, 2))
         # the blocks before the one with the first non-finite step

@@ -4,7 +4,9 @@ Two QR factorizations live here.  :func:`householder_qr` is LAPACK's
 Householder QR through the same gufuncs ``np.linalg.qr`` calls, for one
 matrix or a stack; it returns Q with diag R >= 0 and only |diag R|, all
 that :func:`~ltvobs.integrators.frame_flow`, the discrete QR method every
-QR flow runs, reads from a factorization.  :func:`mgs_qr` is a hand-written
+QR flow runs, reads from a factorization.  :func:`householder_q` is its Q
+alone, for the block ends that flow factors one at a time inside one
+error state of its own.  :func:`mgs_qr` is a hand-written
 modified Gram-Schmidt with two conventions that library QR routines do
 not guarantee: a nonnegative diagonal of R and a deterministic completion
 rule for (numerically) dependent columns.  ``lyapunov.start_frame`` and
@@ -24,6 +26,7 @@ from .errors import NumericalError
 
 __all__ = [
     "householder_qr",
+    "householder_q",
     "mgs_qr",
     "mgs_qr_stack",
     "numerical_rank",
@@ -40,6 +43,26 @@ def _raise_qr_error(err, flag):
     )
 
 
+def _factor(x):
+    """Q with diag R >= 0 and the signed diag R of a float64 copy of ``x``."""
+    a = np.array(x, dtype=np.float64)
+    tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+    q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+    diag = a.diagonal(0, -2, -1)
+    q *= np.where(diag < 0.0, -1.0, 1.0)[..., None, :]
+    return q, diag
+
+
+def householder_q(x):
+    """The Q factor of :func:`householder_qr`, under the caller's error state.
+
+    The same LAPACK calls and the same bits as ``householder_qr(x)[0]``,
+    without entering numpy's error state for each call: a caller that
+    factors matrices one at a time holds one state around all of them.
+    """
+    return _factor(x)[0]
+
+
 def householder_qr(x):
     """Householder QR of one matrix ``(n, k)`` or a stack ``(..., n, k)``.
 
@@ -53,14 +76,10 @@ def householder_qr(x):
     alone gives the same bits as inside a stack.  An invalid argument in
     LAPACK raises ``LinAlgError``, as in ``np.linalg.qr``.
     """
-    a = np.array(x, dtype=np.float64)
     with np.errstate(
         call=_raise_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore"
     ):
-        tau = _umath_linalg.qr_r_raw(a, signature="d->d")
-        q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
-    diag = a.diagonal(0, -2, -1)
-    q *= np.where(diag < 0.0, -1.0, 1.0)[..., None, :]
+        q, diag = _factor(x)
     return q, np.abs(diag)
 
 

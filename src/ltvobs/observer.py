@@ -19,6 +19,7 @@ detectability report, the error-system rank test in
 all read that one track.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +40,14 @@ __all__ = [
     "DetectabilityReport",
     "detectability_report",
     "min_gain_suggestion",
+    "max_rk4_gain",
 ]
 
 # the smallest average Rt diagonal (1/s) that counts as detectable
 DETECT_TOL = 1e-3
+# RK4 is stable on the negative real axis down to h lambda = -2.785
+# (Hairer & Wanner, Solving ODEs II, IV.2)
+RK4_REAL_LIMIT = 2.785
 
 
 @dataclass(frozen=True)
@@ -289,3 +294,19 @@ def min_gain_suggestion(report: DetectabilityReport, margin=1.0):
         worst = max(worst, (d.lambda_hat + margin) / d.r_bar)
     return worst
 
+
+def max_rk4_gain(track: FrameTrack, h):
+    """Largest gain scalar whose error modes an RK4 step of size ``h`` keeps.
+
+    In frame coordinates Q^T L C Q = p Rt, so the error's fast modes sit
+    near -p diag Rt(t), and an RK4 step takes them at h p diag Rt.  RK4 is
+    stable on the negative real axis down to h lambda = -RK4_REAL_LIMIT, so
+    the gain may reach ``RK4_REAL_LIMIT / (h max diag Rt)`` over the track.
+    Returns None when that bound is not finite (max diag Rt is 0): no gain
+    reaches the limit.
+    """
+    scale = h * float(track.r_diag.max())
+    if not scale > 0.0:
+        return None
+    p_max = RK4_REAL_LIMIT / scale
+    return p_max if math.isfinite(p_max) else None

@@ -419,6 +419,21 @@ def test_malformed_scenario_value_exits_2(tmp_path, capsys, monkeypatch, key, va
         ),
         ("reconstruct", {"xt0": [0.0, float("inf")]}, [], "xt0 has non-finite entries"),
         ("detect", {"observer.q0": [[float("nan")], [1.0]]}, [], "q0 has non-finite entries"),
+        # a horizon off the step grid is refused when the grid is built
+        *(
+            (command, {"step.t_end": 2.0005}, [], "step: horizon 2.0005 is not a multiple of h=0.001")
+            for command in ("spectrum", "detect", "check-so", "observe", "reconstruct", "bibs")
+        ),
+        *(
+            (
+                "detect",
+                {},
+                ["--horizon", horizon],
+                f"error: with --horizon {horizon}: horizon {horizon} is not a multiple of h=0.001",
+            )
+            # 1e-10 is within round-off of no step at all
+            for horizon in ("0.0005", "1e-10")
+        ),
     ],
 )
 def test_every_command_checks_the_whole_run(
@@ -535,6 +550,23 @@ def test_gain_just_inside_the_rk4_bound_runs(tmp_path, command):
     assert main(argv) == 0
     summary = json.loads((out / f"{command}.json").read_text(), parse_constant=_reject_constant)
     assert summary["sup_e_norm_tso"] < 20.0
+
+
+def test_detect_reports_the_gain_the_rk4_step_admits(tmp_path, capsys):
+    # detect writes the largest gain that observe admits, the number its
+    # refusal of p = 3000 names; a sweep entry carries it too, and stdout
+    # does not
+    out = tmp_path / "out"
+    argv = ["--scenario", "bench8", "--horizon", "3", "--out", str(out)]
+    assert main(["detect"] + argv) == 0
+    p_max = json.loads((out / "detect.json").read_text())["p_max_rk4"]
+    assert "p_max" not in capsys.readouterr().out
+    assert main(["observe", "--p", "3000"] + argv) == 3
+    assert f"this step admits p up to {p_max:.6g}\n" in capsys.readouterr().err
+    assert f"{p_max:.6g}" == "2785"
+    assert main(["detect", "--sweep", "30,90"] + argv) == 0
+    sweep = json.loads((out / "detect_sweep.json").read_text())["sweep"]
+    assert [entry["p_max_rk4"] for entry in sweep] == [p_max, p_max]
 
 
 def test_json_summaries_hold_only_finite_numbers(tmp_path):

@@ -11,14 +11,16 @@ open-loop frame, so it is compared with the discrete reference and with
 the identities that construction rests on.  Every reference evaluates its
 matrices once, on the arrays of grid and stage times.
 
-A third reference runs the chunked loop block by block, each block
-stepped by ``np.matmul`` and re-orthonormalized by its own batched
-``np.linalg.qr`` before the next one starts.  ``frame_flow`` steps by
-``np.dot``, factors only the block ends in sequence and the whole chunk in
-one batch, through ``householder_qr`` on the same LAPACK kernels, which
-does the same arithmetic, so the two agree bit for bit.  Both sample A
-themselves, at the grid points and step midpoints of each chunk, and
-yield each grid point once.
+A third reference runs the chunked loop block by block with ``np.matmul``:
+the first block of a chunk steps its frame, every later block applies the
+running product of its propagators to the frame it starts from, and each
+block is re-orthonormalized by its own batched ``np.linalg.qr`` before the
+next one starts.  ``frame_flow`` forms the same products, those of all
+later blocks at once, by ``np.dot`` and ``np.matmul``, which give the same
+bits here; it factors only the block ends in sequence and the whole chunk
+in one batch, on the LAPACK kernels of ``np.linalg.qr``, so the two agree
+bit for bit.  Both sample A themselves, at the grid points and step
+midpoints of each chunk, and yield each grid point once.
 """
 
 from dataclasses import replace
@@ -26,11 +28,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ltvobs import integrators
 from ltvobs.bibs import triangularize, triangularize_error_system
 from ltvobs.cli import load_scenario
 from ltvobs.errors import NumericalError
 from ltvobs.integrators import CHUNK_STEPS, StepConfig, frame_flow, rk4_propagators
-from ltvobs.linalg import householder_qr, mgs_qr
+from ltvobs.linalg import householder_q, householder_qr, mgs_qr
 from ltvobs.lyapunov import estimate_spectrum, start_frame
 from ltvobs.observer import _gain_basis, detectability_report, frame_track
 from ltvobs.system import as_matrix_expr, as_sampler
@@ -111,7 +114,10 @@ def blocked_flow(a, q, cfg):
     """The chunked loop with one batched QR per block, run block by block.
 
     Yields what :func:`frame_flow` yields, from the same evaluator ``a``,
-    samples, chunk and block rules and propagators.
+    samples, chunk and block rules and propagators.  The first block of a
+    chunk steps its frame, ``X <- Phi_j X``; every later block forms the
+    product ``P_j = Phi_j ... Phi_start`` step by step and takes ``P_j Q``,
+    with Q the frame it starts from.
     """
     h = cfg.h
     chunk = _chunk_steps(q.shape[0])
@@ -129,8 +135,14 @@ def blocked_flow(a, q, cfg):
         frames[0] = q
         for start in range(0, count, block):
             stop = min(start + block, count)
+            # the first block steps its frame; a later one applies the
+            # product of its propagators so far to the frame it starts from
             for j in range(start, stop):
-                np.matmul(phi[j], frames[j], out=frames[j + 1])
+                if start == 0:
+                    np.matmul(phi[j], frames[j], out=frames[j + 1])
+                    continue
+                prod = phi[j] if j == start else phi[j] @ prod
+                np.matmul(prod, frames[start], out=frames[j + 1])
             x = frames[start + 1 : stop + 1]
             finite = np.isfinite(x).all(axis=(1, 2))
             if not finite.all():
@@ -348,6 +360,66 @@ def test_growth_budget_keeps_frames_at_round_off(a):
     assert np.sqrt((gram * gram).sum(axis=(1, 2))).max() <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "a, h, block, tails",
+    [(_spread4(), 0.5, 1, [0]), (as_matrix_expr(_FAST_ROTATION.tolist()), 0.01, 13, [7, 3])],
+    ids=["one-step-blocks", "partial-last-blocks"],
+)
+def test_batched_later_blocks_match_per_step_discrete_qr(a, h, block, tails):
+    # spread4 at h = 0.5 has h ||A||_1 > 4, so every step is its own block
+    # and each frame is one propagator applied to the QR of the step before;
+    # the rotation's 2048- and 952-step chunks end in blocks of 7 and 3 of
+    # its 13 steps, whose products stop short of the full ones
+    cfg = StepConfig(h=h, t0=0.0, t_end=30.0)
+    q = start_frame(a.shape[0], 2)
+    stage_mats = a.bind()(rk4_stage_times(cfg.grid(), h))
+    assert int(4.0 / (h * np.abs(stage_mats).sum(axis=1).max())) in (0, block)
+    chunks = list(frame_flow(a.bind(), q, cfg))
+    assert [len(c[3]) % block for c in chunks] == tails
+    frames = np.concatenate([c[2] for c in chunks])
+    log_r = np.concatenate([c[3] for c in chunks])
+    ref_frames, ref_log_r = discrete_flow(a, q, cfg)
+    assert _rel(frames, ref_frames) <= 1e-10
+    assert _rel(log_r, ref_log_r) <= 1e-10
+    gram = frames.mT @ frames - np.eye(2)
+    assert np.sqrt((gram * gram).sum(axis=(1, 2))).max() <= 1e-14
+
+
+class _CountingNumpy:
+    """numpy, with a count of the ``np.dot`` and ``np.matmul`` calls made."""
+
+    def __init__(self):
+        self.products = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def dot(self, *args, **kwargs):
+        self.products += 1
+        return np.dot(*args, **kwargs)
+
+    def matmul(self, *args, **kwargs):
+        self.products += 1
+        return np.matmul(*args, **kwargs)
+
+
+def test_frame_flow_products_follow_blocks_not_steps(monkeypatch):
+    # one spread4 chunk of 910 steps in blocks of 9 (101 full, one of a
+    # single step): 9 steps of the first block, 8 batched products for
+    # positions 1..8 of all later blocks, 101 block ends and one batch of
+    # P Q -- 119 calls where a product per step makes 910
+    cfg = StepConfig(h=0.05, t0=0.0, t_end=45.5)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(integrators, "np", counting)
+    ((_, _, frames, log_r),) = frame_flow(_spread4().bind(), np.eye(3), cfg)
+    block, blocks = 9, -(-910 // 9)
+    assert len(log_r) == 910 and blocks == 102
+    assert counting.products == block + (block - 1) + (blocks - 1) + 1 == 119
+    monkeypatch.undo()
+    ref_frames, _ = discrete_flow(_spread4(), np.eye(3), cfg)
+    assert _rel(frames, ref_frames) <= 1e-10
+
+
 @pytest.mark.parametrize("n, k, steps", [(8, 3, 128), (8, 8, 128), (2, 1, 2048), (2, 2, 2048)])
 def test_chunk_length_follows_system_dimension(n, k, steps):
     # about 8192 matrix entries per stage stack, never under CHUNK_STEPS;
@@ -397,23 +469,29 @@ def test_frame_flow_equals_block_by_block_loop(name):
 
 
 def _record_qr(monkeypatch):
-    """Record the shape and finiteness of every ``householder_qr`` input.
+    """Record the shape and finiteness of every QR input of ``frame_flow``.
 
-    Also returns the shapes of every ``np.linalg.qr`` input, which
+    The block ends go through ``householder_q``, the batches through
+    ``householder_qr``; both land in one list, in call order.  Also
+    returns the shapes of every ``np.linalg.qr`` input, which
     ``frame_flow`` should never call.
     """
     calls, library_calls = [], []
     library_qr = np.linalg.qr
 
-    def record(a):
-        calls.append((a.shape, bool(np.isfinite(a).all())))
-        return householder_qr(a)
+    def recorded(qr):
+        def record(a):
+            calls.append((a.shape, bool(np.isfinite(a).all())))
+            return qr(a)
+
+        return record
 
     def record_library(a, *args, **kwargs):
         library_calls.append(a.shape)
         return library_qr(a, *args, **kwargs)
 
-    monkeypatch.setattr("ltvobs.integrators.householder_qr", record)
+    monkeypatch.setattr("ltvobs.integrators.householder_qr", recorded(householder_qr))
+    monkeypatch.setattr("ltvobs.integrators.householder_q", recorded(householder_q))
     monkeypatch.setattr(np.linalg, "qr", record_library)
     return calls, library_calls
 

@@ -29,8 +29,11 @@ def test_step_config_validation():
         StepConfig(h=0.0, t0=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         StepConfig(h=0.1, t0=1.0, t_end=1.0)
-    with pytest.raises(ValueError):
-        StepConfig(h=0.3, t0=0.0, t_end=1.0).n_steps  # off-grid horizon
+    # an off-grid horizon, and one within round-off of no step, are refused
+    # when the grid is built, not when a flow first asks for its steps
+    for h, t_end in ((0.3, 1.0), (1e-3, 1e-10)):
+        with pytest.raises(ValueError, match=f"horizon {t_end} is not a multiple of h={h}"):
+            StepConfig(h=h, t0=0.0, t_end=t_end)
     # an infinite end would reach n_steps as int(inf)
     for t0, t_end in ((0.0, float("inf")), (float("-inf"), 1.0), (0.0, float("nan"))):
         with pytest.raises(ValueError, match="non-finite horizon"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ltvobs.linalg import (
+    householder_q,
     householder_qr,
     mgs_qr,
     mgs_qr_stack,
@@ -102,8 +103,8 @@ def test_householder_qr_is_numpy_qr_bit_for_bit(rng):
 
 
 def test_householder_qr_stack_is_each_matrix_alone(rng):
-    # frame_flow starts each block from a matrix factored alone and records
-    # it from the chunk's batch: the two must agree bit for bit
+    # frame_flow starts each block from a matrix factored alone, by Q alone,
+    # and records it from the chunk's batch: the two must agree bit for bit
     for shape in ((200, 8, 3), (128, 5, 5), (64, 2, 1), (3, 4, 5, 2)):
         x = rng.standard_normal(shape)
         q, d = householder_qr(x)
@@ -112,6 +113,7 @@ def test_householder_qr_stack_is_each_matrix_alone(rng):
         for idx in np.ndindex(shape[:-2]):
             q_i, d_i = householder_qr(x[idx])
             assert np.array_equal(q[idx], q_i) and np.array_equal(d[idx], d_i)
+            assert np.array_equal(householder_q(x[idx]), q_i)
     q, d = householder_qr(np.empty((0, 3, 2)))
     assert q.shape == (0, 3, 2) and d.shape == (0, 2)
 

@@ -19,6 +19,7 @@ from ltvobs.observer import (
     detectability_report,
     frame_track,
     gain_stack,
+    max_rk4_gain,
     min_gain_suggestion,
     stage_gains,
 )
@@ -166,13 +167,17 @@ def test_detectability_report_flags_invisible_direction():
     # invisible, so the report must refuse and suggestion must raise
     sys = LtvSystem(a=[[0.3, 0.0], [0.0, -2.0]], f=[[0.0], [1.0]], d=[[0.0], [1.0]], c=[[0.0, 1.0]])
     conf = ObserverConfig(p=3.0, k=1, step=StepConfig(h=1e-3, t0=0.0, t_end=10.0))
-    rep = detectability_report(conf, frame_track(sys, conf))
+    track = frame_track(sys, conf)
+    rep = detectability_report(conf, track)
     assert not rep.ok
     assert len(rep.failed_directions) == 1
     assert rep.failed_directions[0].index == 0
     with pytest.raises(StepPreconditionError) as info:
         min_gain_suggestion(rep)
     assert info.value.step == "ii"
+    # with diag Rt = 0 no gain reaches RK4's stability limit
+    assert not track.r_diag.any()
+    assert max_rk4_gain(track, conf.step.h) is None
 
 
 def test_predicted_exponent_never_exceeds_open_loop(toy2):
