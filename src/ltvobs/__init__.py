@@ -22,12 +22,7 @@ from .cascade import CascadeResult, CascadeRun, run_cascade, run_tso
 from .errors import ExprError, NumericalError, ScenarioError, StepPreconditionError
 from .expr import Expr, MatrixExpr, parse
 from .hosm import DEFAULT_GAINS, BankRun, run_bank
-from .integrators import (
-    StepConfig,
-    joint_rk4_step,
-    rk4_step,
-    skew_rule,
-)
+from .integrators import StepConfig, skew_rule
 from .linalg import (
     mgs_qr,
     numerical_rank,
@@ -95,7 +90,6 @@ __all__ = [
     "estimate_spectrum",
     "frame_track",
     "general_bibs_certificate",
-    "joint_rk4_step",
     "mgs_qr",
     "min_gain_suggestion",
     "nonstable_dimension",
@@ -104,7 +98,6 @@ __all__ = [
     "parse",
     "pinv",
     "regularity_report",
-    "rk4_step",
     "run_bank",
     "run_cascade",
     "run_tso",

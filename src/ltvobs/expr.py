@@ -14,8 +14,6 @@ time derivative the observability recursions ask for live in the same
 representation.  ``MatrixExpr.bind`` compiles a grid once to numpy source
 that evaluates it on a whole array of times per call; every loop in the
 package batches over time, so no code path walks the tree per sample.
-``Expr.evaluate`` is the tree-walking reference the compiled source is
-checked against.
 """
 
 import math
@@ -43,10 +41,6 @@ class Expr:
 
     __slots__ = ()
 
-    def evaluate(self, t):
-        """Evaluate at time ``t`` (scalar or ndarray, via numpy ufuncs)."""
-        raise NotImplementedError
-
     def derivative(self):
         """Symbolic time derivative, as another :class:`Expr`."""
         raise NotImplementedError
@@ -66,11 +60,6 @@ class Num(Expr):
     def __init__(self, value):
         self.value = float(value)
 
-    def evaluate(self, t):
-        if isinstance(t, np.ndarray):
-            return np.full(t.shape, self.value)
-        return self.value
-
     def derivative(self):
         return Num(0.0)
 
@@ -82,9 +71,6 @@ class Time(Expr):
     """The independent variable ``t``."""
 
     __slots__ = ()
-
-    def evaluate(self, t):
-        return t
 
     def derivative(self):
         return Num(1.0)
@@ -101,9 +87,6 @@ class Neg(Expr):
 
     def __init__(self, arg):
         self.arg = arg
-
-    def evaluate(self, t):
-        return -self.arg.evaluate(t)
 
     def derivative(self):
         return _neg(self.arg.derivative())
@@ -125,18 +108,6 @@ class Bin(Expr):
     @property
     def _prec(self):
         return 1 if self.op in "+-" else 2
-
-    def evaluate(self, t):
-        a = self.left.evaluate(t)
-        b = self.right.evaluate(t)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.divide(a, b)
 
     def derivative(self):
         u, v = self.left, self.right
@@ -168,11 +139,6 @@ class Call(Expr):
             raise ExprError(f"unknown function {name!r}")
         self.name = name
         self.arg = arg
-
-    def evaluate(self, t):
-        x = self.arg.evaluate(t)
-        with np.errstate(invalid="ignore"):
-            return getattr(np, self.name)(x)
 
     def derivative(self):
         u = self.arg

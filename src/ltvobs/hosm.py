@@ -167,17 +167,13 @@ class BankRun:
     derivative-major order: all channels' signal estimates, then all
     first derivatives, and so on.  ``settled_index`` is the first sample
     at which every channel's injection residual |z_0 - f| has stayed
-    below ``threshold`` for a full dwell window (None if never).
+    below the settle threshold for a full dwell window (None if never).
     """
 
     stack: np.ndarray
     residuals: np.ndarray
     settled_index: int | None
-    h: float
-    nu: int
     channels: int
-    lipschitz: np.ndarray
-    threshold: float
     dwell: float
 
 
@@ -225,10 +221,6 @@ def run_bank(e_y, nu, l_est, h, threshold=1e-4, dwell=0.5, gains=DEFAULT_GAINS):
         stack=history.reshape(n_samples, nu * channels),
         residuals=residuals,
         settled_index=int(ends[0]) + dwell_steps - 1 if ends.size else None,
-        h=h,
-        nu=nu,
         channels=channels,
-        lipschitz=l_arr,
-        threshold=threshold,
         dwell=dwell,
     )

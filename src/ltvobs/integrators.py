@@ -1,4 +1,4 @@
-"""Fixed-step integrators: classic RK4 and the QR frame flow.
+"""Fixed-step integrators: RK4 propagators and the QR frame flow.
 
 The frame flow follows an orthonormal n-by-k matrix along
 
@@ -39,7 +39,6 @@ from .linalg import householder_q, householder_qr, mgs_qr
 
 __all__ = [
     "StepConfig",
-    "rk4_step",
     "skew_rule",
     "projected_rk4_step",
     "rk4_propagators",
@@ -87,22 +86,6 @@ class StepConfig:
 
     def grid(self):
         return self.t0 + self.h * np.arange(self.n_steps + 1)
-
-
-def rk4_step(f, t, x, h):
-    """One classic Runge-Kutta-4 step of ``dx/dt = f(t, x)``.
-
-    Raises :class:`NumericalError` if any stage produces a non-finite
-    value.
-    """
-    k1 = np.asarray(f(t, x))
-    k2 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k1))
-    k3 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k2))
-    k4 = np.asarray(f(t + h, x + h * k3))
-    for i, k in enumerate((k1, k2, k3, k4)):
-        if not np.all(np.isfinite(k)):
-            raise NumericalError(f"non-finite RK4 stage {i + 1} at t={t}")
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def skew_rule(w):
@@ -243,29 +226,29 @@ def frame_flow(a, q, cfg):
         if grid.shape[1:] != (n, n):
             raise ValueError(f"system matrix must be {n}x{n}, got {grid.shape[1:]}")
         mid = a(t[:-1] + 0.5 * h)
-        phi = rk4_propagators((grid[:-1], mid, grid[1:]), h)
-        # the column sums of |M| as one product per stack; grid and mid
-        # hold all three stage stacks
-        growth = h * max(float((ones @ np.abs(s)).max()) for s in (grid, mid))
-        # a NaN growth keeps the whole chunk; the finite check names it
-        block = max(1, int(4.0 / growth)) if growth * count > 4.0 else count
-        frames = np.empty((count + 1,) + q.shape)
-        frames[0] = x = q
-        # prods[s - block] = Phi_s ... Phi_b for each step s past the first
-        # block, b the first step of its block: prods[j::block] are the
-        # steps at position j of blocks 1, 2, ..., the last one shorter
-        later = count - block
-        prods = np.empty((later, n, n))
-        prods[::block] = phi[block::block]
-        # the frame each block starts from
-        starts = np.empty((-(-count // block),) + q.shape)
-        starts[0] = q
-        stop = block
-        # one error state for the chunk's products and block-end QRs: a
-        # non-finite product warns nothing and the finite checks name it,
-        # and every matrix factored alone is factored again by the batch
-        # below, under LAPACK's error state
+        # one error state for the chunk's propagators, products and
+        # block-end QRs: a non-finite product warns nothing and the finite
+        # checks name it, and every matrix factored alone is factored again
+        # by the batch below, under LAPACK's error state
         with np.errstate(all="ignore"):
+            phi = rk4_propagators((grid[:-1], mid, grid[1:]), h)
+            # the column sums of |M| as one product per stack; grid and mid
+            # hold all three stage stacks
+            growth = h * max(float((ones @ np.abs(s)).max()) for s in (grid, mid))
+            # a NaN growth keeps the whole chunk; the finite check names it
+            block = max(1, int(4.0 / growth)) if growth * count > 4.0 else count
+            frames = np.empty((count + 1,) + q.shape)
+            frames[0] = x = q
+            # prods[s - block] = Phi_s ... Phi_b for each step s past the
+            # first block, b the first step of its block: prods[j::block] are
+            # the steps at position j of blocks 1, 2, ..., the last one shorter
+            later = count - block
+            prods = np.empty((later, n, n))
+            prods[::block] = phi[block::block]
+            # the frame each block starts from
+            starts = np.empty((-(-count // block),) + q.shape)
+            starts[0] = q
+            stop = block
             for j in range(block):
                 x = np.dot(phi[j], x, out=frames[j + 1])
                 if 0 < j < later:

@@ -153,10 +153,6 @@ class SpectrumEstimate:
         if np.any(np.diff(self.history_t) <= 0):
             raise ValueError("history timestamps must increase strictly")
 
-    @property
-    def k(self):
-        return self.exponents.shape[0]
-
 
 def estimate_spectrum(a, k, cfg):
     """Approximate the k leading Lyapunov exponents of ``dx/dt = A(t) x``.
@@ -214,9 +210,6 @@ class DirectionRegularity:
     """Regularity diagnostics for one frame direction."""
 
     lambda_hat: float
-    limsup_estimate: float
-    liminf_estimate: float
-    gap: float
     forward_regular: bool
     tail_mass: float
     strong_regular: bool
@@ -297,9 +290,7 @@ def regularity_report(t, b):
         means = _window_means(t[1:], running, t_mid, t[-1], width)
         if not means:
             means = [running[-1]]
-        limsup_est, liminf_est = max(means), min(means)
-        gap = limsup_est - liminf_est
-        forward = gap <= 10.0 * NONSTABLE_BAND
+        forward = max(means) - min(means) <= 10.0 * NONSTABLE_BAND
 
         if lam_hat < 0.0:
             shifted = np.maximum(bi + REGULARITY_SHIFT, 0.0)
@@ -311,9 +302,6 @@ def regularity_report(t, b):
         directions.append(
             DirectionRegularity(
                 lambda_hat=float(lam_hat),
-                limsup_estimate=float(limsup_est),
-                liminf_estimate=float(liminf_est),
-                gap=float(gap),
                 forward_regular=bool(forward),
                 tail_mass=tail_mass,
                 strong_regular=bool(tail_mass <= TAIL_MASS_TOL),

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import StepPreconditionError
 from .integrators import StepConfig, frame_flow, rk4_propagators
-from .linalg import householder_qr, mgs_qr, mgs_qr_stack
+from .linalg import householder_qr, mgs_qr_stack
 from .lyapunov import NONSTABLE_BAND, frame_diagnostics, running_average, start_frame
 from .system import LtvSystem
 
@@ -71,29 +71,13 @@ class ObserverConfig:
         return start_frame(n, self.k, self.q0)
 
 
-def _gain_basis(c_val, q):
-    """Qt with degenerate columns zeroed, plus diag(Rt) >= 0.
-
-    Columns of C^T C Q that are numerically dependent get Rt_jj = 0 from
-    the QR routine; their completion columns must not leak into the gain,
-    so they are zeroed here and the matching frame direction is left
-    uncorrected.  The package computes gains through the stacked
-    :func:`_gain_basis_stack`; this single-matrix form is the reference
-    the tests compare it against.
-    """
-    qt, rt = mgs_qr(c_val.T @ (c_val @ q))
-    rdiag = np.diag(rt).copy()
-    if np.any(rdiag == 0.0):
-        qt = qt * (rdiag > 0.0)
-    return qt, rdiag
-
-
 def _gain_basis_stack(c_val, q):
-    """:func:`_gain_basis` for stacks ``c_val (T, r, n)``, ``q (T, n, k)``.
+    """Gain bases Qt of C^T C Q for stacks ``c_val (T, r, n)``, ``q (T, n, k)``.
 
-    Returns Qt (T, n, k) and Rt (T, k, k).  :func:`mgs_qr_stack` refactors
-    every matrix with a dependent column by :func:`mgs_qr`, whose zero
-    pivots then zero the matching Qt column.
+    Returns Qt (T, n, k) and Rt (T, k, k), diag(Rt) >= 0.  A numerically
+    dependent column of C^T C Q gets Rt_jj = 0 (:func:`mgs_qr_stack`
+    refactors its matrix by :func:`~ltvobs.linalg.mgs_qr`), and its Qt
+    column is zeroed, so the completion never leaks into the gain.
     """
     qt, rt = mgs_qr_stack(np.swapaxes(c_val, 1, 2) @ (c_val @ q))
     rdiag = np.diagonal(rt, axis1=1, axis2=2)
@@ -135,7 +119,6 @@ class DetectabilityReport:
 
     directions: list
     ok: bool
-    p: float
     min_ctcq_sigma: float
     history_t: np.ndarray = field(repr=False)
     history_lambda: np.ndarray = field(repr=False)
@@ -263,7 +246,6 @@ def detectability_report(conf: ObserverConfig, track: FrameTrack):
     return DetectabilityReport(
         directions=directions,
         ok=not any(d.nonstable and not d.detectable for d in directions),
-        p=conf.p,
         min_ctcq_sigma=track.min_ctcq_sigma,
         history_t=b_avg.t,
         history_lambda=b_avg.history,

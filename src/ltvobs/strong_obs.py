@@ -154,7 +154,6 @@ class SoVerdict:
     probe_times: np.ndarray
     rank_s: np.ndarray
     rank_s_star: np.ndarray
-    n: int
 
 
 def _so_verdict(r_val, j_val, nu, times):
@@ -175,7 +174,6 @@ def _so_verdict(r_val, j_val, nu, times):
         probe_times=times,
         rank_s=rank_s,
         rank_s_star=rank_star,
-        n=n,
     )
 
 
@@ -281,19 +279,13 @@ class ErrorStackSampler:
         self.sys = sys
         self._fns = tuple(m.bind() for m in (sys.a, sys.c, sys.c.derivative(), sys.d))
 
-    def matrices(self, t, l_val):
-        """(R, J) of the error system at time t for gain value ``l_val``."""
-        l_vals = np.asarray(l_val, dtype=float)[None]
-        r_e, j_e = self.matrices_stack(np.array([t], dtype=float), l_vals)
-        return r_e[0], j_e[0]
-
     def reconstruct(self, t, l_val, yhat):
         """:meth:`reconstruct_stack` of the one sample at time t."""
         l_vals, yhats = (np.asarray(v, dtype=float)[None] for v in (l_val, yhat))
         return self.reconstruct_stack(np.array([t], dtype=float), l_vals, yhats)[0][0]
 
     def matrices_stack(self, times, l_vals):
-        """:meth:`matrices` at every time of ``times`` (T,), gains (T, n, r)."""
+        """(R, J) of the error system at every time of ``times`` (T,), gains (T, n, r)."""
         a_fn, c_fn, cdot_fn, d_fn = self._fns
         c_val = c_fn(times)
         c1 = c_val @ (a_fn(times) - l_vals @ c_val) + cdot_fn(times)

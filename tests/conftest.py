@@ -1,5 +1,6 @@
 """Shared fixtures: small closed-form systems used across the suite."""
 
+import operator
 import sys
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 from ltvobs import cascade
 from ltvobs.cli import _resolve_scenario
 from ltvobs.errors import NumericalError
+from ltvobs.expr import Call, Neg, Num, Time
 from ltvobs.hosm import DEFAULT_GAINS
 from ltvobs.linalg import mgs_qr
 from ltvobs.system import LtvSystem
@@ -59,12 +61,13 @@ def gate4_run():
     return run, e
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def toy2():
     """Two states, one unstable mode, scalar output on the unstable mode.
 
     The unknown input drives only the stable state, so the pair is
     directionally detectable with k=1 and strongly observable at depth 2.
+    The system is frozen, so the tests of a module share one.
     """
     return LtvSystem(
         a=[[0.3, 1.0], [0.0, -2.0]],
@@ -115,6 +118,61 @@ def discrete_qr_step(phi, q, t):
     if not (np.all(np.isfinite(qn)) and np.all(d > 1e-8)):
         raise NumericalError(f"frame rank collapse at t={t}: pivots {d}")
     return qn, np.log(d)
+
+
+def rk4_step(f, t, x, h):
+    """One classic Runge-Kutta-4 step of ``dx/dt = f(t, x)``.
+
+    Raises :class:`NumericalError` if any stage produces a non-finite
+    value.
+    """
+    k1 = np.asarray(f(t, x))
+    k2 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k1))
+    k3 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k2))
+    k4 = np.asarray(f(t + h, x + h * k3))
+    for i, k in enumerate((k1, k2, k3, k4)):
+        if not np.all(np.isfinite(k)):
+            raise NumericalError(f"non-finite RK4 stage {i + 1} at t={t}")
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def gain_basis(c_val, q):
+    """Qt of C^T C Q with degenerate columns zeroed, plus diag(Rt) >= 0.
+
+    The single-matrix reference of ``observer._gain_basis_stack``: columns
+    that ``mgs_qr`` finds dependent get Rt_jj = 0, and their completion
+    columns are zeroed.
+    """
+    qt, rt = mgs_qr(c_val.T @ (c_val @ q))
+    rdiag = np.diag(rt).copy()
+    if np.any(rdiag == 0.0):
+        qt = qt * (rdiag > 0.0)
+    return qt, rdiag
+
+
+def evaluate(expr, t):
+    """Value of the expression tree ``expr`` at ``t``, a scalar or an ndarray.
+
+    The tree-walking reference of ``MatrixExpr.bind``, on the same numpy
+    ufuncs in the same order: a number on an array gives a full array,
+    ``/`` runs with division by zero and invalid results ignored, and a
+    function with invalid results ignored.
+    """
+    if isinstance(expr, Num):
+        return np.full(t.shape, expr.value) if isinstance(t, np.ndarray) else expr.value
+    if isinstance(expr, Time):
+        return t
+    if isinstance(expr, Neg):
+        return -evaluate(expr.arg, t)
+    if isinstance(expr, Call):
+        x = evaluate(expr.arg, t)
+        with np.errstate(invalid="ignore"):
+            return getattr(np, expr.name)(x)
+    a, b = evaluate(expr.left, t), evaluate(expr.right, t)
+    if expr.op == "/":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.divide(a, b)
+    return {"+": operator.add, "-": operator.sub, "*": operator.mul}[expr.op](a, b)
 
 
 @pytest.fixture

@@ -25,11 +25,11 @@ from ltvobs.cascade import CascadeRun, run_cascade
 from ltvobs.hosm import run_bank
 from ltvobs.integrators import StepConfig, joint_rk4_step
 from ltvobs.linalg import orthogonal_projector_complement
-from ltvobs.observer import ObserverConfig, _gain_basis, frame_track, stage_gains
+from ltvobs.observer import ObserverConfig, frame_track, stage_gains
 from ltvobs.strong_obs import ErrorStackSampler
 from ltvobs.system import as_sampler
 
-from conftest import discrete_qr_step, rk4_propagator, rk4_stage_times
+from conftest import discrete_qr_step, gain_basis, rk4_propagator, rk4_stage_times
 
 
 def reference_simulate(run, eta, record_eydot):
@@ -75,7 +75,7 @@ def reference_simulate(run, eta, record_eydot):
             u_val = u_val - fb @ xs
         drive = f_st[i] @ u_val
         dx = a_val @ xs + drive + d_st[i] @ w_st[i]
-        qt, _ = _gain_basis(c_val, qs)
+        qt, _ = gain_basis(c_val, qs)
         stage_l.append(p * (qs @ (qt.T @ c_val.T)))
         e_out = (c_val @ xs + noise) - c_val @ xts
         dxt = a_val @ xts + drive + stage_l[-1] @ e_out
@@ -85,7 +85,7 @@ def reference_simulate(run, eta, record_eydot):
         c_val = c_gr[i]
         x_rec[i], xt_rec[i] = x, xt
         ey_rec[i] = (c_val @ x + eta[i]) - c_val @ xt
-        qt, _ = _gain_basis(c_val, q)
+        qt, _ = gain_basis(c_val, q)
         l_rec[i] = p * (q @ (qt.T @ c_val.T))
         if record_eydot:
             e = x - xt
@@ -115,14 +115,17 @@ def _noise(run):
     return eta
 
 
-def reference_cascade(run):
-    """The cascade on the sequential stepper, one reconstruction per sample."""
+def reference_cascade(run, simulated=None):
+    """The cascade on the sequential stepper, one reconstruction per sample.
+
+    ``simulated`` is the run's :func:`reference_simulate` output when a
+    caller already holds it.
+    """
     step = run.observer.step
     r = run.sys.r
-    eta = _noise(run)
-    t, x, xt, ey, l_rec, eyd, stage_l = reference_simulate(
-        run, eta, run.oracle_derivatives
-    )
+    if simulated is None:
+        simulated = reference_simulate(run, _noise(run), run.oracle_derivatives)
+    t, x, xt, ey, l_rec, eyd, stage_l = simulated
     if run.oracle_derivatives:
         stack, t_f = np.hstack([ey, eyd]), step.t0
     else:
@@ -166,9 +169,9 @@ def _bench_run(oracle):
     return bench8_run(2.0, oracle_derivatives=oracle)
 
 
-def _check_against_reference(make):
+def _check_against_reference(make, simulated=None):
     spec = make()
-    ref = reference_cascade(spec)
+    ref = reference_cascade(spec, simulated)
     run = run_cascade(spec)
     assert _rel(run.x, ref["x"]) <= 1e-10
     assert _rel(run.xt, ref["xt"]) <= 1e-10
@@ -198,8 +201,19 @@ def _check_against_reference(make):
     return run
 
 
-def test_toy_noise_free_matches_sequential(toy2):
-    run = _check_against_reference(lambda: _toy_run(toy2))
+@pytest.fixture(scope="module")
+def toy_simulated(toy2):
+    """The noise-free 6 s toy run's sequential simulation, with de_y/dt recorded.
+
+    The noise-free and oracle toy tests step the same plant and observer,
+    so they share this one simulation, the slowest part of each.
+    """
+    run = _toy_run(toy2)
+    return reference_simulate(run, _noise(run), True)
+
+
+def test_toy_noise_free_matches_sequential(toy2, toy_simulated):
+    run = _check_against_reference(lambda: _toy_run(toy2), toy_simulated)
     assert run.t_f is not None
 
 
@@ -210,8 +224,10 @@ def test_toy_noisy_matches_sequential(toy2):
     assert run.t_f is not None
 
 
-def test_toy_oracle_matches_sequential(toy2):
-    _check_against_reference(lambda: _toy_run(toy2, oracle_derivatives=True))
+def test_toy_oracle_matches_sequential(toy2, toy_simulated):
+    _check_against_reference(
+        lambda: _toy_run(toy2, oracle_derivatives=True), toy_simulated
+    )
 
 
 @pytest.mark.parametrize("oracle", [False, True])

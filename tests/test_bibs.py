@@ -13,7 +13,9 @@ from ltvobs.bibs import (
     triangularize_error_system,
 )
 from ltvobs.cli import _resolve_scenario
-from ltvobs.integrators import StepConfig, rk4_step
+from ltvobs.integrators import StepConfig
+
+from conftest import rk4_step
 
 
 def test_triangularize_constant_upper_triangular():
@@ -85,6 +87,14 @@ def test_scalar_certificate_unstable_refused():
     cert = scalar_bibs_certificate(0.1, epsilon=0.1, cfg=StepConfig(h=0.01, t0=0.0, t_end=10.0))
     assert not cert.certified
     assert cert.lambda_hat == pytest.approx(0.1, abs=1e-12)
+
+
+def test_scalar_bound_factor_past_exp_range_reads_inf():
+    # the positive mass 1.1 * 1000 passes exp's range: the factor is inf,
+    # with no overflow warning (warnings are errors)
+    cert = scalar_bibs_certificate("1", 0.1, StepConfig(h=0.1, t_end=1000.0))
+    assert cert.bound_factor == np.inf
+    assert not cert.certified
 
 
 def test_scalar_certificate_decaying_diagonal():

@@ -637,6 +637,33 @@ def test_bibs_open_and_closed_loop(tmp_path, capsys):
     assert len(rows) == 3  # header + one row per component
 
 
+def test_bibs_huge_epsilon_reads_infinite_bounds(tmp_path):
+    # at epsilon = 1e300 every diagonal's transition factor passes exp's
+    # range: no component is certified, every bound is null, and the
+    # factors warn nothing (warnings are errors)
+    out = tmp_path / "out"
+    argv = ["bibs", "--scenario", "bench8", "--epsilon", "1e300", "--horizon", "0.5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    summary = json.loads((out / "bibs.json").read_text(), parse_constant=_reject_constant)
+    assert [c["state_bound"] for c in summary["components"]] == [None] * 8
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["spectrum"], ["detect"], ["bibs"], ["bibs", "--closed-loop"], ["observe"], ["reconstruct"]],
+    ids=" ".join,
+)
+def test_overflowing_propagators_exit_4(tmp_path, capsys, command):
+    # A[1][1] = 1e100 overflows the RK4 stage fold of the first step: the
+    # frame flow names that step, and the fold warns nothing (warnings are
+    # errors)
+    doc = json.loads((resources.files("ltvobs") / "scenarios" / "bench8.json").read_text())
+    doc["a"][1][1] = "1e100"
+    argv = command + ["--scenario", write_scenario(tmp_path, doc), "--horizon", "1"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 4
+    assert "non-finite frame flow at t=0.0" in capsys.readouterr().err
+
+
 def test_csv_outputs_are_deterministic(tmp_path, capsys):
     scen = write_scenario(tmp_path, TOY)
     for out in ("r1", "r2"):

@@ -1,7 +1,7 @@
 """Expression grammar, symbolic differentiation, and matrix grids.
 
 The compiled evaluator ``MatrixExpr.bind`` is checked against the
-tree-walking ``Expr.evaluate``, entry by entry.
+tree-walking reference ``conftest.evaluate``, entry by entry.
 """
 
 import math
@@ -12,6 +12,8 @@ import pytest
 from ltvobs.errors import ExprError, NumericalError
 from ltvobs.expr import MatrixExpr, Num, parse
 from ltvobs.system import LtvSystem, as_matrix_expr, as_sampler
+
+from conftest import evaluate
 
 SAMPLES = [
     "0.23*sin(0.5*t)",
@@ -26,27 +28,27 @@ SAMPLES = [
 
 
 def test_parse_examples():
-    assert parse("0.23*sin(0.5*t)").evaluate(math.pi) == pytest.approx(0.23)
-    assert parse("2 + 3*4").evaluate(0.0) == 14.0
-    assert parse("(2 + 3)*4").evaluate(0.0) == 20.0
-    assert parse("2 - 3 - 4").evaluate(0.0) == -5.0
-    assert parse("12/4/3").evaluate(0.0) == 1.0
-    assert parse("-t").evaluate(2.0) == -2.0
-    assert parse("pi").evaluate(0.0) == pytest.approx(math.pi)
-    assert parse("1e-3*t").evaluate(2000.0) == pytest.approx(2.0)
-    assert parse("exp(0)").evaluate(5.0) == 1.0
+    assert evaluate(parse("0.23*sin(0.5*t)"), math.pi) == pytest.approx(0.23)
+    assert evaluate(parse("2 + 3*4"), 0.0) == 14.0
+    assert evaluate(parse("(2 + 3)*4"), 0.0) == 20.0
+    assert evaluate(parse("2 - 3 - 4"), 0.0) == -5.0
+    assert evaluate(parse("12/4/3"), 0.0) == 1.0
+    assert evaluate(parse("-t"), 2.0) == -2.0
+    assert evaluate(parse("pi"), 0.0) == pytest.approx(math.pi)
+    assert evaluate(parse("1e-3*t"), 2000.0) == pytest.approx(2.0)
+    assert evaluate(parse("exp(0)"), 5.0) == 1.0
 
 
 def test_parse_number_passthrough():
     e = parse(7)
     assert isinstance(e, Num)
-    assert e.evaluate(123.0) == 7.0
+    assert evaluate(e, 123.0) == 7.0
 
 
 def test_vectorized_evaluation():
     e = parse("sin(t) + 2")
     t = np.array([0.0, math.pi / 2.0])
-    assert np.allclose(e.evaluate(t), [2.0, 3.0])
+    assert np.allclose(evaluate(e, t), [2.0, 3.0])
 
 
 def test_parse_error_positions():
@@ -76,17 +78,17 @@ def test_print_parse_round_trip():
     for text in SAMPLES:
         e = parse(text)
         again = parse(str(e))
-        want = e.evaluate(ts)
-        assert np.allclose(again.evaluate(ts), want, rtol=0.0, atol=1e-12), text
+        want = evaluate(e, ts)
+        assert np.allclose(evaluate(again, ts), want, rtol=0.0, atol=1e-12), text
 
 
 def test_derivative_examples():
     d = parse("0.23*sin(0.5*t)").derivative()
     ts = np.linspace(0.0, 10.0, 50)
-    assert np.allclose(d.evaluate(ts), 0.23 * 0.5 * np.cos(0.5 * ts), atol=1e-12)
-    assert parse("t*t").derivative().evaluate(3.0) == pytest.approx(6.0)
-    assert parse("7").derivative().evaluate(1.0) == 0.0
-    assert parse("sqrt(t)").derivative().evaluate(4.0) == pytest.approx(0.25)
+    assert np.allclose(evaluate(d, ts), 0.23 * 0.5 * np.cos(0.5 * ts), atol=1e-12)
+    assert evaluate(parse("t*t").derivative(), 3.0) == pytest.approx(6.0)
+    assert evaluate(parse("7").derivative(), 1.0) == 0.0
+    assert evaluate(parse("sqrt(t)").derivative(), 4.0) == pytest.approx(0.25)
 
 
 def test_derivative_matches_finite_differences():
@@ -97,8 +99,8 @@ def test_derivative_matches_finite_differences():
     for text in SAMPLES:
         e = parse(text)
         d = e.derivative()
-        fd = (e.evaluate(ts + fd_h) - e.evaluate(ts - fd_h)) / (2.0 * fd_h)
-        got = d.evaluate(ts)
+        fd = (evaluate(e, ts + fd_h) - evaluate(e, ts - fd_h)) / (2.0 * fd_h)
+        got = evaluate(d, ts)
         assert np.all(np.abs(got - fd) <= 1e-5 * (1.0 + np.abs(fd))), text
 
 
@@ -106,7 +108,7 @@ def test_second_derivatives_are_closed():
     # differentiating twice stays inside the node set and evaluates
     for text in SAMPLES:
         dd = parse(text).derivative().derivative()
-        assert np.isfinite(dd.evaluate(1.2345))
+        assert np.isfinite(evaluate(dd, 1.2345))
 
 
 def _walk(m, times):
@@ -114,7 +116,7 @@ def _walk(m, times):
     out = np.empty((len(times),) + m.shape)
     for i, row in enumerate(m.entries):
         for j, e in enumerate(row):
-            out[:, i, j] = e.evaluate(times)
+            out[:, i, j] = evaluate(e, times)
     return out
 
 

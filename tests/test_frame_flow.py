@@ -35,9 +35,9 @@ from ltvobs.errors import NumericalError
 from ltvobs.integrators import CHUNK_STEPS, StepConfig, frame_flow, rk4_propagators
 from ltvobs.linalg import householder_q, householder_qr, mgs_qr
 from ltvobs.lyapunov import estimate_spectrum, start_frame
-from ltvobs.observer import _gain_basis, detectability_report, frame_track
+from ltvobs.observer import detectability_report, frame_track
 from ltvobs.system import as_matrix_expr, as_sampler
-from conftest import bench8_run, discrete_qr_step, rk4_propagator, rk4_stage_times
+from conftest import bench8_run, discrete_qr_step, gain_basis, rk4_propagator, rk4_stage_times
 from test_cli import TOY, write_scenario
 
 
@@ -172,7 +172,7 @@ def _loop_matrices(sys, conf, t, frames):
     a_val, c_val = sys.a.bind()(t), sys.c.bind()(t)
     lc, qlcq = [], []
     for c, q in zip(c_val, frames):
-        qt, _ = _gain_basis(c, q[:, : conf.k])
+        qt, _ = gain_basis(c, q[:, : conf.k])
         lc.append(conf.p * (q[:, : conf.k] @ (qt.T @ c.T)) @ c)
         qlcq.append(q.T @ lc[-1] @ q)
     return np.asarray(qlcq), a_val - np.asarray(lc)
@@ -231,7 +231,7 @@ def test_k2_track_matches_sequential(scenarios, name):
     track = frame_track(scen.sys, conf)
     frames, mats = sequential_flow(scen.sys.a, conf.initial_frame(scen.sys.n), cfg)
     c_val = scen.sys.c.bind()(track.t)
-    r_diag = np.array([_gain_basis(c, q)[1] for c, q in zip(c_val, frames)])
+    r_diag = np.array([gain_basis(c, q)[1] for c, q in zip(c_val, frames)])
     assert _rel(track.frames, frames) <= 1e-10
     assert _rel(track.b_diag, np.einsum("tij,tij->tj", frames, mats @ frames)) <= 1e-10
     assert _rel(track.r_diag, r_diag) <= 1e-10

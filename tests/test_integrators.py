@@ -11,9 +11,10 @@ from ltvobs.integrators import (
     joint_rk4_step,
     projected_rk4_step,
     rk4_propagators,
-    rk4_step,
     skew_rule,
 )
+
+from conftest import rk4_step
 
 
 def test_step_config_grid():

@@ -219,7 +219,6 @@ def _report_from(lams, rbars, p=1.0):
     return DetectabilityReport(
         directions=dirs,
         ok=all(d.detectable or not d.nonstable for d in dirs),
-        p=p,
         min_ctcq_sigma=1.0,
         history_t=empty,
         history_lambda=empty,

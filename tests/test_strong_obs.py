@@ -228,7 +228,7 @@ def test_error_stack_sampler_matches_symbolic_at_zero_gain(toy2):
     sampler = ErrorStackSampler(toy2)
     ts = np.array([0.0, 1.0, 3.7])
     for t, r_val, j_val in zip(ts, stack.r_nu.bind()(ts), stack.j_nu.bind()(ts)):
-        r_e, j_e = sampler.matrices(t, np.zeros((2, 1)))
+        (r_e,), (j_e,) = sampler.matrices_stack(np.array([t]), np.zeros((1, 2, 1)))
         assert np.allclose(r_e, r_val, atol=1e-12)
         assert np.allclose(j_e, j_val, atol=1e-12)
 
@@ -239,7 +239,7 @@ def test_error_stack_sampler_reconstructs_error(toy2):
     rng = np.random.default_rng(3)
     for t in (0.0, 0.5, 2.0):
         e = rng.standard_normal(2)
-        r_e, _ = sampler.matrices(t, l_val)
+        (r_e,), _ = sampler.matrices_stack(np.array([t]), l_val[None])
         assert np.allclose(sampler.reconstruct(t, l_val, r_e @ e), e, atol=1e-9)
 
 
