@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrators import StepConfig, frame_flow, skew_rule
-from .lyapunov import TAIL_MASS_TOL, history_index
+from .lyapunov import TAIL_MASS_TOL, history_index, tail_mass
 from .observer import ObserverConfig, gain_stack
 from .system import LtvSystem, as_sampler
 
@@ -142,8 +142,8 @@ class ScalarCertificate:
     """Finite-horizon boundedness certificate for dz/dt = a(t) z + f.
 
     ``certified`` requires the average of ``a`` to clear ``-epsilon`` and
-    the tail mass of max(a + epsilon, 0) over the last half horizon to
-    stay at or under :data:`ltvobs.lyapunov.TAIL_MASS_TOL`.
+    the :func:`ltvobs.lyapunov.tail_mass` of max(a + epsilon, 0) to stay
+    at or under :data:`ltvobs.lyapunov.TAIL_MASS_TOL`.
     ``bound_factor`` and ``input_gain`` feed the explicit bound
     |z(t)| <= bound_factor * (|z0| + fbar * input_gain) on the certified
     horizon.
@@ -171,16 +171,15 @@ def _certify_series(t, vals, epsilon):
     span = t[-1] - t[0]
     lam = np.trapezoid(vals, t) / span
     pos = np.maximum(vals + epsilon, 0.0)
-    tail = t >= t[0] + 0.5 * span - 1e-12
-    tail_mass = float(np.trapezoid(pos[tail], t[tail]))
+    mass = tail_mass(t, pos)
     # a positive mass past exp's range makes the factor inf, with no warning
     with np.errstate(over="ignore"):
         bound_factor = float(np.exp(np.trapezoid(pos, t)))
     input_gain = float((1.0 - np.exp(-epsilon * span)) / epsilon)
     return ScalarCertificate(
-        certified=bool(lam + epsilon < 0.0 and tail_mass <= TAIL_MASS_TOL),
+        certified=bool(lam + epsilon < 0.0 and mass <= TAIL_MASS_TOL),
         lambda_hat=float(lam),
-        tail_mass=tail_mass,
+        tail_mass=mass,
         bound_factor=bound_factor,
         input_gain=input_gain,
     )

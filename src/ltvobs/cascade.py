@@ -249,21 +249,23 @@ def _simulate(run, track, eta, record_eydot):
         hi = min(lo + CHUNK_STEPS, n_steps)
         count = hi - lo
         t_g = t_grid[lo : hi + 1]
-        grid, mid = stage_gains(sys, conf, track, lo, hi)
-        m_g, b_g = systems(t_g, *grid)
-        m_m, b_m = systems(t_g[:-1] + 0.5 * h, *mid)
-        # the noise of step j drives all four stages of the step
-        noise = eta[lo:hi]
-        b1, b4 = b_g[:-1].copy(), b_g[1:].copy()
-        b1[:, 1] -= _matvec(grid[2][:-1], noise)
-        b_m[:, 1] -= _matvec(mid[2], noise)
-        b4[:, 1] -= _matvec(grid[2][1:], noise)
-        phi, psi = rk4_propagators((m_g[:-1], m_m, m_g[1:]), h, (b1, b_m, b_m, b4))
-        step[:count, :n, :n] = phi[:, 0]
-        step[:count, n : 2 * n, n : 2 * n] = phi[:, 1]
-        step[:count, : 2 * n, 2 * n] = psi.reshape(count, 2 * n)
-        for j in range(count):
-            z = np.dot(step[j], z, out=rec[lo + j + 1])
+        # a state past the float range warns nothing: the finite check names it
+        with np.errstate(all="ignore"):
+            grid, mid = stage_gains(sys, conf, track, lo, hi)
+            m_g, b_g = systems(t_g, *grid)
+            m_m, b_m = systems(t_g[:-1] + 0.5 * h, *mid)
+            # the noise of step j drives all four stages of the step
+            noise = eta[lo:hi]
+            b1, b4 = b_g[:-1].copy(), b_g[1:].copy()
+            b1[:, 1] -= _matvec(grid[2][:-1], noise)
+            b_m[:, 1] -= _matvec(mid[2], noise)
+            b4[:, 1] -= _matvec(grid[2][1:], noise)
+            phi, psi = rk4_propagators((m_g[:-1], m_m, m_g[1:]), h, (b1, b_m, b_m, b4))
+            step[:count, :n, :n] = phi[:, 0]
+            step[:count, n : 2 * n, n : 2 * n] = phi[:, 1]
+            step[:count, : 2 * n, 2 * n] = psi.reshape(count, 2 * n)
+            for j in range(count):
+                z = np.dot(step[j], z, out=rec[lo + j + 1])
         finite = np.all(np.isfinite(rec[lo + 1 : hi + 1]), axis=1)
         if not finite.all():
             bad = t_grid[lo + 1 + np.argmin(finite)]

@@ -643,8 +643,9 @@ def cmd_bibs(scen, args, outdir):
         tri, epsilon=epsilon, d=run.sys.d, w_bound=run.sys.w_bound, x0=x0
     )
     header = ["component", "lambda_hat", "epsilon", "tail_mass", "certified", "state_bound"]
-    rows = []
+    rows, components = [], []
     for comp in cert.components:
+        finite = math.isfinite(comp.state_bound)  # else inf in the CSV, null in the JSON
         rows.append(
             [
                 comp.index + 1,
@@ -652,26 +653,24 @@ def cmd_bibs(scen, args, outdir):
                 cert.epsilon,
                 comp.scalar.tail_mass,
                 1.0 if comp.certified else 0.0,
-                comp.state_bound if math.isfinite(comp.state_bound) else float("inf"),
+                comp.state_bound if finite else math.inf,
             ]
+        )
+        components.append(
+            {
+                "component": comp.index + 1,
+                "lambda_hat": comp.scalar.lambda_hat,
+                "tail_mass": comp.scalar.tail_mass,
+                "certified": bool(comp.certified),
+                "state_bound": comp.state_bound if finite else None,
+            }
         )
     payload = {
         "scenario": scen.name,
         "subject": subject,
         "epsilon": cert.epsilon,
         "certified": bool(cert.certified),
-        "components": [
-            {
-                "component": comp.index + 1,
-                "lambda_hat": comp.scalar.lambda_hat,
-                "tail_mass": comp.scalar.tail_mass,
-                "certified": bool(comp.certified),
-                "state_bound": (
-                    comp.state_bound if math.isfinite(comp.state_bound) else None
-                ),
-            }
-            for comp in cert.components
-        ],
+        "components": components,
     }
     _write_outputs(outdir, "bibs", payload, header, rows)
     print(

@@ -462,21 +462,6 @@ class MatrixExpr:
             ]
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, MatrixExpr):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} - {other.shape}")
-        return MatrixExpr(
-            [
-                [_sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __neg__(self):
-        return MatrixExpr([[_neg(e) for e in row] for row in self.entries])
-
     @staticmethod
     def vstack(blocks):
         blocks = list(blocks)

@@ -273,7 +273,13 @@ def frame_flow(a, q, cfg):
         good = stop if finite.all() else int(np.argmin(finite)) // block * block
         x = raw[:good]
         qx, pivots = householder_qr(x)
-        scale = np.sqrt((ones @ (x * x)).max(axis=1))
+        with np.errstate(over="ignore"):
+            scale = np.sqrt((ones @ (x * x)).max(axis=1))
+            # a frame whose squares overflow: its norms from the frame over its peak
+            big = np.isinf(scale)
+            if big.any():
+                peak = np.abs(x[big]).max(axis=(1, 2), keepdims=True)
+                scale[big] = peak[:, 0, 0] * np.sqrt((ones @ (x[big] / peak) ** 2).max(axis=1))
         collapse = (pivots <= 1e-8 * scale[:, None]).any(axis=1)
         if collapse.any():
             j = int(np.argmax(collapse))

@@ -31,6 +31,7 @@ __all__ = [
     "nonstable_dimension",
     "DirectionRegularity",
     "RegularityReport",
+    "tail_mass",
     "regularity_report",
 ]
 
@@ -229,17 +230,10 @@ class RegularityReport:
         return all(d.strong_regular for d in self.directions)
 
 
-def _window_means(t, y, t_lo, t_hi, width):
-    means = []
-    edge = t_lo
-    while edge < t_hi - 1e-12:
-        hi = min(edge + width, t_hi)
-        mask = (t >= edge - 1e-12) & (t <= hi + 1e-12)
-        if np.count_nonzero(mask) >= 2:
-            tw, yw = t[mask], y[mask]
-            means.append(np.trapezoid(yw, tw) / (tw[-1] - tw[0]))
-        edge = hi
-    return means
+def tail_mass(t, y):
+    """Trapezoid integral of ``y`` over the last half horizon: the tail test's mass."""
+    tail = t >= t[0] + 0.5 * (t[-1] - t[0]) - 1e-12
+    return float(np.trapezoid(y[tail], t[tail]))
 
 
 def regularity_report(t, b):
@@ -258,9 +252,8 @@ def regularity_report(t, b):
     running average over the last half of the horizon: windows of
     ``REGULARITY_WINDOW`` times the horizon, and a spread of at most
     ``10 * NONSTABLE_BAND``.  The strong verdict tests quasi-integrability
-    only: the tail mass over the last half horizon of
-    ``max(B_ii + eps, 0)`` for a stable direction and of
-    ``max(eps - B_ii, 0)`` for a non-stable one, with
+    only: the :func:`tail_mass` of ``max(B_ii + eps, 0)`` for a stable
+    direction and of ``max(eps - B_ii, 0)`` for a non-stable one, with
     ``eps = REGULARITY_SHIFT``, must stay at or under ``TAIL_MASS_TOL``.
     On short horizons a direction can pass the integral test while its
     running average still drifts, so the two verdicts are reported
@@ -275,37 +268,35 @@ def regularity_report(t, b):
     if t.shape[0] < 8:
         raise ValueError("series too short for regularity diagnostics")
     span = t[-1] - t[0]
-    t_mid = t[0] + 0.5 * span
-    width = REGULARITY_WINDOW * span
-    tail = t >= t_mid - 1e-12
+    t_run = t[1:]
 
     directions = []
     for i in range(b.shape[1]):
         bi = b[:, i]
-        cum = np.concatenate(
-            ([0.0], np.cumsum(0.5 * np.diff(t) * (bi[1:] + bi[:-1])))
-        )
+        cum = np.cumsum(0.5 * np.diff(t) * (bi[1:] + bi[:-1]))
         lam_hat = cum[-1] / span
-        running = cum[1:] / (t[1:] - t[0])
-        means = _window_means(t[1:], running, t_mid, t[-1], width)
-        if not means:
-            means = [running[-1]]
-        forward = max(means) - min(means) <= 10.0 * NONSTABLE_BAND
-
-        if lam_hat < 0.0:
-            shifted = np.maximum(bi + REGULARITY_SHIFT, 0.0)
-            branch = "stable"
-        else:
-            shifted = np.maximum(REGULARITY_SHIFT - bi, 0.0)
-            branch = "nonstable"
-        tail_mass = float(np.trapezoid(shifted[tail], t[tail]))
+        running = cum / (t_run - t[0])
+        # running-average means over the windows of the last half horizon
+        means = []
+        edge = t[0] + 0.5 * span
+        while edge < t[-1] - 1e-12:
+            hi = min(edge + REGULARITY_WINDOW * span, t[-1])
+            mask = (t_run >= edge - 1e-12) & (t_run <= hi + 1e-12)
+            if np.count_nonzero(mask) >= 2:
+                tw = t_run[mask]
+                means.append(np.trapezoid(running[mask], tw) / (tw[-1] - tw[0]))
+            edge = hi
+        means = means or [running[-1]]
+        stable = lam_hat < 0.0
+        shifted = bi + REGULARITY_SHIFT if stable else REGULARITY_SHIFT - bi
+        mass = tail_mass(t, np.maximum(shifted, 0.0))
         directions.append(
             DirectionRegularity(
                 lambda_hat=float(lam_hat),
-                forward_regular=bool(forward),
-                tail_mass=tail_mass,
-                strong_regular=bool(tail_mass <= TAIL_MASS_TOL),
-                branch=branch,
+                forward_regular=bool(max(means) - min(means) <= 10.0 * NONSTABLE_BAND),
+                tail_mass=mass,
+                strong_regular=bool(mass <= TAIL_MASS_TOL),
+                branch="stable" if stable else "nonstable",
             )
         )
     return RegularityReport(directions=directions)

@@ -66,28 +66,6 @@ class ObservabilityStack:
     probe_times: np.ndarray = field(repr=False)
 
 
-def _plateau_index(make_depth_expr, probes, depth_max, what):
-    """Smallest k with probe-constant rank(k) == rank(k+1); via callback."""
-    ranks_prev = None
-    expr_prev = None
-    for k in range(1, depth_max + 2):
-        expr_k = make_depth_expr(k)
-        ranks = numerical_rank(expr_k.bind()(probes))
-        if not np.all(ranks == ranks[0]):
-            raise StepPreconditionError(
-                "iv",
-                f"rank of the depth-{k} {what} stack varies across probe times "
-                f"(min {ranks.min()}, max {ranks.max()}); not a constant rank system",
-            )
-        if ranks_prev is not None and ranks[0] == ranks_prev:
-            return k - 1, int(ranks[0]), expr_prev
-        ranks_prev = int(ranks[0])
-        expr_prev = expr_k
-    raise StepPreconditionError(
-        "iv", f"no constant-rank plateau of the {what} stack within depth {depth_max}"
-    )
-
-
 def build_stack(sys: LtvSystem, probe_times):
     """Build the derivative stack and determine the observability index.
 
@@ -101,16 +79,26 @@ def build_stack(sys: LtvSystem, probe_times):
     if probes.size < 1:
         raise ValueError("need at least one probe time")
 
-    c_list = [sys.c]
-
-    def depth_obs(k):
-        while len(c_list) < k:
-            prev = c_list[-1]
-            c_list.append(prev @ sys.a + prev.derivative())
-        return MatrixExpr.vstack(c_list[:k])
-
-    nu, q0_rank, r_nu = _plateau_index(depth_obs, probes, 2 * n, "observability")
-    depth_obs(nu + 1)  # ensure C_0..C_nu all exist
+    # depth k stacks C_0..C_{k-1}; the plateau at depth k leaves C_0..C_nu
+    c_list, q0_rank = [sys.c], None
+    for k in range(1, 2 * n + 2):
+        stack = MatrixExpr.vstack(c_list)
+        ranks = numerical_rank(stack.bind()(probes))
+        if not np.all(ranks == ranks[0]):
+            raise StepPreconditionError(
+                "iv",
+                f"rank of the depth-{k} observability stack varies across probe times "
+                f"(min {ranks.min()}, max {ranks.max()}); not a constant rank system",
+            )
+        if ranks[0] == q0_rank:
+            break
+        q0_rank, r_nu = int(ranks[0]), stack
+        c_list.append(c_list[-1] @ sys.a + c_list[-1].derivative())
+    else:
+        raise StepPreconditionError(
+            "iv", f"no constant-rank plateau of the observability stack within depth {2 * n}"
+        )
+    nu = k - 1
 
     d_table = {}
     if nu >= 2:

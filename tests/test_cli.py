@@ -322,6 +322,18 @@ def test_reconstruct_undetectable_exits_3(tmp_path, capsys):
     assert "step ii" in capsys.readouterr().err
 
 
+def test_detect_without_a_gain_for_an_invisible_direction(tmp_path, capsys):
+    # the non-stable direction of diag(0.3, -2) does not reach y = x_2: no
+    # gain makes it decay, so detect names no minimum gain and still exits 0
+    doc = copy.deepcopy(TOY)
+    doc["a"] = [["0.3", "0"], ["0", "-2"]]
+    doc["c"] = [["0", "1"]]
+    out = tmp_path / "out"
+    assert main(["detect", "--scenario", write_scenario(tmp_path, doc), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("detectability: FAIL, p_min=unbounded")
+    assert json.loads((out / "detect.json").read_text())["p_min_margin_1"] is None
+
+
 @pytest.mark.parametrize("threshold", [0, -1.0])
 def test_non_positive_settle_threshold_exits_2(tmp_path, capsys, threshold):
     # no residual falls below a threshold <= 0: the run could never settle
@@ -544,6 +556,18 @@ def test_overflowing_error_norm_exits_4(tmp_path, capsys, command, change, flags
 
 
 @pytest.mark.parametrize("command", ["observe", "reconstruct"])
+def test_plant_past_the_rk4_limit_exits_4(tmp_path, capsys, command):
+    # h |A_22| = 3 lies past RK4's real-axis limit of 2.785, so the plant
+    # state grows until it overflows: the cascade names the first
+    # non-finite sample, and its steps warn nothing (warnings are errors)
+    doc = json.loads((resources.files("ltvobs") / "scenarios" / "bench8.json").read_text())
+    doc["a"][1][1] = "-3000"
+    argv = [command, "--scenario", write_scenario(tmp_path, doc), "--horizon", "2"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 4
+    assert "non-finite plant or observer state at t=1.967" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["observe", "reconstruct"])
 def test_gain_just_inside_the_rk4_bound_runs(tmp_path, command):
     out = tmp_path / "out"
     argv = [command, "--scenario", "bench8", "--horizon", "3", "--p", "2780", "--out", str(out)]
@@ -649,19 +673,27 @@ def test_bibs_huge_epsilon_reads_infinite_bounds(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command",
-    [["spectrum"], ["detect"], ["bibs"], ["bibs", "--closed-loop"], ["observe"], ["reconstruct"]],
-    ids=" ".join,
+    "command, entry, message",
+    [
+        pytest.param(command, entry, message, id=" ".join(command) + suffix)
+        for entry, message, suffix in [
+            ("1e100", "non-finite frame flow at t=0.0", ""),
+            ("1e50", "frame rank collapse at t=0.0", "-1e50"),
+        ]
+        for command in [
+            ["spectrum"], ["detect"], ["bibs"], ["bibs", "--closed-loop"], ["observe"], ["reconstruct"]
+        ]
+    ],
 )
-def test_overflowing_propagators_exit_4(tmp_path, capsys, command):
-    # A[1][1] = 1e100 overflows the RK4 stage fold of the first step: the
-    # frame flow names that step, and the fold warns nothing (warnings are
-    # errors)
+def test_overflowing_propagators_exit_4(tmp_path, capsys, command, entry, message):
+    # A[1][1] = 1e100 overflows the RK4 stage fold of the first step, and
+    # 1e50 the squares of the first frame's column norms: the frame flow
+    # names that step, and neither warns (warnings are errors)
     doc = json.loads((resources.files("ltvobs") / "scenarios" / "bench8.json").read_text())
-    doc["a"][1][1] = "1e100"
+    doc["a"][1][1] = entry
     argv = command + ["--scenario", write_scenario(tmp_path, doc), "--horizon", "1"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 4
-    assert "non-finite frame flow at t=0.0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_csv_outputs_are_deterministic(tmp_path, capsys):

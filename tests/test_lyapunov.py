@@ -124,3 +124,15 @@ def test_regularity_constant_diagonal():
     assert d.forward_regular and d.strong_regular
     assert d.lambda_hat == pytest.approx(-0.7, abs=1e-12)
     assert rep.forward_regular and rep.strong_regular
+
+
+def test_regularity_with_no_two_sample_window_in_the_tail():
+    # 8 samples over [0, 1]: no window of the last half holds two samples,
+    # so the spread test reads the final running average alone
+    t = np.linspace(0.0, 1.0, 8)
+    b = np.column_stack([10.0 * np.sin(10.0 * t), np.full(8, -0.7)])
+    rep = regularity_report(t, b)
+    assert [d.forward_regular for d in rep.directions] == [True, True]
+    assert rep.directions[0].lambda_hat == pytest.approx(np.trapezoid(b[:, 0], t))
+    assert rep.directions[1].lambda_hat == pytest.approx(-0.7, abs=1e-12)
+    assert [d.branch for d in rep.directions] == ["nonstable", "stable"]

@@ -205,7 +205,10 @@ def test_rank_profile_must_be_constant():
     with pytest.raises(StepPreconditionError) as info:
         build_stack(sys, PROBES)
     assert info.value.step == "iv"
-    assert "rank" in str(info.value)
+    assert str(info.value) == (
+        "step iv: rank of the depth-1 observability stack varies across probe times "
+        "(min 0, max 1); not a constant rank system"
+    )
 
 
 def test_reconstruction_is_linear(toy2):
