@@ -131,8 +131,9 @@ def triangularize_error_system(sys: LtvSystem, conf: ObserverConfig):
     c_fn = sys.c.bind()
 
     def loop_gain(index, frames):
-        c_val = c_fn(cfg.time(index))
-        return gain_stack(c_val, frames[..., :k], conf.p) @ c_val
+        t = cfg.time(index)
+        c_val = c_fn(t)
+        return gain_stack(c_val, frames[..., :k], conf.p, t) @ c_val
 
     return _triangular_flow(sys.a.bind(), cfg, start, loop_gain)
 

@@ -19,8 +19,8 @@ modes, (iv) the system must be strongly observable with index 2.
 Failures raise StepPreconditionError carrying the step label.
 
 Measurement noise is applied per sample and held across the RK4 stages
-of that step; with noise present the reconstruction's zeroth block
-switches from raw e_y to the differentiator's filtered z_0 estimate.
+of that step; with noise present a bank run's zeroth block switches
+from raw e_y to the differentiator's filtered z_0 estimate.
 
 The gain depends only on C(t) and the observer frame, never on the
 states, so one :func:`ltvobs.observer.frame_track` serves the precondition
@@ -77,8 +77,8 @@ class CascadeRun:
     without ``oracle_derivatives`` refuses that.  Every other setting, the
     observer's starting frame included, is checked here before any flow
     runs.  With ``sigma > 0`` the output is corrupted by seeded Gaussian
-    noise and the reconstruction reads the differentiator's filtered z_0
-    in place of raw e_y.  A variant is
+    noise and a bank run's reconstruction reads the differentiator's
+    filtered z_0 in place of raw e_y.  A variant is
     ``dataclasses.replace(run, sigma=..., noise_seed=...)``.
     """
 
@@ -316,7 +316,7 @@ def run_cascade(run: CascadeRun) -> CascadeResult:
     eta = _measurement_noise(run, step.n_steps + 1)
     t_grid, x_rec, e_rec, ey_rec, eyd_rec = _simulate(run, track, eta, record_eydot=oracle)
 
-    filtered = run.sigma > 0.0
+    filtered = run.sigma > 0.0 and not oracle
     if oracle:
         stack = np.hstack([ey_rec, eyd_rec])
         bank = None

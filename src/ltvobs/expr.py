@@ -167,7 +167,7 @@ def _is_num(e, value=None):
 
 
 # Smart constructors: fold constants and drop additive/multiplicative
-# identities so that products with sparse matrices stay small.
+# identities so that derivatives stay small.
 
 def _add(a, b):
     if _is_num(a) and _is_num(b):
@@ -382,8 +382,8 @@ def _pysrc(e):
 class MatrixExpr:
     """Matrix whose entries are scalar expressions of time.
 
-    Supports evaluation on time arrays, entrywise differentiation, and the
-    symbolic products/sums/stacks the observability recursions need.
+    Supports evaluation on time arrays and entrywise differentiation; the
+    observability recursions multiply evaluated values, not expressions.
     """
 
     __slots__ = ("entries", "rows", "cols", "_fn")
@@ -416,10 +416,6 @@ class MatrixExpr:
         array = np.atleast_2d(np.asarray(array, dtype=float))
         return cls([[Num(v) for v in row] for row in array])
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[Num(0.0)] * cols for _ in range(rows)])
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -433,55 +429,6 @@ class MatrixExpr:
     def derivative(self):
         """Entrywise time derivative."""
         return MatrixExpr([[e.derivative() for e in row] for row in self.entries])
-
-    def __matmul__(self, other):
-        if not isinstance(other, MatrixExpr):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Num(0.0)
-                for l in range(self.cols):
-                    acc = _add(acc, _mul(self.entries[i][l], other.entries[l][j]))
-                row.append(acc)
-            out.append(row)
-        return MatrixExpr(out)
-
-    def __add__(self, other):
-        if not isinstance(other, MatrixExpr):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return MatrixExpr(
-            [
-                [_add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    @staticmethod
-    def vstack(blocks):
-        blocks = list(blocks)
-        cols = blocks[0].cols
-        if any(b.cols != cols for b in blocks):
-            raise ValueError("vstack blocks must share column count")
-        rows = []
-        for b in blocks:
-            rows.extend(b.entries)
-        return MatrixExpr(rows)
-
-    @staticmethod
-    def hstack(blocks):
-        blocks = list(blocks)
-        rows = blocks[0].rows
-        if any(b.rows != rows for b in blocks):
-            raise ValueError("hstack blocks must share row count")
-        return MatrixExpr(
-            [sum((b.entries[i] for b in blocks), ()) for i in range(rows)]
-        )
 
     # -- evaluation ---------------------------------------------------------
 
@@ -509,7 +456,9 @@ class MatrixExpr:
                         cells.append((i, j))
                         lines.append(f"    out[:, {i}, {j}] = {_pysrc(e)}")
             lines.append("    return out")
+            # a folded non-finite constant prints as inf or nan
             ns = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
+            ns.update(inf=math.inf, nan=math.nan)
             exec("\n".join(lines), ns)  # controlled codegen from our own AST
         except (SyntaxError, RecursionError) as exc:
             # a RecursionError comes from _pysrc: Python refuses 200 nested

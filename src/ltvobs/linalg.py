@@ -32,6 +32,7 @@ __all__ = [
     "numerical_rank",
     "pinv",
     "orthogonal_projector_complement",
+    "require_finite",
 ]
 
 _EPS = np.finfo(float).eps
@@ -218,6 +219,14 @@ def pinv(x):
     recip = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
     inv = np.where(s > tol, recip, 0.0)
     return (np.swapaxes(vt, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
+
+
+def require_finite(stack, times, what):
+    """``stack`` (T, rows, cols), or NumericalError naming ``what`` and the first bad time."""
+    bad = ~np.isfinite(stack).all(axis=(1, 2))
+    if bad.any():
+        raise NumericalError(f"{what} is not finite at t={times[np.argmax(bad)]}")
+    return stack
 
 
 def orthogonal_projector_complement(j):

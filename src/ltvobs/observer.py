@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import StepPreconditionError
 from .integrators import StepConfig, frame_flow, rk4_propagators
-from .linalg import householder_qr, mgs_qr_stack
+from .linalg import householder_qr, mgs_qr_stack, require_finite
 from .lyapunov import NONSTABLE_BAND, frame_diagnostics, running_average, start_frame
 from .system import LtvSystem
 
@@ -71,15 +71,18 @@ class ObserverConfig:
         return start_frame(n, self.k, self.q0)
 
 
-def _gain_basis_stack(c_val, q):
-    """Gain bases Qt of C^T C Q for stacks ``c_val (T, r, n)``, ``q (T, n, k)``.
+def _gain_basis_stack(c_val, q, t):
+    """Gain bases Qt of C^T C Q for stacks ``c_val (T, r, n)``, ``q (T, n, k)`` at times ``t``.
 
     Returns Qt (T, n, k) and Rt (T, k, k), diag(Rt) >= 0.  A numerically
     dependent column of C^T C Q gets Rt_jj = 0 (:func:`mgs_qr_stack`
     refactors its matrix by :func:`~ltvobs.linalg.mgs_qr`), and its Qt
-    column is zeroed, so the completion never leaks into the gain.
+    column is zeroed, so the completion never leaks into the gain.  A
+    C^T C Q that overflows raises :class:`NumericalError` naming its time.
     """
-    qt, rt = mgs_qr_stack(np.swapaxes(c_val, 1, 2) @ (c_val @ q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ctcq = np.swapaxes(c_val, 1, 2) @ (c_val @ q)
+    qt, rt = mgs_qr_stack(require_finite(ctcq, t, "C^T C Q"))
     rdiag = np.diagonal(rt, axis1=1, axis2=2)
     return qt * (rdiag > 0.0)[:, None, :], rt
 
@@ -89,9 +92,9 @@ def _gain_from_basis(c_val, q, qt, p):
     return p * (q @ (np.swapaxes(qt, 1, 2) @ np.swapaxes(c_val, 1, 2)))
 
 
-def gain_stack(c_val, q, p):
-    """Gains L = p Q Qt^T C^T (T, n, r) for stacks of C and frames."""
-    return _gain_from_basis(c_val, q, _gain_basis_stack(c_val, q)[0], p)
+def gain_stack(c_val, q, p, t):
+    """Gains L = p Q Qt^T C^T (T, n, r) for stacks of C and frames at times ``t`` (T,)."""
+    return _gain_from_basis(c_val, q, _gain_basis_stack(c_val, q, t)[0], p)
 
 
 @dataclass
@@ -174,7 +177,7 @@ def frame_track(sys: LtvSystem, conf: ObserverConfig):
         frames[s] = chunk
         b_diag[s], defect[s] = frame_diagnostics(chunk, grid)
         # C^T C Q = Qt Rt with orthonormal Qt: both have the singular values of Rt
-        gain_basis[s], rt = _gain_basis_stack(c_fn(t[s]), chunk)
+        gain_basis[s], rt = _gain_basis_stack(c_fn(t[s]), chunk, t[s])
         r_diag[s] = np.diagonal(rt, axis1=1, axis2=2)
         sigma[s] = np.linalg.svd(rt, compute_uv=False)[:, -1]
     return FrameTrack(
@@ -212,7 +215,7 @@ def stage_gains(sys: LtvSystem, conf: ObserverConfig, track, lo, hi):
     phi = rk4_propagators((a_g[:-1], a_fn(t_g[:-1] + 0.25 * h), a_m), 0.5 * h)
     q_m, _ = householder_qr(phi @ track.frames[lo:hi])
     l_g = track.gains(c_g, conf.p, slice(lo, hi + 1))
-    return (a_g, c_g, l_g), (a_m, c_m, gain_stack(c_m, q_m, conf.p))
+    return (a_g, c_g, l_g), (a_m, c_m, gain_stack(c_m, q_m, conf.p, t_m))
 
 
 def detectability_report(conf: ObserverConfig, track: FrameTrack):

@@ -6,7 +6,7 @@ y = C(t) x gives
     yhat(t) = R_nu(t) x(t) + J_nu(t) what(t),
 
 where yhat collects y .. y^(nu-1) and what collects w .. w^(nu-2).  The
-row blocks follow the recursions (derivatives are symbolic)
+row blocks follow the recursions
 
     C_0     = C,            C_{i+1}     = C_i A + dC_i/dt,
     D_{1,0} = C_0 D,        D_{a+1,0}   = C_a D + dD_{a,0}/dt,
@@ -14,24 +14,31 @@ row blocks follow the recursions (derivatives are symbolic)
 
 so the top diagonal of J is always C_0 D.  For constant matrices these
 produce the Markov parameters D_{a,b} = C A^(a-1-b) D, which pins the
-C_a D form of the first column.  The observability index nu is the
-smallest depth whose stacked rank matches the next depth at every probe
-time; strong observability asks that appending J to R adds exactly
-rank(J) to the rank, and then x is recovered by annihilating the
-unknown-input image with K = I - J J^+ and solving K R x = K yhat in the
-least-squares sense.  The solve factors K R itself and never forms the
-normal matrix H = (K R)^T K R, whose condition number is that of K R
-squared (Golub & Van Loan, Matrix Computations, 4th ed., 5.3); H enters
-only through its eigenvalues, the reported margin of the map.
+C_a D form of the first column.  The stack is needed only at the probe
+times where its ranks are decided, so the recursions run there on jets,
+a matrix with its first time derivatives: those of A, C and D come from
+their symbolic derivatives, and those of the products from the Leibniz
+rule (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008).
+The observability index nu is the smallest depth whose stacked rank
+matches the next depth at every probe time; strong observability asks
+that appending J to R adds exactly rank(J) to the rank, and then x is
+recovered by annihilating the unknown-input image with K = I - J J^+ and
+solving K R x = K yhat in the least-squares sense.  The solve factors
+K R itself and never forms the normal matrix H = (K R)^T K R, whose
+condition number is that of K R squared (Golub & Van Loan, Matrix
+Computations, 4th ed., 5.3); H enters only through its eigenvalues, the
+reported margin of the map.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalError, StepPreconditionError
 from .expr import MatrixExpr
-from .linalg import householder_qr, numerical_rank, orthogonal_projector_complement
+from .linalg import householder_qr, numerical_rank, orthogonal_projector_complement, require_finite
 from .observer import ObserverConfig, frame_track
 from .system import LtvSystem
 
@@ -48,24 +55,34 @@ __all__ = [
 
 @dataclass
 class ObservabilityStack:
-    """Symbolic observability stack of one system.
+    """Observability stack of one system at its probe times.
 
-    ``c_list`` holds C_0..C_nu; ``d_table[(a, b)]`` the unknown-input
-    coefficient of w^(b) in y^(a).
+    ``r_nu`` (T, r nu, n) stacks C_0..C_{nu-1} and ``j_nu``
+    (T, r nu, m (nu - 1)) the unknown-input blocks D_{a,b} at each of the
+    T ``probe_times``; ``j_nu`` has no columns when nu < 2.
     """
 
     nu: int
     q0_rank: int
-    c_list: list
-    d_table: dict
-    r_nu: MatrixExpr
-    j_nu: MatrixExpr | None
-    n: int
-    m: int
-    r: int
+    r_nu: np.ndarray = field(repr=False)
+    j_nu: np.ndarray = field(repr=False)
     probe_times: np.ndarray = field(repr=False)
 
 
+def _derivatives(m: MatrixExpr, probes):
+    """Values at ``probes`` of m, dm/dt, d^2m/dt^2, ..., each order compiled when drawn."""
+    while True:
+        yield m.bind()(probes)
+        m = m.derivative()
+
+
+def _product(x, y, j):
+    """j-th derivative of the product X Y from the jets ``x`` and ``y`` (Leibniz rule)."""
+    return sum(math.comb(j, l) * (x[l] @ y[j - l]) for l in range(j + 1))
+
+
+# an overflowing product leaves a non-finite stack, which require_finite refuses
+@np.errstate(over="ignore", invalid="ignore")
 def build_stack(sys: LtvSystem, probe_times):
     """Build the derivative stack and determine the observability index.
 
@@ -79,11 +96,13 @@ def build_stack(sys: LtvSystem, probe_times):
     if probes.size < 1:
         raise ValueError("need at least one probe time")
 
-    # depth k stacks C_0..C_{k-1}; the plateau at depth k leaves C_0..C_nu
-    c_list, q0_rank = [sys.c], None
+    # depth k stacks C_0..C_{k-1}, and cj[i][l] is the l-th derivative of
+    # C_i at the probes; the plateau at depth k leaves C_0..C_nu
+    a_gen, c_gen = _derivatives(sys.a, probes), _derivatives(sys.c, probes)
+    a_jet, cj, q0_rank = [], [[next(c_gen)]], None
     for k in range(1, 2 * n + 2):
-        stack = MatrixExpr.vstack(c_list)
-        ranks = numerical_rank(stack.bind()(probes))
+        stack = np.concatenate([ci[0] for ci in cj], axis=1)
+        ranks = numerical_rank(require_finite(stack, probes, f"depth-{k} observability stack"))
         if not np.all(ranks == ranks[0]):
             raise StepPreconditionError(
                 "iv",
@@ -93,42 +112,36 @@ def build_stack(sys: LtvSystem, probe_times):
         if ranks[0] == q0_rank:
             break
         q0_rank, r_nu = int(ranks[0]), stack
-        c_list.append(c_list[-1] @ sys.a + c_list[-1].derivative())
+        # C_{i+1}^(l) = (C_i A)^(l) + C_i^(l+1): raise C_0 to order k, then
+        # each C_{i+1} to order k - 1 - i, down to C_k itself
+        a_jet.append(next(a_gen))
+        cj[0].append(next(c_gen))
+        cj.append([])
+        for i in range(k):
+            l = k - 1 - i
+            cj[i + 1].append(_product(cj[i], a_jet, l) + cj[i][l + 1])
     else:
         raise StepPreconditionError(
             "iv", f"no constant-rank plateau of the observability stack within depth {2 * n}"
         )
     nu = k - 1
 
-    d_table = {}
-    if nu >= 2:
-        d_table[(1, 0)] = sys.c @ sys.d
-        for a in range(1, nu - 1):
-            d_table[(a + 1, 0)] = c_list[a] @ sys.d + d_table[(a, 0)].derivative()
-            for b in range(1, a):
-                d_table[(a + 1, b)] = d_table[(a, b - 1)] + d_table[(a, b)].derivative()
-            d_table[(a + 1, a)] = d_table[(a, a - 1)]
-        rows = []
-        for a in range(nu):
-            row = [
-                d_table[(a, b)] if b < a else MatrixExpr.zeros(r, m)
-                for b in range(nu - 1)
-            ]
-            rows.append(MatrixExpr.hstack(row))
-        j_nu = MatrixExpr.vstack(rows)
-    else:
-        j_nu = None
-
+    # y^(a) = C_a x + sum_{i<a} (C_i D w)^(a-1-i), so the coefficient of
+    # w^(b) is D_{a,b} = sum_i binom(a-1-i, b) (C_i D)^(a-1-i-b)
+    d_jet = list(itertools.islice(_derivatives(sys.d, probes), nu - 1))
+    cd = [[_product(cj[i], d_jet, p) for p in range(nu - 1 - i)] for i in range(nu - 1)]
+    j_nu = np.zeros((probes.size, nu, r, nu - 1, m))
+    for a in range(1, nu):
+        for b in range(a):
+            j_nu[:, a, :, b] = sum(
+                math.comb(a - 1 - i, b) * cd[i][a - 1 - i - b] for i in range(a - b)
+            )
+    j_nu = j_nu.reshape(probes.size, nu * r, (nu - 1) * m)
     return ObservabilityStack(
         nu=nu,
         q0_rank=q0_rank,
-        c_list=c_list,
-        d_table=d_table,
         r_nu=r_nu,
-        j_nu=j_nu,
-        n=n,
-        m=m,
-        r=r,
+        j_nu=require_finite(j_nu, probes, "unknown-input stack"),
         probe_times=probes,
     )
 
@@ -165,22 +178,13 @@ def _so_verdict(r_val, j_val, nu, times):
     )
 
 
-def _j_values(stack, times):
-    """J_nu at ``times`` (T, r nu, m (nu - 1)); no columns when nu < 2."""
-    if stack.j_nu is None:
-        return np.zeros((times.size, stack.r * stack.nu, 0))
-    return stack.j_nu.bind()(times)
-
-
 def strong_observability_test(stack: ObservabilityStack):
     """Check rank [R J] = rank [[I 0],[R J]] at every probe time of the stack.
 
     Equality means appending the unknown-input map J cannot hide state
     directions: the stacked map still determines x uniquely.
     """
-    probes = stack.probe_times
-    r_val = stack.r_nu.bind()(probes)
-    return _so_verdict(r_val, _j_values(stack, probes), stack.nu, probes)
+    return _so_verdict(stack.r_nu, stack.j_nu, stack.nu, stack.probe_times)
 
 
 def horizon_so_check(sys: LtvSystem, step):
@@ -194,14 +198,17 @@ def horizon_so_check(sys: LtvSystem, step):
     return stack, strong_observability_test(stack)
 
 
-def _normal_eigs(kr):
+def _normal_eigs(kr, times):
     """Ascending eigenvalues (T, n) of H = (K R)^T K R for a stack ``kr`` (T, rows, n).
 
     The margin of the reconstruction map: H is positive definite exactly
     when K R has full column rank, and its eigenvalues are the squared
-    singular values of K R.
+    singular values of K R.  An H that overflows raises
+    :class:`NumericalError` naming its time in ``times`` (T,).
     """
-    return np.linalg.eigvalsh(kr.mT @ kr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = kr.mT @ kr
+    return np.linalg.eigvalsh(require_finite(h, times, "normal matrix"))
 
 
 def _least_squares(m, y):
@@ -236,8 +243,8 @@ class ReconstructionMap:
                 "iv", "system is not strongly observable; reconstruction undefined"
             )
         probes = stack.probe_times
-        k_val = orthogonal_projector_complement(_j_values(stack, probes))
-        eigs = _normal_eigs(k_val @ stack.r_nu.bind()(probes))
+        k_val = orthogonal_projector_complement(stack.j_nu)
+        eigs = _normal_eigs(k_val @ stack.r_nu, probes)
         self.h_eig_history = eigs[:, 0]
         self.min_eig_h = float(self.h_eig_history.min())
         if self.min_eig_h <= 0.0:
@@ -294,7 +301,7 @@ class ErrorStackSampler:
         if j_e.any():
             k_val = orthogonal_projector_complement(j_e)
             r_e, yhat = k_val @ r_e, (k_val @ yhat[..., None])[..., 0]
-        eig = _normal_eigs(r_e)[:, 0]
+        eig = _normal_eigs(r_e, times)[:, 0]
         if eig.min() <= 0.0:
             raise NumericalError(
                 f"normal matrix not positive definite at t={float(times[np.argmin(eig)])}"

@@ -1,5 +1,6 @@
 """Shared fixtures: small closed-form systems used across the suite."""
 
+import functools
 import operator
 import sys
 from dataclasses import replace
@@ -10,7 +11,7 @@ import pytest
 from ltvobs import cascade
 from ltvobs.cli import _resolve_scenario
 from ltvobs.errors import NumericalError
-from ltvobs.expr import Call, Neg, Num, Time
+from ltvobs.expr import Call, MatrixExpr, Neg, Num, Time, _add, _mul
 from ltvobs.hosm import DEFAULT_GAINS
 from ltvobs.linalg import mgs_qr
 from ltvobs.system import LtvSystem
@@ -173,6 +174,30 @@ def evaluate(expr, t):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.divide(a, b)
     return {"+": operator.add, "-": operator.sub, "*": operator.mul}[expr.op](a, b)
+
+
+def symbolic_matmul(x, y):
+    """The product X Y of two :class:`MatrixExpr` as expression trees.
+
+    Each entry is the folded sum of the products of the factors' entries,
+    so the product's derivatives are symbolic ones: the reference of the
+    Leibniz-rule jets in ``strong_obs.build_stack``.
+    """
+    return MatrixExpr(
+        [
+            [
+                functools.reduce(_add, (_mul(u, v) for u, v in zip(row, col)), Num(0.0))
+                for col in zip(*y.entries)
+            ]
+            for row in x.entries
+        ]
+    )
+
+
+def symbolic_sum(x, y):
+    """The sum X + Y of two :class:`MatrixExpr` as expression trees, entry by entry."""
+    rows = zip(x.entries, y.entries)
+    return MatrixExpr([[_add(u, v) for u, v in zip(ru, rv)] for ru, rv in rows])
 
 
 @pytest.fixture

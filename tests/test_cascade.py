@@ -139,6 +139,16 @@ def test_noisy_run_settles_and_stays_bounded(toy2):
     assert run.summary["sigma"] == 1e-3
 
 
+@pytest.mark.parametrize("oracle", [False, True])
+def test_filtered_flag_names_the_output_error_the_stack_reads(toy2, oracle):
+    # with noise a bank run reads the bank's z_0, the oracle stack raw e_y
+    run = run_cascade(
+        make_run(toy2, t_end=2.0, sigma=1e-3, noise_seed=0, oracle_derivatives=oracle)
+    )
+    assert np.array_equal(run.stack[:, :1], run.e_y) == oracle
+    assert run.summary["filtered_output_error"] is (not oracle)
+
+
 def test_noise_seed_reproducible(toy2):
     spec = make_run(toy2, sigma=1e-3, noise_seed=7)
     a = run_cascade(spec)

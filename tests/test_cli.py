@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 from dataclasses import fields
 from importlib import resources
 
@@ -616,8 +617,7 @@ def test_over_deep_expression_exits_2(tmp_path, capsys, entry, message):
     # the parser recurses per parenthesis and Python's compiler limits the
     # nesting of the generated source; both are refused at load, not with a
     # traceback, and named by the file's entry, not by an entry of a matrix
-    # derived from it (check-so compiles the stack [C; C A + dC/dt] first,
-    # whose entry (1,1) holds A[1][2])
+    # derived from it (check-so also compiles the derivatives of A and C)
     doc = copy.deepcopy(TOY)
     doc["a"][0][1] = entry
     scen = write_scenario(tmp_path, doc)
@@ -694,6 +694,45 @@ def test_overflowing_propagators_exit_4(tmp_path, capsys, command, entry, messag
     argv = command + ["--scenario", write_scenario(tmp_path, doc), "--horizon", "1"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 4
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "check-so", "reconstruct"])
+@pytest.mark.parametrize("entry", ["1e400*t", "sin(1e400*t)", "(1e400-1e400)*t"])
+def test_non_finite_constant_in_a_time_varying_entry_exits_4(tmp_path, capsys, command, entry):
+    # the parser folds the constant to inf or nan; the compiled entry must
+    # evaluate it and be refused by the finite check, as a bare 1e400 is
+    doc = json.loads((resources.files("ltvobs") / "scenarios" / "bench8.json").read_text())
+    doc["a"][1][1] = entry
+    argv = [command, "--scenario", write_scenario(tmp_path, doc), "--horizon", "1"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.startswith("error: entry (1,1) evaluated non-finite at t=0.0: ")
+
+
+@pytest.mark.parametrize(
+    "key, command, message",
+    [
+        ("c", ["check-so"], "normal matrix is not finite at t=0.0"),
+        ("c", ["detect"], "C^T C Q is not finite at t=0.0"),
+        ("c", ["observe"], "C^T C Q is not finite at t=0.0"),
+        ("c", ["reconstruct"], "C^T C Q is not finite at t=0.0"),
+        ("c", ["bibs", "--closed-loop"], "C^T C Q is not finite at t=0.0"),
+        ("a", ["check-so"], "depth-3 observability stack is not finite at t=0.0"),
+    ],
+    ids=["C-check-so", "C-detect", "C-observe", "C-reconstruct", "C-bibs --closed-loop"]
+    + ["A-check-so"],
+)
+def test_overflowing_output_map_exits_4(tmp_path, capsys, key, command, message):
+    # C[1][1] = 1e200 squares past the float range in the normal matrix
+    # (K R)^T K R and in the gain basis C^T C Q, and A[1][1] = 1e200 in
+    # C_2 = C_1 A + dC_1/dt: each names its time and warns nothing
+    # (warnings are errors), and the stack search stays fast
+    doc = json.loads((resources.files("ltvobs") / "scenarios" / "bench8.json").read_text())
+    doc[key][0][0] = "1e200"
+    argv = command + ["--scenario", write_scenario(tmp_path, doc), "--horizon", "1"]
+    start = time.perf_counter()
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 4
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_csv_outputs_are_deterministic(tmp_path, capsys):

@@ -28,7 +28,7 @@ from ltvobs.system import LtvSystem
 
 def _gain(c, q, p):
     """One gain through the stacked path: L = p Q Qt^T C^T."""
-    return gain_stack(np.asarray(c)[None], np.asarray(q)[None], p)[0]
+    return gain_stack(np.asarray(c)[None], np.asarray(q)[None], p, np.zeros(1))[0]
 
 
 def test_gain_full_measurement_single_direction():
@@ -100,12 +100,12 @@ def test_track_gains_equal_gain_stack_for_every_gain():
     c_val = run.sys.c.bind()(track.t)
     assert track.gain_basis.shape == track.frames.shape
     for p in (30.0, 90.0):
-        expected = gain_stack(c_val, track.frames, p)
+        expected = gain_stack(c_val, track.frames, p, track.t)
         assert np.array_equal(track.gains(c_val, p, slice(None)), expected)
     every_tenth = np.arange(0, track.t.size, 10)
     assert np.array_equal(
         track.gains(c_val[every_tenth], 30.0, every_tenth),
-        gain_stack(c_val[every_tenth], track.frames[every_tenth], 30.0),
+        gain_stack(c_val[every_tenth], track.frames[every_tenth], 30.0, track.t[every_tenth]),
     )
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ltvobs.errors import NumericalError, StepPreconditionError
-from ltvobs.expr import MatrixExpr
 from ltvobs.integrators import StepConfig
 from ltvobs.cli import _resolve_scenario
 from ltvobs.linalg import numerical_rank, orthogonal_projector_complement
@@ -21,7 +20,7 @@ from ltvobs.strong_obs import (
 )
 from ltvobs.system import LtvSystem
 
-from conftest import PROBES, bench8_run, double_integrator
+from conftest import PROBES, bench8_run, double_integrator, symbolic_matmul, symbolic_sum
 
 
 def lti_stack_oracle(a, c, d, depth):
@@ -59,8 +58,8 @@ def test_double_integrator_load_channel_is_so():
     stack = build_stack(sys, PROBES)
     assert stack.nu == 2
     assert stack.q0_rank == 2
-    assert np.allclose(stack.r_nu.bind()([0.7]), np.eye(2))
-    assert np.allclose(stack.j_nu.bind()([0.7]), np.zeros((2, 1)))
+    assert np.array_equal(stack.r_nu, np.broadcast_to(np.eye(2), (PROBES.size, 2, 2)))
+    assert np.array_equal(stack.j_nu, np.zeros((PROBES.size, 2, 1)))
     verdict = strong_observability_test(stack)
     assert verdict.ok
     assert np.all(verdict.rank_s == 2) and np.all(verdict.rank_s_star == 2)
@@ -80,15 +79,10 @@ def test_h_eig_history_matches_per_probe(name):
         "bench8": lambda: _resolve_scenario("bench8").run.sys,
     }
     stack = build_stack(systems[name](), PROBES)
-    assert (stack.j_nu is None) == (name == "full_output")
+    assert (stack.j_nu.shape[2] == 0) == (name == "full_output")
     rmap = ReconstructionMap(stack)
-    r_val = stack.r_nu.bind()(stack.probe_times)
-    if stack.j_nu is None:
-        j_val = np.zeros((stack.probe_times.size, r_val.shape[1], 0))
-    else:
-        j_val = stack.j_nu.bind()(stack.probe_times)
     want = []
-    for r_i, j_i in zip(r_val, j_val):
+    for r_i, j_i in zip(stack.r_nu, stack.j_nu):
         kr = orthogonal_projector_complement(j_i) @ r_i
         want.append(np.linalg.eigvalsh(kr.T @ kr)[0])
     assert np.array_equal(rmap.h_eig_history, want)
@@ -125,7 +119,7 @@ def test_double_integrator_output_channel_not_so():
     sys = double_integrator([1.0, 0.0])
     stack = build_stack(sys, PROBES)
     assert stack.nu == 2
-    assert np.allclose(stack.j_nu.bind()([0.0]), [[0.0], [1.0]])
+    assert np.array_equal(stack.j_nu[0], [[0.0], [1.0]])
     verdict = strong_observability_test(stack)
     assert not verdict.ok
     with pytest.raises(StepPreconditionError) as info:
@@ -143,13 +137,87 @@ def test_stack_matches_lti_markov_parameters(rng):
         d = rng.standard_normal((n, 1))
         sys = LtvSystem(a=a, f=np.zeros((n, 1)), d=d, c=c)
         stack = build_stack(sys, PROBES)
-        for (al, be), entry in stack.d_table.items():
-            want = c @ np.linalg.matrix_power(a, al - 1 - be) @ d
-            assert np.allclose(entry.bind()([0.0]), want, atol=1e-10), (al, be)
         r_want, j_want = lti_stack_oracle(a, c, d, stack.nu)
-        assert np.allclose(stack.r_nu.bind()([3.3]), r_want, atol=1e-9)
-        if stack.j_nu is not None:
-            assert np.allclose(stack.j_nu.bind()([3.3]), j_want, atol=1e-9)
+        assert np.allclose(stack.r_nu, r_want, atol=1e-9)
+        assert np.allclose(stack.j_nu, j_want, atol=1e-10)
+
+
+def symbolic_stack(sys, probes):
+    """The stack by the recursions on expression trees, evaluated at ``probes``.
+
+    The reference of :func:`build_stack`'s jets: C_{i+1} = C_i A + dC_i/dt
+    and the D_{a,b} recursions of :mod:`ltvobs.strong_obs` are multiplied
+    out symbolically, then each block is compiled and evaluated.
+    """
+    c_list, q0_rank = [sys.c], None
+    for k in range(1, 2 * sys.n + 2):
+        ranks = numerical_rank(np.concatenate([c.bind()(probes) for c in c_list], axis=1))
+        if ranks[0] == q0_rank:
+            break
+        q0_rank = int(ranks[0])
+        c_list.append(symbolic_sum(symbolic_matmul(c_list[-1], sys.a), c_list[-1].derivative()))
+    nu, r, m = k - 1, sys.r, sys.m
+    d_table = {(1, 0): symbolic_matmul(sys.c, sys.d)}
+    for a in range(1, nu - 1):
+        d_table[(a + 1, 0)] = symbolic_sum(
+            symbolic_matmul(c_list[a], sys.d), d_table[(a, 0)].derivative()
+        )
+        for b in range(1, a):
+            d_table[(a + 1, b)] = symbolic_sum(d_table[(a, b - 1)], d_table[(a, b)].derivative())
+        d_table[(a + 1, a)] = d_table[(a, a - 1)]
+    j_nu = np.zeros((probes.size, nu * r, (nu - 1) * m))
+    for (a, b), block in d_table.items():
+        if a < nu:
+            j_nu[:, a * r : (a + 1) * r, b * m : (b + 1) * m] = block.bind()(probes)
+    r_nu = np.concatenate([c.bind()(probes) for c in c_list[:nu]], axis=1)
+    return ObservabilityStack(nu=nu, q0_rank=q0_rank, r_nu=r_nu, j_nu=j_nu, probe_times=probes)
+
+
+TIME_VARYING_D = {
+    # nu = 4 with every D_{a,b} nonzero and C time-varying, so the Leibniz
+    # sums carry binomial weights above 1; the input reaches y at relative
+    # degree 1, and its zero dynamics make the system not strongly observable
+    "chain4": LtvSystem(
+        a=[
+            ["0", "1 + 0.5*sin(t)", "0", "0"],
+            ["0", "-0.2", "2 + cos(0.5*t)", "0"],
+            ["0", "0", "0", "1 + 0.3*sin(t)"],
+            ["-1", "0", "0", "-0.5"],
+        ],
+        f=[[0.0]] * 4,
+        d=[["0.3 + 0.1*sin(t)"], ["0"], ["1 + 0.2*cos(t)"], ["0"]],
+        c=[["1 + 0.2*sin(0.8*t)", "0.1*cos(t)", "0", "0"]],
+    ),
+    # nu = 3: two measured chains, the input at the last state of the
+    # second, a chain of two seen at relative degree 2, so no zero dynamics
+    # are left and the system is strongly observable
+    "two_chains": LtvSystem(
+        a=[
+            ["0", "1 + 0.5*sin(t)", "0", "0", "0"],
+            ["0", "0", "2 + cos(0.5*t)", "0", "0.1"],
+            ["-1", "0", "-0.3", "0.2*sin(t)", "0"],
+            ["0", "0", "0", "0", "1.5 + 0.4*cos(0.7*t)"],
+            ["0.2", "0", "0", "-1", "-0.4"],
+        ],
+        f=[[0.0]] * 5,
+        d=[["0"], ["0"], ["0"], ["0"], ["1 + 0.2*cos(t)"]],
+        c=[[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name, nu, so", [("chain4", 4, False), ("two_chains", 3, True)])
+def test_jets_match_the_symbolic_recursions(name, nu, so):
+    sys = TIME_VARYING_D[name]
+    got, want = build_stack(sys, PROBES), symbolic_stack(sys, PROBES)
+    assert (got.nu, got.q0_rank) == (want.nu, want.q0_rank) == (nu, sys.n)
+    for field in ("r_nu", "j_nu"):
+        value, ref = getattr(got, field), getattr(want, field)
+        assert value.shape == ref.shape
+        assert np.abs(value - ref).max() <= 1e-12 * np.abs(ref).max(), field
+    # the J blocks vary in time, so the jets carry derivatives of D
+    assert np.ptp(want.j_nu, axis=0).max() > 0.1
+    assert strong_observability_test(got).ok == strong_observability_test(want).ok == so
 
 
 def test_verdicts_match_brute_force_oracle(rng):
@@ -181,16 +249,16 @@ def test_time_varying_stack_row():
     )
     stack = build_stack(sys, PROBES)
     assert stack.nu == 2
-    ts = np.array([0.0, 1.0, 2.5])
-    c1 = stack.c_list[1].bind()(ts)
-    assert np.allclose(c1[:, 0, 0], 0.0)
-    assert np.allclose(c1[:, 0, 1], 1.0 + 0.5 * np.sin(ts), atol=1e-12)
     assert ReconstructionMap(stack).min_eig_h > 0.0
+    ts = np.array([0.0, 1.0, 2.5])
+    c1 = build_stack(sys, ts).r_nu[:, 1]
+    assert np.allclose(c1[:, 0], 0.0)
+    assert np.allclose(c1[:, 1], 1.0 + 0.5 * np.sin(ts), atol=1e-12)
     # at zero gain the error stack is the plant's stack, and recovers x
     sampler = ErrorStackSampler(sys)
     ts = np.array([0.1, 4.0, 8.0])
     rng = np.random.default_rng(2)
-    for t, r_val in zip(ts, stack.r_nu.bind()(ts)):
+    for t, r_val in zip(ts, build_stack(sys, ts).r_nu):
         x = rng.standard_normal(2)
         assert np.allclose(sampler.reconstruct(t, np.zeros((2, 1)), r_val @ x), x, atol=1e-9)
 
@@ -227,10 +295,10 @@ def test_reconstruction_is_linear(toy2):
 
 
 def test_error_stack_sampler_matches_symbolic_at_zero_gain(toy2):
-    stack = build_stack(toy2, PROBES)
     sampler = ErrorStackSampler(toy2)
     ts = np.array([0.0, 1.0, 3.7])
-    for t, r_val, j_val in zip(ts, stack.r_nu.bind()(ts), stack.j_nu.bind()(ts)):
+    stack = build_stack(toy2, ts)
+    for t, r_val, j_val in zip(ts, stack.r_nu, stack.j_nu):
         (r_e,), (j_e,) = sampler.matrices_stack(np.array([t]), np.zeros((1, 2, 1)))
         assert np.allclose(r_e, r_val, atol=1e-12)
         assert np.allclose(j_e, j_val, atol=1e-12)
@@ -280,7 +348,10 @@ def test_batched_normal_solve_names_singular_sample():
     assert np.array_equal(eig, [1.0, 1.0])
     kr = np.stack([np.eye(2), 2.0 * np.eye(2)])
     assert np.array_equal(_least_squares(kr, np.ones((2, 2))), [[1.0, 1.0], [0.5, 0.5]])
-    assert np.array_equal(_normal_eigs(kr), [[1.0, 1.0], [4.0, 4.0]])
+    assert np.array_equal(_normal_eigs(kr, times[keep]), [[1.0, 1.0], [4.0, 4.0]])
+    # an H that overflows names its sample time instead of reaching eigvalsh
+    with pytest.raises(NumericalError, match=r"normal matrix is not finite at t=0\.5"):
+        _normal_eigs(np.stack([np.eye(2), 1e200 * np.eye(2)]), times[keep])
 
 
 def _projected_solve(sampler, times, gains, yhat):
@@ -288,7 +359,7 @@ def _projected_solve(sampler, times, gains, yhat):
     r_e, j_e = sampler.matrices_stack(times, gains)
     k_val = orthogonal_projector_complement(j_e)
     kr = k_val @ r_e
-    return _least_squares(kr, (k_val @ yhat[..., None])[..., 0]), _normal_eigs(kr)[:, 0]
+    return _least_squares(kr, (k_val @ yhat[..., None])[..., 0]), _normal_eigs(kr, times)[:, 0]
 
 
 def _lstsq_each(m, y):
